@@ -14,12 +14,9 @@
 ///                GCACHE_THREADS env). Counters are bit-identical at any
 ///                thread count; see CacheBank::setThreads.
 ///   --batch N    references per columnar batch of the cache bank's
-///                batch-mode kernel (default CacheBank::DefaultBatchRefs;
+///                kernel (default CacheBank::DefaultBatchRefs;
 ///                GCACHE_BATCH env). Counters are bit-identical at any
 ///                batch size; see memsys/BatchKernel.h.
-///   --no-batch   serial runs dispatch per reference instead of using the
-///                batch kernel (A/B baseline; counters are identical,
-///                only refs/s changes)
 ///   --fault S    arm a fault-injection plan `<site>:<n>[:<seed>]`
 ///                (GCACHE_FAULT env; see support/FaultInjector.h)
 ///   --paranoid[=phase]  verify the live heap after every collection and
@@ -73,7 +70,8 @@
 /// Unknown flags and malformed values (--threads=abc, --scale=1x,
 /// --fault=bogus, --deadline=-1) are hard errors: the binary prints a
 /// diagnostic and exits with status 2 instead of silently running with
-/// defaults.
+/// defaults. So is a bare --scale, --threads or --batch, which would
+/// otherwise read as the value 1.
 ///
 /// Failure isolation: bench mains run each workload/configuration as a
 /// unit through BenchUnitRunner. A structured failure (injected fault,
@@ -113,7 +111,6 @@ struct BenchArgs {
   bool Csv = false;
   unsigned Threads = 0;
   size_t BatchRefs = 0; ///< 0 = CacheBank::DefaultBatchRefs.
-  bool NoBatch = false; ///< Serial per-reference dispatch (A/B baseline).
   bool Paranoid = false;
   bool ParanoidPhase = false;   ///< --paranoid=phase.
   uint64_t CrossCheckEvery = 0; ///< 0 = off; 1 = every ref.
@@ -141,7 +138,7 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
 
   std::vector<std::string> Known = {
       "scale",          "csv",              "workload", "threads",
-      "batch",          "no-batch",
+      "batch",
       "fault",          "paranoid",         "crosscheck", "audit",
       "checkpoint-dir",
       "checkpoint-every", "resume",         "supervise",
@@ -159,6 +156,14 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     std::fprintf(stderr, "\n");
     std::exit(2);
   }
+
+  // Options::parse reads a bare flag as "1": a batch of one reference, one
+  // worker, scale 1. None of these is what a bare flag asks for.
+  for (const char *Valued : {"scale", "threads", "batch"})
+    if (A.Opts.isBare(Valued)) {
+      std::fprintf(stderr, "error: --%s needs a value\n", Valued);
+      std::exit(2);
+    }
 
   Expected<double> Scale = A.Opts.getStrictDouble("scale", 0.3);
   if (!Scale.ok()) {
@@ -180,7 +185,6 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     std::exit(2);
   }
   A.BatchRefs = *Batch;
-  A.NoBatch = A.Opts.getBool("no-batch", false);
 
   A.Csv = A.Opts.getBool("csv", false);
 
@@ -312,7 +316,6 @@ inline ExperimentOptions baseExperimentOptions(const BenchArgs &A) {
   Opts.Scale = A.Scale;
   Opts.Threads = A.Threads;
   Opts.BatchRefs = A.BatchRefs;
-  Opts.Batched = !A.NoBatch;
   Opts.Paranoid = A.Paranoid;
   Opts.ParanoidPhase = A.ParanoidPhase;
   Opts.CrossCheckEvery = A.CrossCheckEvery;

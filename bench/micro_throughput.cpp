@@ -2,11 +2,13 @@
 //
 // Throughput of the simulation substrates themselves (not a paper
 // artefact): cache-simulator accesses/s for sequential and random
-// streams, serial vs. parallel paper-grid bank refs/s, VM
+// streams, paper-grid bank refs/s on a real stream, VM
 // instructions/s, and Cheney copy bandwidth. Useful for sizing --scale
 // against a time budget and --threads against the machine.
 //
 //===----------------------------------------------------------------------===//
+
+#include "OrbitStream.h"
 
 #include "gcache/gc/CheneyCollector.h"
 #include "gcache/memsys/Cache.h"
@@ -50,48 +52,53 @@ static void BM_CacheRandomLoads(benchmark::State &State) {
 BENCHMARK(BM_CacheRandomLoads)->Arg(64 << 10)->Arg(4 << 20);
 
 // The workload every experiment pays for: one reference stream feeding the
-// full §4 paper grid. Args are {threads, batched}: {0,0} is the serial
-// per-reference baseline, {0,1} the serial columnar batch kernel
-// (memsys/BatchKernel.h), {N,1} N shard workers (threaded mode always
-// batches). Counters are bit-identical in every mode, so refs/s is the
-// only thing that changes; items_per_second is the measure the acceptance
-// docs quote, and bench/bank_bench.cpp writes the same comparison to
-// BENCH_bank.json.
+// full §4 paper grid. The stream is the first million references of orbit
+// (bench/OrbitStream.h), recorded once. BM_BankPaperGridReference feeds 40
+// standalone caches one reference at a time through Cache::access; the
+// BM_BankPaperGrid argument is the bank's worker-thread count (0 = lanes
+// inline). Counters are bit-identical in every mode, so refs/s is the
+// only thing that changes; bench/bank_bench.cpp writes the same
+// comparison to BENCH_bank.json.
+static const std::vector<Ref> &orbitStream() {
+  static const std::vector<Ref> Stream = recordOrbitStream(0.1, 1 << 20);
+  return Stream;
+}
+
+static void BM_BankPaperGridReference(benchmark::State &State) {
+  const std::vector<Ref> &Stream = orbitStream();
+  std::vector<Cache> Caches;
+  for (uint32_t Size : paperCacheSizes())
+    for (uint32_t Block : paperBlockSizes())
+      Caches.emplace_back(CacheConfig{.SizeBytes = Size, .BlockBytes = Block});
+  for (auto _ : State)
+    for (const Ref &R : Stream)
+      for (Cache &C : Caches)
+        (void)C.access(R);
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Stream.size()));
+}
+BENCHMARK(BM_BankPaperGridReference)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 static void BM_BankPaperGrid(benchmark::State &State) {
+  const std::vector<Ref> &Stream = orbitStream();
   CacheBank Bank;
   Bank.addPaperGrid(CacheConfig{});
   Bank.setThreads(static_cast<unsigned>(State.range(0)));
-  if (State.range(0) == 0 && State.range(1) != 0)
-    Bank.setBatched(true);
-  // A young-heap-shaped stream: sequential allocation-style stores mixed
-  // with random re-reads over a 16 MB window.
-  std::vector<Ref> Stream;
-  Stream.reserve(1 << 18);
-  Rng R(7);
-  Address Frontier = Heap::DynamicBase;
-  for (size_t I = 0; I != Stream.capacity(); ++I) {
-    if (I % 4 != 3) {
-      Stream.push_back({Frontier, AccessKind::Store, Phase::Mutator});
-      Frontier += 4;
-    } else {
-      Address A = Heap::DynamicBase +
-                  (static_cast<Address>(R.below(1u << 24)) & ~3u);
-      Stream.push_back({A, AccessKind::Load, Phase::Mutator});
-    }
-  }
   for (auto _ : State) {
-    for (const Ref &Ref_ : Stream)
-      Bank.onRef(Ref_);
+    for (const Ref &R : Stream)
+      Bank.onRef(R);
     Bank.flush();
   }
   State.SetItemsProcessed(State.iterations() *
                           static_cast<int64_t>(Stream.size()));
 }
 BENCHMARK(BM_BankPaperGrid)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
+    ->ArgName("threads")
+    ->Arg(0)
+    ->Arg(2)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -19,8 +19,6 @@
 //                       distribute over the stepped phases (pre-v3
 //                       traces show their collector refs unattributed)
 //   --replay            replay into a simulated cache and print miss counts
-//                       (serial replays use the batch kernel; --no-batch
-//                       reverts to per-reference dispatch)
 //   --cache-size=<b>    simulated cache size for --replay (default 65536)
 //   --block-size=<b>    simulated block size for --replay (default 64)
 //   --stop-after=<n>    abort after n records (kill simulation for testing)
@@ -190,12 +188,7 @@ int main(int Argc, char **Argv) {
   Bank.addConfig(Cfg);
   if (A.CrossCheckEvery)
     Bank.enableCrossCheck(A.CrossCheckEvery);
-  if (A.Threads)
-    Bank.setThreads(A.Threads,
-                    A.BatchRefs ? A.BatchRefs : CacheBank::DefaultBatchRefs);
-  else if (!A.NoBatch)
-    Bank.setBatched(true,
-                    A.BatchRefs ? A.BatchRefs : CacheBank::DefaultBatchRefs);
+  Bank.setThreads(A.Threads, A.BatchRefs);
   CountingSink Counts;
 
   ReplayCheckpointOptions RO;

@@ -9,7 +9,7 @@
 /// checks conservation laws at every GC boundary and at end of run. The
 /// paper's results are sums of counters accumulated over hundreds of
 /// millions of references across several cooperating components (the
-/// trace bus, the sharded cache bank, the per-block analyses, checkpoint
+/// trace bus, the threaded cache bank, the per-block analyses, checkpoint
 /// restore); a single dropped or double-counted batch would silently skew
 /// every figure. The auditor re-counts references itself and demands that
 /// every other counter in the run be consistent with that count and with

@@ -212,7 +212,7 @@ gcache::replayTraceCheckpointed(const std::string &TracePath, CacheBank &Bank,
             static_cast<unsigned long long>(Result.RecordsReplayed));
       // Checkpoint at every GC boundary and every EveryRefs records. Any
       // record boundary is a safe point: dispatch is deterministic and
-      // saveTo drains the shard workers first.
+      // saveTo drains the bank first.
       bool AtGcEnd = Rec.Op == TraceRecord::Kind::GcEnd;
       bool Periodic = Opts.EveryRefs && SinceCheckpoint >= Opts.EveryRefs;
       if (!Opts.SnapshotPath.empty() && (AtGcEnd || Periodic)) {

@@ -36,10 +36,7 @@ void buildBank(CacheBank &Bank, const CrashSweepOptions &Opts) {
   Bank.addConfig(B);
   if (Opts.CrosscheckEvery)
     Bank.enableCrossCheck(Opts.CrosscheckEvery);
-  if (Opts.Threads)
-    Bank.setThreads(Opts.Threads);
-  else
-    Bank.setBatched(true);
+  Bank.setThreads(Opts.Threads);
 }
 
 /// CRC-32 of the full serialized final state (bank counters, per-block
@@ -73,8 +70,6 @@ Expected<RunOutput> runOnce(const CrashSweepOptions &Opts) {
       replayTraceCheckpointed(tracePath(), Bank, Counts, R);
   if (!Res)
     return Res.status();
-  if (Opts.Threads)
-    Bank.setThreads(0); // Drain the shards before serializing.
   RunOutput Out;
   Out.Digest = digestOf(Bank, Counts);
   Out.Resumed = Res->Resumed;

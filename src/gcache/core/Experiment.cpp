@@ -57,15 +57,9 @@ ProgramRun gcache::runProgram(const Workload &W,
     else if (Opts.Grid == CacheGridKind::SizeSweep)
       Bank->addSizeSweep(Opposite, Opts.SweepBlockBytes);
   }
-  // Cross-checking attaches per-cache shadow oracles, which must happen
-  // before the shard workers take ownership of the caches.
   if (Opts.CrossCheckEvery)
     Bank->enableCrossCheck(Opts.CrossCheckEvery);
-  size_t BatchRefs =
-      Opts.BatchRefs ? Opts.BatchRefs : CacheBank::DefaultBatchRefs;
-  Bank->setThreads(Opts.Threads, BatchRefs);
-  if (!Opts.Threads && Opts.Batched)
-    Bank->setBatched(true, BatchRefs);
+  Bank->setThreads(Opts.Threads, Opts.BatchRefs);
 
   CountingSink Counts;
   BudgetRefMeter Meter;
@@ -103,7 +97,7 @@ ProgramRun gcache::runProgram(const Workload &W,
       throw;
     // Cooperative cancellation: the run stops at a poll site, not at a
     // random instruction, so the trace delivered so far is a consistent
-    // prefix. Drain the shard workers, re-audit the drained state, and
+    // prefix. Drain the bank, re-audit the drained state, and
     // report a partial result instead of a failure.
     Bank->setThreads(0);
     if (Opts.Audit)
@@ -117,11 +111,9 @@ ProgramRun gcache::runProgram(const Workload &W,
     Run.Coverage = Sys.lastRunCoverage();
   }
 
-  // Drain the shard workers and return the bank in serial immediate mode
-  // so that callers can read counters (and keep feeding it) without
-  // further synchronization or flushing.
+  // Drain the workers and return the bank with its lanes inline: callers
+  // read counters (and may keep feeding it) without joining any thread.
   Bank->setThreads(0);
-  Bank->setBatched(false);
 
   if (Run.Outcome == UnitOutcome::Ok) {
     if (Opts.Audit)

@@ -66,16 +66,10 @@ struct ExperimentOptions {
   /// Worker threads for the cache bank (0 = serial). Results are
   /// bit-identical across thread counts; see CacheBank::setThreads.
   unsigned Threads = 0;
-  /// References per columnar batch of the bank's batch-mode kernel
-  /// (serial batched and threaded execution). 0 selects the default
-  /// (CacheBank::DefaultBatchRefs); 1 degenerates to per-reference
-  /// dispatch. Counters are bit-identical for every value.
+  /// References per columnar batch of the bank's batch kernel. 0 selects
+  /// the default (CacheBank::DefaultBatchRefs). Counters are
+  /// bit-identical for every value.
   size_t BatchRefs = 0;
-  /// Serial runs use the columnar batch kernel (CacheBank::setBatched)
-  /// instead of per-reference dispatch. Bit-identical either way; on by
-  /// default because it is ~5x faster on the paper grid. Ignored in
-  /// threaded runs, which always batch.
-  bool Batched = true;
   /// Verify the live heap after every collection and at every injected
   /// allocation failure (verification is peek-only, so all simulated
   /// counters stay bit-identical); see SchemeSystemConfig::Paranoid.

@@ -70,8 +70,7 @@ GcTortureRun::GcTortureRun(const GcTortureConfig &Config)
   addTortureConfigs(Bank);
   if (Cfg.CrossCheckEvery)
     Bank.enableCrossCheck(Cfg.CrossCheckEvery);
-  if (Cfg.Threads)
-    Bank.setThreads(Cfg.Threads, /*BatchRefs=*/1024);
+  Bank.setThreads(Cfg.Threads, /*BatchRefs=*/1024);
   Bus.addSink(&Bank);
   Bus.addSink(&Counting);
   if (Cfg.Audit) {

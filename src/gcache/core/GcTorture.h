@@ -50,7 +50,7 @@ struct GcTortureConfig {
   /// semispace, in bytes.
   uint32_t HeapBytes = 64 * 1024;
   uint32_t NurseryBytes = 16 * 1024; ///< Generational only.
-  unsigned Threads = 0;       ///< Cache-bank shard workers (0 = serial).
+  unsigned Threads = 0;       ///< Cache-bank worker threads (0 = inline).
   uint64_t CrossCheckEvery = 0; ///< --crosscheck period (0 = off).
   bool Audit = false;           ///< Wire the conservation-law auditor.
   bool PhaseParanoid = false;   ///< Certify at every step boundary.

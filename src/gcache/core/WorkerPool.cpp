@@ -163,14 +163,11 @@ Expected<ServeResult> gcache::runServeJob(const ServeJob &Job,
   CacheBank Bank;
   for (const CacheConfig &C : *Configs)
     Bank.addConfig(C);
-  // Validation and execution modes: the oracle must attach before the
-  // shard pool spins up, and a snapshot load below resyncs it in place.
+  // Validation and execution modes; a snapshot load below resyncs the
+  // oracle in place.
   if (Job.CrosscheckEvery)
     Bank.enableCrossCheck(Job.CrosscheckEvery);
-  if (Job.Threads)
-    Bank.setThreads(Job.Threads, ServeBatchRefs);
-  else
-    Bank.setBatched(true, ServeBatchRefs);
+  Bank.setThreads(Job.Threads, ServeBatchRefs);
   CountingSink Counts;
   ServeResult Res;
   ServePos Pos;

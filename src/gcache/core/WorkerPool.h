@@ -68,7 +68,7 @@ struct ServeJob {
   uint64_t CrosscheckEvery = 0;
   /// Run conservation audits at every checkpoint cut and at stream end.
   bool Audit = false;
-  /// Shard worker threads inside the bank (0 = serial batched kernel).
+  /// Worker threads inside the bank (0 = lanes run inline).
   unsigned Threads = 0;
 };
 

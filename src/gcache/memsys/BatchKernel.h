@@ -5,18 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch-mode hot path of the cache-bank simulator. Where the scalar
-/// path dispatches one Ref at a time into every cache (Cache::access per
-/// reference per configuration), the batch kernel takes a whole columnar
+/// The hot path of the cache bank. The batch kernel takes a whole columnar
 /// batch (trace/Event.h RefColumns) and simulates it against one cache in
-/// a tight, branch-light loop: policy flags are hoisted out of the loop,
-/// counters accumulate in locals, the direct-mapped case skips the way
-/// scan entirely, and the per-reference address decomposition — block
-/// index and word valid-bit — is precomputed once per (batch, block size)
-/// in a BatchIndex and shared by every cache configuration with that
-/// block size. One trace read therefore feeds the whole paper grid with
-/// the address arithmetic done once per block-size column instead of once
-/// per cache.
+/// a tight, branch-light loop: policy flags are hoisted, counters live in
+/// locals, the direct-mapped case skips the way scan, and the address
+/// decomposition is precomputed once per (batch, block size) in a
+/// BatchIndex shared by every cache with that block size.
 ///
 /// Correctness contract: BatchKernel::run is *bit-identical* to feeding
 /// the same references through Cache::access one at a time — same
@@ -25,13 +19,12 @@
 /// unobservable: any way of cutting a stream into batches produces the
 /// same final state, so checkpoint cuts and cancellation drains at batch
 /// boundaries stay bit-exact. tests/test_batch_kernel.cpp holds the
-/// differential proof against both the scalar path and OracleCache across
+/// differential proof against both Cache::access and OracleCache across
 /// the write-policy x associativity x block-size matrix.
 ///
 /// With a shadow oracle attached (Cache::enableCrossCheck), the kernel
-/// falls back to the per-reference scalar path for that cache so the
-/// oracle observes every reference in lockstep — --crosscheck trades the
-/// batch speedup for validation, by design.
+/// feeds that cache through Cache::access so the oracle sees every
+/// reference in lockstep: --crosscheck trades speed for validation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +43,7 @@ class Cache;
 /// Per-batch scratch space holding the precomputed address columns of one
 /// RefColumns batch, one entry per distinct block size. Computed lazily on
 /// first use and reused across the caches of a bank (and across batches —
-/// reset() keeps the allocations). Not thread-safe: each ShardPool worker
+/// reset() keeps the allocations). Not thread-safe: each CacheBank lane
 /// owns its own BatchIndex.
 class BatchIndex {
 public:

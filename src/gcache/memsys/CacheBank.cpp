@@ -4,38 +4,31 @@
 
 #include "gcache/support/Snapshot.h"
 
-#include <algorithm>
-#include <cassert>
-
 using namespace gcache;
 
 CacheBank::~CacheBank() {
-  // ShardPool's destructor drains its queues before joining, so any
-  // still-buffered references are published and simulated first. Worker
-  // failures are swallowed here (destructors must not throw); callers who
-  // care flush() explicitly before destruction. Serial batched mode can
-  // throw from a cross-checked batch, so it gets the same swallowing.
-  if (Pool || SerialBatched) {
-    try {
-      publish();
-    } catch (...) {
-    }
+  // The pool's destructor runs every queued batch before joining. Failures
+  // are swallowed (destructors must not throw); callers who care flush().
+  try {
+    publish();
+  } catch (...) {
   }
 }
 
 size_t CacheBank::addConfig(const CacheConfig &Config) {
-  assert(!Pool && "add all configs before setThreads()");
   Caches.push_back(std::make_unique<Cache>(Config));
   if (CrossCheckEvery)
     Caches.back()->enableCrossCheck(CrossCheckEvery);
+  rebuild(); // Drains what was fed before through the old lanes.
   return Caches.size() - 1;
 }
 
 void CacheBank::enableCrossCheck(uint64_t CompareEvery) {
-  assert(!Pool && "enable cross-checking before setThreads()");
+  drain();
   CrossCheckEvery = CompareEvery ? CompareEvery : 1;
   for (auto &C : Caches)
     C->enableCrossCheck(CrossCheckEvery);
+  rebuild();
 }
 
 Status CacheBank::crossCheckNow() const {
@@ -75,93 +68,56 @@ void CacheBank::addSizeSweep(const CacheConfig &Prototype,
 
 void CacheBank::setThreads(unsigned Threads, size_t BatchRefsWanted) {
   flush();
+  ThreadsWanted = Threads;
+  BatchRefs = BatchRefsWanted ? BatchRefsWanted : DefaultBatchRefs;
+  rebuild();
+}
+
+void CacheBank::rebuild() {
+  drain();
   Pool.reset();
-  BatchRefs = BatchRefsWanted ? BatchRefsWanted : DefaultBatchRefs;
-  if (Threads == 0 || Caches.empty())
-    return;
-  std::vector<Cache *> Raw;
-  Raw.reserve(Caches.size());
-  for (auto &C : Caches)
-    Raw.push_back(C.get());
-  Pool = std::make_unique<ShardPool>(Raw, Threads);
-  Pending.reserve(BatchRefs);
+  Lanes = buildLanes(Caches, ThreadsWanted);
+  if (ThreadsWanted && !Lanes.empty())
+    Pool = std::make_unique<ShardPool>(Lanes, ThreadsWanted);
 }
 
-void CacheBank::setBatched(bool Enabled, size_t BatchRefsWanted) {
-  flush();
-  SerialBatched = Enabled;
-  BatchRefs = BatchRefsWanted ? BatchRefsWanted : DefaultBatchRefs;
-  if (Enabled && !Pool)
-    Pending.reserve(BatchRefs);
-}
-
-void CacheBank::publish() {
+void CacheBank::publish() const {
   if (Pending.empty())
     return;
-  if (!Pool) {
-    runSerialBatch();
+  if (Pool) {
+    auto Batch = std::make_shared<RefColumns>(std::move(Pending));
+    Pending = RefColumns();
+    Pending.reserve(BatchRefs);
+    Pool->submit(std::move(Batch));
     return;
   }
-  auto Batch = std::make_shared<RefBatch>(std::move(Pending));
-  Pending = RefBatch();
-  Pending.reserve(BatchRefs);
-  Pool->submit(std::move(Batch));
-}
-
-void CacheBank::runSerialBatch() {
-  // The batch is simulated in place and cleared afterwards even if a
-  // cache throws (cross-check divergence): the failing batch must not be
-  // replayed by a later flush on top of already-updated sibling caches.
+  // Cleared even if a lane throws (cross-check divergence): a later flush
+  // must not replay it into the lanes that already simulated it.
   struct Clearer {
-    RefBatch &B;
+    RefColumns &B;
     ~Clearer() { B.clear(); }
   } Clear{Pending};
-  SerialScratch.reset(&Pending);
-  // Visit the caches grouped by block size — the decomposed columns for
-  // each size are computed once and stay hot for the whole group — and
-  // fold adjacent eligible caches into one interleaved pass (runPair).
-  // The caches are independent, so neither the regrouping nor the
-  // pairing is observable in any cache's final state.
-  std::vector<Cache *> Order;
-  Order.reserve(Caches.size());
-  for (auto &C : Caches)
-    Order.push_back(C.get());
-  std::stable_sort(Order.begin(), Order.end(),
-                   [](const Cache *A, const Cache *B) {
-                     return A->config().BlockBytes < B->config().BlockBytes;
-                   });
-  for (size_t I = 0; I != Order.size();) {
-    Cache &A = *Order[I];
-    if (I + 1 != Order.size()) {
-      Cache &B = *Order[I + 1];
-      if (A.config().BlockBytes == B.config().BlockBytes &&
-          BatchKernel::pairable(A) && BatchKernel::pairable(B)) {
-        BatchKernel::runPair(A, B, Pending, SerialScratch);
-        I += 2;
-        continue;
-      }
-    }
-    BatchKernel::run(A, Pending, SerialScratch);
-    ++I;
-  }
+  for (Lane &L : Lanes)
+    L.run(Pending);
+}
+
+void CacheBank::drain() const {
+  publish();
+  if (Pool)
+    Pool->drain();
 }
 
 void CacheBank::flush() {
-  if (Pool) {
-    publish();
-    Pool->drain();
-  } else if (SerialBatched) {
-    publish();
-  }
-  // Flush points (GC boundaries, end of run) are where the deep
-  // comparison runs: per-access checks catch hit-class divergence, this
-  // catches silent state or counter drift in either execution mode.
+  drain();
+  // Per-access checks catch hit-class divergence; this deep comparison at
+  // flush points catches silent state or counter drift.
   if (CrossCheckEvery)
     if (Status S = crossCheckNow(); !S.ok())
       throw StatusError(std::move(S));
 }
 
 const Cache *CacheBank::find(uint32_t SizeBytes, uint32_t BlockBytes) const {
+  drain();
   for (const auto &C : Caches)
     if (C->config().SizeBytes == SizeBytes &&
         C->config().BlockBytes == BlockBytes)
@@ -173,6 +129,7 @@ void CacheBank::resetAll() {
   flush();
   for (auto &C : Caches)
     C->reset();
+  rebuild();
 }
 
 void CacheBank::saveTo(SnapshotWriter &W) {
@@ -185,6 +142,7 @@ void CacheBank::saveTo(SnapshotWriter &W) {
 
 Status CacheBank::loadFrom(const SnapshotReader &R) {
   flush();
+  rebuild();
   SnapshotCursor C = R.section("cache-bank");
   uint64_t Count = C.getU64();
   if (C.ok() && Count != Caches.size())

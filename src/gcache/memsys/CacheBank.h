@@ -13,22 +13,20 @@
 /// valid because the cache configuration never influences the reference
 /// stream (program and collector behaviour are cache-independent).
 ///
-/// The same property makes the bank embarrassingly parallel: setThreads()
-/// switches it to a threaded mode in which references accumulate into
-/// fixed-size batches and a ShardPool of workers — each owning a disjoint
-/// shard of the caches — consumes every batch in order. Each cache still
-/// sees the exact serial reference stream, so every counter is
-/// deterministic and bit-identical to the single-threaded result; see
-/// tests/test_parallel_bank.cpp for the equivalence proof. In threaded
-/// mode, call flush() before reading any cache's counters.
+/// The bank has one execution path. References accumulate into fixed-size
+/// columnar batches, and the batch kernel simulates each batch lane by
+/// lane (memsys/ShardPool.h): a lane holds the caches of one block size,
+/// decomposes the batch once for them, and pairs direct-mapped caches.
+/// Without threads, publishing a batch runs every lane inline;
+/// setThreads(N) hands the lanes to N workers. Each lane consumes the
+/// batches in order, so every counter is bit-identical at any thread
+/// count and batch size (tests/test_parallel_bank.cpp). Reading a cache
+/// (cache(), find()) first simulates everything fed so far.
 ///
-/// Drain-on-cancel: because every batch boundary is a point of the exact
-/// serial stream, cancelling a run (support/Budget.h) needs no special
-/// protocol — the cancellation handler simply stops feeding references and
-/// calls flush() (or setThreads(0), which drains first). The resulting
-/// counters are the serial counters of the reference prefix that was fed,
-/// so a drain checkpoint cut there is consistent, auditable, and resumes
-/// bit-identically.
+/// Drain-on-cancel: every batch boundary is a point of the exact serial
+/// stream, so a cancelled run (support/Budget.h) just stops feeding and
+/// calls flush(). The counters are then those of the prefix fed, and a
+/// checkpoint cut there is consistent and resumes bit-identically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,20 +44,19 @@ namespace gcache {
 
 class SnapshotReader;
 
-/// Owns a set of caches and feeds each reference to all of them, either
-/// serially (the default) or via a pool of shard workers.
+/// Owns a set of caches and feeds each reference to all of them, inline
+/// or on a pool of lane workers.
 class CacheBank final : public TraceSink {
 public:
-  /// References per published batch in threaded and serial-batched mode.
-  /// Large enough to amortize queue synchronization and the per-batch
-  /// column precompute, small enough that a batch of Refs (8 bytes each)
-  /// plus its decomposed columns stays memory-friendly.
+  /// References per published batch: enough to amortize synchronization
+  /// and the per-batch decomposition, few enough that a batch plus each
+  /// lane's decomposed columns stays memory-friendly.
   static constexpr size_t DefaultBatchRefs = 256 * 1024;
 
   ~CacheBank() override;
 
-  /// Adds a cache with the given configuration; returns its index. Add
-  /// all configurations before calling setThreads().
+  /// Adds a cache with the given configuration; returns its index. Drains
+  /// the bank and rebuilds its lanes; callable at any time.
   size_t addConfig(const CacheConfig &Config);
 
   /// Adds the full §4 grid: every paper cache size crossed with every
@@ -70,103 +67,92 @@ public:
   /// experiment uses 64-byte blocks across all sizes).
   void addSizeSweep(const CacheConfig &Prototype, uint32_t BlockBytes);
 
-  /// Switches between serial (\p Threads == 0) and threaded execution
-  /// with \p Threads shard workers. Drains any buffered work first, then
-  /// re-shards the current cache list, so it may be called between runs;
-  /// counters are unaffected. \p BatchRefs tunes the batch size (tests
-  /// use small batches to force multi-batch streams).
+  /// Runs the lanes inline (\p Threads == 0) or on \p Threads workers.
+  /// Flushes first, then rebuilds the lanes; counters are unaffected.
+  /// \p BatchRefs is the batch size (0 = DefaultBatchRefs).
   void setThreads(unsigned Threads, size_t BatchRefs = DefaultBatchRefs);
 
-  /// Number of worker threads (0 = serial mode).
+  /// Number of worker threads (0 = lanes run inline); at most one per lane.
   unsigned threads() const { return Pool ? Pool->threads() : 0; }
-
-  /// Switches serial mode between immediate per-reference dispatch (the
-  /// default) and columnar batch-kernel execution: references accumulate
-  /// into a RefColumns batch and each full batch is simulated by the
-  /// batch kernel, visiting the caches grouped by block size (so the
-  /// decomposed address columns are computed once per size and stay hot)
-  /// and pairing eligible same-block-size caches into one interleaved
-  /// pass (BatchKernel::runPair). Counters
-  /// are bit-identical either way; as in threaded mode, call flush()
-  /// before reading counters. Has no effect while a pool is active
-  /// (threaded mode always runs batched); the flag is remembered and
-  /// applies once setThreads(0) returns the bank to serial execution.
-  void setBatched(bool Enabled, size_t BatchRefsWanted = DefaultBatchRefs);
-  bool batched() const { return SerialBatched; }
 
   /// Attaches a shadow oracle to every cache in the bank (--crosscheck),
   /// including ones added by later addConfig calls. Hit classes are
   /// compared every \p CompareEvery references; flush points additionally
   /// deep-compare full contents and counters (crossCheckNow), throwing
-  /// StatusError(Divergence) on mismatch. Must be enabled before
-  /// setThreads() — the oracle rides inside each Cache, so the shard
-  /// workers drive it for free, but attaching mid-flight would race them.
+  /// StatusError(Divergence) on mismatch. Drains the bank and rebuilds its
+  /// lanes (cross-checked caches run solo); callable at any time.
   void enableCrossCheck(uint64_t CompareEvery = 1);
   bool crossCheckEnabled() const { return CrossCheckEvery != 0; }
 
-  /// First failing deep comparison across the bank, or Ok. Serial callers
-  /// may use this directly; flush() calls it in both modes.
+  /// First failing deep comparison across the bank, or Ok. flush() calls
+  /// it; other callers should drain first.
   Status crossCheckNow() const;
 
   /// First failing internal-consistency audit across the bank, or Ok
-  /// (Cache::auditState per cache). Drains the workers first.
+  /// (Cache::auditState per cache). Flushes first.
   Status auditAll();
 
-  /// Publishes any buffered references and waits until the workers have
-  /// simulated everything. Required before reading counters in threaded
-  /// mode; a no-op in serial mode. If a shard worker failed since the last
-  /// flush, the captured exception is rethrown here on the calling thread
+  /// Simulates every buffered reference (drains the workers), then
+  /// deep-compares cross-checked caches. If a worker failed since the last
+  /// drain, the captured exception is rethrown here on the calling thread
   /// (the destructor instead swallows failures — it must not throw).
   void flush();
 
   void onRef(const Ref &R) override {
-    if (!Pool && !SerialBatched) {
-      for (auto &C : Caches)
-        (void)C->access(R);
-      return;
-    }
     Pending.push_back(R);
     if (Pending.size() >= BatchRefs)
       publish();
   }
 
-  /// Phase boundaries flush so that, at every point a collection starts
-  /// or ends, the bank is in exactly the state a serial run would be in —
-  /// the §6 accounting (gcInputsFor) and any phase-boundary readers see
-  /// unchanged numbers.
+  /// Phase boundaries flush, so every reader at a collection's start or
+  /// end (the §6 accounting, the auditor) sees the serial state.
   void onGcBegin() override { flush(); }
   void onGcEnd() override { flush(); }
 
   size_t size() const { return Caches.size(); }
-  Cache &cache(size_t I) { return *Caches[I]; }
-  const Cache &cache(size_t I) const { return *Caches[I]; }
 
-  /// Finds the cache with the given geometry; returns nullptr if absent.
+  /// The cache at index \p I, after draining everything fed so far (a
+  /// worker failure is rethrown as by flush()).
+  Cache &cache(size_t I) {
+    drain();
+    return *Caches[I];
+  }
+  const Cache &cache(size_t I) const {
+    drain();
+    return *Caches[I];
+  }
+
+  /// Drains like cache(), then finds the cache with the given geometry;
+  /// returns nullptr if absent.
   const Cache *find(uint32_t SizeBytes, uint32_t BlockBytes) const;
 
-  /// Resets every cache in the bank (drains the workers first).
+  /// Flushes, resets every cache and rebuilds the lanes (clearing failures).
   void resetAll();
 
-  /// Drains the workers, then appends a "cache-bank" section holding every
-  /// cache's full state in bank order.
+  /// Flushes, then appends a "cache-bank" section holding every cache's
+  /// full state in bank order.
   void saveTo(SnapshotWriter &W);
-  /// Drains the workers, then restores every cache in place from the
-  /// snapshot's "cache-bank" section. Loading in place keeps the shard
-  /// workers' cache pointers valid, so threaded mode survives a resume.
-  /// Geometry or count mismatches return Corrupt and leave the bank's
-  /// counters unspecified (callers discard the run).
+  /// Flushes, then restores every cache in place from the snapshot's
+  /// "cache-bank" section and rebuilds the lanes. Geometry or count
+  /// mismatches return Corrupt and leave the bank's counters unspecified
+  /// (callers discard the run).
   Status loadFrom(const SnapshotReader &R);
 
 private:
-  void publish();
-  void runSerialBatch();
+  /// Simulates (inline) or queues (threaded) the buffered references.
+  void publish() const;
+  /// publish(), then waits for the workers and rethrows a failure.
+  void drain() const;
+  /// Drains, then regroups the caches into lanes for ThreadsWanted.
+  void rebuild();
 
   std::vector<std::unique_ptr<Cache>> Caches;
+  // Reading a cache simulates what was fed, so const readers publish too.
+  mutable std::vector<Lane> Lanes;
   std::unique_ptr<ShardPool> Pool;
-  RefBatch Pending;
-  BatchIndex SerialScratch; ///< Kernel scratch for serial batched mode.
+  mutable RefColumns Pending;
   size_t BatchRefs = DefaultBatchRefs;
-  bool SerialBatched = false;
+  unsigned ThreadsWanted = 0;
   uint64_t CrossCheckEvery = 0; ///< 0 = cross-checking off.
 };
 

@@ -16,7 +16,7 @@
 ///
 /// The paper's conclusions are pure counter arithmetic over this model
 /// (fetch vs. no-fetch misses per phase), so running the oracle in
-/// lockstep against every optimized path — threaded CacheBank shards,
+/// lockstep against every optimized path — threaded CacheBank lanes,
 /// checkpoint-restored state, the multi-level hierarchy — turns a silent
 /// counter bug into an immediate, attributable divergence report.
 ///

@@ -1,26 +1,28 @@
-//===- ShardPool.h - Worker threads for the parallel cache bank -*- C++ -*-===//
+//===- ShardPool.h - Lanes and workers of the cache bank --------*- C++ -*-===//
 //
 // Part of the gcache project (Reinhold, PLDI 1994 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The worker pool behind CacheBank's threaded mode. Each worker owns a
-/// disjoint shard of the bank's caches; the bank publishes fixed-size
-/// batches of references and every worker consumes every batch, in
-/// publication order, against its own shard. Because each cache belongs to
-/// exactly one worker and each worker drains its queue FIFO, every cache
-/// observes the exact serial reference stream: all counters are
-/// deterministic and bit-identical to single-threaded simulation. This is
-/// sound for the same reason the one-pass bank itself is (see CacheBank.h):
-/// the reference stream never depends on any cache's state.
+/// The execution machinery behind CacheBank's single batched path. A
+/// *lane* holds every cache of one block size, in bank order, and owns
+/// the BatchIndex that decomposes each batch for that block size once;
+/// its walk folds adjacent direct-mapped caches into one runPair pass.
+/// Lanes are split further, at pair boundaries, only when a bank has more
+/// workers than block sizes.
 ///
-/// Worker failures (a throwing Cache::access, or the injected shard-worker
-/// fault site) do not terminate the process: the first exception is
-/// captured, the failed worker keeps consuming — but discards — its
-/// remaining batches so drain() never wedges, and the exception is
-/// rethrown on the submitting thread at the next drain() (i.e. the bank's
-/// next flush).
+/// A bank without threads runs its lanes inline. A ShardPool runs them on
+/// N interchangeable workers: each batch is queued on every lane, and a
+/// worker takes any lane with a queued batch and no other holder. A lane
+/// thus consumes its batches one at a time, in publication order, so
+/// every cache sees the exact serial stream and every counter is
+/// bit-identical to inline execution.
+///
+/// A worker failure (a throwing kernel, or the shard-worker fault, which
+/// fires once per lane batch a worker runs) is captured and rethrown on
+/// the submitting thread at the next drain(). The failed lane discards
+/// its batches until the bank rebuilds its lanes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +30,6 @@
 #define GCACHE_MEMSYS_SHARDPOOL_H
 
 #include "gcache/memsys/BatchKernel.h"
-#include "gcache/trace/Event.h"
 
 #include <condition_variable>
 #include <deque>
@@ -42,63 +43,65 @@ namespace gcache {
 
 class Cache;
 
-/// A batch of references in columnar form, shared read-only by all
-/// workers. Each worker decomposes the shared columns into its own
-/// BatchIndex scratch, so the address arithmetic is done once per (worker,
-/// block size) and the batch itself is never written after publication.
-using RefBatch = RefColumns;
+/// Caches of one block size that consume every batch together.
+struct Lane {
+  /// One kernel pass: a pair of caches (runPair) or, with B null, one.
+  struct Step {
+    Cache *A;
+    Cache *B;
+  };
+  std::vector<Step> Steps;
+  BatchIndex Index; ///< This lane's decomposition of the current batch.
 
-/// Fixed set of worker threads, each simulating a disjoint shard of caches.
+  // Scheduling state of a threaded bank, guarded by the ShardPool mutex.
+  std::deque<std::shared_ptr<const RefColumns>> Queue;
+  bool Held = false;   ///< A worker is running the lane.
+  bool Failed = false; ///< The lane threw; it discards its batches.
+
+  /// Simulates \p Batch against every cache of the lane, in order.
+  void run(const RefColumns &Batch);
+};
+
+/// Groups \p Caches into lanes for a bank with \p Threads workers: one lane
+/// per block size, ascending; then, while there are fewer lanes than
+/// workers, the lane with the most steps is halved.
+std::vector<Lane>
+buildLanes(const std::vector<std::unique_ptr<Cache>> &Caches, unsigned Threads);
+
+/// Fixed set of worker threads running the lanes of one bank.
 class ShardPool {
 public:
-  /// Spins up min(\p Threads, Caches.size()) workers over \p Caches,
-  /// assigned round-robin so large and small caches spread evenly across
-  /// shards.
-  ShardPool(const std::vector<Cache *> &Caches, unsigned Threads);
+  /// Starts min(\p Threads, Lanes.size()) workers over \p Lanes, which must
+  /// outlive the pool and stay where they are.
+  ShardPool(std::vector<Lane> &Lanes, unsigned Threads);
 
-  /// Drains all queued work, then joins the workers.
+  /// Runs every queued batch, then joins the workers.
   ~ShardPool();
 
   ShardPool(const ShardPool &) = delete;
   ShardPool &operator=(const ShardPool &) = delete;
 
-  unsigned threads() const { return static_cast<unsigned>(Workers.size()); }
+  unsigned threads() const { return static_cast<unsigned>(Threads.size()); }
 
-  /// Enqueues \p Batch on every worker. Batches are simulated in
-  /// submission order within each shard.
-  void submit(std::shared_ptr<const RefBatch> Batch);
+  /// Queues \p Batch on every lane.
+  void submit(std::shared_ptr<const RefColumns> Batch);
 
-  /// Blocks until every submitted batch has been fully simulated or
-  /// discarded, then rethrows the first captured worker exception, if any
-  /// (the failure is consumed: a subsequent drain() succeeds). After a
-  /// rethrow the failed shard's counters are meaningless; reset the bank
-  /// before reusing it.
+  /// Blocks until every queued lane batch has been run or discarded, then
+  /// rethrows (and clears) the first captured worker exception, if any.
   void drain();
 
 private:
-  struct Worker {
-    std::vector<Cache *> Shard;
-    std::deque<std::shared_ptr<const RefBatch>> Queue;
-    /// Per-worker scratch for the batch kernel's precomputed address
-    /// columns (only its own thread touches it).
-    BatchIndex Scratch;
-    /// Set once this worker has thrown; it then discards batches instead
-    /// of simulating them (only its own thread reads or writes this).
-    bool Failed = false;
-  };
+  void workerLoop();
 
-  void workerLoop(Worker &W);
-
+  std::vector<Lane> &Lanes;
   std::mutex Mutex;
   std::condition_variable WorkReady;
   std::condition_variable AllIdle;
-  /// (batch, worker) pairs submitted but not yet fully simulated.
+  std::deque<Lane *> Ready; ///< Lanes with a queued batch and no holder.
+  /// (batch, lane) pairs submitted but not yet run or discarded.
   uint64_t Outstanding = 0;
   bool Stopping = false;
-  /// First exception any worker threw, captured under Mutex; rethrown
-  /// (and cleared) by drain() on the submitting thread.
   std::exception_ptr FirstFailure;
-  std::vector<Worker> Workers;
   std::vector<std::thread> Threads;
 };
 

@@ -20,7 +20,7 @@
 ///   - checkpointed trace replay (every few dozen records).
 ///
 /// pollCancellation() throws StatusError(StatusCode::Cancelled) once the
-/// token is tripped. Unit boundaries catch it, drain the in-flight shard
+/// token is tripped. Unit boundaries catch it, drain the in-flight bank
 /// batches (CacheBank::flush / setThreads(0) — any record boundary is a
 /// consistent cut), take one final checkpoint, audit the drained state,
 /// and report a *partial* result instead of tearing down mid-batch.

@@ -14,8 +14,9 @@
 ///   gc-force      A full collection is forced at the Nth allocation.
 ///   trace-write   TraceWriter simulates a short write / disk-full at the
 ///                 Nth emitted record.
-///   shard-worker  A ShardPool worker throws while consuming its Nth
-///                 batch (captured and rethrown at the next flush/join).
+///   shard-worker  A cache-bank worker throws at the Nth lane batch it
+///                 runs; the site fires once per lane batch, in threaded
+///                 banks only (captured and rethrown at the next flush).
 ///   step-abort    SchemeSystem::run aborts before its Nth top-level
 ///                 form.
 ///   snapshot-write  SnapshotWriter::writeFile fails with IoError on its
@@ -162,7 +163,7 @@ struct FaultPlan {
 Expected<FaultPlan> parseFaultSpec(const std::string &Spec);
 
 /// Process-wide injector: at most one armed plan, plus an occurrence
-/// counter per site. shouldFire() is wait-free and thread-safe (shard
+/// counter per site. shouldFire() is wait-free and thread-safe (bank
 /// workers call it concurrently with the mutator thread).
 class FaultInjector {
 public:

@@ -15,18 +15,23 @@ Options Options::parse(int Argc, char **Argv) {
     if (!Arg.starts_with("--"))
       continue;
     Arg.remove_prefix(2);
-    auto Eq = Arg.find('=');
-    if (Eq != std::string_view::npos) {
-      O.Values[std::string(Arg.substr(0, Eq))] = std::string(Arg.substr(Eq + 1));
-      continue;
+    std::string Name(Arg), Value = "1";
+    bool Bare = false;
+    if (auto Eq = Arg.find('='); Eq != std::string_view::npos) {
+      Name = Arg.substr(0, Eq);
+      Value = Arg.substr(Eq + 1);
+    } else if (I + 1 < Argc &&
+               std::string_view(Argv[I + 1]).substr(0, 2) != "--") {
+      // "--name value" when the next token is not itself a flag.
+      Value = Argv[++I];
+    } else {
+      Bare = true;
     }
-    // "--name value" when the next token is not itself a flag.
-    if (I + 1 < Argc && std::string_view(Argv[I + 1]).substr(0, 2) != "--") {
-      O.Values[std::string(Arg)] = Argv[I + 1];
-      ++I;
-      continue;
-    }
-    O.Values[std::string(Arg)] = "1";
+    O.Values[Name] = Value;
+    if (Bare)
+      O.Bare.insert(Name);
+    else
+      O.Bare.erase(Name);
   }
   return O;
 }

@@ -18,6 +18,7 @@
 #include "gcache/support/Status.h"
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,11 @@ public:
   unsigned getUnsigned(const std::string &Name, unsigned Default) const;
   bool getBool(const std::string &Name, bool Default = false) const;
   bool has(const std::string &Name) const;
+  /// True if \p Name was given on the command line with no value (stored
+  /// as "1").
+  bool isBare(const std::string &Name) const {
+    return Bare.count(Name) != 0;
+  }
 
   //===--- Strict accessors ------------------------------------------------===//
   // The getX accessors above tolerate garbage (strtol semantics: "12abc"
@@ -66,6 +72,7 @@ public:
 
 private:
   std::map<std::string, std::string> Values;
+  std::set<std::string> Bare;
 };
 
 } // namespace gcache

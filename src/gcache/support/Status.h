@@ -7,7 +7,7 @@
 /// \file
 /// The measurement stack's structured error model. A failure anywhere in
 /// the pipeline — an injected or real allocation failure, a malformed
-/// source program, a trace-file I/O error, a dead shard worker, a heap
+/// source program, a trace-file I/O error, a dead bank worker, a heap
 /// that fails paranoid verification — is described by a Status (an error
 /// code plus a human-readable message) rather than by an abort().
 ///

@@ -14,13 +14,14 @@
 // block-size matrix. On top of that:
 //
 //  - batch segmentation invariance (any cut of the same stream agrees);
-//  - CacheBank execution-mode equivalence (immediate vs serial batched
-//    vs threaded shards), including --crosscheck and --audit semantics;
+//  - CacheBank equivalence with standalone caches fed one reference at
+//    a time, inline and on lane workers (including more workers than
+//    block sizes), with --crosscheck and --audit semantics;
 //  - mutated-batch properties: a corrupt columnar batch is rejected by
 //    validate(), and any batch that validates processes identically to
 //    the scalar path — never a silent divergence;
-//  - checkpoint/resume kills at every batch flush boundary, resumed in
-//    either execution mode, finishing bit-identical to a clean replay;
+//  - checkpoint/resume kills at every batch flush boundary, resumed
+//    inline or threaded, finishing bit-identical to a clean replay;
 //  - the batched trace reader (TraceStream::nextRefBatch) decodes the
 //    exact record stream, and collectTraceBatchStats (the engine of
 //    trace_inspect --batch-stats) reports the true batch distribution.
@@ -542,7 +543,7 @@ TEST(BatchKernelProperty, MutatedBatchesRejectOrProcessIdentically) {
 }
 
 //===----------------------------------------------------------------------===//
-// CacheBank execution modes: immediate vs serial batched vs threaded
+// CacheBank lanes, inline and threaded, against standalone caches
 //===----------------------------------------------------------------------===//
 
 void addMixedBank(CacheBank &Bank) {
@@ -556,7 +557,7 @@ void addMixedBank(CacheBank &Bank) {
 }
 
 /// Feeds the stream with a GC phase in the middle (markers flush the
-/// bank in every mode).
+/// bank).
 void feedWithGcBoundary(CacheBank &Bank, const std::vector<Ref> &Stream) {
   size_t Half = Stream.size() / 2;
   for (size_t I = 0; I != Half; ++I)
@@ -568,19 +569,35 @@ void feedWithGcBoundary(CacheBank &Bank, const std::vector<Ref> &Stream) {
   Bank.flush();
 }
 
+/// The reference model of \p Bank: standalone caches with its
+/// configurations, fed \p Stream one reference at a time through
+/// Cache::access.
+std::vector<Cache> referenceCaches(const CacheBank &Bank,
+                                   const std::vector<Ref> &Stream) {
+  std::vector<Cache> Out;
+  for (size_t I = 0; I != Bank.size(); ++I)
+    Out.emplace_back(Bank.cache(I).config());
+  for (const Ref &R : Stream)
+    for (Cache &C : Out)
+      (void)C.access(R);
+  return Out;
+}
+
+void expectBankMatches(const std::vector<Cache> &Want, const CacheBank &Bank,
+                       const std::string &Where) {
+  ASSERT_EQ(Want.size(), Bank.size()) << Where;
+  for (size_t I = 0; I != Want.size(); ++I)
+    expectStateIdentical(Want[I], Bank.cache(I),
+                         Want[I].config().label() + Where);
+}
+
 TEST(BatchBank, ExecutionModesAreBitIdentical) {
   std::vector<Ref> Stream = randomStream(60000, /*Seed=*/5);
 
-  CacheBank Immediate;
-  addMixedBank(Immediate);
-  ASSERT_FALSE(Immediate.batched());
-  feedWithGcBoundary(Immediate, Stream);
-
-  CacheBank Batched;
-  addMixedBank(Batched);
-  Batched.setBatched(true, /*BatchRefsWanted=*/1536);
-  ASSERT_TRUE(Batched.batched());
-  feedWithGcBoundary(Batched, Stream);
+  CacheBank Inline;
+  addMixedBank(Inline);
+  Inline.setThreads(0, /*BatchRefs=*/1536);
+  feedWithGcBoundary(Inline, Stream);
 
   CacheBank Threaded;
   addMixedBank(Threaded);
@@ -588,35 +605,53 @@ TEST(BatchBank, ExecutionModesAreBitIdentical) {
   feedWithGcBoundary(Threaded, Stream);
   Threaded.setThreads(0);
 
-  for (size_t I = 0; I != Immediate.size(); ++I) {
-    std::string Where = Immediate.cache(I).config().label();
-    expectStateIdentical(Immediate.cache(I), Batched.cache(I),
-                         Where + " (serial batched)");
-    expectStateIdentical(Immediate.cache(I), Threaded.cache(I),
-                         Where + " (threaded)");
-  }
-  EXPECT_TRUE(Batched.auditAll().ok());
+  std::vector<Cache> Reference = referenceCaches(Inline, Stream);
+  expectBankMatches(Reference, Inline, " (inline)");
+  expectBankMatches(Reference, Threaded, " (threaded)");
+  EXPECT_TRUE(Inline.auditAll().ok());
 }
 
-TEST(BatchBank, SetBatchedMidStreamDrainsPendingFirst) {
-  std::vector<Ref> Stream = randomStream(5000, /*Seed=*/23);
-  CacheBank Immediate;
-  addMixedBank(Immediate);
+// One block size split into lanes at pair boundaries: the eight-cache
+// size sweep has four pairs, so 2, 4 and 8 workers get 2, 4 and 4 lanes.
+TEST(BatchBank, OneBlockSizeSweepSplitsIntoLanes) {
+  std::vector<Ref> Stream = randomStream(40000, /*Seed=*/61);
+  for (unsigned Threads : {2u, 4u, 8u}) {
+    CacheBank Bank;
+    Bank.addSizeSweep(CacheConfig{}, 64);
+    Bank.setThreads(Threads, /*BatchRefs=*/1024);
+    EXPECT_EQ(Bank.threads(), std::min(Threads, 4u));
+    feedWithGcBoundary(Bank, Stream);
+    expectBankMatches(referenceCaches(Bank, Stream), Bank,
+                      " (" + std::to_string(Threads) + " threads)");
+  }
+}
+
+// More workers than block sizes: the paper grid's five block sizes are
+// split into eight lanes (per-block statistics keep every cache solo).
+TEST(BatchBank, PaperGridWithBlockStatsOnMoreWorkersThanBlockSizes) {
+  std::vector<Ref> Stream = randomStream(30000, /*Seed=*/67);
+  CacheBank Bank;
+  Bank.addPaperGrid(CacheConfig{.TrackPerBlockStats = true});
+  Bank.setThreads(8, /*BatchRefs=*/2048);
+  EXPECT_EQ(Bank.threads(), 8u);
+  feedWithGcBoundary(Bank, Stream);
+  expectBankMatches(referenceCaches(Bank, Stream), Bank, " (8 threads)");
+}
+
+// Reading a threaded bank simulates everything fed so far: no flush().
+TEST(BatchBank, ThreadedReadWithoutFlushSeesEveryReference) {
+  std::vector<Ref> Stream = randomStream(10000, /*Seed=*/71);
+  CacheBank Bank;
+  addMixedBank(Bank);
+  Bank.setThreads(2, /*BatchRefs=*/768);
   for (const Ref &R : Stream)
-    Immediate.onRef(R);
-
-  CacheBank Toggled;
-  addMixedBank(Toggled);
-  Toggled.setBatched(true, 512);
-  for (size_t I = 0; I != 2500; ++I)
-    Toggled.onRef(Stream[I]); // 2500 is not a batch boundary (4*512=2048)
-  Toggled.setBatched(false);  // must drain the 452 pending refs
-  for (size_t I = 2500; I != Stream.size(); ++I)
-    Toggled.onRef(Stream[I]);
-
-  for (size_t I = 0; I != Immediate.size(); ++I)
-    expectStateIdentical(Immediate.cache(I), Toggled.cache(I),
-                         Immediate.cache(I).config().label());
+    Bank.onRef(R); // 10000 is not a multiple of 768: a partial batch waits
+  for (size_t I = 0; I != Bank.size(); ++I)
+    EXPECT_EQ(Bank.cache(I).totalCounters().refs(), Stream.size());
+  const Cache *Big = Bank.find(64 << 10, 64);
+  ASSERT_NE(Big, nullptr);
+  EXPECT_EQ(Big->totalCounters().refs(), Stream.size());
+  expectBankMatches(referenceCaches(Bank, Stream), Bank, " (unflushed)");
 }
 
 //===----------------------------------------------------------------------===//
@@ -627,20 +662,15 @@ TEST(BatchCrossCheck, CleanStreamPassesWithOraclesAttached) {
   CacheBank Bank;
   addMixedBank(Bank);
   Bank.enableCrossCheck(1);
-  Bank.setBatched(true, 1024);
+  Bank.setThreads(0, 1024);
   std::vector<Ref> Stream = randomStream(20000, /*Seed=*/31);
   feedWithGcBoundary(Bank, Stream); // flush deep-compares vs the oracles
   EXPECT_TRUE(Bank.crossCheckNow().ok());
   EXPECT_TRUE(Bank.auditAll().ok());
 
   // The cross-checked batch path must also still count correctly: compare
-  // against a plain immediate bank.
-  CacheBank Plain;
-  addMixedBank(Plain);
-  feedWithGcBoundary(Plain, Stream);
-  for (size_t I = 0; I != Bank.size(); ++I)
-    expectStateIdentical(Plain.cache(I), Bank.cache(I),
-                         Plain.cache(I).config().label());
+  // against standalone caches fed one reference at a time.
+  expectBankMatches(referenceCaches(Bank, Stream), Bank, "");
 }
 
 TEST(BatchCrossCheck, CorruptedStateStillFiresInsideABatch) {
@@ -707,26 +737,30 @@ const std::string &recordedTracePath() {
 }
 
 TEST(BatchRecordedTrace, BatchedReplayMatchesScalarReplay) {
-  CacheBank Scalar;
-  addMixedBank(Scalar);
-  CountingSink ScalarCounts;
-  Expected<ReplayCheckpointResult> A =
-      replayTraceCheckpointed(recordedTracePath(), Scalar, ScalarCounts, {});
-  ASSERT_TRUE(A.ok()) << A.status().message();
-
   CacheBank Batched;
   addMixedBank(Batched);
-  Batched.setBatched(true, 777);
+  Batched.setThreads(0, 777);
   CountingSink BatchedCounts;
   Expected<ReplayCheckpointResult> B =
       replayTraceCheckpointed(recordedTracePath(), Batched, BatchedCounts, {});
   ASSERT_TRUE(B.ok()) << B.status().message();
 
-  EXPECT_EQ(A->RecordsReplayed, B->RecordsReplayed);
+  // The reference: the same trace into standalone caches, one reference
+  // at a time through Cache::access.
+  std::vector<Cache> Scalar;
+  for (size_t I = 0; I != Batched.size(); ++I)
+    Scalar.emplace_back(Batched.cache(I).config());
+  CountingSink ScalarCounts;
+  TraceBus Bus;
+  Bus.addSink(&ScalarCounts);
+  for (Cache &C : Scalar)
+    Bus.addSink(&C);
+  int64_t ScalarRecords = TraceReader::replay(recordedTracePath(), Bus);
+  ASSERT_GT(ScalarRecords, 0);
+
+  EXPECT_EQ(static_cast<uint64_t>(ScalarRecords), B->RecordsReplayed);
   EXPECT_EQ(ScalarCounts.totalRefs(), BatchedCounts.totalRefs());
-  for (size_t I = 0; I != Scalar.size(); ++I)
-    expectStateIdentical(Scalar.cache(I), Batched.cache(I),
-                         Scalar.cache(I).config().label());
+  expectBankMatches(Scalar, Batched, "");
 }
 
 //===----------------------------------------------------------------------===//
@@ -772,26 +806,21 @@ void addSmallBank(CacheBank &Bank) {
   Bank.addConfig({.SizeBytes = 64 << 10, .BlockBytes = 64});
 }
 
-void configureBankMode(CacheBank &Bank, bool Batched, size_t BatchRefs) {
-  if (Batched)
-    Bank.setBatched(true, BatchRefs);
-}
-
 /// Kills a checkpointed replay of the recorded trace after \p KillAfter
 /// records (checkpointing every \p BatchRefs records, i.e. at every batch
 /// flush), then resumes in fresh objects and checks against the clean
-/// state. KillBatched / ResumeBatched select the execution mode of each
-/// leg, so scalar-cut checkpoints resume into batched replay and vice
-/// versa.
-void killAndResume(uint64_t KillAfter, size_t BatchRefs, bool KillBatched,
-                   bool ResumeBatched, const CacheBank &CleanBank,
+/// state. KillThreads / ResumeThreads select the bank's worker count in
+/// each leg, so inline-cut checkpoints resume into threaded replay and
+/// vice versa.
+void killAndResume(uint64_t KillAfter, size_t BatchRefs, unsigned KillThreads,
+                   unsigned ResumeThreads, const CacheBank &CleanBank,
                    const CountingSink &CleanCounts) {
   std::string Snap = tempPath("batch_kill." + std::to_string(::getpid()) +
                               ".snap");
   std::remove(Snap.c_str());
-  SCOPED_TRACE("kill after record " + std::to_string(KillAfter) +
-               (KillBatched ? " batched" : " scalar") + " -> " +
-               (ResumeBatched ? "batched" : "scalar"));
+  SCOPED_TRACE("kill after record " + std::to_string(KillAfter) + " at " +
+               std::to_string(KillThreads) + " threads -> " +
+               std::to_string(ResumeThreads));
 
   ReplayCheckpointOptions Opts;
   Opts.SnapshotPath = Snap;
@@ -800,7 +829,7 @@ void killAndResume(uint64_t KillAfter, size_t BatchRefs, bool KillBatched,
   {
     CacheBank Bank;
     addSmallBank(Bank);
-    configureBankMode(Bank, KillBatched, BatchRefs);
+    Bank.setThreads(KillThreads, BatchRefs);
     CountingSink Counts;
     Expected<ReplayCheckpointResult> R =
         replayTraceCheckpointed(killSweepTracePath(), Bank, Counts, Opts);
@@ -810,7 +839,7 @@ void killAndResume(uint64_t KillAfter, size_t BatchRefs, bool KillBatched,
 
   CacheBank Bank;
   addSmallBank(Bank);
-  configureBankMode(Bank, ResumeBatched, BatchRefs);
+  Bank.setThreads(ResumeThreads, BatchRefs);
   CountingSink Counts;
   ReplayCheckpointOptions ResumeOpts;
   ResumeOpts.SnapshotPath = Snap;
@@ -832,7 +861,7 @@ void killAndResume(uint64_t KillAfter, size_t BatchRefs, bool KillBatched,
 TEST(BatchCheckpoint, KillAtEveryBatchFlushResumesBitIdentical) {
   const size_t BatchRefs = 512;
 
-  // The scalar clean replay is the ground truth for every resumed run.
+  // An uninterrupted replay is the ground truth for every resumed run.
   CacheBank CleanBank;
   addSmallBank(CleanBank);
   CountingSink CleanCounts;
@@ -844,13 +873,12 @@ TEST(BatchCheckpoint, KillAtEveryBatchFlushResumesBitIdentical) {
 
   // Kill at every batch flush boundary (checkpoints are cut every
   // BatchRefs records, so each kill lands one batch after a cut) plus
-  // just before/after one boundary, batched killed and batched resumed.
+  // just before/after one boundary, killed and resumed inline.
   for (uint64_t Kill = BatchRefs; Kill < Records; Kill += BatchRefs)
-    killAndResume(Kill, BatchRefs, /*KillBatched=*/true,
-                  /*ResumeBatched=*/true, CleanBank, CleanCounts);
-  killAndResume(BatchRefs + 1, BatchRefs, true, true, CleanBank, CleanCounts);
-  killAndResume(2 * BatchRefs - 1, BatchRefs, true, true, CleanBank,
-                CleanCounts);
+    killAndResume(Kill, BatchRefs, /*KillThreads=*/0, /*ResumeThreads=*/0,
+                  CleanBank, CleanCounts);
+  killAndResume(BatchRefs + 1, BatchRefs, 0, 0, CleanBank, CleanCounts);
+  killAndResume(2 * BatchRefs - 1, BatchRefs, 0, 0, CleanBank, CleanCounts);
 }
 
 TEST(BatchCheckpoint, CrossModeKillAndResumeAreBitIdentical) {
@@ -864,12 +892,12 @@ TEST(BatchCheckpoint, CrossModeKillAndResumeAreBitIdentical) {
   uint64_t Mid = (Clean->RecordsReplayed / (2 * BatchRefs)) * BatchRefs;
   ASSERT_GT(Mid, 0u);
 
-  // A checkpoint cut by a batched replay must resume into a scalar
-  // replay bit-identically, and vice versa — the snapshot format cannot
-  // know which execution mode produced it.
-  killAndResume(Mid, BatchRefs, /*KillBatched=*/true, /*ResumeBatched=*/false,
+  // A checkpoint cut by an inline bank must resume on three workers
+  // bit-identically, and vice versa — the snapshot format cannot know
+  // how many workers produced it.
+  killAndResume(Mid, BatchRefs, /*KillThreads=*/0, /*ResumeThreads=*/3,
                 CleanBank, CleanCounts);
-  killAndResume(Mid, BatchRefs, /*KillBatched=*/false, /*ResumeBatched=*/true,
+  killAndResume(Mid, BatchRefs, /*KillThreads=*/3, /*ResumeThreads=*/0,
                 CleanBank, CleanCounts);
 }
 
@@ -987,29 +1015,37 @@ TEST(BatchedReader, BatchStatsMatchAManualScan) {
 }
 
 //===----------------------------------------------------------------------===//
-// The Experiment wiring: batched runs equal per-reference runs
+// The Experiment wiring: batched runs equal per-reference simulation
 //===----------------------------------------------------------------------===//
 
 TEST(BatchExperiment, BatchedRunMatchesScalarRun) {
-  ExperimentOptions Scalar;
-  Scalar.Scale = 0.05;
-  Scalar.Grid = CacheGridKind::SizeSweep;
-  Scalar.Batched = false;
-  ProgramRun A = runProgram(nbodyWorkload(), Scalar);
-
-  ExperimentOptions Batched = Scalar;
-  Batched.Batched = true;
+  ExperimentOptions Batched;
+  Batched.Scale = 0.05;
+  Batched.Grid = CacheGridKind::SizeSweep;
   Batched.BatchRefs = 4096;
   ProgramRun B = runProgram(nbodyWorkload(), Batched);
 
-  ASSERT_EQ(A.Bank->size(), B.Bank->size());
+  // The reference: standalone caches with the same configurations riding
+  // the bus of an identical run, one reference at a time.
+  std::vector<Cache> Scalar;
+  for (size_t I = 0; I != B.Bank->size(); ++I)
+    Scalar.emplace_back(B.Bank->cache(I).config());
+  ExperimentOptions Plain = Batched;
+  Plain.Grid = CacheGridKind::None;
+  for (Cache &C : Scalar)
+    Plain.ExtraSinks.push_back(&C);
+  ProgramRun A = runProgram(nbodyWorkload(), Plain);
+
+  ASSERT_EQ(Scalar.size(), B.Bank->size());
   EXPECT_EQ(A.TotalRefs, B.TotalRefs);
-  for (size_t I = 0; I != A.Bank->size(); ++I)
-    expectStateIdentical(A.Bank->cache(I), B.Bank->cache(I),
-                         A.Bank->cache(I).config().label());
-  // The returned bank must be back in immediate mode so callers can keep
-  // feeding it without flushing.
-  EXPECT_FALSE(B.Bank->batched());
+  expectBankMatches(Scalar, *B.Bank, "");
+  // The returned bank has no workers, and callers can keep feeding it and
+  // read it without flushing.
+  EXPECT_EQ(B.Bank->threads(), 0u);
+  const Ref Extra{0x10000040, AccessKind::Load, Phase::Mutator};
+  B.Bank->onRef(Extra);
+  (void)Scalar[0].access(Extra);
+  expectStateIdentical(Scalar[0], B.Bank->cache(0), "after the run");
 }
 
 } // namespace

@@ -298,20 +298,47 @@ TEST(BudgetFlags, EnvFallbackAndFlagPrecedence) {
   unsetenv("GCACHE_MAX_REFS");
 }
 
+namespace {
+
+/// Parses \p Flags as a bench binary's command line.
+void parseFlags(std::vector<const char *> Flags) {
+  Flags.insert(Flags.begin(), "bench");
+  parseBenchArgs(static_cast<int>(Flags.size()),
+                 const_cast<char **>(Flags.data()));
+}
+
+} // namespace
+
 TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBadBudgetFlags) {
   GovernanceReset Guard;
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto Run = [](std::vector<const char *> Flags) {
-    Flags.insert(Flags.begin(), "bench");
-    parseBenchArgs(static_cast<int>(Flags.size()),
-                   const_cast<char **>(Flags.data()));
-  };
-  EXPECT_EXIT(Run({"--deadline=-1"}), testing::ExitedWithCode(2), "deadline");
-  EXPECT_EXIT(Run({"--max-refs=0"}), testing::ExitedWithCode(2), "max-refs");
-  EXPECT_EXIT(Run({"--mem-budget=abc"}), testing::ExitedWithCode(2),
+  EXPECT_EXIT(parseFlags({"--deadline=-1"}), testing::ExitedWithCode(2),
+              "deadline");
+  EXPECT_EXIT(parseFlags({"--max-refs=0"}), testing::ExitedWithCode(2),
+              "max-refs");
+  EXPECT_EXIT(parseFlags({"--mem-budget=abc"}), testing::ExitedWithCode(2),
               "mem-budget");
-  EXPECT_EXIT(Run({"--on-budget=panic"}), testing::ExitedWithCode(2),
+  EXPECT_EXIT(parseFlags({"--on-budget=panic"}), testing::ExitedWithCode(2),
               "on-budget");
+}
+
+// A bare valued flag would parse as "1" — a one-reference batch, one
+// worker, scale 1 — so it exits 2 naming the flag. A bare --crosscheck
+// keeps its documented meaning: compare every reference.
+TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBareValuedFlags) {
+  GovernanceReset Guard;
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(parseFlags({"--batch"}), testing::ExitedWithCode(2),
+              "--batch");
+  EXPECT_EXIT(parseFlags({"--threads", "--csv"}), testing::ExitedWithCode(2),
+              "--threads");
+  EXPECT_EXIT(parseFlags({"--scale"}), testing::ExitedWithCode(2), "--scale");
+  EXPECT_EXIT(
+      {
+        parseFlags({"--crosscheck", "--batch=1"});
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
 }
 
 //===----------------------------------------------------------------------===//

@@ -538,6 +538,38 @@ TEST_F(FaultInjection, ShardWorkerFailureRethrownAtFlushThenConsumed) {
   EXPECT_NO_THROW(Bank.flush()) << "no double rethrow";
 }
 
+// After the failure has been rethrown, resetAll() restarts every cache,
+// including the ones whose worker or lane failed: the bank must simulate
+// all of them again instead of discarding their batches forever.
+TEST_F(FaultInjection, ShardWorkerFailureClearedByResetAll) {
+  CacheBank Bank;
+  for (uint32_t SizeKb : {16u, 64u, 256u}) {
+    CacheConfig C;
+    C.SizeBytes = SizeKb << 10;
+    C.BlockBytes = 64;
+    Bank.addConfig(C);
+  }
+  Bank.setThreads(2, /*BatchRefs=*/256);
+
+  faultInjector().arm({FaultSite::ShardWorker, 1, 0});
+  Rng R(7);
+  for (int I = 0; I != 4096; ++I)
+    Bank.onRef({0x10000000 + (static_cast<Address>(R.below(1u << 20)) & ~3u),
+                AccessKind::Load, Phase::Mutator});
+  EXPECT_THROW(Bank.flush(), StatusError);
+  faultInjector().disarm();
+
+  Bank.resetAll();
+  for (int I = 0; I != 1000; ++I)
+    Bank.onRef({0x10000000 + (static_cast<Address>(R.below(1u << 20)) & ~3u),
+                AccessKind::Load, Phase::Mutator});
+  EXPECT_NO_THROW(Bank.flush());
+  for (size_t I = 0; I != Bank.size(); ++I)
+    EXPECT_EQ(Bank.cache(I).totalCounters().refs(), 1000u)
+        << Bank.cache(I).config().label();
+  EXPECT_TRUE(Bank.auditAll().ok());
+}
+
 //===----------------------------------------------------------------------===//
 // Unit-boundary degradation: tryRunProgram
 //===----------------------------------------------------------------------===//

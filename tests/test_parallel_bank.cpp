@@ -244,3 +244,33 @@ TEST(ParallelBank, ResetAllDrainsThenClears) {
   Bank.flush();
   expectBanksEqual(Serial, Bank);
 }
+
+// Caches added, and cross-checking enabled, after setThreads() join the
+// bank's lanes: call order does not matter.
+TEST(ParallelBank, ConfigsAddedAfterSetThreadsAreSimulated) {
+  std::vector<Ref> Stream = syntheticStream(1000);
+
+  CacheBank Empty; // no caches, so no lanes and no workers yet
+  Empty.setThreads(2);
+  EXPECT_EQ(Empty.threads(), 0u);
+
+  CacheBank Serial;
+  Serial.addConfig(CacheConfig{.SizeBytes = 32 << 10, .BlockBytes = 32});
+  Serial.addConfig(CacheConfig{.SizeBytes = 64 << 10});
+  Serial.enableCrossCheck(1);
+  for (const Ref &R : Stream)
+    Serial.onRef(R);
+
+  CacheBank Late;
+  Late.addConfig(CacheConfig{.SizeBytes = 32 << 10, .BlockBytes = 32});
+  Late.setThreads(2, /*BatchRefs=*/256);
+  Late.addConfig(CacheConfig{.SizeBytes = 64 << 10});
+  Late.enableCrossCheck(1);
+  EXPECT_EQ(Late.threads(), 2u);
+  EXPECT_TRUE(Late.cache(1).crossCheckEnabled());
+  for (const Ref &R : Stream)
+    Late.onRef(R);
+  Late.flush();
+  EXPECT_EQ(Late.cache(1).totalCounters().refs(), Stream.size());
+  expectBanksEqual(Serial, Late);
+}
