@@ -70,8 +70,10 @@
 /// Unknown flags and malformed values (--threads=abc, --scale=1x,
 /// --fault=bogus, --deadline=-1) are hard errors: the binary prints a
 /// diagnostic and exits with status 2 instead of silently running with
-/// defaults. So is a bare --scale, --threads or --batch, which would
-/// otherwise read as the value 1.
+/// defaults. So is any flag that takes a value given without one (a bare
+/// --scale, --max-refs or --checkpoint-dir), which would otherwise read
+/// as "1". Of the flags that take a value, only --paranoid and
+/// --crosscheck have a bare meaning.
 ///
 /// Failure isolation: bench mains run each workload/configuration as a
 /// unit through BenchUnitRunner. A structured failure (injected fault,
@@ -127,6 +129,17 @@ struct BenchArgs {
   Options Opts;
 };
 
+/// The value of a flag read through Options::getStrict* (or another
+/// flag parser). A bare or malformed flag is fatal: diagnostic on stderr,
+/// exit(2).
+template <typename T> T flagOrExit(Expected<T> Value) {
+  if (!Value.ok()) {
+    std::fprintf(stderr, "error: %s\n", Value.status().message().c_str());
+    std::exit(2);
+  }
+  return Value.take();
+}
+
 /// Parses and validates the shared bench flags plus any \p ExtraFlags the
 /// binary declares (e.g. "seeds" for ext2_layout). Unknown flags and
 /// malformed values are fatal: diagnostic on stderr, exit(2). Also arms
@@ -157,35 +170,9 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     std::exit(2);
   }
 
-  // Options::parse reads a bare flag as "1": a batch of one reference, one
-  // worker, scale 1. None of these is what a bare flag asks for.
-  for (const char *Valued : {"scale", "threads", "batch"})
-    if (A.Opts.isBare(Valued)) {
-      std::fprintf(stderr, "error: --%s needs a value\n", Valued);
-      std::exit(2);
-    }
-
-  Expected<double> Scale = A.Opts.getStrictDouble("scale", 0.3);
-  if (!Scale.ok()) {
-    std::fprintf(stderr, "error: %s\n", Scale.status().message().c_str());
-    std::exit(2);
-  }
-  A.Scale = *Scale;
-
-  Expected<unsigned> Threads = A.Opts.getStrictUnsigned("threads", 0);
-  if (!Threads.ok()) {
-    std::fprintf(stderr, "error: %s\n", Threads.status().message().c_str());
-    std::exit(2);
-  }
-  A.Threads = *Threads;
-
-  Expected<unsigned> Batch = A.Opts.getStrictUnsigned("batch", 0);
-  if (!Batch.ok()) {
-    std::fprintf(stderr, "error: %s\n", Batch.status().message().c_str());
-    std::exit(2);
-  }
-  A.BatchRefs = *Batch;
-
+  A.Scale = flagOrExit(A.Opts.getStrictDouble("scale", 0.3));
+  A.Threads = flagOrExit(A.Opts.getStrictUnsigned("threads", 0));
+  A.BatchRefs = flagOrExit(A.Opts.getStrictUnsigned("batch", 0));
   A.Csv = A.Opts.getBool("csv", false);
 
   // --paranoid is a level: bare (or true) = post-collection heap
@@ -204,53 +191,38 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     std::exit(2);
   }
 
-  A.Workload = A.Opts.get("workload", "");
+  A.Workload = flagOrExit(A.Opts.getStrict("workload", ""));
 
-  // A bare --crosscheck parses as "1" (Options convention): compare every
-  // reference. --crosscheck=N samples the comparison every N refs.
-  Expected<unsigned> CrossCheck = A.Opts.getStrictUnsigned("crosscheck", 0);
-  if (!CrossCheck.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 CrossCheck.status().message().c_str());
-    std::exit(2);
-  }
-  A.CrossCheckEvery = *CrossCheck;
+  // A bare --crosscheck compares every reference; --crosscheck=N samples
+  // the comparison every N refs.
+  A.CrossCheckEvery =
+      A.Opts.isBare("crosscheck")
+          ? 1
+          : flagOrExit(A.Opts.getStrictUnsigned("crosscheck", 0));
   A.Audit = A.Opts.getBool("audit", false);
 
   // --fault falls back to GCACHE_FAULT via the Options env convention;
   // empty (unset) disarms.
-  Status Armed = faultInjector().armFromSpec(A.Opts.get("fault", ""));
+  Status Armed =
+      faultInjector().armFromSpec(flagOrExit(A.Opts.getStrict("fault", "")));
   if (!Armed.ok()) {
     std::fprintf(stderr, "error: --fault: %s\n", Armed.message().c_str());
     std::exit(2);
   }
 
   // Checkpointing and supervision (core/Checkpoint.h, core/Supervisor.h).
-  A.CheckpointDir = A.Opts.get("checkpoint-dir", "");
-  Expected<unsigned> Every = A.Opts.getStrictUnsigned("checkpoint-every", 0);
-  Expected<unsigned> Retries = A.Opts.getStrictUnsigned("retries", 2);
-  Expected<unsigned> Timeout = A.Opts.getStrictUnsigned("timeout", 0);
-  Expected<unsigned> Grace = A.Opts.getStrictUnsigned("grace", 10);
-  for (const auto *E : {&Every, &Retries, &Timeout, &Grace})
-    if (!E->ok()) {
-      std::fprintf(stderr, "error: %s\n", E->status().message().c_str());
-      std::exit(2);
-    }
-  A.CheckpointEvery = *Every;
-  A.Retries = *Retries;
-  A.TimeoutSec = *Timeout;
-  A.GraceSec = *Grace;
+  A.CheckpointDir = flagOrExit(A.Opts.getStrict("checkpoint-dir", ""));
+  A.CheckpointEvery =
+      flagOrExit(A.Opts.getStrictUnsigned("checkpoint-every", 0));
+  A.Retries = flagOrExit(A.Opts.getStrictUnsigned("retries", 2));
+  A.TimeoutSec = flagOrExit(A.Opts.getStrictUnsigned("timeout", 0));
+  A.GraceSec = flagOrExit(A.Opts.getStrictUnsigned("grace", 10));
 
   // Resource budgets (support/Budget.h): deadline, reference budget,
   // memory budget. Configured before any supervise fork so children
   // inherit the budget *and its start time* — a supervised restart must
   // not extend the deadline.
-  Expected<BudgetSpec> Budget = parseBudgetFlags(A.Opts);
-  if (!Budget.ok()) {
-    std::fprintf(stderr, "error: %s\n", Budget.status().message().c_str());
-    std::exit(2);
-  }
-  A.Budget = *Budget;
+  A.Budget = flagOrExit(parseBudgetFlags(A.Opts));
   processBudget().configure(A.Budget);
 
   // Graceful shutdown: first SIGTERM/SIGINT requests a drain, the second

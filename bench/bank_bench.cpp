@@ -128,7 +128,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: --refs and --repeat must be nonzero\n");
     return 2;
   }
-  std::string OutPath = A.Opts.get("out", "BENCH_bank.json");
+  std::string OutPath =
+      flagOrExit(A.Opts.getStrict("out", "BENCH_bank.json"));
   size_t BatchRefs = A.BatchRefs ? A.BatchRefs : CacheBank::DefaultBatchRefs;
   unsigned Threads = A.Threads;
   if (Threads == 0)

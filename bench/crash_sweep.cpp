@@ -47,7 +47,7 @@ int main(int Argc, char **Argv) {
   BenchArgs A = parseBenchArgs(Argc, Argv,
                                {"gc", "max-cuts", "every-refs", "heap-bytes"});
 
-  std::string GcName = A.Opts.get("gc", "all");
+  std::string GcName = flagOrExit(A.Opts.getStrict("gc", "all"));
   Expected<unsigned> MaxCuts = A.Opts.getStrictUnsigned("max-cuts", 0);
   Expected<unsigned> EveryRefs = A.Opts.getStrictUnsigned("every-refs", 5000);
   Expected<unsigned> HeapBytes =

@@ -20,6 +20,8 @@ using namespace gcache;
 int main(int Argc, char **Argv) {
   BenchArgs A = parseBenchArgs(Argc, Argv, {"pgm"});
   std::string Name = A.Workload.empty() ? "orbit" : A.Workload;
+  std::string PgmPath =
+      flagOrExit(A.Opts.getStrict("pgm", "missplot_" + Name + ".pgm"));
   benchHeader("Figure 3 (§7)",
               ("cache-miss plot, " + Name + ", 64kb/64b").c_str(), A);
   const Workload *W = findWorkload(Name);
@@ -63,7 +65,6 @@ int main(int Argc, char **Argv) {
               Plot.fillFraction());
   std::fputs(Plot.renderAscii(96, 32).c_str(), stdout);
 
-  std::string PgmPath = A.Opts.get("pgm", "missplot_" + Name + ".pgm");
   const std::string Pgm = Plot.renderPgm();
   if (Status S = vfs().writeFileAtomic(PgmPath, Pgm.data(), Pgm.size());
       !S.ok()) {

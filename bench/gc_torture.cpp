@@ -73,7 +73,7 @@ int main(int Argc, char **Argv) {
        "snapshot", "kill-at", "sweep"});
 
   GcTortureConfig Cfg;
-  std::string GcName = A.Opts.get("gc", "cheney");
+  std::string GcName = flagOrExit(A.Opts.getStrict("gc", "cheney"));
   if (GcName == "cheney")
     Cfg.Gc = GcKind::Cheney;
   else if (GcName == "generational")
@@ -87,22 +87,21 @@ int main(int Argc, char **Argv) {
                  GcName.c_str());
     return 2;
   }
-  Cfg.Seed = A.Opts.getStrictUnsigned("seed", 1).take();
-  Cfg.Ops =
-      static_cast<uint32_t>(A.Opts.getStrictUnsigned("ops", 300).take());
-  Cfg.StepBudget = static_cast<uint32_t>(
-      A.Opts.getStrictUnsigned("step-budget", 64).take());
-  Cfg.HeapBytes = static_cast<uint32_t>(
-      A.Opts.getStrictUnsigned("heap-bytes", 64 * 1024).take());
-  Cfg.NurseryBytes = static_cast<uint32_t>(
-      A.Opts.getStrictUnsigned("nursery-bytes", 16 * 1024).take());
+  Cfg.Seed = flagOrExit(A.Opts.getStrictUnsigned("seed", 1));
+  Cfg.Ops = flagOrExit(A.Opts.getStrictUnsigned("ops", 300));
+  Cfg.StepBudget = flagOrExit(A.Opts.getStrictUnsigned("step-budget", 64));
+  Cfg.HeapBytes =
+      flagOrExit(A.Opts.getStrictUnsigned("heap-bytes", 64 * 1024));
+  Cfg.NurseryBytes =
+      flagOrExit(A.Opts.getStrictUnsigned("nursery-bytes", 16 * 1024));
   Cfg.Threads = A.Threads;
   Cfg.CrossCheckEvery = A.CrossCheckEvery;
   Cfg.Audit = A.Audit;
   Cfg.PhaseParanoid = A.ParanoidPhase;
 
-  std::string SnapPath = A.Opts.get("snapshot", "gc_torture.snap");
-  uint64_t KillAt = A.Opts.getStrictUnsigned("kill-at", 0).take();
+  std::string SnapPath =
+      flagOrExit(A.Opts.getStrict("snapshot", "gc_torture.snap"));
+  uint64_t KillAt = flagOrExit(A.Opts.getStrictUnsigned("kill-at", 0));
   bool Sweep = A.Opts.getBool("sweep");
   if (Sweep && KillAt) {
     std::fprintf(stderr, "error: --sweep and --kill-at are exclusive\n");

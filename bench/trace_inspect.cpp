@@ -47,7 +47,7 @@ int main(int Argc, char **Argv) {
                                 "replay", "cache-size", "block-size",
                                 "stop-after"});
 
-  std::string TracePath = A.Opts.get("trace", "");
+  std::string TracePath = flagOrExit(A.Opts.getStrict("trace", ""));
   if (TracePath.empty()) {
     std::fprintf(stderr, "error: --trace=<path> is required\n");
     return 2;
@@ -174,10 +174,9 @@ int main(int Argc, char **Argv) {
     return SalvageTruncated ? 4 : 0;
 
   CacheConfig Cfg;
-  Cfg.SizeBytes = static_cast<uint32_t>(
-      A.Opts.getStrictUnsigned("cache-size", 64 * 1024).take());
-  Cfg.BlockBytes =
-      static_cast<uint32_t>(A.Opts.getStrictUnsigned("block-size", 64).take());
+  Cfg.SizeBytes =
+      flagOrExit(A.Opts.getStrictUnsigned("cache-size", 64 * 1024));
+  Cfg.BlockBytes = flagOrExit(A.Opts.getStrictUnsigned("block-size", 64));
   if (!Cfg.isValid()) {
     std::fprintf(stderr, "error: invalid cache geometry (%u B, %u B blocks)\n",
                  Cfg.SizeBytes, Cfg.BlockBytes);
@@ -194,7 +193,8 @@ int main(int Argc, char **Argv) {
   ReplayCheckpointOptions RO;
   RO.Salvage = Salvage;
   RO.Audit = A.Audit;
-  RO.StopAfterRecords = A.Opts.getStrictUnsigned("stop-after", 0).take();
+  RO.StopAfterRecords =
+      flagOrExit(A.Opts.getStrictUnsigned("stop-after", 0));
   const CheckpointContext &Ctx = checkpointContext();
   if (Ctx.enabled()) {
     RO.SnapshotPath = Ctx.unitSnapshotPath("trace-replay");

@@ -1,7 +1,6 @@
 //===- CacheConfig.cpp - Cache geometry and policies -----------------------===//
 
 #include "gcache/memsys/CacheConfig.h"
-#include "gcache/support/Budget.h"
 #include "gcache/support/Table.h"
 
 using namespace gcache;
@@ -20,115 +19,4 @@ std::vector<uint32_t> gcache::paperCacheSizes() {
 
 std::vector<uint32_t> gcache::paperBlockSizes() {
   return {16, 32, 64, 128, 256};
-}
-
-namespace {
-
-/// Splits \p Text on \p Sep, dropping empty pieces.
-std::vector<std::string> splitOn(const std::string &Text, char Sep) {
-  std::vector<std::string> Out;
-  size_t Pos = 0;
-  while (Pos <= Text.size()) {
-    size_t End = Text.find(Sep, Pos);
-    if (End == std::string::npos)
-      End = Text.size();
-    if (End > Pos)
-      Out.push_back(Text.substr(Pos, End - Pos));
-    Pos = End + 1;
-  }
-  return Out;
-}
-
-Status parseConfigGroup(const std::string &Group, CacheConfig &C) {
-  for (const std::string &Pair : splitOn(Group, ',')) {
-    size_t Eq = Pair.find('=');
-    if (Eq == std::string::npos || Eq == 0)
-      return Status::failf(StatusCode::InvalidArgument,
-                           "cache config spec piece '%s' is not key=value",
-                           Pair.c_str());
-    std::string Key = Pair.substr(0, Eq), Value = Pair.substr(Eq + 1);
-    if (Key == "size" || Key == "block") {
-      Expected<uint64_t> V = parseByteSize(Value, Key.c_str());
-      if (!V)
-        return V.status();
-      (Key == "size" ? C.SizeBytes : C.BlockBytes) =
-          static_cast<uint32_t>(*V);
-    } else if (Key == "ways") {
-      Expected<uint64_t> V = parseByteSize(Value, "ways");
-      if (!V)
-        return V.status();
-      C.Ways = static_cast<uint32_t>(*V);
-    } else if (Key == "wmiss") {
-      if (Value == "wv")
-        C.WriteMiss = WriteMissPolicy::WriteValidate;
-      else if (Value == "fow")
-        C.WriteMiss = WriteMissPolicy::FetchOnWrite;
-      else
-        return Status::failf(StatusCode::InvalidArgument,
-                             "wmiss must be wv or fow, not '%s'",
-                             Value.c_str());
-    } else if (Key == "whit") {
-      if (Value == "wb")
-        C.WriteHit = WriteHitPolicy::WriteBack;
-      else if (Value == "wt")
-        C.WriteHit = WriteHitPolicy::WriteThrough;
-      else
-        return Status::failf(StatusCode::InvalidArgument,
-                             "whit must be wb or wt, not '%s'", Value.c_str());
-    } else if (Key == "gcfow") {
-      C.CollectorFetchOnWrite = Value != "0";
-    } else {
-      return Status::failf(StatusCode::InvalidArgument,
-                           "unknown cache config key '%s'", Key.c_str());
-    }
-  }
-  if (!C.isValid())
-    return Status::failf(StatusCode::InvalidArgument,
-                         "cache config '%s' has invalid geometry",
-                         Group.c_str());
-  return Status();
-}
-
-} // namespace
-
-Expected<std::vector<CacheConfig>>
-gcache::parseCacheConfigSpec(const std::string &Spec) {
-  std::vector<CacheConfig> Configs;
-  std::vector<std::string> Groups = splitOn(Spec, ';');
-  if (Groups.empty())
-    return Status::fail(StatusCode::InvalidArgument,
-                        "cache config spec is empty");
-  for (const std::string &Group : Groups) {
-    if (Group == "grid") {
-      for (uint32_t Size : paperCacheSizes())
-        for (uint32_t Block : paperBlockSizes()) {
-          CacheConfig C;
-          C.SizeBytes = Size;
-          C.BlockBytes = Block;
-          Configs.push_back(C);
-        }
-      continue;
-    }
-    if (Group == "mini") {
-      for (uint32_t Size : {32u << 10, 64u << 10, 256u << 10}) {
-        CacheConfig C;
-        C.SizeBytes = Size;
-        Configs.push_back(C);
-      }
-      continue;
-    }
-    CacheConfig C;
-    if (Status S = parseConfigGroup(Group, C); !S.ok())
-      return S;
-    Configs.push_back(C);
-  }
-  return Configs;
-}
-
-uint64_t gcache::estimateCacheConfigBytes(const CacheConfig &Config) {
-  // A Line is a tag, a 64-bit valid mask, a dirty flag, and an LRU stamp —
-  // call it 32 bytes, doubled for allocator and container slack, plus a
-  // fixed allowance for counters and batch columns.
-  uint64_t PerBlock = Config.TrackPerBlockStats ? 64 + 24 : 64;
-  return static_cast<uint64_t>(Config.numBlocks()) * PerBlock + (16u << 10);
 }

@@ -16,8 +16,6 @@
 #ifndef GCACHE_MEMSYS_CACHECONFIG_H
 #define GCACHE_MEMSYS_CACHECONFIG_H
 
-#include "gcache/support/Status.h"
-
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -71,27 +69,6 @@ std::vector<uint32_t> paperCacheSizes();
 
 /// The paper's block-size axis: 16 to 256 bytes in powers of two (§4).
 std::vector<uint32_t> paperBlockSizes();
-
-/// Parses a cache-configuration spec string into one or more configs — the
-/// `config=` value of a trace-service Hello frame and the `--config` flag
-/// of the serve load generator.
-///
-/// Grammar: `;`-separated groups, each either a preset or `,`-separated
-/// `key=value` pairs applied over the default CacheConfig:
-///   presets   `grid` (the paper's full size x block grid, write-validate),
-///             `mini` (three small configs for smoke tests)
-///   keys      size=<bytes>   block=<bytes>   ways=<n>
-///             wmiss=wv|fow   whit=wb|wt      gcfow=0|1
-/// Byte values accept k/m/g suffixes (support/Budget.h parseByteSize).
-/// Returns InvalidArgument (never an empty vector) on unknown keys or
-/// presets, unparsable values, or a geometry isValid() rejects.
-Expected<std::vector<CacheConfig>> parseCacheConfigSpec(const std::string &Spec);
-
-/// Coarse upper bound on the simulator memory one config costs the serving
-/// worker (tag/LRU metadata plus fixed batching overhead) — the unit of
-/// the trace service's admission-control accounting. Deliberately
-/// pessimistic: admission must never under-count.
-uint64_t estimateCacheConfigBytes(const CacheConfig &Config);
 
 } // namespace gcache
 

@@ -142,24 +142,31 @@ Expected<BudgetSpec> gcache::parseBudgetFlags(const Options &O) {
   Spec.DeadlineSec = *Deadline;
 
   // --max-refs: positive integer (u64 — paper-scale runs exceed 2^32 refs).
-  std::string MaxRefs = O.get("max-refs", "");
-  if (!MaxRefs.empty()) {
-    Expected<uint64_t> V = parseByteSize(MaxRefs, "max-refs");
+  Expected<std::string> MaxRefs = O.getStrict("max-refs", "");
+  if (!MaxRefs.ok())
+    return MaxRefs.status();
+  if (!MaxRefs->empty()) {
+    Expected<uint64_t> V = parseByteSize(*MaxRefs, "max-refs");
     if (!V.ok())
       return V.status();
     Spec.MaxRefs = *V;
   }
 
   // --mem-budget: positive byte count, k/m/g suffixes accepted.
-  std::string MemBudget = O.get("mem-budget", "");
-  if (!MemBudget.empty()) {
-    Expected<uint64_t> V = parseByteSize(MemBudget, "mem-budget");
+  Expected<std::string> MemBudget = O.getStrict("mem-budget", "");
+  if (!MemBudget.ok())
+    return MemBudget.status();
+  if (!MemBudget->empty()) {
+    Expected<uint64_t> V = parseByteSize(*MemBudget, "mem-budget");
     if (!V.ok())
       return V.status();
     Spec.MemBudgetBytes = *V;
   }
 
-  std::string OnBudget = O.get("on-budget", "degrade");
+  Expected<std::string> OnBudgetFlag = O.getStrict("on-budget", "degrade");
+  if (!OnBudgetFlag.ok())
+    return OnBudgetFlag.status();
+  const std::string &OnBudget = *OnBudgetFlag;
   if (OnBudget == "degrade")
     Spec.DegradeOnSoft = true;
   else if (OnBudget == "stop")

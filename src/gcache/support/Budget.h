@@ -142,8 +142,8 @@ Expected<uint64_t> parseByteSize(const std::string &Text,
 /// Parses the budget flags --deadline (seconds, fractional ok), --max-refs,
 /// --mem-budget (bytes with optional k/m/g suffix), and
 /// --on-budget=degrade|stop from \p O, with the usual GCACHE_<NAME> env
-/// fallback. A flag that is present but non-positive, malformed, or
-/// overflowing is InvalidArgument — bench binaries exit 2 on it.
+/// fallback. A flag that is bare, non-positive, malformed, or overflowing
+/// is InvalidArgument — bench binaries exit 2 on it.
 Expected<BudgetSpec> parseBudgetFlags(const Options &O);
 
 /// A sink that can shed memory when the soft budget is breached. Instances

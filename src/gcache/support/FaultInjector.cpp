@@ -29,24 +29,6 @@ const char *gcache::faultSiteName(FaultSite Site) {
     return "watchdog-trip";
   case FaultSite::BudgetProbe:
     return "budget-probe";
-  case FaultSite::AcceptFail:
-    return "accept-fail";
-  case FaultSite::FrameCorrupt:
-    return "frame-corrupt";
-  case FaultSite::WorkerKill:
-    return "worker-kill";
-  case FaultSite::ReplyShortWrite:
-    return "reply-short-write";
-  case FaultSite::ReplDrop:
-    return "repl-drop";
-  case FaultSite::HeartbeatLoss:
-    return "heartbeat-loss";
-  case FaultSite::PromoteRace:
-    return "promote-race";
-  case FaultSite::AckShortWrite:
-    return "ack-short-write";
-  case FaultSite::PrimaryCrash:
-    return "primary-crash";
   case FaultSite::GcStepAbort:
     return "gc-step-abort";
   case FaultSite::GcStepKill:
@@ -104,10 +86,7 @@ Expected<FaultPlan> gcache::parseFaultSpec(const std::string &Spec) {
                          "<site>:<n>[:<seed>] with site one of heap-oom, "
                          "gc-force, trace-write, shard-worker, step-abort, "
                          "snapshot-write, snapshot-load, watchdog-trip, "
-                         "budget-probe, accept-fail, frame-corrupt, "
-                         "worker-kill, reply-short-write, repl-drop, "
-                         "heartbeat-loss, promote-race, ack-short-write, "
-                         "primary-crash, gc-step-abort, gc-step-kill, "
+                         "budget-probe, gc-step-abort, gc-step-kill, "
                          "io-short-write, io-torn-write, io-eio, io-enospc, "
                          "io-fsync-lost and n >= 1",
                          Spec.c_str(), Why);

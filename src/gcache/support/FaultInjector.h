@@ -29,37 +29,6 @@
 ///   budget-probe    The Nth poll simulates a memory-budget breach: soft
 ///                   (degrade the analysis sinks) under
 ///                   --on-budget=degrade, hard (drain) otherwise.
-///   accept-fail     The trace service's Nth accept() fails as if the
-///                   kernel had returned an error; the daemon must log it
-///                   and keep serving (core/TraceService.h).
-///   frame-corrupt   The Nth wire frame decoded by a FrameDecoder is
-///                   treated as failing its CRC — deterministic stand-in
-///                   for on-the-wire corruption (support/Wire.h).
-///   worker-kill     A serve worker dies abruptly: the pool SIGKILLs the
-///                   worker at the Nth checkpoint line it reports, so the
-///                   retry provably resumes from that checkpoint, then
-///                   denies when retries run out (core/WorkerPool.h).
-///   reply-short-write  The Nth SendQueue pump writes at most one byte —
-///                   a short write that leaves the rest of the reply
-///                   queued behind a slow client (support/Socket.h).
-///   repl-drop       The primary silently skips sending its Nth ReplData
-///                   frame; the standby sees a sequence gap, drops the
-///                   link, and forces a full resync (core/TraceService.h).
-///   heartbeat-loss  From the Nth heartbeat send onward the primary stops
-///                   heartbeating; the standby's lease expires and it
-///                   promotes while the old primary is still alive — the
-///                   socket-identity fence must then retire the primary.
-///   promote-race    The standby's Nth lease evaluation reports expiry
-///                   even though heartbeats are flowing: a premature
-///                   promotion race the fencing must resolve to exactly
-///                   one surviving primary.
-///   ack-short-write The Nth pump of the standby's ack queue writes at
-///                   most one byte (the SendQueue short-write fault on the
-///                   replication back-channel).
-///   primary-crash   The daemon SIGKILLs itself at the Nth worker
-///                   checkpoint event after replicating the cut — the
-///                   deterministic kill-at-a-checkpoint-boundary used by
-///                   the failover bit-identity tests.
 ///   gc-step-abort   The Nth GC step boundary throws Aborted after the
 ///                   step's work (and any step-observer checkpoint cut)
 ///                   completes — a clean mid-cycle interruption the
@@ -120,15 +89,6 @@ enum class FaultSite : uint8_t {
   SnapshotLoad,
   WatchdogTrip,
   BudgetProbe,
-  AcceptFail,
-  FrameCorrupt,
-  WorkerKill,
-  ReplyShortWrite,
-  ReplDrop,
-  HeartbeatLoss,
-  PromoteRace,
-  AckShortWrite,
-  PrimaryCrash,
   GcStepAbort,
   GcStepKill,
   IoShortWrite,
@@ -137,7 +97,7 @@ enum class FaultSite : uint8_t {
   IoEnospc,
   IoFsyncLost,
 };
-constexpr unsigned NumFaultSites = 25;
+constexpr unsigned NumFaultSites = 16;
 
 /// Stable spec name of \p Site ("heap-oom", "trace-write", ...).
 const char *faultSiteName(FaultSite Site);

@@ -49,22 +49,6 @@ std::string Options::get(const std::string &Name,
   return Default;
 }
 
-double Options::getDouble(const std::string &Name, double Default) const {
-  std::string V = get(Name, "");
-  return V.empty() ? Default : std::strtod(V.c_str(), nullptr);
-}
-
-long Options::getInt(const std::string &Name, long Default) const {
-  std::string V = get(Name, "");
-  return V.empty() ? Default : std::strtol(V.c_str(), nullptr, 0);
-}
-
-unsigned Options::getUnsigned(const std::string &Name,
-                              unsigned Default) const {
-  long V = getInt(Name, static_cast<long>(Default));
-  return V < 0 ? 0u : static_cast<unsigned>(V);
-}
-
 bool Options::getBool(const std::string &Name, bool Default) const {
   std::string V = get(Name, "");
   if (V.empty())
@@ -89,9 +73,20 @@ Options::unknownFlags(const std::vector<std::string> &Known) const {
   return Unknown;
 }
 
+Expected<std::string> Options::getStrict(const std::string &Name,
+                                         const std::string &Default) const {
+  if (isBare(Name))
+    return Status::failf(StatusCode::InvalidArgument, "--%s needs a value",
+                         Name.c_str());
+  return get(Name, Default);
+}
+
 Expected<unsigned> Options::getStrictUnsigned(const std::string &Name,
                                               unsigned Default) const {
-  std::string V = get(Name, "");
+  Expected<std::string> Text = getStrict(Name, "");
+  if (!Text)
+    return Text.status();
+  const std::string &V = *Text;
   if (V.empty())
     return Default;
   char *End = nullptr;
@@ -107,7 +102,10 @@ Expected<unsigned> Options::getStrictUnsigned(const std::string &Name,
 
 Expected<double> Options::getStrictDouble(const std::string &Name,
                                           double Default) const {
-  std::string V = get(Name, "");
+  Expected<std::string> Text = getStrict(Name, "");
+  if (!Text)
+    return Text.status();
+  const std::string &V = *Text;
   if (V.empty())
     return Default;
   char *End = nullptr;

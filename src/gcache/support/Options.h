@@ -38,14 +38,9 @@ public:
   unknownFlags(const std::vector<std::string> &Known) const;
 
   /// Returns the flag value, or the GCACHE_<NAME> environment variable, or
-  /// \p Default.
+  /// \p Default. A bare flag reads as "1".
   std::string get(const std::string &Name, const std::string &Default) const;
 
-  double getDouble(const std::string &Name, double Default) const;
-  long getInt(const std::string &Name, long Default) const;
-  /// Like getInt, but clamps negative values to 0 (for counts such as
-  /// --threads, where "-2" is a typo rather than a meaningful request).
-  unsigned getUnsigned(const std::string &Name, unsigned Default) const;
   bool getBool(const std::string &Name, bool Default = false) const;
   bool has(const std::string &Name) const;
   /// True if \p Name was given on the command line with no value (stored
@@ -55,18 +50,23 @@ public:
   }
 
   //===--- Strict accessors ------------------------------------------------===//
-  // The getX accessors above tolerate garbage (strtol semantics: "12abc"
-  // parses as 12, "abc" as the default). The strict variants reject any
-  // value that does not parse in full, so bench binaries can exit nonzero
-  // on a malformed --threads/--scale instead of silently ignoring it.
+  // Every flag that takes a value is read through these. A bare flag is
+  // InvalidArgument ("--X needs a value"): get() would read it as "1", a
+  // batch of one reference or a checkpoint directory named "1". Numeric
+  // values must parse in full. A flag whose bare form means something (a
+  // boolean, --paranoid, --crosscheck) checks isBare() or reads get().
+
+  /// The flag (or env) value; InvalidArgument if the flag is bare.
+  Expected<std::string> getStrict(const std::string &Name,
+                                  const std::string &Default) const;
 
   /// The flag (or env) value parsed as a full unsigned decimal integer;
-  /// InvalidArgument if present but malformed or negative.
+  /// InvalidArgument if bare, malformed or negative.
   Expected<unsigned> getStrictUnsigned(const std::string &Name,
                                        unsigned Default) const;
 
   /// The flag (or env) value parsed as a full floating-point number;
-  /// InvalidArgument if present but malformed.
+  /// InvalidArgument if bare or malformed.
   Expected<double> getStrictDouble(const std::string &Name,
                                    double Default) const;
 

@@ -45,13 +45,6 @@ const char *gcache::statusCodeName(StatusCode Code) {
   return "unknown";
 }
 
-StatusCode gcache::statusCodeFromName(const std::string &Name) {
-  for (unsigned C = 0; C <= static_cast<unsigned>(StatusCode::Cancelled); ++C)
-    if (Name == statusCodeName(static_cast<StatusCode>(C)))
-      return static_cast<StatusCode>(C);
-  return StatusCode::WorkerFailure;
-}
-
 std::string Status::toString() const {
   if (ok())
     return "ok";

@@ -60,11 +60,6 @@ enum class StatusCode : uint8_t {
 /// Stable lower-case name of \p Code ("out-of-memory", "io-error", ...).
 const char *statusCodeName(StatusCode Code);
 
-/// Parses a statusCodeName back into its code — the worker-pool protocol
-/// and the trace service's Error frames ship codes by name. Unknown names
-/// map to WorkerFailure (a structured failure of unknown shape).
-StatusCode statusCodeFromName(const std::string &Name);
-
 /// An error code plus message. Default-constructed Status is success;
 /// `if (!S)` / `S.ok()` test for failure the way a bool return used to.
 class Status {

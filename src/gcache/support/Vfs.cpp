@@ -16,7 +16,6 @@
 using namespace gcache;
 
 VfsFile::~VfsFile() = default;
-VfsReadFile::~VfsReadFile() = default;
 Vfs::~Vfs() = default;
 
 //===----------------------------------------------------------------------===//
@@ -221,28 +220,6 @@ private:
   std::string Path;
 };
 
-class RealReadFile final : public VfsReadFile {
-public:
-  RealReadFile(FILE *F, std::string Path) : F(F), Path(std::move(Path)) {}
-  ~RealReadFile() override {
-    if (F)
-      std::fclose(F);
-  }
-
-  Expected<size_t> read(void *Out, size_t Len) override {
-    if (Status S = applyReadFaults("read", Path); !S.ok())
-      return S;
-    size_t N = std::fread(Out, 1, Len, F);
-    if (N < Len && std::ferror(F))
-      return errnoFail("read", Path);
-    return N;
-  }
-
-private:
-  FILE *F;
-  std::string Path;
-};
-
 } // namespace
 
 Expected<std::unique_ptr<VfsFile>> RealVfs::openWrite(const std::string &Path) {
@@ -258,14 +235,6 @@ RealVfs::openAppend(const std::string &Path) {
   if (!F)
     return errnoFail("open for append", Path);
   return std::unique_ptr<VfsFile>(new RealFile(F, Path));
-}
-
-Expected<std::unique_ptr<VfsReadFile>>
-RealVfs::openRead(const std::string &Path) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return errnoFail("open for read", Path);
-  return std::unique_ptr<VfsReadFile>(new RealReadFile(F, Path));
 }
 
 Expected<std::vector<uint8_t>> RealVfs::readFile(const std::string &Path) {
@@ -455,32 +424,6 @@ private:
   bool Closed = false;
 };
 
-namespace {
-
-/// Snapshot-at-open read handle: the spool replay reads a file the service
-/// has already sealed, so a stable copy is the honest model.
-class MemReadFile final : public VfsReadFile {
-public:
-  MemReadFile(std::vector<uint8_t> Data, std::string Path)
-      : Data(std::move(Data)), Path(std::move(Path)) {}
-
-  Expected<size_t> read(void *Out, size_t Len) override {
-    if (Status S = applyReadFaults("read", Path); !S.ok())
-      return S;
-    size_t N = std::min(Len, Data.size() - Pos);
-    std::memcpy(Out, Data.data() + Pos, N);
-    Pos += N;
-    return N;
-  }
-
-private:
-  std::vector<uint8_t> Data;
-  std::string Path;
-  size_t Pos = 0;
-};
-
-} // namespace
-
 Expected<std::unique_ptr<VfsFile>>
 FaultVfs::openWrite(const std::string &Path) {
   noteMutation("create", Path);
@@ -498,18 +441,6 @@ FaultVfs::openAppend(const std::string &Path) {
     Files[Path] = FileState{}; // Creation is durable (journaled metadata)...
   // ...but existing content — synced or not — is untouched; writes append.
   return std::unique_ptr<VfsFile>(new MemFile(*this, Path));
-}
-
-Expected<std::unique_ptr<VfsReadFile>>
-FaultVfs::openRead(const std::string &Path) {
-  requirePower("read", Path);
-  auto It = Files.find(Path);
-  if (It == Files.end())
-    return Status::failf(StatusCode::IoError,
-                         "open for read '%s' failed: no such file",
-                         Path.c_str());
-  return std::unique_ptr<VfsReadFile>(
-      new MemReadFile(It->second.Visible, Path));
 }
 
 Expected<std::vector<uint8_t>> FaultVfs::readFile(const std::string &Path) {

@@ -6,10 +6,9 @@
 ///
 /// \file
 /// The virtual filesystem every durability path writes through. Snapshots,
-/// trace files, checkpoint slots, supervisor manifests, and the trace
-/// service's spools all proved their crash-safety claims against a perfect
-/// filesystem; this layer makes the filesystem itself an adversary that
-/// tests can control deterministically.
+/// trace files, checkpoint slots, and supervisor manifests all proved their
+/// crash-safety claims against a perfect filesystem; this layer makes the
+/// filesystem itself an adversary that tests can control deterministically.
 ///
 /// Two implementations:
 ///
@@ -42,8 +41,8 @@
 ///                   power cut).
 ///
 /// The process-wide instance is vfs(); tests swap in a FaultVfs via
-/// ScopedVfs. Sockets, pipes, and /proc reads stay on raw POSIX: the Vfs
-/// owns *durable artifacts*, not transports.
+/// ScopedVfs. /proc reads stay on raw POSIX: the Vfs owns *durable
+/// artifacts*, not transports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,16 +83,6 @@ public:
   virtual Status close() = 0;
 };
 
-/// A streaming read handle (the worker pool replays multi-megabyte spools
-/// chunk by chunk with O(1) memory).
-class VfsReadFile {
-public:
-  virtual ~VfsReadFile();
-
-  /// Reads up to \p Len bytes; 0 at end of file.
-  virtual Expected<size_t> read(void *Out, size_t Len) = 0;
-};
-
 /// The durability-I/O interface. Paths are plain strings; directories are
 /// only ever listed shallowly (the checkpoint dir sweep).
 class Vfs {
@@ -106,9 +95,6 @@ public:
   /// Opens \p Path for appending (the supervisor's deny list).
   virtual Expected<std::unique_ptr<VfsFile>>
   openAppend(const std::string &Path) = 0;
-  /// Opens \p Path for streaming reads.
-  virtual Expected<std::unique_ptr<VfsReadFile>>
-  openRead(const std::string &Path) = 0;
   /// Reads the whole file.
   virtual Expected<std::vector<uint8_t>> readFile(const std::string &Path) = 0;
   virtual bool exists(const std::string &Path) = 0;
@@ -166,8 +152,6 @@ class RealVfs final : public Vfs {
 public:
   Expected<std::unique_ptr<VfsFile>> openWrite(const std::string &Path) override;
   Expected<std::unique_ptr<VfsFile>> openAppend(const std::string &Path) override;
-  Expected<std::unique_ptr<VfsReadFile>>
-  openRead(const std::string &Path) override;
   Expected<std::vector<uint8_t>> readFile(const std::string &Path) override;
   bool exists(const std::string &Path) override;
   Status rename(const std::string &From, const std::string &To) override;
@@ -187,8 +171,6 @@ public:
 
   Expected<std::unique_ptr<VfsFile>> openWrite(const std::string &Path) override;
   Expected<std::unique_ptr<VfsFile>> openAppend(const std::string &Path) override;
-  Expected<std::unique_ptr<VfsReadFile>>
-  openRead(const std::string &Path) override;
   Expected<std::vector<uint8_t>> readFile(const std::string &Path) override;
   bool exists(const std::string &Path) override;
   Status rename(const std::string &From, const std::string &To) override;

@@ -511,107 +511,6 @@ Status TraceStream::seekTo(uint64_t RecordIndex, uint64_t ByteOffset) {
 }
 
 //===----------------------------------------------------------------------===//
-// TraceByteEncoder / IncrementalTraceDecoder
-//===----------------------------------------------------------------------===//
-
-void TraceByteEncoder::emit(uint8_t Op, uint32_t A, uint32_t B, bool HasB) {
-  uint8_t Rec[9];
-  Rec[0] = Op;
-  put32(Rec + 1, A);
-  size_t Len = 5;
-  if (HasB) {
-    put32(Rec + 5, B);
-    Len = 9;
-  }
-  Buf.insert(Buf.end(), Rec, Rec + Len);
-  RecordCrc.update(Rec, Len);
-  ++Records;
-}
-
-void TraceByteEncoder::ref(const Ref &R) {
-  uint8_t Op = R.ExecPhase == Phase::Mutator
-                   ? (R.Kind == AccessKind::Load ? OpLoadMut : OpStoreMut)
-                   : (R.Kind == AccessKind::Load ? OpLoadGc : OpStoreGc);
-  emit(Op, R.Addr, 0, /*HasB=*/false);
-}
-
-void TraceByteEncoder::alloc(Address Addr, uint32_t Bytes) {
-  emit(OpAlloc, Addr, Bytes, /*HasB=*/true);
-}
-
-void TraceByteEncoder::gcBegin() { emit(OpGcBegin, 0, 0, /*HasB=*/false); }
-void TraceByteEncoder::gcEnd() { emit(OpGcEnd, 0, 0, /*HasB=*/false); }
-void TraceByteEncoder::gcPhase(GcPhase P) {
-  emit(OpGcPhase, static_cast<uint32_t>(P), 0, /*HasB=*/false);
-}
-
-std::vector<uint8_t> TraceByteEncoder::takeBytes() {
-  std::vector<uint8_t> Out = std::move(Buf);
-  Buf.clear();
-  return Out;
-}
-
-void IncrementalTraceDecoder::feed(const void *Data, size_t Len) {
-  // Compact the consumed prefix before growing so an unbounded stream uses
-  // bounded memory: only the partial record at the tail survives.
-  if (Head && (Head == Buf.size() || Head >= (64u << 10))) {
-    Buf.erase(Buf.begin(), Buf.begin() + static_cast<long>(Head));
-    Head = 0;
-  }
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  Buf.insert(Buf.end(), P, P + Len);
-}
-
-bool IncrementalTraceDecoder::next(TraceRecord &Rec) {
-  if (!Error.ok())
-    return false;
-  size_t Avail = Buf.size() - Head;
-  if (Avail == 0)
-    return false;
-  const uint8_t *P = Buf.data() + Head;
-  size_t Len = recordLen(P[0]);
-  if (Len == 0) {
-    Error = Status::failf(StatusCode::Corrupt,
-                          "trace stream has unknown opcode %u at record %llu",
-                          P[0], static_cast<unsigned long long>(Records));
-    return false;
-  }
-  if (Avail < Len)
-    return false;
-  if (P[0] == OpGcPhase && !gcPhasePayloadValid(get32(P + 1))) {
-    Error = Status::failf(StatusCode::Corrupt,
-                          "trace stream has GC phase marker with invalid "
-                          "phase %u at record %llu",
-                          get32(P + 1), static_cast<unsigned long long>(Records));
-    return false;
-  }
-  decodeRecordAt(P, Rec);
-  Head += Len;
-  Consumed += Len;
-  ++Records;
-  return true;
-}
-
-Status IncrementalTraceDecoder::atEof() const {
-  if (!Error.ok())
-    return Error;
-  if (Head == Buf.size())
-    return Status();
-  return Status::failf(StatusCode::Truncated,
-                       "trace stream ends inside record %llu (%zu bytes "
-                       "pending)",
-                       static_cast<unsigned long long>(Records),
-                       Buf.size() - Head);
-}
-
-void IncrementalTraceDecoder::primePosition(uint64_t ByteOffset,
-                                            uint64_t RecordCount) {
-  assert(Buf.empty() && Error.ok() && "prime before feeding any bytes");
-  Consumed = ByteOffset;
-  Records = RecordCount;
-}
-
-//===----------------------------------------------------------------------===//
 // TraceReader
 //===----------------------------------------------------------------------===//
 

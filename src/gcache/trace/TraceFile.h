@@ -245,86 +245,6 @@ struct TracePhaseStats {
 /// Scans \p S from its current position to the end.
 TracePhaseStats collectTracePhaseStats(TraceStream &S);
 
-/// Encodes trace records into raw current-version record bytes in memory — the byte
-/// stream that sits between a trace file's header and footer, and the
-/// payload of the wire protocol's Data frames (support/Wire.h). The
-/// running CRC-32 and record count cover everything ever encoded, so a
-/// producer can takeBytes() chunk by chunk (one Data frame each) and still
-/// finish with the end-to-end totals the End frame carries.
-class TraceByteEncoder {
-public:
-  void ref(const Ref &R);
-  void alloc(Address Addr, uint32_t Bytes);
-  void gcBegin();
-  void gcEnd();
-  void gcPhase(GcPhase P);
-
-  /// Bytes encoded since the last takeBytes().
-  const std::vector<uint8_t> &bytes() const { return Buf; }
-  /// Moves the pending bytes out (running totals are unaffected).
-  std::vector<uint8_t> takeBytes();
-
-  uint64_t recordCount() const { return Records; }
-  /// CRC-32 over every record byte ever encoded (the v2 footer value).
-  uint32_t crc() const { return RecordCrc.value(); }
-
-private:
-  void emit(uint8_t Op, uint32_t A, uint32_t B, bool HasB);
-
-  std::vector<uint8_t> Buf;
-  uint64_t Records = 0;
-  Crc32 RecordCrc;
-};
-
-/// Incremental decoder over a record stream delivered in arbitrary
-/// chunks — the streaming complement to TraceStream, which must see (and
-/// buffer) the whole file before replaying a single record. An unbounded
-/// pipe is consumed with O(1) memory: feed() each chunk as it arrives and
-/// drain whole records with next(); a record split across chunks is
-/// buffered until its remaining bytes show up.
-///
-/// Classification matches the file reader: an unknown opcode is a sticky
-/// StatusCode::Corrupt (the bytes are wrong wherever the stream ends),
-/// while a stream that stops mid-record is only Truncated — atEof() makes
-/// the call once the producer reports end of input. Framing-level damage
-/// (a Data frame failing its CRC) is caught by FrameDecoder before the
-/// bytes ever reach this class, so a mid-stream corrupt frame surfaces as
-/// Corrupt there, never as a spurious Truncated here.
-class IncrementalTraceDecoder {
-public:
-  void feed(const void *Data, size_t Len);
-
-  /// Decodes the next whole record; false when more bytes are needed or
-  /// the stream is corrupt (check error()).
-  bool next(TraceRecord &Rec);
-
-  /// Sticky Corrupt once an unknown opcode has been seen.
-  const Status &error() const { return Error; }
-
-  /// End-of-input classification: Ok when no partial record is pending,
-  /// Truncated when the stream ended inside one, or the sticky error.
-  Status atEof() const;
-
-  uint64_t recordCount() const { return Records; }
-  /// Bytes consumed as whole records (plus any primed offset).
-  uint64_t byteOffset() const { return Consumed; }
-  /// True when a partial record is buffered.
-  bool midRecord() const { return Head != Buf.size(); }
-
-  /// Seeds the position counters for a resume that skips an
-  /// already-simulated prefix (core/WorkerPool.h): the next record decoded
-  /// is record \p RecordCount at byte \p ByteOffset. Only valid before any
-  /// feed().
-  void primePosition(uint64_t ByteOffset, uint64_t RecordCount);
-
-private:
-  std::vector<uint8_t> Buf;
-  size_t Head = 0;
-  uint64_t Records = 0;
-  uint64_t Consumed = 0;
-  Status Error;
-};
-
 /// Replay options for TraceReader::replayEx.
 struct ReplayOptions {
   bool Salvage = false; ///< Replay the longest valid prefix of damage.

@@ -18,7 +18,6 @@
 #include "gcache/analysis/MissPlot.h"
 #include "gcache/core/Checkpoint.h"
 #include "gcache/core/Supervisor.h"
-#include "gcache/core/WorkerPool.h"
 #include "gcache/memsys/CacheBank.h"
 #include "gcache/support/Budget.h"
 #include "gcache/support/FaultInjector.h"
@@ -35,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <sys/prctl.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <thread>
@@ -323,8 +323,10 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBadBudgetFlags) {
 }
 
 // A bare valued flag would parse as "1" — a one-reference batch, one
-// worker, scale 1 — so it exits 2 naming the flag. A bare --crosscheck
-// keeps its documented meaning: compare every reference.
+// worker, scale 1, a one-reference or one-byte budget, a one-second
+// deadline, a checkpoint directory named "1" — so it exits 2 naming the
+// flag. A bare --crosscheck keeps its documented meaning: compare every
+// reference.
 TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBareValuedFlags) {
   GovernanceReset Guard;
   testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -333,6 +335,13 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBareValuedFlags) {
   EXPECT_EXIT(parseFlags({"--threads", "--csv"}), testing::ExitedWithCode(2),
               "--threads");
   EXPECT_EXIT(parseFlags({"--scale"}), testing::ExitedWithCode(2), "--scale");
+  for (const char *Flag : {"--max-refs", "--mem-budget", "--on-budget",
+                           "--deadline", "--checkpoint-dir", "--workload",
+                           "--fault"}) {
+    std::string Want = std::string(Flag) + " needs a value";
+    EXPECT_EXIT(parseFlags({Flag, "--csv"}), testing::ExitedWithCode(2), Want)
+        << Flag;
+  }
   EXPECT_EXIT(
       {
         parseFlags({"--crosscheck", "--batch=1"});
@@ -820,25 +829,39 @@ TEST(SignalStorm, SecondSigtermRestoresDefaultAndKills) {
 
 TEST(SignalStorm, SecondSigtermDuringDrainWithWorkersInFlight) {
   GovernanceReset Guard;
-  // The serve daemon's shape: a signal storm lands while a drain is in
-  // progress and forked pool workers are still alive. The second signal
-  // must still kill promptly — the drain must not swallow it.
+  // A signal storm lands while a drain is in progress and forked children
+  // are still alive. The second signal must still kill promptly — the
+  // drain must not swallow it. The child leads its own process group, and
+  // this process becomes the subreaper of the grandchildren it orphans, so
+  // the test kills and reaps them all before it returns.
+  ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
   pid_t P = fork();
   ASSERT_GE(P, 0);
   if (P == 0) {
+    setpgid(0, 0);
     SignalGuard::install();
-    WorkerPool Pool;
-    if (!Pool.start({.Workers = 2}).ok())
-      _exit(1);
+    for (int I = 0; I != 2; ++I) {
+      pid_t Worker = fork();
+      if (Worker < 0)
+        _exit(1);
+      if (Worker == 0)
+        for (;;)
+          pause();
+    }
     std::raise(SIGTERM); // operator requests a drain
     if (!cancelToken().requested())
       _exit(1);
-    Pool.drain();        // drain under way, worker forks in flight
-    std::raise(SIGTERM); // operator stops waiting
+    std::raise(SIGTERM); // operator stops waiting, workers in flight
     _exit(0);            // must never be reached
   }
+  setpgid(P, P); // Whichever side runs first creates the group.
   int St = 0;
-  ASSERT_EQ(waitpid(P, &St, 0), P);
+  pid_t Reaped = waitpid(P, &St, 0);
+  kill(-P, SIGKILL);
+  while (waitpid(-P, nullptr, 0) > 0) {
+  }
+  prctl(PR_SET_CHILD_SUBREAPER, 0);
+  ASSERT_EQ(Reaped, P);
   ASSERT_TRUE(WIFSIGNALED(St));
   EXPECT_EQ(WTERMSIG(St), SIGTERM);
 }

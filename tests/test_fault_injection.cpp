@@ -372,6 +372,58 @@ TEST_F(FaultInjection, SnapshotLoadFaultIsStructured) {
   std::remove(Path.c_str());
 }
 
+// Replay checkpoints and GC-torture snapshots store one counter per fault
+// site. A snapshot from a build with another number of sites cannot map
+// its counters onto this build's, so loading it is Corrupt, names both
+// counts, and leaves the injector's plan and counters as they were.
+TEST_F(FaultInjection, SnapshotWithAnotherSiteCountIsRefused) {
+  FaultInjector &Fi = faultInjector();
+  Fi.arm({FaultSite::StepAbort, 5, 0});
+  for (int I = 0; I != 3; ++I)
+    Fi.shouldFire(FaultSite::HeapOom);
+  EXPECT_FALSE(Fi.shouldFire(FaultSite::StepAbort));
+
+  const unsigned SavedSites = NumFaultSites + 9;
+  SnapshotWriter W;
+  W.beginSection("fault-injector");
+  W.putU8(1);                                        // armed
+  W.putU8(static_cast<uint8_t>(FaultSite::GcForce)); // plan site
+  W.putU64(2);                                       // Nth
+  W.putU64(0);                                       // seed
+  W.putU64(2);                                       // fire index
+  W.putU32(SavedSites);
+  for (unsigned I = 0; I != SavedSites; ++I)
+    W.putU64(100 + I);
+  SnapshotReader R;
+  ASSERT_TRUE(R.openBuffer(W.serialize()).ok());
+
+  Status S = Fi.loadFrom(R);
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.code(), StatusCode::Corrupt);
+  EXPECT_NE(S.message().find("/ " + std::to_string(SavedSites) + " sites"),
+            std::string::npos)
+      << S.message();
+  EXPECT_NE(S.message().find("this build has " +
+                             std::to_string(NumFaultSites)),
+            std::string::npos)
+      << S.message();
+
+  EXPECT_TRUE(Fi.armed());
+  EXPECT_EQ(Fi.plan().Site, FaultSite::StepAbort);
+  EXPECT_EQ(Fi.plan().Nth, 5u);
+  EXPECT_EQ(Fi.plan().Seed, 0u);
+  for (unsigned I = 0; I != NumFaultSites; ++I) {
+    FaultSite Site = static_cast<FaultSite>(I);
+    uint64_t Want = Site == FaultSite::HeapOom     ? 3
+                    : Site == FaultSite::StepAbort ? 1
+                                                   : 0;
+    EXPECT_EQ(Fi.occurrences(Site), Want) << faultSiteName(Site);
+  }
+  for (uint64_t I = 2; I <= 6; ++I)
+    EXPECT_EQ(Fi.shouldFire(FaultSite::StepAbort), I == 5)
+        << "the plan still fires at occurrence 5, not " << I;
+}
+
 // The OOM-style sweep for the snapshot sites: fail every single checkpoint
 // write of a checkpointed replay, one run per write, and require a
 // structured IoError every time — never a crash, never a half-written

@@ -122,16 +122,16 @@ TEST(Log2Histogram, BucketsAndCumulative) {
 TEST(Options, ParsesForms) {
   const char *Argv[] = {"prog", "--scale", "0.5", "--csv", "--name=value"};
   Options O = Options::parse(5, const_cast<char **>(Argv));
-  EXPECT_DOUBLE_EQ(O.getDouble("scale", 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(O.getStrictDouble("scale", 1.0).take(), 0.5);
   EXPECT_TRUE(O.getBool("csv"));
   EXPECT_EQ(O.get("name", ""), "value");
-  EXPECT_EQ(O.getInt("missing", 7), 7);
+  EXPECT_EQ(O.getStrictUnsigned("missing", 7).take(), 7u);
 }
 
 TEST(Options, EnvFallback) {
   setenv("GCACHE_TESTOPT", "99", 1);
   const char *Argv[] = {"prog"};
   Options O = Options::parse(1, const_cast<char **>(Argv));
-  EXPECT_EQ(O.getInt("testopt", 0), 99);
+  EXPECT_EQ(O.getStrictUnsigned("testopt", 0).take(), 99u);
   unsetenv("GCACHE_TESTOPT");
 }
