@@ -75,8 +75,7 @@ unsigned sweepStaleTmpFiles(const std::string &Dir);
 /// How replayTraceCheckpointed checkpoints and resumes.
 struct ReplayCheckpointOptions {
   /// Base path of the checkpoint's A/B slot pair (`<path>.a`/`<path>.b`,
-  /// see support/Snapshot.h); empty = never cut. A legacy single file at
-  /// exactly this path still resumes.
+  /// see support/Snapshot.h); empty = never cut.
   std::string SnapshotPath;
   uint64_t EveryRefs = 0;   ///< Also checkpoint every N records (0 = only
                             ///< at GC boundaries).

@@ -2,7 +2,6 @@
 
 #include "gcache/gc/CheneyCollector.h"
 
-#include "gcache/support/Snapshot.h"
 #include "gcache/trace/Sinks.h"
 
 using namespace gcache;
@@ -24,10 +23,6 @@ Address CheneyCollector::allocate(uint32_t Words) {
   checkAllocFaults();
   if (H.dynamicWordsLeft() < Words)
     collect();
-  return finishAllocate(Words);
-}
-
-Address CheneyCollector::finishAllocate(uint32_t Words) {
   if (H.dynamicWordsLeft() < Words)
     fatalGcError(StatusCode::OutOfMemory,
                  "semispace exhausted: %u words requested, %u free; "
@@ -201,59 +196,4 @@ void CheneyCollector::fillCycleView(GcCycleView &V) const {
   V.HostRootsScanned = RootStage > RootsHost;
   V.StackSlotsScanned = StackCursor;
   V.StaticScanEnd = StaticCursor;
-}
-
-void CheneyCollector::saveCycleExtra(SnapshotWriter &W) const {
-  W.putU32(FromBase);
-  W.putU32(ToBase);
-  W.putU32(SemiBytes);
-  W.putU32(FreePtr);
-  W.putU32(ScanPtr);
-  W.putU8(RootStage);
-  W.putU32(StackCursor);
-  W.putU32(StaticCursor);
-  W.putU64(LiveBytesAfterGc);
-}
-
-void CheneyCollector::loadCycleExtra(SnapshotCursor &C) {
-  Address SavedFrom = C.getU32();
-  Address SavedTo = C.getU32();
-  uint32_t SavedSemi = C.getU32();
-  Address SavedFree = C.getU32();
-  Address SavedScan = C.getU32();
-  uint8_t SavedStage = C.getU8();
-  uint32_t SavedStackCursor = C.getU32();
-  Address SavedStaticCursor = C.getU32();
-  uint64_t SavedLive = C.getU64();
-  if (!C.ok())
-    return;
-  if (SavedSemi != SemiBytes) {
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "cheney snapshot has semispace size %u, this run "
-                         "uses %u",
-                         SavedSemi, SemiBytes));
-    return;
-  }
-  if ((SavedFrom != Heap::DynamicBase &&
-       SavedFrom != Heap::DynamicBase + SemiBytes) ||
-      SavedTo != (SavedFrom == Heap::DynamicBase
-                      ? Heap::DynamicBase + SemiBytes
-                      : Heap::DynamicBase) ||
-      SavedStage > RootsDone) {
-    C.fail(Status::fail(StatusCode::Corrupt,
-                        "cheney snapshot has implausible semispace bases "
-                        "or root stage"));
-    return;
-  }
-  FromBase = SavedFrom;
-  ToBase = SavedTo;
-  FreePtr = SavedFree;
-  ScanPtr = SavedScan;
-  RootStage = SavedStage;
-  StackCursor = SavedStackCursor;
-  StaticCursor = SavedStaticCursor;
-  LiveBytesAfterGc = SavedLive;
-  // Backing for both semispaces (the heap snapshot restores contents and
-  // frontiers; backing growth is untraced and idempotent).
-  H.ensureDynamicBacked(std::max(FromBase, ToBase) + SemiBytes);
 }

@@ -20,9 +20,8 @@
 /// As a stepped machine (Collector.h): RootScan forwards host roots, then
 /// the stack, then the static area under a cursor; each Trace step scans
 /// up to stepBudget() copied objects at the Cheney scan pointer; Finish
-/// flips the spaces. The machine state (scan pointer, root cursors) is a
-/// handful of words, serialized by saveCycleExtra for mid-cycle
-/// snapshots.
+/// flips the spaces. The machine state is the scan pointer and the root
+/// cursors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +40,6 @@ public:
   CheneyCollector(Heap &H, MutatorContext &Mutator, uint32_t SemispaceBytes);
 
   Address allocate(uint32_t Words) override;
-  Address finishAllocate(uint32_t Words) override;
   std::string name() const override { return "cheney"; }
   /// Live data sits in from-space between its base and the frontier.
   std::vector<std::pair<Address, Address>> liveRanges() const override {
@@ -58,8 +56,6 @@ protected:
   void onBeginCycle(GcCycleKind Kind) override;
   bool onCycleStep() override;
   void fillCycleView(GcCycleView &V) const override;
-  void saveCycleExtra(SnapshotWriter &W) const override;
-  void loadCycleExtra(SnapshotCursor &C) override;
 
 private:
   /// RootScan sub-stages, in scan order.

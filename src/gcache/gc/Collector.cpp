@@ -5,9 +5,7 @@
 #include "gcache/heap/HeapVerifier.h"
 #include "gcache/support/Budget.h"
 #include "gcache/support/FaultInjector.h"
-#include "gcache/support/Snapshot.h"
 
-#include <csignal>
 #include <cstdarg>
 #include <cstdio>
 
@@ -53,13 +51,10 @@ bool Collector::stepCycle() {
   bool More = onCycleStep();
   ++StepIndex;
   ++TotalSteps;
-  // Boundary order: certify before the cut (never checkpoint a state the
-  // certifier would reject), cut before the fault sites (a kill-at-N run
-  // has a cut at N to resume from), then the cancellation poll.
+  // Boundary order: certify, then the fault site, then the cancellation
+  // poll.
   if (PhaseParanoid && More)
     certifyNowOrThrow("at step boundary");
-  if (StepObserverFn)
-    StepObserverFn(*this, More);
   FaultInjector &Fi = faultInjector();
   if (Fi.shouldFire(FaultSite::GcStepAbort))
     throw StatusError(Status::failf(
@@ -67,21 +62,10 @@ bool Collector::stepCycle() {
         "injected GC interruption (site gc-step-abort, occurrence %llu)",
         static_cast<unsigned long long>(
             Fi.occurrences(FaultSite::GcStepAbort))));
-  if (Fi.shouldFire(FaultSite::GcStepKill)) {
-    std::fflush(nullptr);
-    raise(SIGKILL);
-  }
   pollCancellation("gc-step");
   if (!More)
     paranoidPostGcCheck();
   return More;
-}
-
-Address Collector::finishAllocate(uint32_t Words) {
-  fatalGcError(StatusCode::GcError,
-               "collector '%s' cannot complete an interrupted allocation "
-               "of %u words",
-               name().c_str(), Words);
 }
 
 void Collector::certifyNowOrThrow(const char *When) const {
@@ -89,62 +73,6 @@ void Collector::certifyNowOrThrow(const char *When) const {
   Mutator.forEachHostRoot([&](Value &V) { Roots.HostRoots.push_back(V); });
   Roots.StackWords = Mutator.liveStackWords();
   certifyGcCycleOrThrow(H, cycleView(), Roots, When);
-}
-
-//===--- Mid-cycle snapshots -----------------------------------------------===//
-
-void Collector::saveCycleState(SnapshotWriter &W) const {
-  W.beginSection("gc-cycle");
-  W.putString(name());
-  W.putU8(static_cast<uint8_t>(CurKind));
-  W.putU8(static_cast<uint8_t>(CurPhase));
-  W.putU64(StepIndex);
-  W.putU64(TotalSteps);
-  W.putU32(StepBudget);
-  W.putU64(Stats.Collections);
-  W.putU64(Stats.MajorCollections);
-  W.putU64(Stats.ObjectsCopied);
-  W.putU64(Stats.WordsCopied);
-  W.putU64(Stats.Instructions);
-  saveCycleExtra(W);
-}
-
-Status Collector::loadCycleState(const SnapshotReader &R) {
-  SnapshotCursor C = R.section("gc-cycle");
-  std::string Name = C.getString();
-  uint8_t Kind = C.getU8();
-  uint8_t Phase = C.getU8();
-  uint64_t SavedStepIndex = C.getU64();
-  uint64_t SavedTotalSteps = C.getU64();
-  uint32_t SavedStepBudget = C.getU32();
-  GcStats SavedStats;
-  SavedStats.Collections = C.getU64();
-  SavedStats.MajorCollections = C.getU64();
-  SavedStats.ObjectsCopied = C.getU64();
-  SavedStats.WordsCopied = C.getU64();
-  SavedStats.Instructions = C.getU64();
-  if (C.ok() && Name != name())
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "gc-cycle snapshot is for collector '%s', this run "
-                         "uses '%s'",
-                         Name.c_str(), name().c_str()));
-  if (C.ok() && (Kind > static_cast<uint8_t>(GcCycleKind::Minor) ||
-                 Phase > static_cast<uint8_t>(GcPhase::Finish)))
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "gc-cycle snapshot has kind %u / phase %u out of "
-                         "range",
-                         Kind, Phase));
-  if (!C.ok())
-    return C.finish();
-
-  CurKind = static_cast<GcCycleKind>(Kind);
-  CurPhase = static_cast<GcPhase>(Phase);
-  StepIndex = SavedStepIndex;
-  TotalSteps = SavedTotalSteps;
-  StepBudget = SavedStepBudget ? SavedStepBudget : 1;
-  Stats = SavedStats;
-  loadCycleExtra(C);
-  return C.finish();
 }
 
 //===--- Verification and fault hooks --------------------------------------===//

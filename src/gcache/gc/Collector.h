@@ -35,18 +35,15 @@
 ///
 ///   1. an optional certification point (--paranoid=phase runs the
 ///      collector-independent GcCertifier over the cycle's GcCycleView);
-///   2. a legal checkpoint cut (the step observer may serialize the whole
-///      run, including the in-flight cycle, via saveCycleState());
-///   3. a fault-injection site (gc-step-abort throws Aborted,
-///      gc-step-kill SIGKILLs the process);
-///   4. a cooperative cancellation poll ("gc-step").
+///   2. a fault-injection site (gc-step-abort throws Aborted, leaving the
+///      cycle in flight for the caller to drive to completion);
+///   3. a cooperative cancellation poll ("gc-step").
 ///
 /// Steps only partition the loops the collectors always ran — the traced
-/// reference stream is bit-identical to an unstepped collection, and a
-/// run killed at any boundary and resumed from the cut replays the exact
-/// remaining stream. Each step emits one OpGcPhase marker (trace v3)
-/// naming the phase of the work that follows it, so traces record
-/// per-phase reference counts and step shapes.
+/// reference stream is bit-identical to an unstepped collection. Each
+/// step emits one OpGcPhase marker (trace v3) naming the phase of the
+/// work that follows it, so traces record per-phase reference counts and
+/// step shapes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,10 +61,6 @@
 #include <vector>
 
 namespace gcache {
-
-class SnapshotWriter;
-class SnapshotReader;
-class SnapshotCursor;
 
 /// Per-collection instruction cost model (see file comment).
 namespace gccost {
@@ -150,8 +143,8 @@ public:
   void beginCycle(GcCycleKind Kind);
 
   /// Performs one bounded step of the active cycle and crosses a step
-  /// boundary (certify / observer cut / fault sites / cancellation poll —
-  /// see file comment). Returns true while the cycle has more steps;
+  /// boundary (certify / fault site / cancellation poll — see file
+  /// comment). Returns true while the cycle has more steps;
   /// false once it finished (or when no cycle is active).
   bool stepCycle();
 
@@ -163,8 +156,8 @@ public:
   }
 
   /// True while a cycle is in flight (between beginCycle and the finish
-  /// step) — in particular in a step observer or after resuming a mid-GC
-  /// snapshot, when the remaining steps must still be driven.
+  /// step) — in particular after gc-step-abort interrupted it, when the
+  /// remaining steps must still be driven.
   bool gcActive() const { return CurPhase != GcPhase::Idle; }
   GcPhase gcPhase() const { return CurPhase; }
   GcCycleKind cycleKind() const { return CurKind; }
@@ -173,34 +166,11 @@ public:
   uint64_t stepIndex() const { return StepIndex; }
   uint64_t totalSteps() const { return TotalSteps; }
 
-  /// Work bound per step, in objects/slots/entries (minimum 1). Part of
-  /// the serialized cycle state: it shapes step counts, and with them
-  /// marker streams and boundary-site fault occurrences.
+  /// Work bound per step, in objects/slots/entries (minimum 1). It shapes
+  /// step counts, and with them marker streams and boundary-site fault
+  /// occurrences.
   void setStepBudget(uint32_t N) { StepBudget = N ? N : 1; }
   uint32_t stepBudget() const { return StepBudget; }
-
-  /// Observer called at every step boundary, after the step's work (and
-  /// any phase certification): the legal checkpoint cut. \p More mirrors
-  /// stepCycle()'s return value.
-  using StepObserver = std::function<void(Collector &, bool More)>;
-  void setStepObserver(StepObserver Fn) { StepObserverFn = std::move(Fn); }
-
-  /// Completes an allocation that a cycle interrupted: exactly the
-  /// post-collection tail of allocate(), without re-entering the fault
-  /// hooks. Used after resuming a mid-GC snapshot whose cut happened
-  /// inside allocate()'s collection.
-  virtual Address finishAllocate(uint32_t Words);
-
-  //===--- Mid-cycle snapshots --------------------------------------------===//
-
-  /// Serializes the in-flight cycle (phase, step counters, stats, and the
-  /// collector's machine state via saveCycleExtra) as a "gc-cycle"
-  /// snapshot section. Legal at any step boundary, including Idle.
-  void saveCycleState(SnapshotWriter &W) const;
-
-  /// Restores a "gc-cycle" section saved by the same collector type (the
-  /// collector name is validated). The heap must already be restored.
-  Status loadCycleState(const SnapshotReader &R);
 
   //===--- Paranoid heap verification -------------------------------------===//
 
@@ -279,12 +249,6 @@ protected:
   /// progress, worklists). Kind/Phase are pre-filled by cycleView().
   virtual void fillCycleView(GcCycleView &V) const { (void)V; }
 
-  /// Collector-specific cycle machine state appended to / read back from
-  /// the "gc-cycle" snapshot section. loadCycleExtra latches problems in
-  /// the cursor rather than throwing.
-  virtual void saveCycleExtra(SnapshotWriter &W) const { (void)W; }
-  virtual void loadCycleExtra(SnapshotCursor &C) { (void)C; }
-
   Heap &H;
   MutatorContext &Mutator;
   GcStats Stats;
@@ -297,7 +261,6 @@ private:
   uint64_t StepIndex = 0;
   uint64_t TotalSteps = 0;
   uint32_t StepBudget = 256;
-  StepObserver StepObserverFn;
 };
 
 /// No collection at all: linear allocation in the unbounded dynamic area.
@@ -311,9 +274,6 @@ public:
   }
   Address allocate(uint32_t Words) override {
     checkAllocFaults();
-    return finishAllocate(Words);
-  }
-  Address finishAllocate(uint32_t Words) override {
     return H.allocDynamicRaw(Words);
   }
   std::string name() const override { return "none"; }

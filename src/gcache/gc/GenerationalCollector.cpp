@@ -2,7 +2,6 @@
 
 #include "gcache/gc/GenerationalCollector.h"
 
-#include "gcache/support/Snapshot.h"
 #include "gcache/trace/Sinks.h"
 
 using namespace gcache;
@@ -31,15 +30,6 @@ Address GenerationalCollector::allocate(uint32_t Words) {
   if (Bytes > Config.NurseryBytes / 2) {
     if (oldFreeBytes() < Bytes)
       collect();
-  } else if (H.dynamicWordsLeft() < Words) {
-    minorCollect();
-  }
-  return finishAllocate(Words);
-}
-
-Address GenerationalCollector::finishAllocate(uint32_t Words) {
-  uint32_t Bytes = Words * 4;
-  if (Bytes > Config.NurseryBytes / 2) {
     if (oldFreeBytes() < Bytes)
       fatalGcError(StatusCode::OutOfMemory,
                    "old generation exhausted by a %u-byte object", Bytes);
@@ -53,6 +43,8 @@ Address GenerationalCollector::finishAllocate(uint32_t Words) {
     H.setDynamicLimit(SavedLimit);
     return A;
   }
+  if (H.dynamicWordsLeft() < Words)
+    minorCollect();
   if (H.dynamicWordsLeft() < Words)
     fatalGcError(StatusCode::OutOfMemory,
                  "nursery exhausted after a minor collection");
@@ -280,71 +272,4 @@ void GenerationalCollector::fillCycleView(GcCycleView &V) const {
   V.StackSlotsScanned = StackCursor;
   V.StaticScanEnd = StaticCursor;
   V.RememberedScanned = RememberedCursor;
-}
-
-void GenerationalCollector::saveCycleExtra(SnapshotWriter &W) const {
-  W.putU32(Config.NurseryBytes);
-  W.putU32(Config.OldSemispaceBytes);
-  W.putU32(OldFromBase);
-  W.putU32(OldToBase);
-  W.putU32(OldFree);
-  W.putU32(FreePtr);
-  W.putU32(ScanPtr);
-  W.putU8(RootStage);
-  W.putU32(StackCursor);
-  W.putU32(StaticCursor);
-  W.putU64(RememberedCursor);
-  std::vector<uint64_t> Slots(RememberedList.begin(), RememberedList.end());
-  W.putVecU64(Slots);
-}
-
-void GenerationalCollector::loadCycleExtra(SnapshotCursor &C) {
-  uint32_t SavedNursery = C.getU32();
-  uint32_t SavedOldSemi = C.getU32();
-  Address SavedOldFrom = C.getU32();
-  Address SavedOldTo = C.getU32();
-  Address SavedOldFree = C.getU32();
-  Address SavedFree = C.getU32();
-  Address SavedScan = C.getU32();
-  uint8_t SavedStage = C.getU8();
-  uint32_t SavedStackCursor = C.getU32();
-  Address SavedStaticCursor = C.getU32();
-  uint64_t SavedRememberedCursor = C.getU64();
-  std::vector<uint64_t> Slots = C.getVecU64();
-  if (!C.ok())
-    return;
-  if (SavedNursery != Config.NurseryBytes ||
-      SavedOldSemi != Config.OldSemispaceBytes) {
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "generational snapshot has sizes (%u, %u), this "
-                         "run uses (%u, %u)",
-                         SavedNursery, SavedOldSemi, Config.NurseryBytes,
-                         Config.OldSemispaceBytes));
-    return;
-  }
-  Address LowBase = Heap::DynamicBase + Config.NurseryBytes;
-  Address HighBase = LowBase + Config.OldSemispaceBytes;
-  if ((SavedOldFrom != LowBase && SavedOldFrom != HighBase) ||
-      SavedOldTo != (SavedOldFrom == LowBase ? HighBase : LowBase) ||
-      SavedStage > RootsDone) {
-    C.fail(Status::fail(StatusCode::Corrupt,
-                        "generational snapshot has implausible semispace "
-                        "bases or root stage"));
-    return;
-  }
-  OldFromBase = SavedOldFrom;
-  OldToBase = SavedOldTo;
-  OldFree = SavedOldFree;
-  FreePtr = SavedFree;
-  ScanPtr = SavedScan;
-  RootStage = SavedStage;
-  StackCursor = SavedStackCursor;
-  StaticCursor = SavedStaticCursor;
-  RememberedCursor = SavedRememberedCursor;
-  RememberedList.assign(Slots.begin(), Slots.end());
-  RememberedSet.clear();
-  for (Address Slot : RememberedList)
-    RememberedSet.insert(Slot);
-  H.ensureDynamicBacked(std::max(OldFromBase, OldToBase) +
-                        Config.OldSemispaceBytes);
 }

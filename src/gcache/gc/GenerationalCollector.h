@@ -61,7 +61,6 @@ public:
                         const GenerationalConfig &Config);
 
   Address allocate(uint32_t Words) override;
-  Address finishAllocate(uint32_t Words) override;
   std::string name() const override { return "generational"; }
   /// Live data: the filled part of the nursery plus the old generation's
   /// occupied from-space prefix.
@@ -88,8 +87,6 @@ protected:
   void onBeginCycle(GcCycleKind Kind) override;
   bool onCycleStep() override;
   void fillCycleView(GcCycleView &V) const override;
-  void saveCycleExtra(SnapshotWriter &W) const override;
-  void loadCycleExtra(SnapshotCursor &C) override;
 
 private:
   /// RootScan sub-stages, in scan order (full cycles skip Remembered —

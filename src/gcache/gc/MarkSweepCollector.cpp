@@ -2,7 +2,6 @@
 
 #include "gcache/gc/MarkSweepCollector.h"
 
-#include "gcache/support/Snapshot.h"
 #include "gcache/trace/Sinks.h"
 
 #include <algorithm>
@@ -95,25 +94,16 @@ Address MarkSweepCollector::allocate(uint32_t Words) {
   checkAllocFaults();
   uint32_t Need = Words < 2 ? 2 : Words;
   Address A = popFit(Need);
-  if (A) {
-    // Pad a 1-word allocation so the next word stays walkable.
-    if (Need > Words)
-      H.store(A + Words * 4, makeHeader(ObjectTag::FreeChunk, 0));
-    H.recordAllocationEvent(A, Words);
-    return A;
+  if (!A) {
+    collect();
+    A = popFit(Need);
   }
-  collect();
-  return finishAllocate(Words);
-}
-
-Address MarkSweepCollector::finishAllocate(uint32_t Words) {
-  uint32_t Need = Words < 2 ? 2 : Words;
-  Address A = popFit(Need);
   if (!A)
     fatalGcError(StatusCode::OutOfMemory,
                  "mark-sweep heap exhausted allocating %u words "
                  "(fragmentation or undersized heap)",
                  Words);
+  // Pad a 1-word allocation so the next word stays walkable.
   if (Need > Words)
     H.store(A + Words * 4, makeHeader(ObjectTag::FreeChunk, 0));
   H.recordAllocationEvent(A, Words);
@@ -346,90 +336,6 @@ void MarkSweepCollector::fillCycleView(GcCycleView &V) const {
     A += ObjWords * 4;
     In = false;
   }
-}
-
-void MarkSweepCollector::saveCycleExtra(SnapshotWriter &W) const {
-  W.putU32(Base);
-  W.putU32(End);
-  for (Address L : FreeLists)
-    W.putU32(L);
-  W.putU64(ObjectsFreed);
-  W.putU64(AllocSearchCost);
-  W.putVecU64(MarkBits);
-  std::vector<uint64_t> Stack(MarkStack.begin(), MarkStack.end());
-  W.putVecU64(Stack);
-  std::vector<uint64_t> Roots;
-  Roots.reserve(HostRootsSnapshot.size());
-  for (Value V : HostRootsSnapshot)
-    Roots.push_back(V.Bits);
-  W.putVecU64(Roots);
-  W.putU64(HostRootCursor);
-  W.putU32(StackCursor);
-  W.putU32(StaticCursor);
-  W.putU8(InStaticObject ? 1 : 0);
-  W.putU32(StaticSlot);
-  W.putU32(StaticSlotFirst);
-  W.putU32(StaticSlotCount);
-  W.putU32(StaticObjWords);
-  W.putU32(SweepCursor);
-  W.putU32(RunStart);
-  W.putU32(RunWords);
-}
-
-void MarkSweepCollector::loadCycleExtra(SnapshotCursor &C) {
-  Address SavedBase = C.getU32();
-  Address SavedEnd = C.getU32();
-  Address SavedLists[NumClasses];
-  for (Address &L : SavedLists)
-    L = C.getU32();
-  uint64_t SavedFreed = C.getU64();
-  uint64_t SavedSearch = C.getU64();
-  std::vector<uint64_t> SavedBits = C.getVecU64();
-  std::vector<uint64_t> SavedStack = C.getVecU64();
-  std::vector<uint64_t> SavedRoots = C.getVecU64();
-  uint64_t SavedHostCursor = C.getU64();
-  uint32_t SavedStackCursor = C.getU32();
-  Address SavedStaticCursor = C.getU32();
-  uint8_t SavedInObject = C.getU8();
-  uint32_t SavedSlot = C.getU32();
-  uint32_t SavedFirst = C.getU32();
-  uint32_t SavedCount = C.getU32();
-  uint32_t SavedObjWords = C.getU32();
-  Address SavedSweepCursor = C.getU32();
-  Address SavedRunStart = C.getU32();
-  uint32_t SavedRunWords = C.getU32();
-  if (!C.ok())
-    return;
-  if (SavedBase != Base || SavedEnd != End ||
-      SavedBits.size() != MarkBits.size()) {
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "mark-sweep snapshot covers [0x%08x, 0x%08x), this "
-                         "run uses [0x%08x, 0x%08x)",
-                         SavedBase, SavedEnd, Base, End));
-    return;
-  }
-  std::copy(std::begin(SavedLists), std::end(SavedLists),
-            std::begin(FreeLists));
-  ObjectsFreed = SavedFreed;
-  AllocSearchCost = SavedSearch;
-  MarkBits = std::move(SavedBits);
-  MarkStack.assign(SavedStack.begin(), SavedStack.end());
-  HostRootsSnapshot.clear();
-  HostRootsSnapshot.reserve(SavedRoots.size());
-  for (uint64_t Bits : SavedRoots)
-    HostRootsSnapshot.push_back(Value{static_cast<uint32_t>(Bits)});
-  HostRootCursor = SavedHostCursor;
-  StackCursor = SavedStackCursor;
-  StaticCursor = SavedStaticCursor;
-  InStaticObject = SavedInObject != 0;
-  StaticSlot = SavedSlot;
-  StaticSlotFirst = SavedFirst;
-  StaticSlotCount = SavedCount;
-  StaticObjWords = SavedObjWords;
-  SweepCursor = SavedSweepCursor;
-  RunStart = SavedRunStart;
-  RunWords = SavedRunWords;
-  H.ensureDynamicBacked(End);
 }
 
 uint64_t MarkSweepCollector::freeWords() const {

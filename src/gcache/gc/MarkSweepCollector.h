@@ -55,7 +55,6 @@ public:
   MarkSweepCollector(Heap &H, MutatorContext &Mutator, uint32_t HeapBytes);
 
   Address allocate(uint32_t Words) override;
-  Address finishAllocate(uint32_t Words) override;
   std::string name() const override { return "marksweep"; }
   /// The whole region stays walkable (free chunks carry headers), so the
   /// verifier can parse it end to end.
@@ -85,8 +84,6 @@ protected:
   void onBeginCycle(GcCycleKind Kind) override;
   bool onCycleStep() override;
   void fillCycleView(GcCycleView &V) const override;
-  void saveCycleExtra(SnapshotWriter &W) const override;
-  void loadCycleExtra(SnapshotCursor &C) override;
 
 private:
   static constexpr uint32_t NumClasses = 24;

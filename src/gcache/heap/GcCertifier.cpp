@@ -270,7 +270,9 @@ struct Certifier {
     for (uint32_t I = 0; ok() && I < Roots.StackWords; ++I)
       pushValue(Value{H.peek(H.stackSlotAddr(I))},
                 "stack root targets unknown space");
-    if (V.RememberedSlots)
+    // Remembered slots root only a minor cycle. A full cycle traces the
+    // old generation itself, so a slot of a dead old object roots nothing.
+    if (V.Kind == GcCycleKind::Minor && V.RememberedSlots)
       for (Address Slot : *V.RememberedSlots)
         pushValue(Value{H.peek(Slot)},
                   "remembered slot targets unknown space");

@@ -2,11 +2,9 @@
 
 #include "gcache/heap/Heap.h"
 
-#include "gcache/support/Snapshot.h"
 #include "gcache/trace/Sinks.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace gcache;
 
@@ -90,109 +88,6 @@ uint32_t Heap::dynamicWordsLeft() const {
     return UINT32_MAX;
   assert(DynLimit >= DynFrontier && "frontier past limit");
   return (DynLimit - DynFrontier) >> 2;
-}
-
-namespace {
-
-/// Length of \p V with trailing zero words removed (the elidable suffix).
-size_t nonzeroPrefix(const std::vector<uint32_t> &V) {
-  size_t N = V.size();
-  while (N && V[N - 1] == 0)
-    --N;
-  return N;
-}
-
-void putWords(SnapshotWriter &W, const std::vector<uint32_t> &V) {
-  W.putU64(V.size());
-  uint64_t Used = nonzeroPrefix(V);
-  W.putU64(Used);
-  W.putBytes(V.data(), Used * 4);
-}
-
-/// Reads a word vector written by putWords into \p Out. \p MaxWords bounds
-/// the stored total size (hostile counts must not drive allocation).
-bool getWords(SnapshotCursor &C, std::vector<uint32_t> &Out,
-              uint64_t MaxWords, const char *What) {
-  uint64_t Total = C.getU64();
-  uint64_t Used = C.getU64();
-  if (!C.ok())
-    return false;
-  if (Total > MaxWords || Used > Total || Used * 4 > C.remaining()) {
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "heap snapshot %s words implausible: %llu of %llu",
-                         What, (unsigned long long)Used,
-                         (unsigned long long)Total));
-    return false;
-  }
-  Out.assign(Total, 0);
-  if (Used)
-    C.getBytes(Out.data(), Used * 4);
-  return C.ok();
-}
-
-} // namespace
-
-void Heap::saveTo(SnapshotWriter &W) const {
-  W.beginSection("heap");
-  W.putU32(StaticFrontier);
-  W.putU32(DynFrontier);
-  W.putU32(DynLimit);
-  W.putU64(DynBytesAllocated);
-  W.putU8(static_cast<uint8_t>(CurrentPhase));
-  putWords(W, StaticWords);
-  putWords(W, StackWords);
-  putWords(W, DynamicWords);
-}
-
-Status Heap::loadFrom(const SnapshotReader &R) {
-  SnapshotCursor C = R.section("heap");
-  Address SavedStaticFrontier = C.getU32();
-  Address SavedDynFrontier = C.getU32();
-  Address SavedDynLimit = C.getU32();
-  uint64_t SavedAllocated = C.getU64();
-  uint8_t SavedPhase = C.getU8();
-  if (C.ok()) {
-    if (SavedStaticFrontier < StaticBase || SavedStaticFrontier >= StackBase ||
-        (SavedStaticFrontier & 3) != 0 || SavedDynFrontier < DynamicBase ||
-        (SavedDynFrontier & 3) != 0 ||
-        (SavedDynLimit != 0 && SavedDynLimit < SavedDynFrontier) ||
-        SavedPhase > static_cast<uint8_t>(Phase::Collector))
-      C.fail(Status::fail(StatusCode::Corrupt,
-                          "heap snapshot frontiers/phase out of range"));
-  }
-  std::vector<uint32_t> NewStatic, NewStack, NewDynamic;
-  if (C.ok())
-    getWords(C, NewStatic, (StackBase - StaticBase) / 4, "static");
-  if (C.ok())
-    getWords(C, NewStack, StackCapacityWords, "stack");
-  if (C.ok())
-    getWords(C, NewDynamic, (0xFFFFFFFFu - DynamicBase) / 4, "dynamic");
-  if (C.ok()) {
-    if (NewStatic.size() != (SavedStaticFrontier - StaticBase) / 4)
-      C.fail(Status::fail(StatusCode::Corrupt,
-                          "heap snapshot static size disagrees with its "
-                          "frontier"));
-    else if (NewStack.size() != StackCapacityWords)
-      C.fail(Status::fail(StatusCode::Corrupt,
-                          "heap snapshot stack size disagrees with the "
-                          "configured capacity"));
-    else if (NewDynamic.size() < (SavedDynFrontier - DynamicBase) / 4)
-      C.fail(Status::fail(StatusCode::Corrupt,
-                          "heap snapshot dynamic backing does not cover its "
-                          "frontier"));
-  }
-  Status S = C.finish();
-  if (!S.ok())
-    return S;
-  StaticWords = std::move(NewStatic);
-  StackWords = std::move(NewStack);
-  DynamicWords = std::move(NewDynamic);
-  StaticFrontier = SavedStaticFrontier;
-  DynFrontier = SavedDynFrontier;
-  DynLimit = SavedDynLimit;
-  DynBytesAllocated = SavedAllocated;
-  CurrentPhase = static_cast<Phase>(SavedPhase);
-  return Status();
 }
 
 void Heap::ensureDynamicBacked(Address A) {

@@ -26,7 +26,6 @@
 #define GCACHE_HEAP_HEAP_H
 
 #include "gcache/heap/Value.h"
-#include "gcache/support/Status.h"
 #include "gcache/trace/Event.h"
 
 #include <cstdint>
@@ -35,8 +34,6 @@
 namespace gcache {
 
 class TraceSink;
-class SnapshotWriter;
-class SnapshotReader;
 
 /// Simulated memory with static/stack/dynamic regions, linear allocation,
 /// and per-access trace emission.
@@ -128,20 +125,6 @@ public:
 
   /// Total dynamic bytes ever allocated (the paper's "Alloc" column).
   uint64_t dynamicBytesAllocated() const { return DynBytesAllocated; }
-
-  //===--- Snapshots ------------------------------------------------------===//
-
-  /// Serializes the whole simulated memory (all three regions, frontiers,
-  /// limit, allocation accounting, and the current phase) as a "heap"
-  /// snapshot section. Trailing zero words of the stack and dynamic
-  /// backing are elided (the round trip is still exact: sizes are stored
-  /// and the elided suffix is restored as zeros). The trace bus and
-  /// tracing flag are environment, not state, and are not saved.
-  void saveTo(SnapshotWriter &W) const;
-
-  /// Restores a "heap" section. On any validation failure the heap is
-  /// left untouched and Corrupt/Truncated is returned.
-  Status loadFrom(const SnapshotReader &R);
 
 private:
   uint32_t *slotFor(Address A);

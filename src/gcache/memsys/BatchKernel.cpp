@@ -11,18 +11,9 @@ using namespace gcache;
 
 const BatchIndex::BlockColumns &BatchIndex::columnsFor(uint32_t BlockBytes) {
   assert(Batch && "BatchIndex::reset must point at a batch first");
-  BlockColumns *Free = nullptr;
-  for (BlockColumns &C : Columns) {
-    if (C.BlockBytes == BlockBytes)
-      return C;
-    if (C.BlockBytes == 0 && !Free)
-      Free = &C;
-  }
-  if (!Free) {
-    Columns.emplace_back();
-    Free = &Columns.back();
-  }
-  BlockColumns &C = *Free;
+  BlockColumns &C = Columns;
+  if (C.BlockBytes == BlockBytes)
+    return C;
   C.BlockBytes = BlockBytes;
   const size_t N = Batch->size();
   assert(N <= BlockColumns::RunLenMask &&

@@ -9,8 +9,8 @@
 /// batch (trace/Event.h RefColumns) and simulates it against one cache in
 /// a tight, branch-light loop: policy flags are hoisted, counters live in
 /// locals, the direct-mapped case skips the way scan, and the address
-/// decomposition is precomputed once per (batch, block size) in a
-/// BatchIndex shared by every cache with that block size.
+/// decomposition is precomputed once per batch in a BatchIndex shared by
+/// every cache with that block size.
 ///
 /// Correctness contract: BatchKernel::run is *bit-identical* to feeding
 /// the same references through Cache::access one at a time — same
@@ -41,10 +41,10 @@ namespace gcache {
 class Cache;
 
 /// Per-batch scratch space holding the precomputed address columns of one
-/// RefColumns batch, one entry per distinct block size. Computed lazily on
-/// first use and reused across the caches of a bank (and across batches —
-/// reset() keeps the allocations). Not thread-safe: each CacheBank lane
-/// owns its own BatchIndex.
+/// RefColumns batch for one block size. Computed lazily on first use and
+/// reused across the caches of a lane, which all share that block size
+/// (and across batches — reset() keeps the allocations). Not thread-safe:
+/// each CacheBank lane owns its own BatchIndex.
 class BatchIndex {
 public:
   /// The decomposed address columns for one block size, plus the batch's
@@ -98,20 +98,20 @@ public:
     uint64_t Stores[2] = {0, 0};
   };
 
-  /// Points the index at a new batch and invalidates all cached columns
+  /// Points the index at a new batch and invalidates the cached columns
   /// (their storage is kept for reuse). The batch must outlive all
   /// columnsFor() calls made against it.
   void reset(const RefColumns *B) {
     Batch = B;
     TallyValid = false;
-    for (BlockColumns &C : Columns)
-      C.BlockBytes = 0;
+    Columns.BlockBytes = 0;
   }
 
   const RefColumns *batch() const { return Batch; }
 
   /// The decomposed columns of the current batch for \p BlockBytes (a
-  /// power of two), computing them on first request.
+  /// power of two), computing them on first request. A request for
+  /// another block size recomputes the columns in place.
   const BlockColumns &columnsFor(uint32_t BlockBytes);
 
   /// The current batch's per-phase load/store tallies, computed on first
@@ -120,7 +120,7 @@ public:
 
 private:
   const RefColumns *Batch = nullptr;
-  std::vector<BlockColumns> Columns;
+  BlockColumns Columns;
   RefTally Tally;
   bool TallyValid = false;
 };

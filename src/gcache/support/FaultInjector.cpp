@@ -31,8 +31,6 @@ const char *gcache::faultSiteName(FaultSite Site) {
     return "budget-probe";
   case FaultSite::GcStepAbort:
     return "gc-step-abort";
-  case FaultSite::GcStepKill:
-    return "gc-step-kill";
   case FaultSite::IoShortWrite:
     return "io-short-write";
   case FaultSite::IoTornWrite:
@@ -86,9 +84,9 @@ Expected<FaultPlan> gcache::parseFaultSpec(const std::string &Spec) {
                          "<site>:<n>[:<seed>] with site one of heap-oom, "
                          "gc-force, trace-write, shard-worker, step-abort, "
                          "snapshot-write, snapshot-load, watchdog-trip, "
-                         "budget-probe, gc-step-abort, gc-step-kill, "
-                         "io-short-write, io-torn-write, io-eio, io-enospc, "
-                         "io-fsync-lost and n >= 1",
+                         "budget-probe, gc-step-abort, io-short-write, "
+                         "io-torn-write, io-eio, io-enospc, io-fsync-lost "
+                         "and n >= 1",
                          Spec.c_str(), Why);
   };
 

@@ -30,12 +30,9 @@
 ///                   (degrade the analysis sinks) under
 ///                   --on-budget=degrade, hard (drain) otherwise.
 ///   gc-step-abort   The Nth GC step boundary throws Aborted after the
-///                   step's work (and any step-observer checkpoint cut)
-///                   completes — a clean mid-cycle interruption the
-///                   caller can resume from (gc/Collector.h).
-///   gc-step-kill    The process SIGKILLs itself at the Nth GC step
-///                   boundary, after the cut — the kill-at-every-GC-step
-///                   resume sweep of the torture tests.
+///                   step's work completes; the cycle stays in flight and
+///                   the caller may drive it to completion
+///                   (gc/Collector.h).
 ///   io-short-write  The Nth Vfs write persists only a byte-granular
 ///                   prefix and reports the failure — an EINTR-style
 ///                   partial write (support/Vfs.h).
@@ -90,14 +87,13 @@ enum class FaultSite : uint8_t {
   WatchdogTrip,
   BudgetProbe,
   GcStepAbort,
-  GcStepKill,
   IoShortWrite,
   IoTornWrite,
   IoEio,
   IoEnospc,
   IoFsyncLost,
 };
-constexpr unsigned NumFaultSites = 16;
+constexpr unsigned NumFaultSites = 15;
 
 /// Stable spec name of \p Site ("heap-oom", "trace-write", ...).
 const char *faultSiteName(FaultSite Site);

@@ -402,7 +402,7 @@ SlotProbe probeSlot(const std::string &Path) {
 
 bool gcache::snapshotAbExists(const std::string &Base) {
   return vfs().exists(snapshotSlotA(Base)) ||
-         vfs().exists(snapshotSlotB(Base)) || vfs().exists(Base);
+         vfs().exists(snapshotSlotB(Base));
 }
 
 Status gcache::writeSnapshotAb(SnapshotWriter &W, const std::string &Base) {
@@ -428,11 +428,6 @@ Status gcache::openSnapshotAb(SnapshotReader &R, const std::string &Base,
   SlotProbe B = probeSlot(snapshotSlotB(Base));
 
   if (!A.Valid && !B.Valid) {
-    // Legacy single-file layout, accepted only when no slot was ever cut.
-    if (!A.Present && !B.Present && vfs().exists(Base)) {
-      I.LoadedPath = Base;
-      return R.open(Base);
-    }
     // Both slots are damaged (or the only slot is): report the newer
     // failure — "newer" meaning the slot that exists, or A by convention.
     return (B.Present && !A.Present) ? B.Err : A.Err;

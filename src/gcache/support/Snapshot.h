@@ -189,14 +189,12 @@ private:
 //    newer slot is damaged it *falls back* to the older good one, and the
 //    open-time scrubber rewrites the damaged slot from the good slot's
 //    bytes so redundancy is restored before the run proceeds.
-//  - A bare `<base>` file (the pre-A/B layout) is still accepted when
-//    neither slot exists, so old checkpoints remain loadable.
 
 /// What openSnapshotAb found and did — the fallback/scrub telemetry the
 /// mutation tests assert on.
 struct AbSlotInfo {
-  std::string LoadedPath;    ///< The slot (or legacy file) that served.
-  uint64_t Generation = 0;   ///< Its generation (0 for a legacy file).
+  std::string LoadedPath;    ///< The slot that served.
+  uint64_t Generation = 0;   ///< Its generation.
   bool FellBack = false;     ///< The newer slot was damaged; used the older.
   bool Scrubbed = false;     ///< A damaged/missing slot was repaired.
 };
@@ -205,8 +203,7 @@ struct AbSlotInfo {
 std::string snapshotSlotA(const std::string &Base);
 std::string snapshotSlotB(const std::string &Base);
 
-/// True when a resumable checkpoint exists at \p Base: either A/B slot, or
-/// a legacy single file.
+/// True when a resumable checkpoint exists at \p Base: either A/B slot.
 bool snapshotAbExists(const std::string &Base);
 
 /// Appends the "ab-generation" section to \p W and writes it into the slot

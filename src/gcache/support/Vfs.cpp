@@ -176,14 +176,6 @@ public:
     return Fault.Result;
   }
 
-  Status flush() override {
-    if (!F)
-      return closedFail("flush");
-    if (std::fflush(F) != 0)
-      return errnoFail("flush", Path);
-    return Status();
-  }
-
   Status sync() override {
     if (!F)
       return closedFail("fsync");

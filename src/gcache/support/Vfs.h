@@ -71,11 +71,6 @@ public:
   /// Overwrites \p Len bytes at absolute offset \p Off (must be within the
   /// bytes already written); the append position is unaffected.
   virtual Status writeAt(uint64_t Off, const void *Data, size_t Len) = 0;
-  /// Pushes user-space buffers to the (page-cache-) visible file so a
-  /// concurrent reader of the same path observes every written byte. NOT
-  /// durability: the bytes still vanish in a power cut until sync(). A
-  /// no-op under FaultVfs, whose writes are visible immediately.
-  virtual Status flush() { return Status(); }
   /// Flushes user-space buffers and asks the OS to make the bytes durable
   /// (fflush + fsync). Under FaultVfs this is the volatile->durable
   /// promotion a power cut tests for.

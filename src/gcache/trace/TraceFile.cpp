@@ -528,10 +528,3 @@ Expected<uint64_t> TraceReader::replayEx(const std::string &Path,
   }
   return Replayed;
 }
-
-int64_t TraceReader::replay(const std::string &Path, TraceSink &Sink) {
-  Expected<uint64_t> N = replayEx(Path, Sink);
-  if (!N)
-    return -1;
-  return static_cast<int64_t>(*N);
-}

@@ -25,10 +25,10 @@
 /// leaves a half-written trace at the final path. Version 3 adds the GC
 /// phase marker record (opcode 7, 5 bytes): the stepped collectors emit
 /// one marker per bounded step, so a trace partitions every collector
-/// reference by the phase that produced it and mid-cycle checkpoint
-/// placement is observable from the artifact alone (trace_inspect
-/// --gc-phases). Versions 1 and 2 remain fully readable; a marker whose
-/// phase value is out of range is Corrupt.
+/// reference by the phase that produced it, and step shapes are
+/// observable from the artifact alone (trace_inspect --gc-phases).
+/// Versions 1 and 2 remain fully readable; a marker whose phase value is
+/// out of range is Corrupt.
 ///
 /// Error handling: open() and close() return Status; mid-stream write
 /// failures (short fwrite, injected trace-write disk-full) latch a sticky
@@ -259,9 +259,6 @@ public:
   /// replay their longest valid prefix instead of failing.
   static Expected<uint64_t> replayEx(const std::string &Path, TraceSink &Sink,
                                      const ReplayOptions &Opts = {});
-
-  /// Legacy interface: number of records replayed, or -1 on any error.
-  static int64_t replay(const std::string &Path, TraceSink &Sink);
 };
 
 } // namespace gcache

@@ -82,16 +82,11 @@ std::string readWholeFile(const std::string &Path) {
 }
 
 /// Records one small collected nbody run once, shared by the drain tests.
-/// ctest runs every test of this binary as its own process, so concurrent
-/// tests race to record the shared path; each process records under a
-/// pid-unique name and renames it into place (atomic, and the recording
-/// is deterministic, so whichever process wins leaves the identical file).
 const std::string &recordedTracePath() {
   static const std::string Path = [] {
     std::string P = std::string(::testing::TempDir()) + "/budget_nbody.gct";
-    std::string Mine = P + "." + std::to_string(::getpid());
     TraceWriter W;
-    EXPECT_TRUE(W.open(Mine).ok());
+    EXPECT_TRUE(W.open(P).ok());
     ExperimentOptions O;
     O.Scale = 0.05;
     O.Gc = GcKind::Cheney;
@@ -101,7 +96,6 @@ const std::string &recordedTracePath() {
     ProgramRun Run = runProgram(nbodyWorkload(), O);
     EXPECT_GT(Run.Collections, 0u) << "trace must contain GC phases";
     EXPECT_TRUE(W.close().ok());
-    EXPECT_EQ(std::rename(Mine.c_str(), P.c_str()), 0);
     return P;
   }();
   return Path;

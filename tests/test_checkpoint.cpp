@@ -35,17 +35,11 @@ namespace {
 
 /// Records one small nbody run (Cheney, small semispaces so the trace
 /// contains collector phases) once, shared by every test in this binary.
-/// ctest runs every test of this binary as its own process, so concurrent
-/// tests race to record the shared path; each process therefore records
-/// under a pid-unique name and renames it into place — the rename is
-/// atomic and the recording is deterministic, so whichever process wins
-/// leaves the identical file.
 const std::string &recordedTracePath() {
   static const std::string Path = [] {
     std::string P = std::string(::testing::TempDir()) + "/checkpoint_nbody.gct";
-    std::string Mine = P + "." + std::to_string(::getpid());
     TraceWriter W;
-    EXPECT_TRUE(W.open(Mine).ok());
+    EXPECT_TRUE(W.open(P).ok());
     ExperimentOptions O;
     O.Scale = 0.05;
     O.Gc = GcKind::Cheney;
@@ -55,7 +49,6 @@ const std::string &recordedTracePath() {
     ProgramRun Run = runProgram(nbodyWorkload(), O);
     EXPECT_GT(Run.Collections, 0u) << "trace must contain GC phases";
     EXPECT_TRUE(W.close().ok());
-    EXPECT_EQ(std::rename(Mine.c_str(), P.c_str()), 0);
     return P;
   }();
   return Path;
@@ -131,10 +124,7 @@ void expectSinksEqual(const CountingSink &Want, const CountingSink &Got) {
 void killAndResume(uint64_t KillAfter, unsigned Threads,
                    const CacheBank &CleanBank,
                    const CountingSink &CleanCounts) {
-  // Several kill-sweep tests run as concurrent ctest processes; a
-  // pid-unique snapshot name keeps their cuts from clobbering each other.
-  std::string Snap = std::string(::testing::TempDir()) + "/replay_kill." +
-                     std::to_string(::getpid()) + ".snap";
+  std::string Snap = std::string(::testing::TempDir()) + "/replay_kill.snap";
   std::remove(Snap.c_str());
   SCOPED_TRACE("kill after record " + std::to_string(KillAfter) +
                (Threads ? ", threads=" + std::to_string(Threads) : ""));

@@ -165,7 +165,9 @@ TEST(Experiment, RecordedTraceReplaysIdentically) {
   ASSERT_TRUE(Writer.close().ok());
 
   Cache Replayed({.SizeBytes = 32 << 10, .BlockBytes = 64});
-  ASSERT_GT(TraceReader::replay(Path, Replayed), 0);
+  Expected<uint64_t> N = TraceReader::replayEx(Path, Replayed);
+  ASSERT_TRUE(N.ok()) << N.status().message();
+  ASSERT_GT(*N, 0u);
   EXPECT_EQ(Replayed.totalCounters().refs(), Run.TotalRefs);
   EXPECT_EQ(Replayed.totalCounters().FetchMisses,
             Live.totalCounters().FetchMisses);

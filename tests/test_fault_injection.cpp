@@ -372,10 +372,10 @@ TEST_F(FaultInjection, SnapshotLoadFaultIsStructured) {
   std::remove(Path.c_str());
 }
 
-// Replay checkpoints and GC-torture snapshots store one counter per fault
-// site. A snapshot from a build with another number of sites cannot map
-// its counters onto this build's, so loading it is Corrupt, names both
-// counts, and leaves the injector's plan and counters as they were.
+// Replay checkpoints store one counter per fault site. A snapshot from a
+// build with another number of sites cannot map its counters onto this
+// build's, so loading it is Corrupt, names both counts, and leaves the
+// injector's plan and counters as they were.
 TEST_F(FaultInjection, SnapshotWithAnotherSiteCountIsRefused) {
   FaultInjector &Fi = faultInjector();
   Fi.arm({FaultSite::StepAbort, 5, 0});
@@ -659,48 +659,58 @@ TEST_F(FaultInjection, VerifyLiveHeapAcceptsAHealthySystem) {
 // normal run in every simulated counter — references, misses, writebacks,
 // instruction counts, GC activity, and program output.
 TEST_F(FaultInjection, ParanoidModeIsCounterInvisible) {
-  ExperimentOptions Base;
-  Base.Scale = 0.05;
-  Base.Gc = GcKind::Cheney;
-  Base.SemispaceBytes = 768 << 10; // small: force real collections
-  Base.Grid = CacheGridKind::SizeSweep;
+  for (GcKind Kind :
+       {GcKind::Cheney, GcKind::Generational, GcKind::MarkSweep}) {
+    ExperimentOptions Base;
+    Base.Scale = 0.05;
+    Base.Gc = Kind;
+    Base.SemispaceBytes = 768 << 10; // small: force real collections
+    Base.Grid = CacheGridKind::SizeSweep;
+    ProgramRun Normal = runProgram(nbodyWorkload(), Base);
 
-  ExperimentOptions Paranoid = Base;
-  Paranoid.Paranoid = true;
+    // --paranoid verifies the heap after every collection; --paranoid=phase
+    // also certifies every step boundary of every cycle.
+    for (bool Certify : {false, true}) {
+      ExperimentOptions Paranoid = Base;
+      Paranoid.Paranoid = true;
+      Paranoid.ParanoidPhase = Certify;
+      ProgramRun Checked = runProgram(nbodyWorkload(), Paranoid);
+      SCOPED_TRACE("GcKind " + std::to_string(static_cast<int>(Kind)) +
+                   (Certify ? ", --paranoid=phase" : ", --paranoid"));
+      ASSERT_GT(Checked.Collections, 0u)
+          << "equivalence is vacuous unless paranoid checks actually ran";
 
-  ProgramRun Normal = runProgram(nbodyWorkload(), Base);
-  ProgramRun Checked = runProgram(nbodyWorkload(), Paranoid);
-  ASSERT_GT(Checked.Collections, 0u)
-      << "equivalence is vacuous unless paranoid checks actually ran";
+      EXPECT_EQ(Normal.Output, Checked.Output);
+      EXPECT_EQ(Normal.TotalRefs, Checked.TotalRefs);
+      EXPECT_EQ(Normal.MutatorRefs, Checked.MutatorRefs);
+      EXPECT_EQ(Normal.AllocBytes, Checked.AllocBytes);
+      EXPECT_EQ(Normal.Collections, Checked.Collections);
+      EXPECT_EQ(Normal.StaticBytes, Checked.StaticBytes);
+      EXPECT_EQ(Normal.Stats.Instructions, Checked.Stats.Instructions);
+      EXPECT_EQ(Normal.Stats.ExtraInstructions,
+                Checked.Stats.ExtraInstructions);
+      EXPECT_EQ(Normal.Stats.DynamicBytes, Checked.Stats.DynamicBytes);
+      EXPECT_EQ(Normal.Stats.Gc.Collections, Checked.Stats.Gc.Collections);
+      EXPECT_EQ(Normal.Stats.Gc.ObjectsCopied, Checked.Stats.Gc.ObjectsCopied);
+      EXPECT_EQ(Normal.Stats.Gc.WordsCopied, Checked.Stats.Gc.WordsCopied);
+      EXPECT_EQ(Normal.Stats.Gc.Instructions, Checked.Stats.Gc.Instructions);
 
-  EXPECT_EQ(Normal.Output, Checked.Output);
-  EXPECT_EQ(Normal.TotalRefs, Checked.TotalRefs);
-  EXPECT_EQ(Normal.MutatorRefs, Checked.MutatorRefs);
-  EXPECT_EQ(Normal.AllocBytes, Checked.AllocBytes);
-  EXPECT_EQ(Normal.Collections, Checked.Collections);
-  EXPECT_EQ(Normal.StaticBytes, Checked.StaticBytes);
-  EXPECT_EQ(Normal.Stats.Instructions, Checked.Stats.Instructions);
-  EXPECT_EQ(Normal.Stats.ExtraInstructions, Checked.Stats.ExtraInstructions);
-  EXPECT_EQ(Normal.Stats.DynamicBytes, Checked.Stats.DynamicBytes);
-  EXPECT_EQ(Normal.Stats.Gc.Collections, Checked.Stats.Gc.Collections);
-  EXPECT_EQ(Normal.Stats.Gc.ObjectsCopied, Checked.Stats.Gc.ObjectsCopied);
-  EXPECT_EQ(Normal.Stats.Gc.WordsCopied, Checked.Stats.Gc.WordsCopied);
-  EXPECT_EQ(Normal.Stats.Gc.Instructions, Checked.Stats.Gc.Instructions);
-
-  ASSERT_EQ(Normal.Bank->size(), Checked.Bank->size());
-  for (size_t I = 0; I != Normal.Bank->size(); ++I) {
-    const Cache &N = Normal.Bank->cache(I);
-    const Cache &P = Checked.Bank->cache(I);
-    std::string Where = N.config().label();
-    for (Phase Ph : {Phase::Mutator, Phase::Collector}) {
-      const CacheCounters &Nc = N.counters(Ph);
-      const CacheCounters &Pc = P.counters(Ph);
-      EXPECT_EQ(Nc.Loads, Pc.Loads) << Where;
-      EXPECT_EQ(Nc.Stores, Pc.Stores) << Where;
-      EXPECT_EQ(Nc.FetchMisses, Pc.FetchMisses) << Where;
-      EXPECT_EQ(Nc.NoFetchMisses, Pc.NoFetchMisses) << Where;
-      EXPECT_EQ(Nc.Writebacks, Pc.Writebacks) << Where;
-      EXPECT_EQ(Nc.WriteThroughs, Pc.WriteThroughs) << Where;
+      ASSERT_EQ(Normal.Bank->size(), Checked.Bank->size());
+      for (size_t I = 0; I != Normal.Bank->size(); ++I) {
+        const Cache &N = Normal.Bank->cache(I);
+        const Cache &P = Checked.Bank->cache(I);
+        std::string Where = N.config().label();
+        for (Phase Ph : {Phase::Mutator, Phase::Collector}) {
+          const CacheCounters &Nc = N.counters(Ph);
+          const CacheCounters &Pc = P.counters(Ph);
+          EXPECT_EQ(Nc.Loads, Pc.Loads) << Where;
+          EXPECT_EQ(Nc.Stores, Pc.Stores) << Where;
+          EXPECT_EQ(Nc.FetchMisses, Pc.FetchMisses) << Where;
+          EXPECT_EQ(Nc.NoFetchMisses, Pc.NoFetchMisses) << Where;
+          EXPECT_EQ(Nc.Writebacks, Pc.Writebacks) << Where;
+          EXPECT_EQ(Nc.WriteThroughs, Pc.WriteThroughs) << Where;
+        }
+      }
     }
   }
 }

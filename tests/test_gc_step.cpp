@@ -2,8 +2,9 @@
 //
 // The phase-stepped collection machinery of gc/Collector.h: phase marker
 // sequences, step budgets, in-process interruption (gc-step-abort) with
-// resumption, and mid-cycle snapshot round trips at every step boundary
-// of every collector.
+// resumption, and torture runs of a seeded churning mutator under every
+// collector (step budgets, phase certification and the boundary fault
+// site must leave everything simulated unchanged).
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,7 +12,7 @@
 #include "gcache/gc/GenerationalCollector.h"
 #include "gcache/gc/MarkSweepCollector.h"
 #include "gcache/support/FaultInjector.h"
-#include "gcache/support/Snapshot.h"
+#include "gcache/support/Random.h"
 #include "gcache/trace/Sinks.h"
 #include "gcache/vm/SchemeSystem.h"
 
@@ -61,6 +62,14 @@ struct World {
   }
   void makeMarkSweep(uint32_t HeapBytes = 32 * 1024) {
     Coll.reset(new MarkSweepCollector(H, Mut, HeapBytes));
+  }
+  void make(GcKind K) {
+    if (K == GcKind::Cheney)
+      makeCheney();
+    else if (K == GcKind::Generational)
+      makeGenerational();
+    else
+      makeMarkSweep();
   }
 
   /// Allocates a vector of \p Payload fixnum slots and roots it in stack
@@ -176,29 +185,40 @@ TEST_F(GcStep, BeginWhileActiveIsAMisuseError) {
 //===--- Step budgets -------------------------------------------------------===//
 
 TEST_F(GcStep, SmallerBudgetMeansMoreStepsSameResult) {
-  uint64_t Fingerprints[2];
-  uint64_t Steps[2];
-  uint64_t Instructions[2];
-  uint64_t Refs[2];
-  uint32_t Budgets[2] = {1, 1024};
-  for (int Run = 0; Run != 2; ++Run) {
-    World W;
-    W.makeCheney();
-    W.Coll->setStepBudget(Budgets[Run]);
-    for (uint32_t I = 0; I != 10; ++I)
-      W.allocRooted(I % 6, 2 + I % 3);
-    W.Coll->collect();
-    Fingerprints[Run] = W.heapFingerprint();
-    Steps[Run] = W.Coll->totalSteps();
-    Instructions[Run] = W.Coll->stats().Instructions;
-    Refs[Run] = W.Counting.totalRefs();
+  for (GcKind K :
+       {GcKind::Cheney, GcKind::Generational, GcKind::MarkSweep}) {
+    SCOPED_TRACE("GcKind " + std::to_string(static_cast<int>(K)));
+    uint64_t Fingerprints[2];
+    uint64_t Steps[2];
+    uint64_t Instructions[2];
+    uint64_t Refs[2];
+    uint32_t Budgets[2] = {1, 1024};
+    for (int Run = 0; Run != 2; ++Run) {
+      World W;
+      W.make(K);
+      W.Coll->setStepBudget(Budgets[Run]);
+      for (uint32_t I = 0; I != 10; ++I)
+        W.allocRooted(I % 6, 2 + I % 3);
+      uint64_t StepsBefore = W.Coll->totalSteps();
+      faultInjector().resetCounters();
+      W.Coll->collect();
+      Fingerprints[Run] = W.heapFingerprint();
+      Steps[Run] = W.Coll->totalSteps() - StepsBefore;
+      Instructions[Run] = W.Coll->stats().Instructions;
+      Refs[Run] = W.Counting.totalRefs();
+      // The gc-step-abort site counts once per step boundary, armed or
+      // not, so a clean run is the census an abort sweep iterates over.
+      EXPECT_EQ(faultInjector().occurrences(FaultSite::GcStepAbort),
+                Steps[Run]);
+    }
+    // Steps only partition the loops: the heap, the instruction count, and
+    // the traced stream are all budget-invariant; only the step count
+    // moves.
+    EXPECT_EQ(Fingerprints[0], Fingerprints[1]);
+    EXPECT_EQ(Instructions[0], Instructions[1]);
+    EXPECT_EQ(Refs[0], Refs[1]);
+    EXPECT_GT(Steps[0], Steps[1]);
   }
-  // Steps only partition the loops: the heap, the instruction count, and
-  // the traced stream are all budget-invariant; only the step count moves.
-  EXPECT_EQ(Fingerprints[0], Fingerprints[1]);
-  EXPECT_EQ(Instructions[0], Instructions[1]);
-  EXPECT_EQ(Refs[0], Refs[1]);
-  EXPECT_GT(Steps[0], Steps[1]);
 }
 
 //===--- In-process interruption (gc-step-abort) ----------------------------===//
@@ -238,150 +258,137 @@ TEST_F(GcStep, AbortedCycleResumesInProcessBitIdentically) {
   EXPECT_EQ(W.Mut.PostGcCalls, 1u);
 }
 
-//===--- Mid-cycle snapshots ------------------------------------------------===//
+//===--- Torture: a churning mutator under every collector -------------------===//
 
-struct SnapshotSweepParam {
-  GcKind Gc;
-  const char *Name;
-};
-
-class GcStepSnapshotSweep
-    : public ::testing::TestWithParam<SnapshotSweepParam> {
-protected:
-  void TearDown() override {
-    faultInjector().disarm();
-    faultInjector().resetCounters();
-  }
-
-  static void makeCollector(World &W, GcKind K) {
-    switch (K) {
-    case GcKind::Cheney:
-      W.makeCheney();
-      break;
-    case GcKind::Generational:
-      // A nursery this small makes the forced full cycle evacuate both
-      // generations, covering the remembered-set serialization too.
-      W.makeGenerational(2 * 1024, 32 * 1024);
-      break;
-    case GcKind::MarkSweep:
-      W.makeMarkSweep();
-      break;
-    case GcKind::None:
-      FAIL() << "no cycles to snapshot";
-    }
-  }
-
-  static void buildWorkload(World &W) {
-    for (uint32_t I = 0; I != 12; ++I)
-      W.allocRooted(I % 6, 2 + I % 4);
-    // Plant cross pointers (and, generationally, remembered slots).
-    for (uint32_t I = 0; I != 6; ++I) {
-      Value V = W.H.loadValue(W.H.stackSlotAddr((I + 1) % 6));
+/// Runs \p Ops seeded mutator operations against \p W: allocate a vector
+/// of fixnums and pointers to rooted objects, overwrite a slot of a rooted
+/// object through the write barrier, drop a root, or force a full
+/// collection. Deterministic in \p Seed, so worlds that differ only in
+/// step budget or certification must end identically.
+void churn(World &W, uint64_t Seed, uint32_t Ops) {
+  auto Root = [&W](uint64_t R) { return W.H.stackSlotAddr(R % 8); };
+  auto Store = [&W](Address A, Value V) {
+    W.H.storeValue(A, V);
+    W.Coll->noteStore(A, V);
+  };
+  for (uint32_t I = 0; I != Ops; ++I) {
+    uint64_t R = Rng::splitmix64(Seed ^ (0x9e3779b97f4a7c15ull * (I + 1)));
+    unsigned Action = static_cast<unsigned>(R % 100);
+    R = Rng::splitmix64(R);
+    if (Action < 55) {
+      uint32_t Payload = 1 + static_cast<uint32_t>((R >> 8) % 12);
+      Address Obj = W.Coll->allocate(1 + Payload);
+      W.H.store(Obj, makeHeader(ObjectTag::Vector, Payload));
+      uint64_t Rs = R;
+      for (uint32_t J = 0; J != Payload; ++J) {
+        Rs = Rng::splitmix64(Rs);
+        Value Src = W.H.loadValue(Root(Rs >> 8));
+        Store(Obj + 4 + J * 4,
+              (Rs & 1) && Src.isPointer()
+                  ? Src
+                  : Value::fixnum(static_cast<int32_t>((Rs >> 16) & 0xfff)));
+      }
+      W.H.storeValue(Root(R >> 32), Value::pointer(Obj));
+    } else if (Action < 75) {
+      Value V = W.H.loadValue(Root(R >> 8));
       if (!V.isPointer())
         continue;
-      Value Dst = W.H.loadValue(W.H.stackSlotAddr(I));
-      if (!Dst.isPointer())
-        continue;
-      W.H.storeValue(Dst.asPointer() + 4, V);
-      W.Coll->noteStore(Dst.asPointer() + 4, V);
+      uint32_t Payload = headerPayloadWords(W.H.load(V.asPointer()));
+      uint32_t K = static_cast<uint32_t>((R >> 24) % Payload);
+      Value Src = W.H.loadValue(Root(R >> 40));
+      Store(V.asPointer() + 4 + K * 4,
+            Src.isPointer() ? Src : Value::fixnum(static_cast<int32_t>(K)));
+    } else if (Action < 90) {
+      W.H.storeValue(Root(R >> 8), Value::fixnum(0));
+    } else {
+      W.Coll->collect();
     }
   }
+}
+
+/// Everything a churn run simulates, plus the step count.
+struct ChurnDigest {
+  uint64_t HeapFingerprint = 0;
+  uint64_t TotalRefs = 0;
+  uint64_t MutatorRefs = 0;
+  uint64_t AllocBytes = 0;
+  GcStats Stats;
+  std::vector<GcPhase> Marks;
+  uint64_t Steps = 0;
 };
 
-TEST_P(GcStepSnapshotSweep, RestoreAtEveryBoundaryFinishesIdentically) {
-  const SnapshotSweepParam P = GetParam();
+ChurnDigest runChurn(GcKind K, uint32_t Budget, bool Certify) {
+  World W;
+  W.make(K);
+  W.Coll->setStepBudget(Budget);
+  W.Coll->setPhaseParanoid(Certify);
+  churn(W, /*Seed=*/7, /*Ops=*/160);
+  ChurnDigest D;
+  D.HeapFingerprint = W.heapFingerprint();
+  D.TotalRefs = W.Counting.totalRefs();
+  D.MutatorRefs = W.Counting.mutatorRefs();
+  D.AllocBytes = W.Counting.allocatedBytes();
+  D.Stats = W.Coll->stats();
+  D.Marks = W.Phases.Marks;
+  D.Steps = W.Coll->totalSteps();
+  return D;
+}
 
-  // Drive one reference cycle, cutting heap + cycle state at every step
-  // boundary (including the finish boundary).
-  World Ref;
-  makeCollector(Ref, P.Gc);
-  buildWorkload(Ref);
-  Ref.Coll->setStepBudget(1);
-  std::vector<std::string> Cuts;
-  std::string Dir = ::testing::TempDir();
-  Ref.Coll->setStepObserver([&](Collector &C, bool) {
-    std::string Path = Dir + "/gc_step_" + P.Name + "_" +
-                       std::to_string(Cuts.size()) + ".snap";
-    SnapshotWriter W;
-    Ref.H.saveTo(W);
-    C.saveCycleState(W);
-    ASSERT_TRUE(W.writeFile(Path).ok());
-    Cuts.push_back(Path);
-  });
-  Ref.Coll->collect();
-  ASSERT_GE(Cuts.size(), 4u) << "cycle too small to be worth stepping";
-  uint64_t WantFp = Ref.heapFingerprint();
-  GcStats WantStats = Ref.Coll->stats();
+/// The budget-invariant part of two digests must agree: the heap, the
+/// traced stream and the collector's work.
+void expectSameSimulation(const ChurnDigest &A, const ChurnDigest &B) {
+  EXPECT_EQ(A.HeapFingerprint, B.HeapFingerprint);
+  EXPECT_EQ(A.TotalRefs, B.TotalRefs);
+  EXPECT_EQ(A.MutatorRefs, B.MutatorRefs);
+  EXPECT_EQ(A.AllocBytes, B.AllocBytes);
+  EXPECT_EQ(A.Stats.Collections, B.Stats.Collections);
+  EXPECT_EQ(A.Stats.MajorCollections, B.Stats.MajorCollections);
+  EXPECT_EQ(A.Stats.ObjectsCopied, B.Stats.ObjectsCopied);
+  EXPECT_EQ(A.Stats.WordsCopied, B.Stats.WordsCopied);
+  EXPECT_EQ(A.Stats.Instructions, B.Stats.Instructions);
+}
 
-  // Resume from every cut in a fresh world and finish the cycle; the
-  // final heap and collector stats must match the uninterrupted run.
-  for (const std::string &Path : Cuts) {
-    World R;
-    makeCollector(R, P.Gc);
-    SnapshotReader Reader;
-    ASSERT_TRUE(Reader.open(Path).ok()) << Path;
-    ASSERT_TRUE(R.H.loadFrom(Reader).ok()) << Path;
-    ASSERT_TRUE(R.Coll->loadCycleState(Reader).ok()) << Path;
-    while (R.Coll->stepCycle()) {
-    }
-    EXPECT_EQ(R.heapFingerprint(), WantFp) << Path;
-    EXPECT_EQ(R.Coll->stats().Collections, WantStats.Collections) << Path;
-    EXPECT_EQ(R.Coll->stats().ObjectsCopied, WantStats.ObjectsCopied) << Path;
-    EXPECT_EQ(R.Coll->stats().WordsCopied, WantStats.WordsCopied) << Path;
-    EXPECT_EQ(R.Coll->stats().Instructions, WantStats.Instructions) << Path;
+constexpr GcKind AllCollectors[] = {GcKind::Cheney, GcKind::Generational,
+                                    GcKind::MarkSweep};
+
+class GcTorture : public GcStep {};
+
+TEST_F(GcTorture, StepBudgetOnlyMovesTheStepCount) {
+  for (GcKind K : AllCollectors) {
+    SCOPED_TRACE("GcKind " + std::to_string(static_cast<int>(K)));
+    ChurnDigest Fine = runChurn(K, /*Budget=*/2, /*Certify=*/false);
+    ChurnDigest Coarse = runChurn(K, /*Budget=*/512, /*Certify=*/false);
+    ASSERT_GT(Fine.Stats.Collections, 3u)
+        << "too few cycles for the budget to matter";
+    expectSameSimulation(Fine, Coarse);
+    EXPECT_GT(Fine.Steps, Coarse.Steps);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCollectors, GcStepSnapshotSweep,
-    ::testing::Values(SnapshotSweepParam{GcKind::Cheney, "cheney"},
-                      SnapshotSweepParam{GcKind::Generational, "gen"},
-                      SnapshotSweepParam{GcKind::MarkSweep, "marksweep"}),
-    [](const ::testing::TestParamInfo<SnapshotSweepParam> &I) {
-      return I.param.Name;
-    });
-
-TEST_F(GcStep, CycleStateRejectsWrongCollector) {
-  World A;
-  A.makeCheney();
-  A.allocRooted(0, 3);
-  SnapshotWriter W;
-  A.H.saveTo(W);
-  A.Coll->saveCycleState(W);
-  std::string Path = std::string(::testing::TempDir()) + "/gc_step_wrong.snap";
-  ASSERT_TRUE(W.writeFile(Path).ok());
-
-  World B;
-  B.makeMarkSweep();
-  SnapshotReader R;
-  ASSERT_TRUE(R.open(Path).ok());
-  ASSERT_TRUE(B.H.loadFrom(R).ok());
-  Status S = B.Coll->loadCycleState(R);
-  ASSERT_FALSE(S.ok());
-  EXPECT_EQ(S.code(), StatusCode::Corrupt);
-  EXPECT_NE(S.message().find("cheney"), std::string::npos);
+TEST_F(GcTorture, PhaseCertificationIsCounterInvisible) {
+  for (GcKind K : AllCollectors) {
+    SCOPED_TRACE("GcKind " + std::to_string(static_cast<int>(K)));
+    ChurnDigest Plain = runChurn(K, /*Budget=*/4, /*Certify=*/false);
+    ChurnDigest Certified = runChurn(K, /*Budget=*/4, /*Certify=*/true);
+    ASSERT_GT(Certified.Steps, Certified.Stats.Collections)
+        << "certification is vacuous without mid-cycle boundaries";
+    expectSameSimulation(Plain, Certified);
+    // Certification peeks between steps; it must not move them either.
+    EXPECT_EQ(Plain.Steps, Certified.Steps);
+    EXPECT_EQ(Plain.Marks, Certified.Marks);
+  }
 }
 
-TEST_F(GcStep, IdleCycleStateRoundTrips) {
-  World A;
-  A.makeGenerational();
-  A.allocRooted(0, 3);
-  A.Coll->collect();
-  SnapshotWriter W;
-  A.H.saveTo(W);
-  A.Coll->saveCycleState(W);
-  std::string Path = std::string(::testing::TempDir()) + "/gc_step_idle.snap";
-  ASSERT_TRUE(W.writeFile(Path).ok());
-
-  World B;
-  B.makeGenerational();
-  SnapshotReader R;
-  ASSERT_TRUE(R.open(Path).ok());
-  ASSERT_TRUE(B.H.loadFrom(R).ok());
-  ASSERT_TRUE(B.Coll->loadCycleState(R).ok());
-  EXPECT_FALSE(B.Coll->gcActive());
-  EXPECT_EQ(B.Coll->stats().Collections, A.Coll->stats().Collections);
-  EXPECT_EQ(B.heapFingerprint(), A.heapFingerprint());
+TEST_F(GcTorture, StepBoundaryFaultSitesCountInCensus) {
+  for (GcKind K : AllCollectors) {
+    SCOPED_TRACE("GcKind " + std::to_string(static_cast<int>(K)));
+    faultInjector().resetCounters();
+    ChurnDigest D = runChurn(K, /*Budget=*/4, /*Certify=*/false);
+    // The gc-step-abort site counts once per step boundary, armed or not,
+    // so a clean run is the census an abort sweep iterates over.
+    EXPECT_GT(D.Steps, 0u);
+    EXPECT_EQ(faultInjector().occurrences(FaultSite::GcStepAbort), D.Steps);
+  }
 }
 
 } // namespace

@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 using namespace gcache;
@@ -27,18 +26,13 @@ namespace {
 
 /// Records one small nbody run (Cheney, small semispaces so the trace
 /// contains collector phases) and returns the trace path. Recorded once
-/// and shared by every test in this binary. ctest runs every test of
-/// this binary as its own process, so concurrent tests race to record
-/// the shared path; each process records under a pid-unique name and
-/// renames it into place (atomic, and the recording is deterministic,
-/// so whichever process wins leaves the identical file).
+/// and shared by every test in this binary.
 const std::string &recordedTracePath() {
   static const std::string Path = [] {
     std::string P =
         std::string(::testing::TempDir()) + "/parallel_bank_nbody.gct";
-    std::string Mine = P + "." + std::to_string(::getpid());
     TraceWriter W;
-    EXPECT_TRUE(W.open(Mine).ok());
+    EXPECT_TRUE(W.open(P).ok());
     ExperimentOptions O;
     O.Scale = 0.05;
     O.Gc = GcKind::Cheney;
@@ -49,7 +43,6 @@ const std::string &recordedTracePath() {
     EXPECT_GT(Run.Collections, 0u) << "trace must contain GC phases";
     EXPECT_TRUE(W.close().ok());
     EXPECT_GT(W.recordCount(), 0u);
-    EXPECT_EQ(std::rename(Mine.c_str(), P.c_str()), 0);
     return P;
   }();
   return Path;
@@ -132,8 +125,9 @@ TEST(ParallelBank, MatchesSerialOnRecordedTrace) {
 
   CacheBank Serial;
   addPaperGridWithBlockStats(Serial);
-  int64_t SerialRecords = TraceReader::replay(Path, Serial);
-  ASSERT_GT(SerialRecords, 0);
+  Expected<uint64_t> SerialRecords = TraceReader::replayEx(Path, Serial);
+  ASSERT_TRUE(SerialRecords.ok()) << SerialRecords.status().message();
+  ASSERT_GT(*SerialRecords, 0u);
 
   for (unsigned Threads : {1u, 2u, 4u}) {
     CacheBank Parallel;
@@ -141,7 +135,9 @@ TEST(ParallelBank, MatchesSerialOnRecordedTrace) {
     // Small batches force many in-flight batches per worker queue.
     Parallel.setThreads(Threads, /*BatchRefs=*/4096);
     EXPECT_EQ(Parallel.threads(), Threads);
-    EXPECT_EQ(TraceReader::replay(Path, Parallel), SerialRecords);
+    Expected<uint64_t> Records = TraceReader::replayEx(Path, Parallel);
+    ASSERT_TRUE(Records.ok()) << Records.status().message();
+    EXPECT_EQ(*Records, *SerialRecords);
     Parallel.flush();
     expectBanksEqual(Serial, Parallel);
   }

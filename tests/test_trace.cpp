@@ -85,7 +85,9 @@ TEST(TraceFile, RoundTrip) {
     void onGcBegin() override { ++Begins; }
     void onGcEnd() override { ++Ends; }
   } R;
-  EXPECT_EQ(TraceReader::replay(Path, R), 7);
+  Expected<uint64_t> N = TraceReader::replayEx(Path, R);
+  ASSERT_TRUE(N.ok()) << N.status().message();
+  EXPECT_EQ(*N, 7u);
   ASSERT_EQ(R.Refs.size(), 4u);
   EXPECT_EQ(R.Refs[0].Addr, 0x1000u);
   EXPECT_EQ(R.Refs[0].Kind, AccessKind::Load);
@@ -98,7 +100,7 @@ TEST(TraceFile, RoundTrip) {
 
 TEST(TraceFile, RejectsMissingFile) {
   CountingSink S;
-  EXPECT_EQ(TraceReader::replay(tempPath("nope.gct"), S), -1);
+  EXPECT_FALSE(TraceReader::replayEx(tempPath("nope.gct"), S).ok());
 }
 
 TEST(TraceFile, RejectsCorruptHeader) {
@@ -107,7 +109,7 @@ TEST(TraceFile, RejectsCorruptHeader) {
   fputs("NOT A TRACE FILE AT ALL", F);
   fclose(F);
   CountingSink S;
-  EXPECT_EQ(TraceReader::replay(Path, S), -1);
+  EXPECT_FALSE(TraceReader::replayEx(Path, S).ok());
   std::remove(Path.c_str());
 }
 
@@ -137,7 +139,7 @@ void expectRejectedWithoutSinkMutation(const char *Name,
       std::string(::testing::TempDir()) + "/" + Name + ".gct";
   writeRaw(Path, Bytes);
   CountingSink S;
-  EXPECT_EQ(TraceReader::replay(Path, S), -1) << Name;
+  EXPECT_FALSE(TraceReader::replayEx(Path, S).ok()) << Name;
   EXPECT_EQ(S.totalRefs(), 0u) << Name;
   EXPECT_EQ(S.allocatedBytes(), 0u) << Name;
   EXPECT_EQ(S.collections(), 0u) << Name;
@@ -380,7 +382,9 @@ TEST(TraceFileV2, WriterIsAtomicNothingVisibleUntilClose) {
     fclose(F);
 
   CountingSink S;
-  EXPECT_EQ(TraceReader::replay(Path, S), 1);
+  Expected<uint64_t> N = TraceReader::replayEx(Path, S);
+  ASSERT_TRUE(N.ok()) << N.status().message();
+  EXPECT_EQ(*N, 1u);
   std::remove(Path.c_str());
 }
 
@@ -390,7 +394,9 @@ TEST(TraceFile, EmptyTraceRoundTrips) {
   ASSERT_TRUE(W.open(Path).ok());
   ASSERT_TRUE(W.close().ok());
   CountingSink S;
-  EXPECT_EQ(TraceReader::replay(Path, S), 0);
+  Expected<uint64_t> N = TraceReader::replayEx(Path, S);
+  ASSERT_TRUE(N.ok()) << N.status().message();
+  EXPECT_EQ(*N, 0u);
   EXPECT_EQ(S.totalRefs(), 0u);
   std::remove(Path.c_str());
 }
@@ -446,7 +452,9 @@ TEST(TraceFile, GoldenReplayMatchesLiveRun) {
 
   CacheBank Replayed;
   Replayed.addPaperGrid(CacheConfig{});
-  ASSERT_GT(TraceReader::replay(Path, Replayed), 0);
+  Expected<uint64_t> N = TraceReader::replayEx(Path, Replayed);
+  ASSERT_TRUE(N.ok()) << N.status().message();
+  ASSERT_GT(*N, 0u);
 
   ASSERT_EQ(Replayed.size(), Live.Bank->size());
   for (size_t I = 0; I != Replayed.size(); ++I) {
@@ -491,7 +499,9 @@ TEST(TraceFileV3, GcPhaseMarkersRoundTrip) {
     void onRef(const Ref &) override {}
     void onGcPhase(GcPhase P) override { Phases.push_back(P); }
   } R;
-  EXPECT_EQ(TraceReader::replay(Path, R), 8);
+  Expected<uint64_t> N = TraceReader::replayEx(Path, R);
+  ASSERT_TRUE(N.ok()) << N.status().message();
+  EXPECT_EQ(*N, 8u);
   ASSERT_EQ(R.Phases.size(), 4u);
   EXPECT_EQ(R.Phases[0], GcPhase::Begin);
   EXPECT_EQ(R.Phases[1], GcPhase::RootScan);

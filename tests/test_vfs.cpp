@@ -403,22 +403,6 @@ TEST_F(VfsTest, AbTornCheckpointWriteFallsBackToPreviousGeneration) {
   EXPECT_EQ(abReadPayload(R), "good");
 }
 
-TEST_F(VfsTest, AbLegacyBareFileStillLoads) {
-  FaultVfs Fv;
-  ScopedVfs Guard(Fv);
-  const std::string Base = "ckpt.snap";
-  SnapshotWriter W = makeSnapshot("legacy");
-  ASSERT_TRUE(W.writeFile(Base).ok());
-
-  ASSERT_TRUE(snapshotAbExists(Base));
-  SnapshotReader R;
-  AbSlotInfo Info;
-  ASSERT_TRUE(openSnapshotAb(R, Base, &Info).ok());
-  EXPECT_EQ(Info.Generation, 0u);
-  EXPECT_EQ(Info.LoadedPath, Base);
-  EXPECT_EQ(abReadPayload(R), "legacy");
-}
-
 TEST_F(VfsTest, AbBothSlotsDamagedIsAnError) {
   FaultVfs Fv;
   ScopedVfs Guard(Fv);
@@ -523,7 +507,6 @@ TEST_F(VfsTest, RealVfsRoundTripAndErrorsNamePathAndErrno) {
     Expected<std::unique_ptr<VfsFile>> F = Rv.openAppend(Path);
     ASSERT_TRUE(F.ok());
     ASSERT_TRUE((*F)->write("line2\n", 6).ok());
-    ASSERT_TRUE((*F)->flush().ok());
     ASSERT_TRUE((*F)->sync().ok());
     ASSERT_TRUE((*F)->close().ok());
   }
