@@ -35,24 +35,9 @@
 ///                counted everywhere, per-block sums == global counters,
 ///                write-policy laws) at every GC boundary and at end of
 ///                run (core/Audit.h)
-///   --checkpoint-dir D   persist per-unit snapshots into D (crash-safe:
-///                atomic writes, CRC-validated loads; core/Checkpoint.h)
-///   --checkpoint-every N checkpoint replay-driven units every N trace
-///                records, in addition to every GC boundary
-///   --resume     skip units whose snapshot in D loads cleanly; re-run
-///                the rest (a damaged snapshot is detected and recomputed)
-///   --supervise  run the sweep in a forked child watched by a supervisor
-///                that restarts crashes/timeouts from the snapshots, up to
-///                --retries times per unit (then the unit degrades to a
-///                recorded failure), writing manifest.json into D
-///   --retries N  supervised retries per failing unit (default 2)
-///   --timeout S  stop a supervised child running longer than S seconds
-///                (SIGTERM drain first, SIGKILL only after --grace)
-///   --grace S    seconds between the timeout's SIGTERM and the SIGKILL
-///                for a child that refuses to drain (default 10)
 ///   --deadline S wall-clock budget for the whole run, fractional seconds
-///                ok (GCACHE_DEADLINE env); on expiry the run drains to a
-///                checkpoint and reports partial results (exit 3)
+///                ok (GCACHE_DEADLINE env); on expiry the current unit
+///                drains and the run reports partial results (exit 3)
 ///   --max-refs N simulated-reference budget, k/m/g suffixes ok
 ///                (GCACHE_MAX_REFS env)
 ///   --mem-budget B  hard resident-memory budget, k/m/g suffixes ok
@@ -64,32 +49,29 @@
 ///
 /// SIGTERM/SIGINT request the same graceful drain as a deadline: the
 /// current unit stops at the next poll site, in-flight cache batches are
-/// drained, a final checkpoint is cut, and the run exits with partial
-/// results recorded. A second signal aborts immediately.
+/// drained, and the run exits with partial results stamped. A second
+/// signal aborts immediately.
 ///
 /// Unknown flags and malformed values (--threads=abc, --scale=1x,
 /// --fault=bogus, --deadline=-1) are hard errors: the binary prints a
 /// diagnostic and exits with status 2 instead of silently running with
 /// defaults. So is any flag that takes a value given without one (a bare
-/// --scale, --max-refs or --checkpoint-dir), which would otherwise read
-/// as "1". Of the flags that take a value, only --paranoid and
-/// --crosscheck have a bare meaning.
+/// --scale, --max-refs or --workload), which would otherwise read as
+/// "1". Of the flags that take a value, only --paranoid and --crosscheck
+/// have a bare meaning.
 ///
 /// Failure isolation: bench mains run each workload/configuration as a
 /// unit through BenchUnitRunner. A structured failure (injected fault,
 /// OOM, shard-worker failure, VM error) fails only that unit; the binary
 /// reports it, continues with the rest, and exits nonzero with a summary.
-/// Under --supervise the unit instead fast-aborts (exit 75) so the
-/// supervisor can restart it from the checkpoint directory.
+/// Each unit runs once per invocation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GCACHE_BENCH_BENCHCOMMON_H
 #define GCACHE_BENCH_BENCHCOMMON_H
 
-#include "gcache/core/Checkpoint.h"
 #include "gcache/core/Experiment.h"
-#include "gcache/core/Supervisor.h"
 #include "gcache/support/Budget.h"
 #include "gcache/support/FaultInjector.h"
 #include "gcache/support/Options.h"
@@ -101,8 +83,6 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <string>
-#include <sys/stat.h>
-#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -118,13 +98,6 @@ struct BenchArgs {
   uint64_t CrossCheckEvery = 0; ///< 0 = off; 1 = every ref.
   bool Audit = false;
   std::string Workload;
-  std::string CheckpointDir;
-  unsigned CheckpointEvery = 0;
-  bool Resume = false;
-  bool Supervise = false;
-  unsigned Retries = 2;
-  unsigned TimeoutSec = 0;
-  unsigned GraceSec = 10;
   BudgetSpec Budget;
   Options Opts;
 };
@@ -150,13 +123,9 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
   A.Opts = Options::parse(Argc, Argv);
 
   std::vector<std::string> Known = {
-      "scale",          "csv",              "workload", "threads",
-      "batch",
-      "fault",          "paranoid",         "crosscheck", "audit",
-      "checkpoint-dir",
-      "checkpoint-every", "resume",         "supervise",
-      "retries",        "timeout",          "grace",    "deadline",
-      "max-refs",       "mem-budget",       "on-budget"};
+      "scale",    "csv",       "workload",  "threads",    "batch",
+      "fault",    "paranoid",  "crosscheck", "audit",     "deadline",
+      "max-refs", "mem-budget", "on-budget"};
   for (const char *F : ExtraFlags)
     Known.push_back(F);
   std::vector<std::string> Unknown = A.Opts.unknownFlags(Known);
@@ -210,70 +179,16 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     std::exit(2);
   }
 
-  // Checkpointing and supervision (core/Checkpoint.h, core/Supervisor.h).
-  A.CheckpointDir = flagOrExit(A.Opts.getStrict("checkpoint-dir", ""));
-  A.CheckpointEvery =
-      flagOrExit(A.Opts.getStrictUnsigned("checkpoint-every", 0));
-  A.Retries = flagOrExit(A.Opts.getStrictUnsigned("retries", 2));
-  A.TimeoutSec = flagOrExit(A.Opts.getStrictUnsigned("timeout", 0));
-  A.GraceSec = flagOrExit(A.Opts.getStrictUnsigned("grace", 10));
-
   // Resource budgets (support/Budget.h): deadline, reference budget,
-  // memory budget. Configured before any supervise fork so children
-  // inherit the budget *and its start time* — a supervised restart must
-  // not extend the deadline.
+  // memory budget.
   A.Budget = flagOrExit(parseBudgetFlags(A.Opts));
   processBudget().configure(A.Budget);
 
   // Graceful shutdown: first SIGTERM/SIGINT requests a drain, the second
-  // aborts. Installed before the supervise fork so the parent forwards
-  // operator signals to the child as a drain request.
+  // aborts.
   SignalGuard::install();
-  A.Resume = A.Opts.getBool("resume", false);
-  A.Supervise = A.Opts.getBool("supervise", false);
-  if (A.CheckpointDir.empty() &&
-      (A.Resume || A.Supervise || A.CheckpointEvery)) {
-    std::fprintf(stderr, "error: --resume/--supervise/--checkpoint-every "
-                         "require --checkpoint-dir\n");
-    std::exit(2);
-  }
-
-  CheckpointContext &Ctx = checkpointContext();
-  Ctx.Dir = A.CheckpointDir;
-  Ctx.EveryRefs = A.CheckpointEvery;
-  Ctx.Resume = A.Resume;
-  if (!A.CheckpointDir.empty()) {
-    mkdir(A.CheckpointDir.c_str(), 0755); // may already exist
-    sweepStaleTmpFiles(A.CheckpointDir);  // half-written snapshots
-    // A fresh (non-resuming, unsupervised) run starts its outcome ledger
-    // over; resumed runs append, last entry per unit wins. The supervisor
-    // clears it in superviseLoop before the first fork.
-    if (!A.Resume && !A.Supervise)
-      std::remove(Ctx.outcomesPath().c_str());
-  }
-
-  if (A.Supervise) {
-    SupervisorOptions SOpts;
-    SOpts.CheckpointDir = A.CheckpointDir;
-    SOpts.MaxRetries = A.Retries;
-    SOpts.TimeoutSec = A.TimeoutSec;
-    SOpts.GraceSec = A.GraceSec;
-    SuperviseOutcome Outcome = superviseLoop(SOpts);
-    if (!Outcome.InChild)
-      std::exit(Outcome.ExitCode); // supervisor parent: the run is over
-    // Supervised child: always resume — restarts must skip finished
-    // units — and fast-abort on unit failure so the supervisor retries.
-    Ctx.Supervised = true;
-    Ctx.Resume = true;
-    // A restarted child starts with a fresh token even if the previous
-    // child died draining; the supervisor re-signals when it still wants
-    // the drain (and the inherited deadline re-trips on its own).
-    cancelToken().reset();
-  }
 
   // The watchdog thread backs up the cooperative deadline/memory checks.
-  // It must start AFTER the supervise fork: threads do not survive
-  // fork(), so starting it earlier would leave the child watchdog-less.
   if (processBudget().active())
     processWatchdog().start();
   return A;
@@ -304,29 +219,11 @@ class BenchUnitRunner {
 public:
   /// Runs \p W under \p Opts as unit \p Unit. On failure, reports and
   /// records it; the caller skips that unit's downstream tables.
-  ///
-  /// With a checkpoint directory configured (checkpointContext()), a
-  /// completed unit's results are snapshotted, --resume serves them back
-  /// without re-running, and under supervision a failing unit fast-aborts
-  /// the child so the supervisor can restart it from the snapshots. Units
-  /// with extra analysis sinks never snapshot/resume: ProgramRun cannot
-  /// capture external sink state, so they re-run (deterministically)
-  /// instead of silently resuming with empty analyses.
   Expected<ProgramRun> run(const std::string &Unit, const Workload &W,
                            const ExperimentOptions &Opts) {
-    CheckpointContext &Ctx = checkpointContext();
-    bool CanSnapshot = Ctx.enabled() && Opts.ExtraSinks.empty();
-
-    if (Ctx.enabled() && isUnitDenied(Ctx, Unit)) {
-      Status S = Status::fail(
-          StatusCode::Aborted,
-          "unit denied after exhausting supervised retries");
-      recordFailure(Unit, S);
-      return S;
-    }
     // A budget already exhausted before this unit starts: never begin it.
-    // This is the one outcome stamped `cancelled` (as opposed to the
-    // Partial* outcomes of a unit interrupted mid-run).
+    // This is the one unit stamped CANCELLED (as opposed to the PARTIAL
+    // stamp of a unit interrupted mid-run).
     if (cancelToken().requested()) {
       Status S = Status::failf(
           StatusCode::Cancelled, "unit not started: %s already requested",
@@ -334,27 +231,9 @@ public:
       std::fprintf(stderr, "CANCELLED %s: %s\n", Unit.c_str(),
                    S.message().c_str());
       ++Partials;
-      recordOutcome(Ctx, Unit, unitOutcomeName(UnitOutcome::Cancelled), -1.0,
-                    S.message());
       return S;
     }
-    if (CanSnapshot && Ctx.Resume) {
-      Expected<ProgramRun> Cached =
-          loadUnitSnapshot(Ctx.unitSnapshotPath(Unit), Unit, Opts.Scale);
-      // A partial snapshot is a drain marker, not a result: the unit
-      // re-runs from scratch (deterministically) on resume.
-      if (Cached.ok() && !Cached->partial()) {
-        ++Succeeded;
-        recordOutcome(Ctx, Unit, unitOutcomeName(Cached->Outcome),
-                      Cached->Coverage, Cached->OutcomeNote);
-        return Cached;
-      }
-      // Missing snapshot: the unit never finished — run it. A damaged
-      // snapshot (Corrupt/Truncated) is detected here and recomputed
-      // rather than trusted.
-    }
 
-    markUnitInProgress(Ctx, Unit);
     Expected<ProgramRun> R = tryRunProgram(W, Opts);
     if (R.ok()) {
       if (R->partial()) {
@@ -370,29 +249,9 @@ public:
       if (R->Degraded)
         std::printf("DEGRADED %s: %s\n", Unit.c_str(),
                     R->DegradeNote.c_str());
-      if (CanSnapshot)
-        if (Status S = saveUnitSnapshot(Ctx.unitSnapshotPath(Unit), *R,
-                                        Opts.Scale);
-            !S.ok())
-          std::fprintf(stderr, "warning: %s: checkpoint not written: %s\n",
-                       Unit.c_str(), S.toString().c_str());
-      recordOutcome(Ctx, Unit, unitOutcomeName(R->Outcome), R->Coverage,
-                    R->OutcomeNote);
-      clearUnitInProgress(Ctx);
       return R;
     }
-    if (Ctx.Supervised) {
-      // Leave the in-progress marker for crash attribution and hand the
-      // unit back to the supervisor for a retry.
-      std::fprintf(stderr, "FAILED %s: %s (supervised: requesting retry)\n",
-                   Unit.c_str(), R.status().toString().c_str());
-      std::fflush(nullptr);
-      _exit(SupervisedAbortExit);
-    }
     recordFailure(Unit, R.status());
-    recordOutcome(Ctx, Unit, unitOutcomeName(UnitOutcome::Failed), -1.0,
-                  R.status().message());
-    clearUnitInProgress(Ctx);
     return R;
   }
 
@@ -424,32 +283,12 @@ public:
       return 1;
     }
     std::fprintf(stderr,
-                 "\n%u unit(s) succeeded, %u partial (budget/deadline "
-                 "drain); resume with --resume to finish\n",
+                 "\n%u unit(s) succeeded, %u partial (budget/deadline drain)\n",
                  Succeeded, Partials);
     return 3;
   }
 
 private:
-  /// Appends one line to the per-unit outcome ledger the supervisor folds
-  /// into manifest.json. No-op when checkpointing is disabled.
-  static void recordOutcome(const CheckpointContext &Ctx,
-                            const std::string &Unit, const char *Outcome,
-                            double Coverage, const std::string &Note) {
-    if (!Ctx.enabled())
-      return;
-    if (FILE *F = std::fopen(Ctx.outcomesPath().c_str(), "ab")) {
-      // Tabs are the field separators; scrub them out of the free text.
-      std::string CleanNote = Note;
-      for (char &C : CleanNote)
-        if (C == '\t' || C == '\n')
-          C = ' ';
-      std::fprintf(F, "%s\t%s\t%.6g\t%s\n", Unit.c_str(), Outcome, Coverage,
-                   CleanNote.c_str());
-      std::fclose(F);
-    }
-  }
-
   unsigned Succeeded = 0;
   unsigned Partials = 0;
   std::vector<std::pair<std::string, Status>> Failures;

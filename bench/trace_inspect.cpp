@@ -3,9 +3,9 @@
 // Operator tool for recorded trace files: validates a trace's framing and
 // checksum (distinguishing corrupt from merely truncated files), optionally
 // salvages the longest valid prefix of a damaged trace, and replays a trace
-// through a cache simulation with the crash-safe checkpoint machinery — the
-// same path the supervised experiment runner uses, exposed directly so a
-// long replay can be killed and resumed from its last checkpoint.
+// through a cache simulation with the crash-safe replay checkpoints
+// (core/Checkpoint.h), so a long replay can be killed and resumed from its
+// last checkpoint.
 //
 // Flags (besides the shared bench flags):
 //   --trace=<path>      trace file to inspect (required)
@@ -22,11 +22,15 @@
 //   --cache-size=<b>    simulated cache size for --replay (default 65536)
 //   --block-size=<b>    simulated block size for --replay (default 64)
 //   --stop-after=<n>    abort after n records (kill simulation for testing)
+//   --checkpoint-dir=<d>
+//                       cut replay checkpoints into the A/B slot pair
+//                       <d>/trace-replay.snap.{a,b} at every GC boundary
+//   --checkpoint-every=<n>
+//                       also cut one every n records
+//   --resume            resume the replay from the newest good slot in <d>
 //
-// With --checkpoint-dir (and optionally --checkpoint-every / --resume), the
-// replay cuts snapshots at GC boundaries and every N records, and resumes
-// from the last snapshot when one exists. --crosscheck/--audit validate the
-// replay with the shadow oracle / conservation auditor.
+// --resume and --checkpoint-every need --checkpoint-dir. --crosscheck/--audit
+// validate the replay with the shadow oracle / conservation auditor.
 //
 // Exit codes: 0 valid (or salvage dropped nothing), 1 damaged or replay
 // failure, 2 usage error, 3 resumable partial replay (test-kill abort, or
@@ -37,6 +41,8 @@
 
 #include "BenchCommon.h"
 
+#include "gcache/core/Checkpoint.h"
+#include "gcache/support/Vfs.h"
 #include "gcache/trace/TraceFile.h"
 
 using namespace gcache;
@@ -45,7 +51,23 @@ int main(int Argc, char **Argv) {
   BenchArgs A = parseBenchArgs(Argc, Argv,
                                {"trace", "salvage", "batch-stats", "gc-phases",
                                 "replay", "cache-size", "block-size",
-                                "stop-after"});
+                                "stop-after", "checkpoint-dir",
+                                "checkpoint-every", "resume"});
+
+  std::string CheckpointDir =
+      flagOrExit(A.Opts.getStrict("checkpoint-dir", ""));
+  unsigned CheckpointEvery =
+      flagOrExit(A.Opts.getStrictUnsigned("checkpoint-every", 0));
+  bool Resume = A.Opts.getBool("resume", false);
+  if (CheckpointDir.empty() && (Resume || CheckpointEvery)) {
+    std::fprintf(stderr, "error: --resume/--checkpoint-every require "
+                         "--checkpoint-dir\n");
+    return 2;
+  }
+  if (!CheckpointDir.empty()) {
+    (void)vfs().mkdir(CheckpointDir); // A failure surfaces at the first cut.
+    sweepStaleTmpFiles(CheckpointDir); // Half-written slots of a killed run.
+  }
 
   std::string TracePath = flagOrExit(A.Opts.getStrict("trace", ""));
   if (TracePath.empty()) {
@@ -195,11 +217,10 @@ int main(int Argc, char **Argv) {
   RO.Audit = A.Audit;
   RO.StopAfterRecords =
       flagOrExit(A.Opts.getStrictUnsigned("stop-after", 0));
-  const CheckpointContext &Ctx = checkpointContext();
-  if (Ctx.enabled()) {
-    RO.SnapshotPath = Ctx.unitSnapshotPath("trace-replay");
-    RO.EveryRefs = Ctx.EveryRefs;
-    RO.Resume = Ctx.Resume;
+  if (!CheckpointDir.empty()) {
+    RO.SnapshotPath = CheckpointDir + "/trace-replay.snap";
+    RO.EveryRefs = CheckpointEvery;
+    RO.Resume = Resume;
   }
 
   Expected<ReplayCheckpointResult> R =

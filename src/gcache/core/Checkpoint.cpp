@@ -1,4 +1,4 @@
-//===- Checkpoint.cpp - Checkpointed replay and unit snapshots -------------===//
+//===- Checkpoint.cpp - Checkpointed trace replay -------------------------===//
 
 #include "gcache/core/Checkpoint.h"
 
@@ -8,45 +8,7 @@
 #include "gcache/support/Vfs.h"
 #include "gcache/trace/TraceFile.h"
 
-#include <cassert>
-#include <cctype>
-#include <cstring>
-
 using namespace gcache;
-
-CheckpointContext &gcache::checkpointContext() {
-  static CheckpointContext Ctx;
-  return Ctx;
-}
-
-/// Unit names ("nbody (cheney)") become filesystem-safe slugs.
-static std::string sanitizeName(const std::string &Name) {
-  std::string Out;
-  Out.reserve(Name.size());
-  for (char C : Name)
-    Out += (std::isalnum(static_cast<unsigned char>(C)) || C == '-' ||
-            C == '.')
-               ? C
-               : '_';
-  return Out;
-}
-
-std::string
-CheckpointContext::unitSnapshotPath(const std::string &UnitName) const {
-  return Dir + "/" + sanitizeName(UnitName) + ".snap";
-}
-
-std::string CheckpointContext::inProgressPath() const {
-  return Dir + "/inprogress";
-}
-
-std::string CheckpointContext::denyListPath() const {
-  return Dir + "/deny.list";
-}
-
-std::string CheckpointContext::outcomesPath() const {
-  return Dir + "/outcomes.list";
-}
 
 unsigned gcache::sweepStaleTmpFiles(const std::string &Dir) {
   Expected<std::vector<std::string>> Names = vfs().list(Dir);
@@ -61,51 +23,6 @@ unsigned gcache::sweepStaleTmpFiles(const std::string &Dir) {
   }
   return Removed;
 }
-
-bool gcache::isUnitDenied(const CheckpointContext &Ctx,
-                          const std::string &UnitName) {
-  if (!Ctx.enabled() || !vfs().exists(Ctx.denyListPath()))
-    return false;
-  Expected<std::string> Text = vfs().readFileText(Ctx.denyListPath());
-  if (!Text)
-    return false;
-  size_t Pos = 0;
-  while (Pos < Text->size()) {
-    size_t End = Text->find('\n', Pos);
-    std::string Line = Text->substr(
-        Pos, End == std::string::npos ? std::string::npos : End - Pos);
-    while (!Line.empty() && (Line.back() == '\n' || Line.back() == '\r'))
-      Line.pop_back();
-    if (Line == UnitName)
-      return true;
-    if (End == std::string::npos)
-      break;
-    Pos = End + 1;
-  }
-  return false;
-}
-
-void gcache::markUnitInProgress(const CheckpointContext &Ctx,
-                                const std::string &UnitName) {
-  if (!Ctx.enabled())
-    return;
-  std::string Line = UnitName + "\n";
-  if (Expected<std::unique_ptr<VfsFile>> F =
-          vfs().openWrite(Ctx.inProgressPath())) {
-    (void)(*F)->write(Line.data(), Line.size());
-    (void)(*F)->close(); // Best effort: a torn marker only costs a retry.
-  }
-}
-
-void gcache::clearUnitInProgress(const CheckpointContext &Ctx) {
-  if (!Ctx.enabled())
-    return;
-  (void)vfs().unlink(Ctx.inProgressPath());
-}
-
-//===----------------------------------------------------------------------===//
-// Checkpointed replay
-//===----------------------------------------------------------------------===//
 
 /// Cuts one replay checkpoint: resume position, full bank state (drained
 /// first), sink counters, and the fault injector so injected faults fire
@@ -256,131 +173,4 @@ gcache::replayTraceCheckpointed(const std::string &TracePath, CacheBank &Bank,
       return S;
   Result.Coverage = 1.0;
   return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Unit snapshots
-//===----------------------------------------------------------------------===//
-
-Status gcache::saveUnitSnapshot(const std::string &Path, ProgramRun &Run,
-                                double Scale) {
-  assert(Run.Bank && "unit snapshot needs the run's cache bank");
-  SnapshotWriter W;
-  W.beginSection("program-run");
-  W.putString(Run.Name);
-  W.putDouble(Scale);
-  W.putU64(Run.TotalRefs);
-  W.putU64(Run.MutatorRefs);
-  W.putU64(Run.AllocBytes);
-  W.putU64(Run.Collections);
-  W.putString(Run.Output);
-  W.putU32(Run.RuntimeVectorAddr);
-  W.putU32(Run.StaticBytes);
-  W.putU64(Run.Stats.Instructions);
-  W.putU64(Run.Stats.ExtraInstructions);
-  W.putU64(Run.Stats.DynamicBytes);
-  W.putU64(Run.Stats.Gc.Collections);
-  W.putU64(Run.Stats.Gc.MajorCollections);
-  W.putU64(Run.Stats.Gc.ObjectsCopied);
-  W.putU64(Run.Stats.Gc.WordsCopied);
-  W.putU64(Run.Stats.Gc.Instructions);
-  // Resource-governance stamp: partial snapshots must never be mistaken
-  // for completed units on resume (BenchUnitRunner re-runs them).
-  W.putString(unitOutcomeName(Run.Outcome));
-  W.putString(Run.OutcomeNote);
-  W.putDouble(Run.Coverage);
-  W.putU8(Run.Degraded ? 1 : 0);
-  W.putString(Run.DegradeNote);
-
-  W.beginSection("unit-bank");
-  W.putU64(Run.Bank->size());
-  for (size_t I = 0; I != Run.Bank->size(); ++I) {
-    const CacheConfig &Cfg = Run.Bank->cache(I).config();
-    W.putU32(Cfg.SizeBytes);
-    W.putU32(Cfg.BlockBytes);
-    W.putU32(Cfg.Ways);
-    W.putU8(static_cast<uint8_t>(Cfg.WriteMiss));
-    W.putU8(static_cast<uint8_t>(Cfg.WriteHit));
-    W.putU8(Cfg.CollectorFetchOnWrite ? 1 : 0);
-    W.putU8(Cfg.TrackPerBlockStats ? 1 : 0);
-  }
-  Run.Bank->saveTo(W);
-  return W.writeFile(Path);
-}
-
-Expected<ProgramRun> gcache::loadUnitSnapshot(const std::string &Path,
-                                              const std::string &UnitName,
-                                              double Scale) {
-  SnapshotReader R;
-  if (Status S = R.open(Path); !S.ok())
-    return S;
-
-  ProgramRun Run;
-  SnapshotCursor C = R.section("program-run");
-  Run.Name = C.getString();
-  double SavedScale = C.getDouble();
-  Run.TotalRefs = C.getU64();
-  Run.MutatorRefs = C.getU64();
-  Run.AllocBytes = C.getU64();
-  Run.Collections = C.getU64();
-  Run.Output = C.getString();
-  Run.RuntimeVectorAddr = C.getU32();
-  Run.StaticBytes = C.getU32();
-  Run.Stats.Instructions = C.getU64();
-  Run.Stats.ExtraInstructions = C.getU64();
-  Run.Stats.DynamicBytes = C.getU64();
-  Run.Stats.Gc.Collections = C.getU64();
-  Run.Stats.Gc.MajorCollections = C.getU64();
-  Run.Stats.Gc.ObjectsCopied = C.getU64();
-  Run.Stats.Gc.WordsCopied = C.getU64();
-  Run.Stats.Gc.Instructions = C.getU64();
-  std::string OutcomeName = C.getString();
-  Run.OutcomeNote = C.getString();
-  Run.Coverage = C.getDouble();
-  Run.Degraded = C.getU8() != 0;
-  Run.DegradeNote = C.getString();
-  Run.Outcome = unitOutcomeFromName(OutcomeName);
-  if (C.ok() && OutcomeName != unitOutcomeName(Run.Outcome))
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "snapshot '%s' holds unknown outcome '%s'",
-                         Path.c_str(), OutcomeName.c_str()));
-  if (C.ok() && (Run.Name != UnitName || SavedScale != Scale))
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "snapshot '%s' is for unit '%s' at scale %g, not "
-                         "'%s' at scale %g",
-                         Path.c_str(), Run.Name.c_str(), SavedScale,
-                         UnitName.c_str(), Scale));
-  if (Status S = C.finish(); !S.ok())
-    return S;
-
-  SnapshotCursor BC = R.section("unit-bank");
-  uint64_t NumCaches = BC.getU64();
-  auto Bank = std::make_unique<CacheBank>();
-  for (uint64_t I = 0; BC.ok() && I != NumCaches; ++I) {
-    CacheConfig Cfg;
-    Cfg.SizeBytes = BC.getU32();
-    Cfg.BlockBytes = BC.getU32();
-    Cfg.Ways = BC.getU32();
-    Cfg.WriteMiss = static_cast<WriteMissPolicy>(BC.getU8());
-    Cfg.WriteHit = static_cast<WriteHitPolicy>(BC.getU8());
-    Cfg.CollectorFetchOnWrite = BC.getU8() != 0;
-    Cfg.TrackPerBlockStats = BC.getU8() != 0;
-    if (!BC.ok())
-      break;
-    if (!Cfg.isValid()) {
-      BC.fail(Status::failf(StatusCode::Corrupt,
-                            "snapshot '%s' holds an invalid cache geometry "
-                            "(%u B, %u B blocks, %u ways)",
-                            Path.c_str(), Cfg.SizeBytes, Cfg.BlockBytes,
-                            Cfg.Ways));
-      break;
-    }
-    Bank->addConfig(Cfg);
-  }
-  if (Status S = BC.finish(); !S.ok())
-    return S;
-  if (Status S = Bank->loadFrom(R); !S.ok())
-    return S;
-  Run.Bank = std::move(Bank);
-  return Run;
 }

@@ -1,29 +1,22 @@
-//===- Checkpoint.h - Checkpointed replay and unit snapshots ----*- C++ -*-===//
+//===- Checkpoint.h - Checkpointed trace replay -----------------*- C++ -*-===//
 //
 // Part of the gcache project (Reinhold, PLDI 1994 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Crash-safe checkpoint/resume for the experiment pipeline, built on the
-/// snapshot container (support/Snapshot.h). Two granularities:
+/// Crash-safe checkpoint/resume for trace replay, built on the snapshot
+/// container (support/Snapshot.h). replayTraceCheckpointed() streams a
+/// recorded trace into a cache bank and counting sink, cutting a snapshot
+/// every N records and at every GC boundary. A killed replay resumes from
+/// the last snapshot and finishes with counters bit-identical to an
+/// uninterrupted run (proven by the kill-at-every-GC-boundary tests in
+/// tests/test_checkpoint.cpp). trace_inspect --replay --checkpoint-dir
+/// exposes it on the command line.
 ///
-///  - *Replay checkpoints*: replayTraceCheckpointed() streams a recorded
-///    trace into a cache bank and counting sink, cutting a snapshot every
-///    N records and at every GC boundary. A killed replay resumes from the
-///    last snapshot and finishes with counters bit-identical to an
-///    uninterrupted run (proven by the kill-at-every-GC-boundary tests in
-///    tests/test_checkpoint.cpp).
-///
-///  - *Unit snapshots*: a completed ProgramRun (name, totals, every
-///    simulated cache's full counter state) is persisted per bench unit,
-///    so a restarted sweep skips finished units entirely and only re-runs
-///    the unit that was interrupted — the supervised runner's restart
-///    mechanism (see bench/BenchCommon.h and core/Supervisor.h).
-///
-/// All files go through SnapshotWriter's atomic tmp+fsync+rename path and
-/// are CRC-validated on load, so a torn or damaged checkpoint is detected
-/// (Corrupt/Truncated) and re-computed, never silently trusted.
+/// Every cut goes through the A/B slot pair's atomic tmp+fsync+rename
+/// path and is CRC-validated on load, so a torn or damaged checkpoint is
+/// detected (Corrupt/Truncated), never silently trusted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,35 +29,6 @@
 #include <string>
 
 namespace gcache {
-
-/// Process-wide checkpoint configuration, filled by the bench drivers'
-/// flag parsing (mirrors faultInjector(): the sixteen bench mains pick it
-/// up without plumbing).
-struct CheckpointContext {
-  std::string Dir;        ///< Checkpoint directory; empty = disabled.
-  uint64_t EveryRefs = 0; ///< Replay checkpoint period in records.
-  bool Resume = false;    ///< Load unit snapshots instead of re-running.
-  bool Supervised = false; ///< Running as a supervised child (fast-abort
-                           ///< on unit failure so the supervisor retries).
-
-  bool enabled() const { return !Dir.empty(); }
-
-  /// Snapshot path for the named bench unit (name is sanitized into a
-  /// filename).
-  std::string unitSnapshotPath(const std::string &UnitName) const;
-  /// Path of the in-progress marker naming the unit currently running
-  /// (crash attribution for the supervisor).
-  std::string inProgressPath() const;
-  /// Path of the deny list: units that exhausted their retries and must
-  /// degrade gracefully instead of re-crashing the child.
-  std::string denyListPath() const;
-  /// Path of the per-unit outcome ledger (one "name\toutcome\tcoverage"
-  /// line per finished unit; the last line per unit wins). The supervisor
-  /// folds it into manifest.json.
-  std::string outcomesPath() const;
-};
-
-CheckpointContext &checkpointContext();
 
 /// Removes stale "*.tmp" files from \p Dir — half-written snapshots left
 /// by a kill inside SnapshotWriter's write-then-rename window. Safe to run
@@ -123,31 +87,6 @@ Expected<ReplayCheckpointResult>
 replayTraceCheckpointed(const std::string &TracePath, CacheBank &Bank,
                         CountingSink &Counts,
                         const ReplayCheckpointOptions &Opts);
-
-/// Persists a completed unit's ProgramRun — scalars plus the full state of
-/// every cache in its bank — to \p Path (atomic write). \p Scale is stored
-/// for validation on load. Runs whose results live partly in extra
-/// analysis sinks cannot round-trip through this (the caller must re-run
-/// instead; BenchUnitRunner enforces it).
-Status saveUnitSnapshot(const std::string &Path, ProgramRun &Run,
-                        double Scale);
-
-/// Supervisor protocol (see core/Supervisor.h): whether the supervisor
-/// denied \p UnitName after it exhausted its retries.
-bool isUnitDenied(const CheckpointContext &Ctx, const std::string &UnitName);
-/// Writes/clears the in-progress marker the supervisor uses to attribute
-/// a crash to a unit. No-ops when checkpointing is disabled.
-void markUnitInProgress(const CheckpointContext &Ctx,
-                        const std::string &UnitName);
-void clearUnitInProgress(const CheckpointContext &Ctx);
-
-/// Loads a unit snapshot, validating that it belongs to \p UnitName at
-/// \p Scale (mismatches are Corrupt: the snapshot is someone else's). The
-/// returned run's bank is rebuilt with the recorded cache configurations
-/// and restored counter-for-counter.
-Expected<ProgramRun> loadUnitSnapshot(const std::string &Path,
-                                      const std::string &UnitName,
-                                      double Scale);
 
 } // namespace gcache
 

@@ -40,21 +40,8 @@ const char *gcache::unitOutcomeName(UnitOutcome Outcome) {
     return "partial-deadline";
   case UnitOutcome::PartialMem:
     return "partial-mem";
-  case UnitOutcome::Cancelled:
-    return "cancelled";
-  case UnitOutcome::Failed:
-    return "failed";
   }
   return "unknown";
-}
-
-UnitOutcome gcache::unitOutcomeFromName(const std::string &Name) {
-  for (UnitOutcome O : {UnitOutcome::Ok, UnitOutcome::PartialDeadline,
-                        UnitOutcome::PartialMem, UnitOutcome::Cancelled,
-                        UnitOutcome::Failed})
-    if (Name == unitOutcomeName(O))
-      return O;
-  return UnitOutcome::Failed;
 }
 
 UnitOutcome gcache::outcomeForReason(CancelReason Reason) {

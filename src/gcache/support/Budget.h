@@ -22,8 +22,9 @@
 /// pollCancellation() throws StatusError(StatusCode::Cancelled) once the
 /// token is tripped. Unit boundaries catch it, drain the in-flight bank
 /// batches (CacheBank::flush / setThreads(0) — any record boundary is a
-/// consistent cut), take one final checkpoint, audit the drained state,
-/// and report a *partial* result instead of tearing down mid-batch.
+/// consistent cut), audit the drained state, and report a *partial*
+/// result instead of tearing down mid-batch; a checkpointed replay also
+/// cuts one final checkpoint.
 ///
 /// Memory budgets degrade before they cancel: crossing the soft threshold
 /// (default 80% of the hard budget) asks every registered Degradable sink
@@ -94,26 +95,18 @@ private:
   std::atomic<CancelReason> Reason_{CancelReason::None};
 };
 
-/// How one bench unit ended — the supervisor manifest's outcome taxonomy.
-/// A unit interrupted mid-run drains to a *partial* result (attributed to
-/// what tripped the token: deadline-like trips — wall clock, ref budget,
-/// SIGTERM — are partial-deadline; a hard memory breach is partial-mem);
-/// a unit that never started because the budget was already exhausted is
-/// `cancelled`; a structured failure is `failed`.
+/// How a bench unit or a replay ended. A run interrupted mid-way
+/// drains to a *partial* result, attributed to what tripped the token:
+/// deadline-like trips — wall clock, ref budget, SIGTERM — are
+/// partial-deadline; a hard memory breach is partial-mem.
 enum class UnitOutcome : uint8_t {
   Ok = 0,
   PartialDeadline,
   PartialMem,
-  Cancelled,
-  Failed,
 };
 
-/// Stable manifest name ("ok", "partial-deadline", "partial-mem",
-/// "cancelled", "failed").
+/// Stable name ("ok", "partial-deadline", "partial-mem").
 const char *unitOutcomeName(UnitOutcome Outcome);
-
-/// Parses a manifest outcome name back; Failed for unknown text.
-UnitOutcome unitOutcomeFromName(const std::string &Name);
 
 /// The partial outcome a mid-run trip with \p Reason drains to.
 UnitOutcome outcomeForReason(CancelReason Reason);
@@ -153,8 +146,8 @@ Expected<BudgetSpec> parseBudgetFlags(const Options &O);
 class Degradable {
 public:
   /// Sheds memory one step (halve resolution, double sampling stride).
-  /// Returns a short human-readable note for the run manifest, or empty
-  /// when this instance cannot degrade further.
+  /// Returns a short human-readable note for the unit's DEGRADED line, or
+  /// empty when this instance cannot degrade further.
   virtual std::string degrade() = 0;
 
 protected:
@@ -174,9 +167,7 @@ class Budget {
 public:
   /// Installs \p Spec and anchors the deadline clock at *now*. Resets the
   /// consumed-reference counter and the degrade state, and re-arms the
-  /// cancel token. Supervised children inherit the configured budget (and
-  /// its start time) from the pre-fork parent image, so a restart does not
-  /// extend the deadline.
+  /// cancel token.
   void configure(const BudgetSpec &Spec);
 
   /// Drops all limits (tests; equivalent to configure({})).
@@ -223,7 +214,7 @@ public:
   unsigned degradeLevel() const {
     return DegradeLevel.load(std::memory_order_relaxed);
   }
-  /// The notes returned by the degraded sinks, for the run manifest.
+  /// The notes returned by the degraded sinks, for the DEGRADED line.
   std::vector<std::string> degradationNotes() const;
 
   /// The budget-probe fault site's payload: simulates a memory breach at

@@ -44,8 +44,7 @@ void SignalGuard::install() {
   std::memset(&Sa, 0, sizeof(Sa));
   Sa.sa_handler = onDrainSignal;
   sigemptyset(&Sa.sa_mask);
-  // No SA_RESTART: a drain request should interrupt blocking waits (the
-  // supervisor's sleep loops poll the token anyway).
+  // No SA_RESTART: a drain request should interrupt blocking waits.
   sigaction(SIGTERM, &Sa, &OldTerm);
   sigaction(SIGINT, &Sa, &OldInt);
   Installed = true;

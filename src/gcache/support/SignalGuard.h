@@ -7,10 +7,11 @@
 /// \file
 /// Signal-to-drain plumbing: the first SIGTERM or SIGINT trips the
 /// process-wide CancelToken (support/Budget.h) so the run drains to a
-/// partial result at the next cooperative poll — a final checkpoint, an
-/// audit of the drained state, a `partial` stamp in the manifest. A
-/// second signal restores the default disposition and re-raises, i.e.
-/// immediate termination for an operator who has stopped waiting.
+/// partial result at the next cooperative poll — an audit of the drained
+/// state, a `PARTIAL` stamp on the unit, exit code 3 (a checkpointed
+/// replay also cuts a final checkpoint). A second signal restores the
+/// default disposition and re-raises, i.e. immediate termination for an
+/// operator who has stopped waiting.
 ///
 /// The handler is async-signal-safe: it performs one lock-free CAS on the
 /// token and one write(2) to stderr, nothing else.
@@ -25,10 +26,8 @@
 namespace gcache {
 namespace SignalGuard {
 
-/// Installs the SIGTERM/SIGINT drain handlers (idempotent). The supervised
-/// runner installs them before forking, so both the supervisor parent
-/// (which forwards the drain request to its child) and the child (which
-/// drains) see the same token discipline.
+/// Installs the SIGTERM/SIGINT drain handlers (idempotent). The bench
+/// binaries install them once their flags parse.
 void install();
 
 /// Restores the dispositions saved by install() (tests).

@@ -99,19 +99,6 @@ Status Vfs::writeFileAtomic(const std::string &Path, const void *Data,
   return Status();
 }
 
-Expected<std::string> Vfs::readFileText(const std::string &Path,
-                                        size_t MaxBytes) {
-  Expected<std::vector<uint8_t>> Bytes = readFile(Path);
-  if (!Bytes)
-    return Bytes.status();
-  if (MaxBytes && Bytes->size() > MaxBytes)
-    return Status::failf(StatusCode::IoError,
-                         "read '%s' failed: %zu bytes exceeds the %zu-byte "
-                         "cap for a control file",
-                         Path.c_str(), Bytes->size(), MaxBytes);
-  return std::string(Bytes->begin(), Bytes->end());
-}
-
 //===----------------------------------------------------------------------===//
 // Process-wide instance
 //===----------------------------------------------------------------------===//
@@ -218,14 +205,6 @@ Expected<std::unique_ptr<VfsFile>> RealVfs::openWrite(const std::string &Path) {
   FILE *F = std::fopen(Path.c_str(), "wb");
   if (!F)
     return errnoFail("open for write", Path);
-  return std::unique_ptr<VfsFile>(new RealFile(F, Path));
-}
-
-Expected<std::unique_ptr<VfsFile>>
-RealVfs::openAppend(const std::string &Path) {
-  FILE *F = std::fopen(Path.c_str(), "ab");
-  if (!F)
-    return errnoFail("open for append", Path);
   return std::unique_ptr<VfsFile>(new RealFile(F, Path));
 }
 
@@ -423,15 +402,6 @@ FaultVfs::openWrite(const std::string &Path) {
   FileState &St = Files[Path];
   St.Visible.clear();
   St.Durable.clear();
-  return std::unique_ptr<VfsFile>(new MemFile(*this, Path));
-}
-
-Expected<std::unique_ptr<VfsFile>>
-FaultVfs::openAppend(const std::string &Path) {
-  noteMutation("append-open", Path);
-  if (!Files.count(Path))
-    Files[Path] = FileState{}; // Creation is durable (journaled metadata)...
-  // ...but existing content — synced or not — is untouched; writes append.
   return std::unique_ptr<VfsFile>(new MemFile(*this, Path));
 }
 

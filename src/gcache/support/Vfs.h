@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The virtual filesystem every durability path writes through. Snapshots,
-/// trace files, checkpoint slots, and supervisor manifests all proved their
+/// trace files, checkpoint slots, and bench output files all proved their
 /// crash-safety claims against a perfect filesystem; this layer makes the
 /// filesystem itself an adversary that tests can control deterministically.
 ///
@@ -87,9 +87,6 @@ public:
   /// Creates/truncates \p Path for writing.
   virtual Expected<std::unique_ptr<VfsFile>>
   openWrite(const std::string &Path) = 0;
-  /// Opens \p Path for appending (the supervisor's deny list).
-  virtual Expected<std::unique_ptr<VfsFile>>
-  openAppend(const std::string &Path) = 0;
   /// Reads the whole file.
   virtual Expected<std::vector<uint8_t>> readFile(const std::string &Path) = 0;
   virtual bool exists(const std::string &Path) = 0;
@@ -115,10 +112,6 @@ public:
   /// untouched (old content or absent).
   Status writeFileAtomic(const std::string &Path, const void *Data,
                          size_t Len);
-  /// Convenience: whole file as a string. With \p MaxBytes, a longer file
-  /// is an IoError (defensive cap for line-oriented control files).
-  Expected<std::string> readFileText(const std::string &Path,
-                                     size_t MaxBytes = 0);
 };
 
 /// The process-wide Vfs every durability path consults. Defaults to a
@@ -146,7 +139,6 @@ private:
 class RealVfs final : public Vfs {
 public:
   Expected<std::unique_ptr<VfsFile>> openWrite(const std::string &Path) override;
-  Expected<std::unique_ptr<VfsFile>> openAppend(const std::string &Path) override;
   Expected<std::vector<uint8_t>> readFile(const std::string &Path) override;
   bool exists(const std::string &Path) override;
   Status rename(const std::string &From, const std::string &To) override;
@@ -165,7 +157,6 @@ public:
   using Image = std::map<std::string, std::vector<uint8_t>>;
 
   Expected<std::unique_ptr<VfsFile>> openWrite(const std::string &Path) override;
-  Expected<std::unique_ptr<VfsFile>> openAppend(const std::string &Path) override;
   Expected<std::vector<uint8_t>> readFile(const std::string &Path) override;
   bool exists(const std::string &Path) override;
   Status rename(const std::string &From, const std::string &To) override;

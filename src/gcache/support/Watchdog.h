@@ -14,9 +14,6 @@
 /// only sets flags, and the mutator thread acts on them at its next poll,
 /// so every counter stays bit-identical with or without a watchdog.
 ///
-/// Threads do not survive fork(): start the watchdog *after*
-/// superviseLoop() has forked the supervised child, never before.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef GCACHE_SUPPORT_WATCHDOG_H
@@ -56,7 +53,7 @@ private:
 };
 
 /// The process-wide watchdog the bench drivers start once budgets are
-/// configured (after the supervise fork).
+/// configured.
 Watchdog &processWatchdog();
 
 } // namespace gcache

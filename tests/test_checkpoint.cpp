@@ -1,32 +1,22 @@
-//===- test_checkpoint.cpp - Crash-safe checkpoint/resume tests -----------===//
+//===- test_checkpoint.cpp - Crash-safe replay checkpoint tests -----------===//
 //
-// The correctness harness for the checkpoint layer: a replay killed at any
+// The correctness harness for replay checkpoints: a replay killed at any
 // record — including exactly at every GC boundary — and resumed from its
 // last snapshot must finish with counters bit-identical to an
-// uninterrupted replay, serially and threaded. Unit snapshots must
-// round-trip a completed ProgramRun exactly, and damaged snapshots
-// (corrupted, truncated, or belonging to a different unit/trace) must be
-// rejected with the right status, never silently loaded. The supervisor's
-// retry/deny/timeout protocol is driven end-to-end through real forks.
+// uninterrupted replay, serially and threaded, and a checkpoint cut
+// against one trace must refuse to resume another.
 //
 //===----------------------------------------------------------------------===//
 
 #include "gcache/core/Checkpoint.h"
 #include "gcache/core/Experiment.h"
-#include "gcache/core/Supervisor.h"
 #include "gcache/memsys/CacheBank.h"
-#include "gcache/support/Snapshot.h"
 #include "gcache/trace/TraceFile.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <sys/stat.h>
-#include <thread>
-#include <unistd.h>
 #include <vector>
 
 using namespace gcache;
@@ -173,50 +163,6 @@ void cleanReplay(CacheBank &Bank, CountingSink &Counts) {
   ASSERT_GT(R->RecordsReplayed, 0u);
 }
 
-std::string readWholeFile(const std::string &Path) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  EXPECT_NE(F, nullptr) << Path;
-  if (!F)
-    return std::string();
-  std::string Data;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Data.append(Buf, N);
-  std::fclose(F);
-  return Data;
-}
-
-void writeWholeFile(const std::string &Path, const std::string &Data) {
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr) << Path;
-  ASSERT_EQ(std::fwrite(Data.data(), 1, Data.size(), F), Data.size());
-  std::fclose(F);
-}
-
-/// Simple cross-fork attempt counter for the supervisor tests.
-int bumpCounter(const std::string &Path) {
-  int N = 0;
-  if (FILE *F = std::fopen(Path.c_str(), "rb")) {
-    std::fscanf(F, "%d", &N);
-    std::fclose(F);
-  }
-  ++N;
-  if (FILE *F = std::fopen(Path.c_str(), "wb")) {
-    std::fprintf(F, "%d", N);
-    std::fclose(F);
-  }
-  return N;
-}
-
-std::string freshSupervisorDir(const char *Name) {
-  std::string Dir = std::string(::testing::TempDir()) + "/" + Name;
-  mkdir(Dir.c_str(), 0755);
-  std::remove((Dir + "/attempts").c_str());
-  std::remove((Dir + "/manifest.json").c_str());
-  return Dir;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -299,246 +245,4 @@ TEST(CheckpointReplay, RefusesToResumeDifferentTrace) {
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.status().code(), StatusCode::Corrupt);
   std::remove(Snap.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// Unit snapshots
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Runs nbody under \p Opts, round-trips the finished run through a unit
-/// snapshot, and checks every persisted field.
-void roundTripUnit(const char *SnapName, const ExperimentOptions &Opts,
-                   const std::string &UnitName) {
-  std::string Path = std::string(::testing::TempDir()) + "/" + SnapName;
-  ProgramRun Run = runProgram(nbodyWorkload(), Opts);
-  ASSERT_TRUE(Run.Bank);
-  ASSERT_TRUE(saveUnitSnapshot(Path, Run, Opts.Scale).ok());
-
-  Expected<ProgramRun> Loaded = loadUnitSnapshot(Path, UnitName, Opts.Scale);
-  ASSERT_TRUE(Loaded.ok()) << Loaded.status().message();
-  EXPECT_EQ(Loaded->Name, Run.Name);
-  EXPECT_EQ(Loaded->TotalRefs, Run.TotalRefs);
-  EXPECT_EQ(Loaded->MutatorRefs, Run.MutatorRefs);
-  EXPECT_EQ(Loaded->AllocBytes, Run.AllocBytes);
-  EXPECT_EQ(Loaded->Collections, Run.Collections);
-  EXPECT_EQ(Loaded->Output, Run.Output);
-  EXPECT_EQ(Loaded->RuntimeVectorAddr, Run.RuntimeVectorAddr);
-  EXPECT_EQ(Loaded->StaticBytes, Run.StaticBytes);
-  EXPECT_EQ(Loaded->Stats.Instructions, Run.Stats.Instructions);
-  EXPECT_EQ(Loaded->Stats.ExtraInstructions, Run.Stats.ExtraInstructions);
-  EXPECT_EQ(Loaded->Stats.DynamicBytes, Run.Stats.DynamicBytes);
-  EXPECT_EQ(Loaded->Stats.Gc.Collections, Run.Stats.Gc.Collections);
-  EXPECT_EQ(Loaded->Stats.Gc.ObjectsCopied, Run.Stats.Gc.ObjectsCopied);
-  EXPECT_EQ(Loaded->Stats.Gc.WordsCopied, Run.Stats.Gc.WordsCopied);
-  EXPECT_EQ(Loaded->Stats.Gc.Instructions, Run.Stats.Gc.Instructions);
-  ASSERT_TRUE(Loaded->Bank);
-  expectBanksEqual(*Run.Bank, *Loaded->Bank);
-  std::remove(Path.c_str());
-}
-
-ExperimentOptions smallControlOptions() {
-  ExperimentOptions O;
-  O.Scale = 0.05;
-  O.Grid = CacheGridKind::SizeSweep;
-  return O;
-}
-
-} // namespace
-
-TEST(UnitSnapshot, RoundTripsControlRun) {
-  ExperimentOptions O = smallControlOptions();
-  ProgramRun Probe = runProgram(nbodyWorkload(), O);
-  roundTripUnit("unit_control.snap", O, Probe.Name);
-}
-
-TEST(UnitSnapshot, RoundTripsCollectedRun) {
-  ExperimentOptions O = smallControlOptions();
-  O.Gc = GcKind::Cheney;
-  O.SemispaceBytes = 512 << 10;
-  ProgramRun Probe = runProgram(nbodyWorkload(), O);
-  ASSERT_GT(Probe.Collections, 0u);
-  roundTripUnit("unit_cheney.snap", O, Probe.Name);
-}
-
-TEST(UnitSnapshot, RejectsWrongUnitNameAndScale) {
-  std::string Path = std::string(::testing::TempDir()) + "/unit_mismatch.snap";
-  ExperimentOptions O = smallControlOptions();
-  ProgramRun Run = runProgram(nbodyWorkload(), O);
-  ASSERT_TRUE(saveUnitSnapshot(Path, Run, O.Scale).ok());
-
-  Expected<ProgramRun> WrongName =
-      loadUnitSnapshot(Path, Run.Name + " (other)", O.Scale);
-  ASSERT_FALSE(WrongName.ok());
-  EXPECT_EQ(WrongName.status().code(), StatusCode::Corrupt);
-
-  Expected<ProgramRun> WrongScale = loadUnitSnapshot(Path, Run.Name, 0.25);
-  ASSERT_FALSE(WrongScale.ok());
-  EXPECT_EQ(WrongScale.status().code(), StatusCode::Corrupt);
-  std::remove(Path.c_str());
-}
-
-TEST(UnitSnapshot, RejectsCorruptedAndTruncatedFiles) {
-  std::string Path = std::string(::testing::TempDir()) + "/unit_damage.snap";
-  ExperimentOptions O = smallControlOptions();
-  ProgramRun Run = runProgram(nbodyWorkload(), O);
-  ASSERT_TRUE(saveUnitSnapshot(Path, Run, O.Scale).ok());
-  std::string Good = readWholeFile(Path);
-  ASSERT_GT(Good.size(), 64u);
-
-  // Flip one payload byte: the section CRC must catch it.
-  std::string Flipped = Good;
-  Flipped[Flipped.size() - 9] ^= 0x40;
-  writeWholeFile(Path, Flipped);
-  Expected<ProgramRun> Corrupted = loadUnitSnapshot(Path, Run.Name, O.Scale);
-  ASSERT_FALSE(Corrupted.ok());
-  EXPECT_EQ(Corrupted.status().code(), StatusCode::Corrupt);
-
-  // A torn write (every proper prefix) must read as Truncated, not load.
-  for (size_t Cut : {Good.size() - 1, Good.size() / 2, size_t(20), size_t(3)}) {
-    writeWholeFile(Path, Good.substr(0, Cut));
-    Expected<ProgramRun> Torn = loadUnitSnapshot(Path, Run.Name, O.Scale);
-    ASSERT_FALSE(Torn.ok()) << "cut at " << Cut;
-    EXPECT_EQ(Torn.status().code(), StatusCode::Truncated) << "cut at " << Cut;
-  }
-
-  // And the intact bytes still load after the damage sweep.
-  writeWholeFile(Path, Good);
-  EXPECT_TRUE(loadUnitSnapshot(Path, Run.Name, O.Scale).ok());
-  std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// Supervisor protocol
-//===----------------------------------------------------------------------===//
-
-TEST(Supervisor, RestartsFastAbortingChildUntilItSucceeds) {
-  std::string Dir = freshSupervisorDir("sup_retry");
-  std::string Counter = Dir + "/attempts";
-  SupervisorOptions Opts;
-  Opts.CheckpointDir = Dir;
-  Opts.MaxRetries = 3;
-  Opts.BackoffMs = 1;
-
-  int Exit = runSupervised(Opts, [&] {
-    CheckpointContext Ctx;
-    Ctx.Dir = Dir;
-    if (bumpCounter(Counter) <= 2) {
-      markUnitInProgress(Ctx, "unit-a");
-      return SupervisedAbortExit;
-    }
-    return 0;
-  });
-  EXPECT_EQ(Exit, 0);
-
-  std::string Manifest = readWholeFile(Dir + "/manifest.json");
-  EXPECT_NE(Manifest.find("\"result\": \"completed\""), std::string::npos);
-  EXPECT_NE(Manifest.find("\"launches\": 3"), std::string::npos);
-  EXPECT_NE(Manifest.find("\"unit\": \"unit-a\""), std::string::npos);
-}
-
-TEST(Supervisor, DeniesUnitAfterRetriesAndDegradesGracefully) {
-  std::string Dir = freshSupervisorDir("sup_deny");
-  SupervisorOptions Opts;
-  Opts.CheckpointDir = Dir;
-  Opts.MaxRetries = 2;
-  Opts.BackoffMs = 1;
-
-  int Exit = runSupervised(Opts, [&] {
-    CheckpointContext Ctx;
-    Ctx.Dir = Dir;
-    if (isUnitDenied(Ctx, "bad-unit"))
-      return 1; // degrade: mark the unit failed, finish the sweep
-    markUnitInProgress(Ctx, "bad-unit");
-    return SupervisedAbortExit;
-  });
-  EXPECT_EQ(Exit, 1);
-
-  std::string Manifest = readWholeFile(Dir + "/manifest.json");
-  EXPECT_NE(Manifest.find("\"denied_units\": [\"bad-unit\"]"),
-            std::string::npos);
-  EXPECT_NE(Manifest.find("\"result\": \"completed\""), std::string::npos);
-}
-
-TEST(Supervisor, RestartsCrashedChildAndAttributesTheSignal) {
-  std::string Dir = freshSupervisorDir("sup_crash");
-  std::string Counter = Dir + "/attempts";
-  SupervisorOptions Opts;
-  Opts.CheckpointDir = Dir;
-  Opts.MaxRetries = 2;
-  Opts.BackoffMs = 1;
-
-  int Exit = runSupervised(Opts, [&] {
-    CheckpointContext Ctx;
-    Ctx.Dir = Dir;
-    if (bumpCounter(Counter) == 1) {
-      markUnitInProgress(Ctx, "crashy");
-      std::abort();
-    }
-    return 0;
-  });
-  EXPECT_EQ(Exit, 0);
-
-  std::string Manifest = readWholeFile(Dir + "/manifest.json");
-  EXPECT_NE(Manifest.find("\"cause\": \"signal"), std::string::npos);
-  EXPECT_NE(Manifest.find("\"unit\": \"crashy\""), std::string::npos);
-}
-
-TEST(Supervisor, KillsTimedOutChildAndRestarts) {
-  std::string Dir = freshSupervisorDir("sup_timeout");
-  std::string Counter = Dir + "/attempts";
-  SupervisorOptions Opts;
-  Opts.CheckpointDir = Dir;
-  Opts.MaxRetries = 2;
-  Opts.TimeoutSec = 1;
-  Opts.BackoffMs = 1;
-
-  int Exit = runSupervised(Opts, [&] {
-    CheckpointContext Ctx;
-    Ctx.Dir = Dir;
-    if (bumpCounter(Counter) == 1) {
-      markUnitInProgress(Ctx, "slow-unit");
-      std::this_thread::sleep_for(std::chrono::seconds(30));
-    }
-    return 0;
-  });
-  EXPECT_EQ(Exit, 0);
-
-  std::string Manifest = readWholeFile(Dir + "/manifest.json");
-  EXPECT_NE(Manifest.find("\"cause\": \"timeout\""), std::string::npos);
-  EXPECT_NE(Manifest.find("\"unit\": \"slow-unit\""), std::string::npos);
-}
-
-TEST(Supervisor, DoesNotRetryBadFlags) {
-  std::string Dir = freshSupervisorDir("sup_badflags");
-  std::string Counter = Dir + "/attempts";
-  SupervisorOptions Opts;
-  Opts.CheckpointDir = Dir;
-  Opts.BackoffMs = 1;
-
-  int Exit = runSupervised(Opts, [&] {
-    bumpCounter(Counter);
-    return 2;
-  });
-  EXPECT_EQ(Exit, 2);
-  EXPECT_EQ(readWholeFile(Counter), "1");
-  std::string Manifest = readWholeFile(Dir + "/manifest.json");
-  EXPECT_NE(Manifest.find("\"result\": \"bad-flags\""), std::string::npos);
-}
-
-TEST(Supervisor, CrashLoopWithoutAttributionHitsLaunchCap) {
-  std::string Dir = freshSupervisorDir("sup_loop");
-  SupervisorOptions Opts;
-  Opts.CheckpointDir = Dir;
-  Opts.MaxRetries = 1;
-  Opts.MaxLaunches = 3;
-  Opts.BackoffMs = 1;
-
-  // No in-progress marker is ever written, so the supervisor cannot deny a
-  // unit; the launch cap must stop the loop.
-  int Exit = runSupervised(Opts, [] { return SupervisedAbortExit; });
-  EXPECT_EQ(Exit, 70);
-  std::string Manifest = readWholeFile(Dir + "/manifest.json");
-  EXPECT_NE(Manifest.find("\"result\": \"crash-loop\""), std::string::npos);
 }

@@ -476,8 +476,7 @@ TEST_F(FaultInjection, SnapshotWriteFaultAtEveryCheckpointIsStructured) {
 
   // Injector state rides in the checkpoint, so a resumed replay re-fires
   // a mid-trace fault at the same global occurrence — the crash is
-  // reproduced, not silently skipped (the supervisor's deny list is what
-  // eventually breaks such loops).
+  // reproduced, not silently skipped.
   {
     std::remove(Snap.c_str());
     Fi.arm({FaultSite::SnapshotWrite, Writes / 2, 0});
