@@ -4,8 +4,10 @@
 
 #include "gcache/memsys/Cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 
 using namespace gcache;
 
@@ -192,10 +194,10 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
   using BC = BatchIndex::BlockColumns;
   size_t I = 0;
   if constexpr (DirectMapped) {
-    // Direct-mapped (the whole paper grid): no way scan, one line probe
-    // per run. The hit/miss branches stay — on real streams they are
-    // strongly biased (sequential stores hit, far-ranging loads miss)
-    // and predicted branches beat the longer dependent chains of a
+    // Direct-mapped: no way scan, no recency stamps, one line probe per
+    // run. The hit/miss branches stay — on real streams they are strongly
+    // biased (sequential stores hit, far-ranging loads miss) and
+    // predicted branches beat the longer dependent chains of a
     // branch-free formulation.
     for (size_t R = 0; R != NumRuns; ++R) {
       {
@@ -213,12 +215,11 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
       const unsigned P =
           Mixed ? ((Packed & BC::RunFirstCollector) ? 1 : 0) : BatchPhase;
       const bool IsStore = (Packed & BC::RunFirstIsStore) != 0;
-      ++Clock;
       if (L->ValidMask != 0 && L->Tag == Tag) {
         if (IsStore) {
           L->ValidMask |= WB;
           if (TrackDirty)
-            L->Dirty = true;
+            L->StoreMask |= WB;
         } else if (!(L->ValidMask & WB)) {
           // Sub-block read miss: resident block, never-fetched word.
           L->ValidMask = FullMask;
@@ -233,21 +234,21 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
         }
       } else {
         // Block miss: evict the line (writing back if dirty), install.
-        if (L->ValidMask != 0 && L->Dirty) {
+        if (L->dirty()) {
           if constexpr (Mixed)
             ++Cnt[P].Writebacks;
           else
             ++WbL;
         }
         L->Tag = Tag;
-        L->Dirty = false;
+        L->StoreMask = 0;
         const bool FetchOnWrite =
             Mixed ? (FetchOnWriteAlways || (CollectorFoW && P != 0))
                   : BatchFoW;
         if (IsStore && !FetchOnWrite) {
           L->ValidMask = WB;
           if (TrackDirty)
-            L->Dirty = true;
+            L->StoreMask = WB;
           if constexpr (Mixed)
             ++Cnt[P].NoFetchMisses;
           else
@@ -257,7 +258,7 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
         } else {
           L->ValidMask = FullMask;
           if (IsStore && TrackDirty)
-            L->Dirty = true;
+            L->StoreMask = WB;
           if constexpr (Mixed)
             ++Cnt[P].FetchMisses;
           else
@@ -273,24 +274,23 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
       if (const uint32_t Rest = Len - 1) {
         if (!(Packed & BC::RunHasTailLoad)) {
           // Store-only tail: stores to a resident block just OR their
-          // word bits and set the dirty flag, so the whole tail is
-          // three register ops (the counters came from the tally).
+          // word bits into the valid and store masks, so the whole tail
+          // is a few register ops (the counters came from the tally).
           L->ValidMask |= StoreMask[R];
           if (TrackDirty)
-            L->Dirty = true;
-          Clock += Rest;
+            L->StoreMask |= StoreMask[R];
           I += Rest;
         } else {
           // The tail holds loads, whose sub-block validity depends on
           // the exact interleaving: walk it with state in registers.
           uint64_t VM = L->ValidMask;
-          bool Dirty = L->Dirty;
+          uint64_t SM = L->StoreMask;
           for (const size_t End = I + Rest; I != End; ++I) {
-            ++Clock;
             const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
             if (Kind[I] & 1) {
               VM |= Bit;
-              Dirty |= TrackDirty;
+              if (TrackDirty)
+                SM |= Bit;
             } else if (!(VM & Bit)) {
               VM = FullMask;
               if constexpr (Mixed)
@@ -304,12 +304,9 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
             }
           }
           L->ValidMask = VM;
-          L->Dirty = Dirty;
+          L->StoreMask = SM;
         }
       }
-      // The scalar path stamps every access; only the final stamp of
-      // the run (== the clock at its last reference) is observable.
-      L->LruStamp = Clock;
       if constexpr (PerBlock)
         BlockRefs[SetIdx] += Len;
     }
@@ -362,7 +359,7 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
           if (IsStore) {
             L->ValidMask |= WB;
             if (TrackDirty)
-              L->Dirty = true;
+              L->StoreMask |= WB;
           } else if (!(L->ValidMask & WB)) {
             // Sub-block read miss: resident block, never-fetched word.
             L->ValidMask = FullMask;
@@ -377,21 +374,21 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
           }
         } else {
           // Block miss: evict the victim (writeback if dirty), install.
-          if (L->ValidMask != 0 && L->Dirty) {
+          if (L->dirty()) {
             if constexpr (Mixed)
               ++Cnt[P].Writebacks;
             else
               ++WbL;
           }
           L->Tag = Tag;
-          L->Dirty = false;
+          L->StoreMask = 0;
           const bool FetchOnWrite =
               Mixed ? (FetchOnWriteAlways || (CollectorFoW && P != 0))
                     : BatchFoW;
           if (IsStore && !FetchOnWrite) {
             L->ValidMask = WB;
             if (TrackDirty)
-              L->Dirty = true;
+              L->StoreMask = WB;
             if constexpr (Mixed)
               ++Cnt[P].NoFetchMisses;
             else
@@ -401,7 +398,7 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
           } else {
             L->ValidMask = FullMask;
             if (IsStore && TrackDirty)
-              L->Dirty = true;
+              L->StoreMask = WB;
             if constexpr (Mixed)
               ++Cnt[P].FetchMisses;
             else
@@ -418,24 +415,25 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
       if (const uint32_t Rest = Len - 1) {
         if (!(Packed & BC::RunHasTailLoad)) {
           // Store-only tail: stores to a resident block just OR their
-          // word bits and set the dirty flag, so the whole tail is
-          // three register ops (the counters came from the tally).
+          // word bits into the valid and store masks, so the whole tail
+          // is a few register ops (the counters came from the tally).
           L->ValidMask |= StoreMask[R];
           if (TrackDirty)
-            L->Dirty = true;
+            L->StoreMask |= StoreMask[R];
           Clock += Rest;
           I += Rest;
         } else {
           // The tail holds loads, whose sub-block validity depends on
           // the exact interleaving: walk it with state in registers.
           uint64_t VM = L->ValidMask;
-          bool Dirty = L->Dirty;
+          uint64_t SM = L->StoreMask;
           for (const size_t End = I + Rest; I != End; ++I) {
             ++Clock;
             const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
             if (Kind[I] & 1) {
               VM |= Bit;
-              Dirty |= TrackDirty;
+              if (TrackDirty)
+                SM |= Bit;
             } else if (!(VM & Bit)) {
               VM = FullMask;
               if constexpr (Mixed)
@@ -449,7 +447,7 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
             }
           }
           L->ValidMask = VM;
-          L->Dirty = Dirty;
+          L->StoreMask = SM;
         }
       }
       // The scalar path stamps every access; only the final stamp of
@@ -511,226 +509,255 @@ void BatchKernel::run(Cache &C, const RefColumns &Batch, BatchIndex &Index) {
   }
 }
 
-bool BatchKernel::pairable(const Cache &C) {
-  return C.config().Ways == 1 && !C.config().TrackPerBlockStats &&
-         !C.crossCheckEnabled();
+//===----------------------------------------------------------------------===//
+// Inclusion chains
+//===----------------------------------------------------------------------===//
+
+bool BatchKernel::chainable(const Cache &C) {
+  const CacheConfig &Cfg = C.config();
+  return Cfg.Ways == 1 && Cfg.WriteHit == WriteHitPolicy::WriteBack &&
+         !Cfg.TrackPerBlockStats && !C.crossCheckEnabled();
 }
 
-void BatchKernel::runPair(Cache &A, Cache &B, const RefColumns &Batch,
-                          BatchIndex &Index) {
-  assert(Index.batch() == &Batch && "index was reset to a different batch");
-  assert(pairable(A) && pairable(B) && "runPair caller must check pairable");
-  assert(A.config().BlockBytes == B.config().BlockBytes &&
-         "paired caches must share the decomposed columns");
-  if (Batch.empty())
-    return;
-  const BatchIndex::RefTally &Tally = Index.tally();
-  const bool AllCollector = Tally.Loads[0] + Tally.Stores[0] == 0;
-  const bool AllMutator = Tally.Loads[1] + Tally.Stores[1] == 0;
-  if (!AllCollector && !AllMutator) {
-    // Mixed-phase batches are rare (CacheBank flushes at GC boundaries);
-    // the scalar-counter pair loop does not apply, so take two plain runs.
-    run(A, Batch, Index);
-    run(B, Batch, Index);
-    return;
+bool BatchKernel::sameChain(const Cache &A, const Cache &B) {
+  const CacheConfig &X = A.config(), &Y = B.config();
+  return X.BlockBytes == Y.BlockBytes && X.WriteMiss == Y.WriteMiss &&
+         X.CollectorFetchOnWrite == Y.CollectorFetchOnWrite;
+}
+
+void BatchKernel::runChain(std::span<Cache *const> Links,
+                           const RefColumns &Batch,
+                           std::vector<ChainRun> &Survivors) {
+  assert(!Links.empty() && "a chain has at least one link");
+  const size_t N = Batch.size();
+  if (Survivors.size() < ChainChunkRefs)
+    Survivors.resize(ChainChunkRefs);
+  const CacheConfig &Cfg = Links.front()->config();
+  const uint8_t *PhaseTag = Batch.PhaseTag.data();
+  for (size_t Begin = 0; Begin != N;) {
+    // Segmentation is unobservable, so a mixed-phase batch runs as its
+    // maximal single-phase segments, each with the phase's policy fixed.
+    const unsigned P = PhaseTag[Begin] & 1;
+    const void *Switch = std::memchr(PhaseTag + Begin, P ^ 1, N - Begin);
+    const size_t End =
+        Switch ? static_cast<const uint8_t *>(Switch) - PhaseTag : N;
+    const bool FoW = Cfg.WriteMiss == WriteMissPolicy::FetchOnWrite ||
+                     (Cfg.CollectorFetchOnWrite && P != 0);
+    FoW ? runSegment<true>(Links, Batch, Begin, End, P, Survivors.data())
+        : runSegment<false>(Links, Batch, Begin, End, P, Survivors.data());
+    Begin = End;
   }
-  const BatchIndex::BlockColumns &Cols =
-      Index.columnsFor(A.config().BlockBytes);
-  const unsigned BatchPhase = AllCollector ? 1 : 0;
-  // The paper grid is uniformly write-back with write-allocate-no-fetch:
-  // when both caches fit that shape (for this batch's phase), take the
-  // loop with the policy tests compiled out.
-  const bool Uniform =
-      A.config().WriteHit == WriteHitPolicy::WriteBack &&
-      B.config().WriteHit == WriteHitPolicy::WriteBack &&
-      A.config().WriteMiss != WriteMissPolicy::FetchOnWrite &&
-      B.config().WriteMiss != WriteMissPolicy::FetchOnWrite &&
-      !(A.config().CollectorFetchOnWrite && BatchPhase != 0) &&
-      !(B.config().CollectorFetchOnWrite && BatchPhase != 0);
-  Uniform ? runLoopPair<true>(A, B, Batch, Cols, Tally, BatchPhase)
-          : runLoopPair<false>(A, B, Batch, Cols, Tally, BatchPhase);
 }
 
-/// The two-cache interleaved twin of the direct-mapped runLoop: one run
-/// decode drives both caches' state machines. Per-run work that depends
-/// only on the reference stream (packed length/flags, store masks, tail
-/// classification, the clock) is shared; everything that depends on cache
-/// geometry (set index, tag, line state, counters) is kept per cache.
-/// Since the caches never read each other's state, the interleaving is
-/// unobservable and each ends exactly as a solo runLoop would leave it.
-template <bool Uniform>
-void BatchKernel::runLoopPair(Cache &A, Cache &B, const RefColumns &Batch,
-                              const BatchIndex::BlockColumns &Cols,
-                              const BatchIndex::RefTally &Tally,
-                              unsigned BatchPhase) {
-  using Line = Cache::Line;
-  const uint32_t SetMaskA = A.SetMask, SetMaskB = B.SetMask;
-  const uint32_t SetShiftA = std::bit_width(SetMaskA);
-  const uint32_t SetShiftB = std::bit_width(SetMaskB);
-  const uint64_t FullMask = A.FullMask; // equal BlockBytes, equal mask
-  const uint32_t OffsetMask = Cols.BlockBytes - 1;
-  const bool WriteThroughA =
-      A.Config.WriteHit == WriteHitPolicy::WriteThrough;
-  const bool WriteThroughB =
-      B.Config.WriteHit == WriteHitPolicy::WriteThrough;
-  // Under Uniform these fold to compile-time constants (write-back,
-  // never fetch-on-write), erasing the policy tests from the loop.
-  const bool TrackDirtyA =
-      Uniform || A.Config.WriteHit == WriteHitPolicy::WriteBack;
-  const bool TrackDirtyB =
-      Uniform || B.Config.WriteHit == WriteHitPolicy::WriteBack;
-  const bool FoWA =
-      !Uniform && (A.Config.WriteMiss == WriteMissPolicy::FetchOnWrite ||
-                   (A.Config.CollectorFetchOnWrite && BatchPhase != 0));
-  const bool FoWB =
-      !Uniform && (B.Config.WriteMiss == WriteMissPolicy::FetchOnWrite ||
-                   (B.Config.CollectorFetchOnWrite && BatchPhase != 0));
+template <bool FetchOnWrite>
+void BatchKernel::runSegment(std::span<Cache *const> Links,
+                             const RefColumns &Batch, size_t Begin,
+                             size_t End, unsigned P, ChainRun *Runs) {
+  uint64_t Stores = 0;
+  for (size_t From = Begin; From != End;) {
+    const size_t To = std::min(End, From + ChainChunkRefs);
+    Cache &First = *Links.front();
+    size_t NumRuns =
+        Links.size() > 1
+            ? firstLink<FetchOnWrite, true>(First, Batch, From, To, P, Runs,
+                                            Stores)
+            : firstLink<FetchOnWrite, false>(First, Batch, From, To, P, Runs,
+                                             Stores);
+    for (size_t K = 1; K != Links.size() && NumRuns != 0; ++K)
+      NumRuns = K + 1 != Links.size()
+                    ? nextLink<FetchOnWrite, true>(*Links[K], Batch, Runs,
+                                                   NumRuns, P)
+                    : nextLink<FetchOnWrite, false>(*Links[K], Batch, Runs,
+                                                    NumRuns, P);
+    From = To;
+  }
+  // Every link sees every reference, so all take the same tally.
+  for (Cache *C : Links) {
+    C->Counts[P].Loads += (End - Begin) - Stores;
+    C->Counts[P].Stores += Stores;
+  }
+}
 
-  Line *LinesA = A.Lines.data();
-  Line *LinesB = B.Lines.data();
-  const uint32_t *RunPacked = Cols.RunPacked.data();
-  const uint32_t *RunBlockIdx = Cols.RunBlockIdx.data();
-  const uint64_t *FirstWordBit = Cols.FirstWordBit.data();
-  const uint64_t *StoreMask = Cols.StoreMask.data();
-  const size_t NumRuns = Cols.NumRuns;
+/// The first link, fused with the run split: one pass over the rows keeps
+/// the open run's line state in registers, simulates each reference as
+/// Cache::simulate would (direct-mapped, write-back, one phase), and on
+/// closing a run records it for the next link unless the line was
+/// resident when the run began and every word the run touched was already
+/// in the line's store mask.
+template <bool FetchOnWrite, bool Emit>
+size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
+                              size_t Begin, size_t End, unsigned P,
+                              ChainRun *Out, uint64_t &Stores) {
+  using Line = Cache::Line;
+  Line *const Lines = C.Lines.data();
+  const uint32_t SetMask = C.SetMask;
+  const uint32_t SetShift = std::bit_width(SetMask);
+  const uint32_t BlockShift = C.BlockShift;
+  const uint32_t OffsetMask = C.Config.BlockBytes - 1;
+  const uint64_t FullMask = C.FullMask;
   const Address *Addr = Batch.Addr.data();
   const uint8_t *Kind = Batch.Kind.data();
+  uint64_t Fetch = 0, NoFetch = 0, Wb = 0, StoreRefs = 0;
+  size_t NumOut = 0;
 
-  // The clocks advance in lockstep (one tick per reference), so B's
-  // stamps are A's clock plus the constant starting offset.
-  uint64_t Clock = A.LruClock;
-  const uint64_t BOff = B.LruClock - A.LruClock;
-  CacheCounters CntA[2] = {A.Counts[0], A.Counts[1]};
-  CacheCounters CntB[2] = {B.Counts[0], B.Counts[1]};
-  for (unsigned P = 0; P != 2; ++P) {
-    CntA[P].Loads += Tally.Loads[P];
-    CntA[P].Stores += Tally.Stores[P];
-    CntB[P].Loads += Tally.Loads[P];
-    CntB[P].Stores += Tally.Stores[P];
-    if (WriteThroughA)
-      CntA[P].WriteThroughs += Tally.Stores[P];
-    if (WriteThroughB)
-      CntB[P].WriteThroughs += Tally.Stores[P];
-  }
-  uint64_t FetchA = 0, NoFetchA = 0, WbA = 0;
-  uint64_t FetchB = 0, NoFetchB = 0, WbB = 0;
+  // The open run: its line, the line's masks in registers, whether the
+  // block was resident and its store mask when the run began, and the
+  // record the next link would get.
+  Line *L = nullptr;
+  uint64_t VM = 0, SM = 0, Proof = 0;
+  bool WasResident = false;
+  ChainRun Run{};
+  auto Close = [&] {
+    L->ValidMask = VM;
+    L->StoreMask = SM;
+    if constexpr (Emit)
+      if (!WasResident || (Run.Words & ~Proof))
+        Out[NumOut++] = Run;
+  };
 
-  // One cache's dependent line-array miss overlaps with the other's
-  // whole per-run work, so the pair needs less prefetch depth than the
-  // solo loop; keep the same distance — extra depth is harmless.
-  constexpr size_t PrefetchRuns = 16;
-
-  // The solo loop's first-reference transition, parameterized over one
-  // cache's line, flags, and counters; inlined twice per run below.
-  const auto FirstRef = [FullMask](Line *L, uint32_t Tag, uint64_t WB,
-                                   bool IsStore, bool TrackDirty, bool FoW,
-                                   uint64_t &Fetch, uint64_t &NoFetch,
-                                   uint64_t &Wb) {
-    if (L->ValidMask != 0 && L->Tag == Tag) {
-      if (IsStore) {
-        L->ValidMask |= WB;
-        if (TrackDirty)
-          L->Dirty = true;
-      } else if (!(L->ValidMask & WB)) {
-        L->ValidMask = FullMask;
+  for (size_t I = Begin; I != End; ++I) {
+    const Address A = Addr[I];
+    const uint32_t BI = A >> BlockShift;
+    const uint32_t Word = (A & OffsetMask) >> 2;
+    const uint64_t Bit = 1ull << Word;
+    const bool IsStore = (Kind[I] & 1) != 0;
+    const uint64_t StoreBit = IsStore ? Bit : 0;
+    StoreRefs += IsStore;
+    if (L && BI == Run.Block) {
+      // Tail reference: the block is resident, and a store's word
+      // becomes valid before a load's validity is tested.
+      VM |= StoreBit;
+      SM |= StoreBit;
+      if (!(VM & Bit)) {
+        VM = FullMask; // sub-block read miss
+        ++Fetch;
+      }
+      if constexpr (Emit) {
+        ++Run.Len;
+        Run.Stores |= StoreBit;
+        Run.Words |= Bit;
+        Run.Flags |= IsStore ? 0 : ChainRun::TailHasLoad;
+      }
+      continue;
+    }
+    if (L)
+      Close();
+    L = Lines + (BI & SetMask);
+    const uint32_t Tag = BI >> SetShift;
+    VM = L->ValidMask;
+    SM = L->StoreMask;
+    WasResident = VM != 0 && L->Tag == Tag;
+    Proof = SM;
+    Run = {BI, static_cast<uint32_t>(I), 1,
+           Word | (IsStore ? ChainRun::FirstIsStore : 0), StoreBit, Bit};
+    if (WasResident) {
+      VM |= StoreBit;
+      SM |= StoreBit;
+      if (!(VM & Bit)) {
+        VM = FullMask;
         ++Fetch;
       }
     } else {
-      if (L->ValidMask != 0 && L->Dirty)
-        ++Wb;
+      Wb += SM != 0;
       L->Tag = Tag;
-      L->Dirty = false;
-      if (IsStore && !FoW) {
-        L->ValidMask = WB;
-        if (TrackDirty)
-          L->Dirty = true;
+      if (IsStore && !FetchOnWrite) {
+        VM = Bit; // write-validate: allocate without fetching
         ++NoFetch;
       } else {
-        L->ValidMask = FullMask;
-        if (IsStore && TrackDirty)
-          L->Dirty = true;
+        VM = FullMask;
         ++Fetch;
       }
+      SM = StoreBit;
     }
-  };
+  }
+  if (L)
+    Close();
 
-  using BC = BatchIndex::BlockColumns;
-  size_t I = 0;
+  CacheCounters &Cnt = C.Counts[P];
+  Cnt.FetchMisses += Fetch;
+  Cnt.NoFetchMisses += NoFetch;
+  Cnt.Writebacks += Wb;
+  Stores += StoreRefs;
+  return NumOut;
+}
+
+/// A larger link: the same transitions run by run, as the solo
+/// direct-mapped loop makes them. A run is dropped, before it touches the
+/// line, when its block is resident with every word it touches in the
+/// store mask: by inclusion that holds in every larger link too.
+template <bool FetchOnWrite, bool Emit>
+size_t BatchKernel::nextLink(Cache &C, const RefColumns &Batch,
+                             ChainRun *Runs, size_t NumRuns, unsigned P) {
+  using Line = Cache::Line;
+  Line *const Lines = C.Lines.data();
+  const uint32_t SetMask = C.SetMask;
+  const uint32_t SetShift = std::bit_width(SetMask);
+  const uint32_t OffsetMask = C.Config.BlockBytes - 1;
+  const uint64_t FullMask = C.FullMask;
+  const Address *Addr = Batch.Addr.data();
+  const uint8_t *Kind = Batch.Kind.data();
+  uint64_t Fetch = 0, NoFetch = 0, Wb = 0;
+  size_t NumOut = 0;
+  // The larger links' line arrays outgrow the host caches; prefetch the
+  // line of a run a fixed distance ahead (see runLoop).
+  constexpr size_t PrefetchRuns = 16;
+
   for (size_t R = 0; R != NumRuns; ++R) {
-    {
-      const size_t PR = R + PrefetchRuns;
-      if (PR < NumRuns) {
-        __builtin_prefetch(LinesA + (RunBlockIdx[PR] & SetMaskA));
-        __builtin_prefetch(LinesB + (RunBlockIdx[PR] & SetMaskB));
+    if (R + PrefetchRuns < NumRuns)
+      __builtin_prefetch(Lines + (Runs[R + PrefetchRuns].Block & SetMask));
+    const ChainRun Run = Runs[R];
+    Line *L = Lines + (Run.Block & SetMask);
+    const uint32_t Tag = Run.Block >> SetShift;
+    uint64_t VM = L->ValidMask, SM = L->StoreMask;
+    const uint64_t WB = 1ull << (Run.Flags & ChainRun::FirstWordMask);
+    const bool IsStore = (Run.Flags & ChainRun::FirstIsStore) != 0;
+    if (VM != 0 && L->Tag == Tag) {
+      if (!(Run.Words & ~SM))
+        continue; // a no-op here and in every larger link
+      if (IsStore) {
+        VM |= WB;
+        SM |= WB;
+      } else if (!(VM & WB)) {
+        VM = FullMask;
+        ++Fetch;
       }
-    }
-    const uint32_t Packed = RunPacked[R];
-    const uint32_t Len = Packed & BC::RunLenMask;
-    const uint32_t BI = RunBlockIdx[R];
-    Line *LA = LinesA + (BI & SetMaskA);
-    Line *LB = LinesB + (BI & SetMaskB);
-    const uint64_t WB = FirstWordBit[R];
-    const bool IsStore = (Packed & BC::RunFirstIsStore) != 0;
-    ++Clock;
-    FirstRef(LA, BI >> SetShiftA, WB, IsStore, TrackDirtyA, FoWA, FetchA,
-             NoFetchA, WbA);
-    FirstRef(LB, BI >> SetShiftB, WB, IsStore, TrackDirtyB, FoWB, FetchB,
-             NoFetchB, WbB);
-    ++I;
-
-    if (const uint32_t Rest = Len - 1) {
-      if (!(Packed & BC::RunHasTailLoad)) {
-        const uint64_t Mask = StoreMask[R];
-        LA->ValidMask |= Mask;
-        LB->ValidMask |= Mask;
-        if (TrackDirtyA)
-          LA->Dirty = true;
-        if (TrackDirtyB)
-          LB->Dirty = true;
-        Clock += Rest;
-        I += Rest;
+    } else {
+      Wb += SM != 0;
+      L->Tag = Tag;
+      if (IsStore && !FetchOnWrite) {
+        VM = WB;
+        ++NoFetch;
       } else {
-        uint64_t VMA = LA->ValidMask, VMB = LB->ValidMask;
-        bool DirtyA = LA->Dirty, DirtyB = LB->Dirty;
-        for (const size_t End = I + Rest; I != End; ++I) {
-          ++Clock;
-          const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
-          if (Kind[I] & 1) {
-            VMA |= Bit;
-            VMB |= Bit;
-            DirtyA |= TrackDirtyA;
-            DirtyB |= TrackDirtyB;
-          } else {
-            if (!(VMA & Bit)) {
-              VMA = FullMask;
-              ++FetchA;
-            }
-            if (!(VMB & Bit)) {
-              VMB = FullMask;
-              ++FetchB;
-            }
-          }
+        VM = FullMask;
+        ++Fetch;
+      }
+      SM = IsStore ? WB : 0;
+    }
+    if (!(Run.Flags & ChainRun::TailHasLoad) || VM == FullMask) {
+      // No tail load can miss: the tail only ORs in its stores.
+      VM |= Run.Stores;
+      SM |= Run.Stores;
+    } else {
+      for (size_t I = Run.Start + 1, E = Run.Start + Run.Len; I != E; ++I) {
+        const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
+        const uint64_t StoreBit = (Kind[I] & 1) ? Bit : 0;
+        VM |= StoreBit;
+        SM |= StoreBit;
+        if (!(VM & Bit)) {
+          VM = FullMask;
+          ++Fetch;
         }
-        LA->ValidMask = VMA;
-        LA->Dirty = DirtyA;
-        LB->ValidMask = VMB;
-        LB->Dirty = DirtyB;
       }
     }
-    LA->LruStamp = Clock;
-    LB->LruStamp = Clock + BOff;
+    L->ValidMask = VM;
+    L->StoreMask = SM;
+    if constexpr (Emit)
+      Runs[NumOut++] = Run;
   }
 
-  A.LruClock = Clock;
-  B.LruClock = Clock + BOff;
-  CntA[BatchPhase].FetchMisses += FetchA;
-  CntA[BatchPhase].NoFetchMisses += NoFetchA;
-  CntA[BatchPhase].Writebacks += WbA;
-  CntB[BatchPhase].FetchMisses += FetchB;
-  CntB[BatchPhase].NoFetchMisses += NoFetchB;
-  CntB[BatchPhase].Writebacks += WbB;
-  A.Counts[0] = CntA[0];
-  A.Counts[1] = CntA[1];
-  B.Counts[0] = CntB[0];
-  B.Counts[1] = CntB[1];
+  CacheCounters &Cnt = C.Counts[P];
+  Cnt.FetchMisses += Fetch;
+  Cnt.NoFetchMisses += NoFetch;
+  Cnt.Writebacks += Wb;
+  return NumOut;
 }

@@ -5,26 +5,35 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The hot path of the cache bank. The batch kernel takes a whole columnar
-/// batch (trace/Event.h RefColumns) and simulates it against one cache in
-/// a tight, branch-light loop: policy flags are hoisted, counters live in
-/// locals, the direct-mapped case skips the way scan, and the address
-/// decomposition is precomputed once per batch in a BatchIndex shared by
-/// every cache with that block size.
+/// The hot path of the cache bank. Two kernels take a whole columnar
+/// batch (trace/Event.h RefColumns):
 ///
-/// Correctness contract: BatchKernel::run is *bit-identical* to feeding
-/// the same references through Cache::access one at a time — same
-/// counters, same line array (tags, valid masks, dirty bits, LRU stamps),
-/// same LRU clock, same per-block statistics. Batch segmentation is
-/// unobservable: any way of cutting a stream into batches produces the
-/// same final state, so checkpoint cuts and cancellation drains at batch
-/// boundaries stay bit-exact. tests/test_batch_kernel.cpp holds the
+///  - runChain simulates an inclusion chain: the direct-mapped write-back
+///    caches of one block size and policy, smallest first. The smallest
+///    link sees every reference; each larger link sees only the same-block
+///    runs the link before it could not prove to be no-ops. This is the
+///    path of the paper grid and of every size sweep.
+///  - run simulates one cache in a tight, branch-light loop: policy flags
+///    are hoisted, counters live in locals, the direct-mapped case skips
+///    the way scan, and the address decomposition is precomputed once per
+///    batch in a BatchIndex shared by every solo cache with that block
+///    size. Associative, per-block-statistics, write-through and
+///    cross-checked caches take it.
+///
+/// Correctness contract: both are *bit-identical* to feeding the same
+/// references through Cache::access one at a time — same counters, same
+/// line array (tags, valid masks, store masks, LRU stamps), same LRU
+/// clock, same per-block statistics. Batch segmentation is unobservable:
+/// any way of cutting a stream into batches produces the same final
+/// state, so checkpoint cuts and cancellation drains at batch boundaries
+/// stay bit-exact, and a cache may move between a chain and a solo run
+/// from one batch to the next. tests/test_batch_kernel.cpp holds the
 /// differential proof against both Cache::access and OracleCache across
-/// the write-policy x associativity x block-size matrix.
+/// the write-policy x associativity x block-size matrix and over chains.
 ///
-/// With a shadow oracle attached (Cache::enableCrossCheck), the kernel
-/// feeds that cache through Cache::access so the oracle sees every
-/// reference in lockstep: --crosscheck trades speed for validation.
+/// With a shadow oracle attached (Cache::enableCrossCheck), run feeds
+/// that cache through Cache::access so the oracle sees every reference in
+/// lockstep: --crosscheck trades speed for validation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +43,7 @@
 #include "gcache/support/Status.h"
 #include "gcache/trace/Event.h"
 
+#include <span>
 #include <vector>
 
 namespace gcache {
@@ -125,6 +135,27 @@ private:
   bool TallyValid = false;
 };
 
+/// One same-block run of a batch that a chain link could not prove to be
+/// a no-op, as handed on to the next larger link (BatchKernel::runChain).
+/// It carries everything a link needs to simulate the run and to test it
+/// against its own store mask; only a tail with loads goes back to the
+/// batch's reference columns.
+struct ChainRun {
+  /// Flags: the low six bits hold the word index of the first reference.
+  static constexpr uint32_t FirstWordMask = 63;
+  static constexpr uint32_t FirstIsStore = 1u << 6;
+  /// Some reference after the first is a load, so the tail is walked
+  /// reference by reference unless the line is already fully valid.
+  static constexpr uint32_t TailHasLoad = 1u << 7;
+
+  uint32_t Block; ///< Block index (address >> log2 BlockBytes).
+  uint32_t Start; ///< Batch row of the first reference.
+  uint32_t Len;   ///< References in the run.
+  uint32_t Flags;
+  uint64_t Stores; ///< OR of the word bits of the run's stores.
+  uint64_t Words;  ///< OR of the word bits of all its references.
+};
+
 /// Stateless entry points of the batch-mode simulator.
 class BatchKernel {
 public:
@@ -136,20 +167,32 @@ public:
   /// inside the batch exactly as it would per-reference.
   static void run(Cache &C, const RefColumns &Batch, BatchIndex &Index);
 
-  /// True when \p C can take the paired loop of runPair: direct-mapped,
+  /// True when \p C can be a link of a chain: direct-mapped, write-back,
   /// no per-block statistics, no shadow oracle attached.
-  static bool pairable(const Cache &C);
+  static bool chainable(const Cache &C);
 
-  /// Simulates \p Batch against two caches of the same block size in one
-  /// interleaved pass over the shared run columns: the run decode, line
-  /// probes, and tail handling are paid once and feed both caches, which
-  /// hides each cache's dependent line-array misses behind the other's
-  /// work. Both caches end bit-identical to separate run() calls (they
-  /// never observe each other — the interleave only reorders independent
-  /// state machines). Requires pairable(A) && pairable(B) and equal
-  /// BlockBytes; a mixed-phase batch falls back to two run() calls.
-  static void runPair(Cache &A, Cache &B, const RefColumns &Batch,
-                      BatchIndex &Index);
+  /// True when chainable caches \p A and \p B may share one chain: the
+  /// same block size, write-miss policy and collector fetch-on-write.
+  static bool sameChain(const Cache &A, const Cache &B);
+
+  /// Simulates \p Batch against an inclusion chain: \p Links are
+  /// chainable caches sharing one chain (sameChain), in ascending size.
+  /// Each link ends bit-identical to a run() call of its own.
+  ///
+  /// Direct-mapped caches of one block size with bit-selection indexing
+  /// nest: a block resident in a smaller cache is resident in every
+  /// larger one and has been there at least as long, so the words stored
+  /// since its install (Line::StoreMask) in the smaller cache are a subset
+  /// of those in the larger. A run whose block is resident in link k with
+  /// every word it touches in k's store mask therefore changes nothing in
+  /// k or any larger link (loads hit stored, hence valid, words; stores
+  /// set bits already set). The first link simulates every reference
+  /// while it splits the batch into runs, and writes the runs it cannot
+  /// prove to be no-ops into \p Survivors; each larger link simulates and
+  /// filters those again, compacting them in place. A mixed-phase batch
+  /// runs as its maximal single-phase segments.
+  static void runChain(std::span<Cache *const> Links, const RefColumns &Batch,
+                       std::vector<ChainRun> &Survivors);
 
   /// Screens untrusted columnar input: the three columns must be the same
   /// length and every Kind/PhaseTag byte must be a valid enumerator.
@@ -159,6 +202,12 @@ public:
   static Status validate(const RefColumns &Batch);
 
 private:
+  /// References the first link of a chain consumes per pass. The
+  /// survivor buffer holds one ChainRun per reference of a pass, so it
+  /// stays at 256 KB whatever the batch size; passes of 4-8 K references
+  /// measured fastest (1 K to whole 256 K batches were tried).
+  static constexpr size_t ChainChunkRefs = 8 * 1024;
+
   /// \p Mixed selects the phase handling: a batch whose tally shows
   /// references of both phases pays for per-reference phase-indexed
   /// counters; a single-phase batch (the overwhelmingly common case —
@@ -170,16 +219,28 @@ private:
                       const BatchIndex::BlockColumns &Cols,
                       const BatchIndex::RefTally &Tally, unsigned BatchPhase);
 
-  /// The interleaved two-cache loop behind runPair; single-phase batches
-  /// only (runPair handles the mixed-phase fallback). \p Uniform means
-  /// both caches are write-back and neither fetches on write for this
-  /// batch's phase — the paper-grid default — letting the loop hardcode
-  /// the dirty tracking and miss-install decisions.
-  template <bool Uniform>
-  static void runLoopPair(Cache &A, Cache &B, const RefColumns &Batch,
-                          const BatchIndex::BlockColumns &Cols,
-                          const BatchIndex::RefTally &Tally,
-                          unsigned BatchPhase);
+  /// runChain over rows [\p Begin, \p End) of one phase \p P, whose
+  /// write-miss decision is \p FetchOnWrite, a chunk at a time.
+  template <bool FetchOnWrite>
+  static void runSegment(std::span<Cache *const> Links,
+                         const RefColumns &Batch, size_t Begin, size_t End,
+                         unsigned P, ChainRun *Runs);
+
+  /// The first link of a chain over rows [\p Begin, \p End) of one
+  /// phase \p P: splits them into runs, simulates each, and (with
+  /// \p Emit) writes the runs it cannot prove to be no-ops to \p Out.
+  /// Returns the number written; adds the rows' stores to \p Stores.
+  template <bool FetchOnWrite, bool Emit>
+  static size_t firstLink(Cache &C, const RefColumns &Batch, size_t Begin,
+                          size_t End, unsigned P, ChainRun *Out,
+                          uint64_t &Stores);
+
+  /// A larger link: simulates the \p NumRuns runs of \p Runs, keeping
+  /// (with \p Emit) those it cannot prove to be no-ops at the front of
+  /// \p Runs. Returns how many it kept.
+  template <bool FetchOnWrite, bool Emit>
+  static size_t nextLink(Cache &C, const RefColumns &Batch, ChainRun *Runs,
+                         size_t NumRuns, unsigned P);
 };
 
 } // namespace gcache

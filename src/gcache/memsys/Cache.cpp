@@ -87,31 +87,39 @@ AccessResult Cache::simulate(const Ref &R) {
   Line *Set = setBase(SetIdx);
   Line *Found = nullptr;
   Line *Victim = Set;
-  for (uint32_t W = 0; W != Config.Ways; ++W) {
-    Line &L = Set[W];
-    if (L.ValidMask != 0 && L.Tag == Tag) {
-      Found = &L;
-      break;
-    }
-    if (L.ValidMask == 0) {
-      Victim = &L; // Prefer an empty way.
-    } else if (Victim->ValidMask != 0 && L.LruStamp < Victim->LruStamp) {
-      Victim = &L;
+  // Only an associative set has a victim to choose; direct-mapped caches
+  // leave the clock and their stamps at 0.
+  uint64_t Stamp = 0;
+  if (Config.Ways == 1) {
+    if (Set->ValidMask != 0 && Set->Tag == Tag)
+      Found = Set;
+  } else {
+    Stamp = ++LruClock;
+    for (uint32_t W = 0; W != Config.Ways; ++W) {
+      Line &L = Set[W];
+      if (L.ValidMask != 0 && L.Tag == Tag) {
+        Found = &L;
+        break;
+      }
+      if (L.ValidMask == 0) {
+        Victim = &L; // Prefer an empty way.
+      } else if (Victim->ValidMask != 0 && L.LruStamp < Victim->LruStamp) {
+        Victim = &L;
+      }
     }
   }
-  ++LruClock;
 
   bool TrackDirty = Config.WriteHit == WriteHitPolicy::WriteBack;
 
   if (Found) {
-    Found->LruStamp = LruClock;
+    Found->LruStamp = Stamp;
     if (IsStore) {
       // Stores always complete in one cycle: under write-validate they
       // validate the word; under fetch-on-write, a hit already has the
       // block resident.
       Found->ValidMask |= WordBit;
       if (TrackDirty)
-        Found->Dirty = true;
+        Found->StoreMask |= WordBit;
       noteBlockStats(SetIdx, /*Miss=*/false, /*FetchMiss=*/false);
       return AccessResult::Hit;
     }
@@ -129,27 +137,23 @@ AccessResult Cache::simulate(const Ref &R) {
 
   // Block miss: evict the victim (writing it back if dirty) and install
   // the new block.
-  if (Victim->ValidMask != 0 && Victim->Dirty)
+  if (Victim->dirty())
     ++C.Writebacks;
   Victim->Tag = Tag;
-  Victim->LruStamp = LruClock;
-  Victim->Dirty = false;
+  Victim->LruStamp = Stamp;
+  Victim->StoreMask = IsStore && TrackDirty ? WordBit : 0;
 
   bool FetchOnWrite = Config.WriteMiss == WriteMissPolicy::FetchOnWrite ||
                       (Config.CollectorFetchOnWrite &&
                        R.ExecPhase == Phase::Collector);
   if (IsStore && !FetchOnWrite) {
     Victim->ValidMask = WordBit;
-    if (TrackDirty)
-      Victim->Dirty = true;
     ++C.NoFetchMisses;
     noteBlockStats(SetIdx, /*Miss=*/true, /*FetchMiss=*/false);
     return AccessResult::NoFetchWriteMiss;
   }
 
   Victim->ValidMask = FullMask;
-  if (IsStore && TrackDirty)
-    Victim->Dirty = true;
   ++C.FetchMisses;
   noteBlockStats(SetIdx, /*Miss=*/true, /*FetchMiss=*/true);
   return AccessResult::FetchMiss;
@@ -182,11 +186,13 @@ static void loadCounters(SnapshotCursor &C, CacheCounters &Out) {
 /// Version sentinel leading every cache-state image. Version 1 (no
 /// sentinel; the stream began directly with SizeBytes, always a power of
 /// two, so the sentinel can never be mistaken for old data) stored the LRU
-/// clock and stamps as u32; version 2 widened them to u64.
-static constexpr uint32_t CacheStateVersion2 = 0x65766132; // "2av e"
+/// clock and stamps as u32; version 2 widened them to u64; version 3
+/// replaced the u8 dirty flag with the u64 store mask and writes stamps
+/// only for associative caches.
+static constexpr uint32_t CacheStateVersion3 = 0x65766133; // "3av e"
 
 void Cache::saveState(SnapshotWriter &W) const {
-  W.putU32(CacheStateVersion2);
+  W.putU32(CacheStateVersion3);
   // Geometry next, so a resumed run can prove the snapshot belongs to the
   // same simulated cache before interpreting a single line.
   W.putU32(Config.SizeBytes);
@@ -199,11 +205,13 @@ void Cache::saveState(SnapshotWriter &W) const {
 
   W.putU64(LruClock);
   W.putU64(Lines.size());
+  const bool Stamps = Config.Ways > 1;
   for (const Line &L : Lines) {
     W.putU32(L.Tag);
     W.putU64(L.ValidMask);
-    W.putU8(L.Dirty ? 1 : 0);
-    W.putU64(L.LruStamp);
+    W.putU64(L.StoreMask);
+    if (Stamps)
+      W.putU64(L.LruStamp);
   }
   saveCounters(W, Counts[0]);
   saveCounters(W, Counts[1]);
@@ -214,15 +222,16 @@ void Cache::saveState(SnapshotWriter &W) const {
 
 void Cache::loadState(SnapshotCursor &C) {
   uint32_t StateVersion = C.getU32();
-  if (C.ok() && StateVersion != CacheStateVersion2) {
+  if (C.ok() && StateVersion != CacheStateVersion3) {
     // A version-1 image starts with SizeBytes, a power of two; either way
-    // the stream is not something this reader can interpret, and migrating
-    // a 32-bit LRU history would fabricate recency the run never had.
+    // the stream is not something this reader can interpret. Migrating a
+    // 32-bit LRU history would fabricate recency the run never had, and a
+    // v2 dirty flag does not say which words were stored.
     C.fail(Status::failf(StatusCode::Corrupt,
                          "cache snapshot has unsupported state version "
-                         "0x%08x (expected 0x%08x; pre-v2 checkpoints must "
+                         "0x%08x (expected 0x%08x; pre-v3 checkpoints must "
                          "be recomputed)",
-                         StateVersion, CacheStateVersion2));
+                         StateVersion, CacheStateVersion3));
     return;
   }
   uint32_t SizeBytes = C.getU32();
@@ -259,11 +268,13 @@ void Cache::loadState(SnapshotCursor &C) {
     return;
   }
   std::vector<Line> NewLines(Lines.size());
+  const bool Stamps = Config.Ways > 1;
   for (Line &L : NewLines) {
     L.Tag = C.getU32();
     L.ValidMask = C.getU64();
-    L.Dirty = C.getU8() != 0;
-    L.LruStamp = C.getU64();
+    L.StoreMask = C.getU64();
+    if (Stamps)
+      L.LruStamp = C.getU64();
   }
   CacheCounters NewCounts[2];
   loadCounters(C, NewCounts[0]);
@@ -330,7 +341,7 @@ void Cache::resyncShadow() {
     std::vector<OracleCache::LineState> States;
     States.reserve(Resident.size());
     for (const Line *L : Resident)
-      States.push_back({L->Tag, L->ValidMask, L->Dirty});
+      States.push_back({L->Tag, L->ValidMask, L->dirty()});
     Shadow->restoreSet(SetIdx, std::move(States));
   }
   Shadow->setCounters(Phase::Mutator, Counts[0]);
@@ -349,9 +360,9 @@ std::string Cache::dumpSet(uint32_t SetIdx) const {
       std::snprintf(Buf, sizeof(Buf), " [way%u empty]", W);
     } else {
       std::snprintf(Buf, sizeof(Buf),
-                    " [way%u tag 0x%x valid 0x%llx%s stamp %llu]", W, L.Tag,
-                    static_cast<unsigned long long>(L.ValidMask),
-                    L.Dirty ? " dirty" : "",
+                    " [way%u tag 0x%x valid 0x%llx stored 0x%llx stamp %llu]",
+                    W, L.Tag, static_cast<unsigned long long>(L.ValidMask),
+                    static_cast<unsigned long long>(L.StoreMask),
                     static_cast<unsigned long long>(L.LruStamp));
     }
     Out += Buf;
@@ -420,7 +431,7 @@ Status Cache::crossCheckNow() const {
     for (size_t I = 0; Match && I != Want.size(); ++I)
       Match = Want[I] == OracleCache::LineState{Resident[I]->Tag,
                                                 Resident[I]->ValidMask,
-                                                Resident[I]->Dirty};
+                                                Resident[I]->dirty()};
     if (!Match)
       return Status::failf(StatusCode::Divergence,
                            "%s: set contents diverge after %llu refs\n"
@@ -440,6 +451,21 @@ Status Cache::auditState() const {
     const Line *Set = setBase(SetIdx);
     for (uint32_t W = 0; W != Config.Ways; ++W) {
       const Line &L = Set[W];
+      // The chain filter's premise: every stored word is valid, and only
+      // write-back lines record stores.
+      if (L.StoreMask & ~L.ValidMask)
+        return Status::failf(StatusCode::AuditFailure,
+                            "%s: set %u way %u store mask 0x%llx is not "
+                            "within valid mask 0x%llx",
+                            Label.c_str(), SetIdx, W,
+                            static_cast<unsigned long long>(L.StoreMask),
+                            static_cast<unsigned long long>(L.ValidMask));
+      if (L.StoreMask && Config.WriteHit == WriteHitPolicy::WriteThrough)
+        return Status::failf(StatusCode::AuditFailure,
+                            "%s: set %u way %u of a write-through cache "
+                            "holds store mask 0x%llx",
+                            Label.c_str(), SetIdx, W,
+                            static_cast<unsigned long long>(L.StoreMask));
       if (L.ValidMask == 0)
         continue;
       if (L.ValidMask & ~FullMask)
@@ -551,6 +577,37 @@ Status Cache::auditState() const {
           "%s: per-block fetch misses sum to %llu, counters say %llu",
           Label.c_str(), static_cast<unsigned long long>(SumFetch),
           static_cast<unsigned long long>(T.FetchMisses));
+  }
+  return Status();
+}
+
+Status Cache::auditInclusionIn(const Cache &Larger) const {
+  assert(Config.Ways == 1 && Larger.Config.Ways == 1 &&
+         Config.BlockBytes == Larger.Config.BlockBytes &&
+         "inclusion is a law of direct-mapped caches of one block size");
+  const uint32_t SetShift = std::bit_width(SetMask);
+  const uint32_t LargerShift = std::bit_width(Larger.SetMask);
+  for (uint32_t SetIdx = 0; SetIdx != Lines.size(); ++SetIdx) {
+    const Line &L = Lines[SetIdx];
+    if (L.ValidMask == 0)
+      continue;
+    // 64-bit, so a corrupt tag cannot wrap onto some other block.
+    const uint64_t Block = (uint64_t(L.Tag) << SetShift) | SetIdx;
+    const Line &M = Larger.Lines[Block & Larger.SetMask];
+    if (M.ValidMask == 0 || M.Tag != Block >> LargerShift)
+      return Status::failf(StatusCode::AuditFailure,
+                           "%s holds block 0x%llx, but %s does not",
+                           Config.label().c_str(),
+                           static_cast<unsigned long long>(Block),
+                           Larger.Config.label().c_str());
+    if (L.StoreMask & ~M.StoreMask)
+      return Status::failf(
+          StatusCode::AuditFailure,
+          "%s holds block 0x%llx with store mask 0x%llx, but %s with 0x%llx",
+          Config.label().c_str(), static_cast<unsigned long long>(Block),
+          static_cast<unsigned long long>(L.StoreMask),
+          Larger.Config.label().c_str(),
+          static_cast<unsigned long long>(M.StoreMask));
   }
   return Status();
 }

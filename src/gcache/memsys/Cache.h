@@ -20,6 +20,15 @@
 /// do not stall); the §7 miss plots count both, while O_cache charges only
 /// the former, following §5.
 ///
+/// A line holds its tag, the valid mask, and the store mask: the words
+/// stored since the block was installed, so a write-back line is dirty
+/// iff that mask is nonzero. Direct-mapped caches of one block size nest
+/// (a block resident in a smaller one is resident in every larger one),
+/// and their store masks nest with them; the bank's inclusion chains use
+/// that to skip references a smaller cache proves change nothing in a
+/// larger one (memsys/BatchKernel.h). Only associative caches keep LRU
+/// stamps and a clock; no direct-mapped victim choice reads them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GCACHE_MEMSYS_CACHE_H
@@ -147,12 +156,21 @@ public:
   Status crossCheckNow() const;
 
   /// Internal-consistency audit: LRU stamps unique and bounded by the
-  /// clock, valid masks within the block's words, per-block statistics
+  /// clock, valid masks within the block's words, store masks within the
+  /// valid masks (and empty under write-through), per-block statistics
   /// summing to the global counters, and the write-policy conservation
   /// laws (write-through stores all written through, write-validate
   /// no-fetch misses only where the policy allows them). Returns
   /// AuditFailure describing the first violated law.
   Status auditState() const;
+
+  /// The inclusion law of an inclusion chain (BatchKernel::runChain), with
+  /// this cache as the smaller of two of its links: every block resident
+  /// here is resident in \p Larger, and its store mask here is a subset of
+  /// its store mask there. Both caches must be direct-mapped with one
+  /// block size. Returns AuditFailure naming the first block that breaks
+  /// the law.
+  Status auditInclusionIn(const Cache &Larger) const;
 
 private:
   friend class CacheTestPeer; ///< Mutation tests corrupt state on purpose.
@@ -161,11 +179,20 @@ private:
   struct Line {
     uint32_t Tag = 0;
     uint64_t ValidMask = 0; ///< Bit per word; 0 means the line is empty.
-    bool Dirty = false;
-    /// 64-bit so long sweeps can never wrap the recency order (a 32-bit
-    /// stamp wraps after 2^32 references and corrupts LRU in associative
-    /// configurations).
+    /// Bit per word stored since the block was installed. Kept by
+    /// write-back caches only (write-through leaves it 0), so the line is
+    /// dirty iff it is nonzero; always a subset of ValidMask. A smaller
+    /// cache's mask is a subset of a larger one's for the same block,
+    /// which is what lets a chain skip no-op runs (BatchKernel::runChain).
+    uint64_t StoreMask = 0;
+    /// Recency of the line in its set; written only when Ways > 1 (no
+    /// direct-mapped victim choice reads it, so those lines keep 0 and
+    /// the clock stays at 0). 64-bit so long sweeps can never wrap the
+    /// recency order (a 32-bit stamp wraps after 2^32 references and
+    /// corrupts LRU in associative configurations).
     uint64_t LruStamp = 0;
+
+    bool dirty() const { return StoreMask != 0; }
   };
 
   AccessResult simulate(const Ref &R);

@@ -43,6 +43,15 @@ Status CacheBank::auditAll() {
   for (const auto &C : Caches)
     if (Status S = C->auditState(); !S.ok())
       return S;
+  return auditChains();
+}
+
+Status CacheBank::auditChains() const {
+  for (const Lane &L : Lanes)
+    for (const std::vector<Cache *> &Chain : L.Chains)
+      for (size_t K = 1; K < Chain.size(); ++K)
+        if (Status S = Chain[K - 1]->auditInclusionIn(*Chain[K]); !S.ok())
+          return S;
   return Status();
 }
 
@@ -156,5 +165,14 @@ Status CacheBank::loadFrom(const SnapshotReader &R) {
       break;
     Cache->loadState(C);
   }
-  return C.finish();
+  if (Status S = C.finish(); !S.ok())
+    return S;
+  // Each cache passed its own audit, but CRC-valid bytes can still pair
+  // states no stream leaves in two links of a chain, and the chain would
+  // then skip references a larger link must simulate.
+  if (Status S = auditChains(); !S.ok())
+    return Status::failf(StatusCode::Corrupt,
+                         "cache-bank snapshot breaks chain inclusion: %s",
+                         S.message().c_str());
+  return Status();
 }

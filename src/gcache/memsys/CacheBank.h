@@ -15,13 +15,16 @@
 ///
 /// The bank has one execution path. References accumulate into fixed-size
 /// columnar batches, and the batch kernel simulates each batch lane by
-/// lane (memsys/ShardPool.h): a lane holds the caches of one block size,
-/// decomposes the batch once for them, and pairs direct-mapped caches.
-/// Without threads, publishing a batch runs every lane inline;
-/// setThreads(N) hands the lanes to N workers. Each lane consumes the
-/// batches in order, so every counter is bit-identical at any thread
-/// count and batch size (tests/test_parallel_bank.cpp). Reading a cache
-/// (cache(), find()) first simulates everything fed so far.
+/// lane (memsys/ShardPool.h): a lane holds the caches of one block size.
+/// Its direct-mapped write-back caches form inclusion chains, smallest
+/// first, in which a larger cache skips the references a smaller one
+/// proves are no-ops for it; its other caches run solo on one shared
+/// decomposition of the batch. Without threads, publishing a batch runs
+/// every lane inline; setThreads(N) hands the lanes to N workers. Each
+/// lane consumes the batches in order, so every counter is bit-identical
+/// at any thread count and batch size (tests/test_parallel_bank.cpp).
+/// Reading a cache (cache(), find()) first simulates everything fed so
+/// far.
 ///
 /// Drain-on-cancel: every batch boundary is a point of the exact serial
 /// stream, so a cancelled run (support/Budget.h) just stops feeding and
@@ -88,8 +91,9 @@ public:
   /// it; other callers should drain first.
   Status crossCheckNow() const;
 
-  /// First failing internal-consistency audit across the bank, or Ok
-  /// (Cache::auditState per cache). Flushes first.
+  /// First failing internal-consistency audit across the bank, or Ok:
+  /// Cache::auditState per cache, then each chain's inclusion law
+  /// (Cache::auditInclusionIn between consecutive links). Flushes first.
   Status auditAll();
 
   /// Simulates every buffered reference (drains the workers), then
@@ -134,11 +138,14 @@ public:
   void saveTo(SnapshotWriter &W);
   /// Flushes, then restores every cache in place from the snapshot's
   /// "cache-bank" section and rebuilds the lanes. Geometry or count
-  /// mismatches return Corrupt and leave the bank's counters unspecified
-  /// (callers discard the run).
+  /// mismatches, and states that break a chain's inclusion law, return
+  /// Corrupt and leave the bank's counters unspecified (callers discard
+  /// the run).
   Status loadFrom(const SnapshotReader &R);
 
 private:
+  /// First chain whose links break the inclusion law, or Ok.
+  Status auditChains() const;
   /// Simulates (inline) or queues (threaded) the buffered references.
   void publish() const;
   /// publish(), then waits for the workers and rethrows a failure.

@@ -11,15 +11,22 @@ using namespace gcache;
 
 void Lane::run(const RefColumns &Batch) {
   Index.reset(&Batch);
-  // Rechecked per batch: a cache may gain a shadow oracle after buildLanes.
-  for (const Step &S : Steps)
-    if (S.B && BatchKernel::pairable(*S.A) && BatchKernel::pairable(*S.B)) {
-      BatchKernel::runPair(*S.A, *S.B, Batch, Index);
+  for (const std::vector<Cache *> &Chain : Chains) {
+    // Rechecked per batch: a link may gain a shadow oracle after
+    // buildLanes. The chain then runs solo for the batch; every path keeps
+    // the store masks, so the inclusion the chain relies on still holds
+    // when it rejoins.
+    if (std::all_of(Chain.begin(), Chain.end(), [](const Cache *C) {
+          return BatchKernel::chainable(*C);
+        })) {
+      BatchKernel::runChain(Chain, Batch, Survivors);
     } else {
-      BatchKernel::run(*S.A, Batch, Index);
-      if (S.B)
-        BatchKernel::run(*S.B, Batch, Index);
+      for (Cache *C : Chain)
+        BatchKernel::run(*C, Batch, Index);
     }
+  }
+  for (Cache *C : Solos)
+    BatchKernel::run(*C, Batch, Index);
 }
 
 std::vector<Lane>
@@ -34,30 +41,63 @@ gcache::buildLanes(const std::vector<std::unique_ptr<Cache>> &Caches,
                      return BlockOf(A) < BlockOf(B);
                    });
   std::vector<Lane> Lanes;
-  for (size_t I = 0; I != Order.size();) {
-    Cache *A = Order[I];
-    if (Lanes.empty() || BlockOf(Lanes.back().Steps.front().A) != BlockOf(A))
+  for (size_t I = 0; I != Order.size(); ++I) {
+    Cache *C = Order[I];
+    if (I == 0 || BlockOf(Order[I - 1]) != BlockOf(C))
       Lanes.emplace_back();
-    Cache *B = nullptr;
-    if (I + 1 != Order.size() && BlockOf(Order[I + 1]) == BlockOf(A) &&
-        BatchKernel::pairable(*A) && BatchKernel::pairable(*Order[I + 1]))
-      B = Order[I + 1];
-    Lanes.back().Steps.push_back({A, B});
-    I += B ? 2 : 1;
+    Lane &L = Lanes.back();
+    if (!BatchKernel::chainable(*C)) {
+      L.Solos.push_back(C);
+      continue;
+    }
+    // Chains group by policy, not by position in the bank.
+    auto Chain = std::find_if(L.Chains.begin(), L.Chains.end(),
+                              [&](const std::vector<Cache *> &Links) {
+                                return BatchKernel::sameChain(*Links[0], *C);
+                              });
+    if (Chain == L.Chains.end())
+      L.Chains.push_back({C});
+    else
+      Chain->push_back(C);
   }
-  // Cutting between steps never separates a pair.
-  while (!Lanes.empty() && Lanes.size() < Threads) {
-    auto Big = std::max_element(Lanes.begin(), Lanes.end(),
-                                [](const Lane &X, const Lane &Y) {
-                                  return X.Steps.size() < Y.Steps.size();
-                                });
-    size_t Half = Big->Steps.size() / 2;
-    if (Half == 0)
-      break;
+  for (Lane &L : Lanes)
+    for (std::vector<Cache *> &Chain : L.Chains)
+      std::stable_sort(Chain.begin(), Chain.end(),
+                       [](const Cache *A, const Cache *B) {
+                         return A->config().SizeBytes < B->config().SizeBytes;
+                       });
+
+  while (Lanes.size() < Threads) {
+    // The longest chain of two links or more, if any.
+    size_t At = Lanes.size(), Chain = 0, Longest = 1;
+    for (size_t I = 0; I != Lanes.size(); ++I)
+      for (size_t K = 0; K != Lanes[I].Chains.size(); ++K)
+        if (Lanes[I].Chains[K].size() > Longest) {
+          At = I;
+          Chain = K;
+          Longest = Lanes[I].Chains[K].size();
+        }
     Lane Tail;
-    Tail.Steps.assign(Big->Steps.begin() + Half, Big->Steps.end());
-    Big->Steps.resize(Half);
-    Lanes.insert(Big + 1, std::move(Tail));
+    if (At != Lanes.size()) {
+      // Each half of a chain is a chain: inclusion holds between any two
+      // of its links.
+      std::vector<Cache *> &Links = Lanes[At].Chains[Chain];
+      const size_t Half = Links.size() / 2;
+      Tail.Chains.emplace_back(Links.begin() + Half, Links.end());
+      Links.resize(Half);
+    } else {
+      auto Big = std::max_element(Lanes.begin(), Lanes.end(),
+                                  [](const Lane &X, const Lane &Y) {
+                                    return X.Solos.size() < Y.Solos.size();
+                                  });
+      if (Big == Lanes.end() || Big->Solos.size() < 2)
+        break;
+      At = Big - Lanes.begin();
+      const size_t Half = Big->Solos.size() / 2;
+      Tail.Solos.assign(Big->Solos.begin() + Half, Big->Solos.end());
+      Big->Solos.resize(Half);
+    }
+    Lanes.insert(Lanes.begin() + At + 1, std::move(Tail));
   }
   return Lanes;
 }
@@ -81,7 +121,15 @@ ShardPool::~ShardPool() {
 
 void ShardPool::submit(std::shared_ptr<const RefColumns> Batch) {
   {
-    std::lock_guard<std::mutex> Lock(Mutex);
+    std::unique_lock<std::mutex> Lock(Mutex);
+    // Lanes consume batches in order, so the slowest lane's backlog is
+    // the number of batches some lane has not consumed yet.
+    SlotFree.wait(Lock, [this] {
+      for (const Lane &L : Lanes)
+        if (L.Queue.size() + (L.Held ? 1 : 0) >= MaxBatchesInFlight)
+          return false;
+      return true;
+    });
     for (Lane &L : Lanes) {
       L.Queue.push_back(Batch);
       if (!L.Held && L.Queue.size() == 1)
@@ -144,6 +192,7 @@ void ShardPool::workerLoop() {
       Ready.push_back(&L);
       WorkReady.notify_one();
     }
+    SlotFree.notify_one();
     if (--Outstanding == 0)
       AllIdle.notify_all();
   }

@@ -6,18 +6,23 @@
 ///
 /// \file
 /// The execution machinery behind CacheBank's single batched path. A
-/// *lane* holds every cache of one block size, in bank order, and owns
-/// the BatchIndex that decomposes each batch for that block size once;
-/// its walk folds adjacent direct-mapped caches into one runPair pass.
-/// Lanes are split further, at pair boundaries, only when a bank has more
-/// workers than block sizes.
+/// *lane* holds caches of one block size. Its direct-mapped write-back
+/// caches form inclusion *chains*, one per write-miss policy, smallest
+/// first (BatchKernel::runChain): a larger cache only simulates the runs a
+/// smaller one cannot prove to be no-ops. Every other cache of the lane
+/// (associative, per-block statistics, write-through, cross-checked) runs
+/// solo through BatchKernel::run on the lane's shared BatchIndex. While a
+/// bank has more workers than lanes, a chain is split at its midpoint,
+/// and each half is a chain of its own in a lane of its own.
 ///
 /// A bank without threads runs its lanes inline. A ShardPool runs them on
 /// N interchangeable workers: each batch is queued on every lane, and a
 /// worker takes any lane with a queued batch and no other holder. A lane
 /// thus consumes its batches one at a time, in publication order, so
 /// every cache sees the exact serial stream and every counter is
-/// bit-identical to inline execution.
+/// bit-identical to inline execution. The submitter waits while
+/// MaxBatchesInFlight batches are still unconsumed by some lane, which
+/// bounds the memory a fast producer can pile up in the queues.
 ///
 /// A worker failure (a throwing kernel, or the shard-worker fault, which
 /// fires once per lane batch a worker runs) is captured and rethrown on
@@ -45,26 +50,28 @@ class Cache;
 
 /// Caches of one block size that consume every batch together.
 struct Lane {
-  /// One kernel pass: a pair of caches (runPair) or, with B null, one.
-  struct Step {
-    Cache *A;
-    Cache *B;
-  };
-  std::vector<Step> Steps;
-  BatchIndex Index; ///< This lane's decomposition of the current batch.
+  /// Inclusion chains, each in ascending size (BatchKernel::runChain).
+  std::vector<std::vector<Cache *>> Chains;
+  /// Caches that run alone (BatchKernel::run), in bank order.
+  std::vector<Cache *> Solos;
+  BatchIndex Index; ///< The solo caches' decomposition of the batch.
+  std::vector<ChainRun> Survivors; ///< The chains' run buffer.
 
   // Scheduling state of a threaded bank, guarded by the ShardPool mutex.
   std::deque<std::shared_ptr<const RefColumns>> Queue;
   bool Held = false;   ///< A worker is running the lane.
   bool Failed = false; ///< The lane threw; it discards its batches.
 
-  /// Simulates \p Batch against every cache of the lane, in order.
+  /// Simulates \p Batch against every cache of the lane.
   void run(const RefColumns &Batch);
 };
 
 /// Groups \p Caches into lanes for a bank with \p Threads workers: one lane
-/// per block size, ascending; then, while there are fewer lanes than
-/// workers, the lane with the most steps is halved.
+/// per block size, ascending, holding one chain per policy of its
+/// chainable caches and its other caches solo. Then, while there are
+/// fewer lanes than workers, the longest chain is split at its midpoint
+/// into a lane of its own; once no chain has two links, the lane with the
+/// most solo caches gives half of them to a new lane.
 std::vector<Lane>
 buildLanes(const std::vector<std::unique_ptr<Cache>> &Caches, unsigned Threads);
 
@@ -83,7 +90,12 @@ public:
 
   unsigned threads() const { return static_cast<unsigned>(Threads.size()); }
 
-  /// Queues \p Batch on every lane.
+  /// Batches a producer may have published that some lane has not yet
+  /// consumed; submit() waits while this many are outstanding.
+  static constexpr size_t MaxBatchesInFlight = 4;
+
+  /// Queues \p Batch on every lane, first waiting while
+  /// MaxBatchesInFlight batches are still queued or running on a lane.
   void submit(std::shared_ptr<const RefColumns> Batch);
 
   /// Blocks until every queued lane batch has been run or discarded, then
@@ -97,6 +109,7 @@ private:
   std::mutex Mutex;
   std::condition_variable WorkReady;
   std::condition_variable AllIdle;
+  std::condition_variable SlotFree; ///< A lane finished a batch.
   std::deque<Lane *> Ready; ///< Lanes with a queued batch and no holder.
   /// (batch, lane) pairs submitted but not yet run or discarded.
   uint64_t Outstanding = 0;

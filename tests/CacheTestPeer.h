@@ -38,7 +38,7 @@ public:
   static uint64_t lruClockOf(const Cache &C) { return C.LruClock; }
   static bool sameLine(const Line &A, const Line &B) {
     return A.Tag == B.Tag && A.ValidMask == B.ValidMask &&
-           A.Dirty == B.Dirty && A.LruStamp == B.LruStamp;
+           A.StoreMask == B.StoreMask && A.LruStamp == B.LruStamp;
   }
 };
 

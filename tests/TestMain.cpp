@@ -7,6 +7,11 @@
 // own directory with mkdtemp, points TEST_TMPDIR (which TempDir() reads)
 // at it, and removes it once the tests have run.
 //
+// The directory goes under TEST_TMPDIR when that is set. Otherwise it
+// goes in /dev/shm when that is a writable directory, since the
+// checkpoint tests fsync every cut and a disk-backed temp dir can make
+// them take minutes; failing both, it goes where TempDir() points.
+//
 // Forked children inherit the directory with the environment. A
 // threadsafe death test re-executes the binary with
 // --gtest_internal_run_death_test; that child keeps its parent's
@@ -21,6 +26,8 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+
+#include <unistd.h>
 
 namespace {
 
@@ -37,7 +44,11 @@ bool isDeathTestChild(int Argc, char **Argv) {
 int main(int Argc, char **Argv) {
   std::string Dir;
   if (!isDeathTestChild(Argc, Argv)) {
-    std::string Template = ::testing::TempDir() + "gcache-test.XXXXXX";
+    std::string Base = ::testing::TempDir();
+    if (!std::getenv("TEST_TMPDIR") && access("/dev/shm", W_OK | X_OK) == 0 &&
+        std::filesystem::is_directory("/dev/shm"))
+      Base = "/dev/shm/";
+    std::string Template = Base + "gcache-test.XXXXXX";
     if (!mkdtemp(Template.data())) {
       std::perror(("mkdtemp " + Template).c_str());
       return 1;

@@ -5,7 +5,7 @@
 // simulation is *unobservable*: any stream, cut into batches any way,
 // must leave a cache in exactly the state per-reference Cache::access
 // leaves it in — same counters, same line array (tags, valid masks,
-// dirty bits, LRU stamps), same clock, same per-block statistics.
+// store masks, LRU stamps), same clock, same per-block statistics.
 //
 // The harness replays randomized and recorded reference streams through
 // three models simultaneously — scalar Cache::access, the batch kernel,
@@ -14,6 +14,10 @@
 // block-size matrix. On top of that:
 //
 //  - batch segmentation invariance (any cut of the same stream agrees);
+//  - inclusion chains: every link of 8-size chains at each paper block
+//    size, both write-miss policies, mutator, collector and mixed-phase
+//    batches, against Cache::access and OracleCache, including links
+//    that leave the chain for a batch and rejoin it;
 //  - CacheBank equivalence with standalone caches fed one reference at
 //    a time, inline and on lane workers (including more workers than
 //    block sizes), with --crosscheck and --audit semantics;
@@ -107,7 +111,7 @@ void expectCountersEqual(const CacheCounters &Want, const CacheCounters &Got,
 }
 
 /// The full bit-identity comparison: counters of both phases, the LRU
-/// clock, every line (tag, valid mask, dirty, LRU stamp), and the
+/// clock, every line (tag, valid mask, store mask, LRU stamp), and the
 /// per-block statistics.
 void expectStateIdentical(const Cache &Want, const Cache &Got,
                           const std::string &Where) {
@@ -124,7 +128,8 @@ void expectStateIdentical(const Cache &Want, const Cache &Got,
     ASSERT_TRUE(CacheTestPeer::sameLine(WL[I], GL[I]))
         << Where << ": line " << I << " differs (tag " << WL[I].Tag << "/"
         << GL[I].Tag << ", valid " << WL[I].ValidMask << "/" << GL[I].ValidMask
-        << ", dirty " << WL[I].Dirty << "/" << GL[I].Dirty << ", stamp "
+        << ", stored " << WL[I].StoreMask << "/" << GL[I].StoreMask
+        << ", stamp "
         << WL[I].LruStamp << "/" << GL[I].LruStamp << ")";
   EXPECT_EQ(Want.perBlockRefs(), Got.perBlockRefs()) << Where;
   EXPECT_EQ(Want.perBlockMisses(), Got.perBlockMisses()) << Where;
@@ -161,7 +166,8 @@ void expectMatchesOracle(const Cache &C, const OracleCache &O,
       EXPECT_EQ(Want[I].Tag, Resident[I].Tag) << Where << ": set " << S;
       EXPECT_EQ(Want[I].ValidMask, Resident[I].ValidMask)
           << Where << ": set " << S;
-      EXPECT_EQ(Want[I].Dirty, Resident[I].Dirty) << Where << ": set " << S;
+      EXPECT_EQ(Want[I].Dirty, Resident[I].dirty())
+          << Where << ": set " << S;
     }
   }
 }
@@ -278,82 +284,224 @@ TEST(BatchKernel, EmptyBatchIsANoOp) {
 }
 
 //===----------------------------------------------------------------------===//
-// The interleaved two-cache pass (runPair)
+// Inclusion chains (runChain)
 //===----------------------------------------------------------------------===//
 
-// Pairing two caches into one pass must be unobservable in either: both
-// end bit-identical to the scalar path. Covers the single-phase fast
-// path (mutator-only stream), the mixed-phase fallback (randomStream
-// interleaves collector refs), unequal cache sizes, desynchronized LRU
-// clocks, and both write-hit policies.
-TEST(BatchKernelPair, PairedRunBitIdenticalToScalar) {
-  struct Case {
-    CacheConfig A, B;
-    bool SinglePhase;
-  };
-  const Case Cases[] = {
-      // The paper-grid shape: two direct-mapped write-back sizes.
-      {{.SizeBytes = 2 << 10, .BlockBytes = 32},
-       {.SizeBytes = 8 << 10, .BlockBytes = 32},
-       false},
-      {{.SizeBytes = 2 << 10, .BlockBytes = 32},
-       {.SizeBytes = 8 << 10, .BlockBytes = 32},
-       true},
-      // Mismatched policies within a pair.
-      {{.SizeBytes = 4 << 10, .BlockBytes = 64,
-        .WriteMiss = WriteMissPolicy::FetchOnWrite,
-        .WriteHit = WriteHitPolicy::WriteThrough},
-       {.SizeBytes = 1 << 10, .BlockBytes = 64,
-        .CollectorFetchOnWrite = true},
-       false},
-  };
-  for (size_t CI = 0; CI != std::size(Cases); ++CI) {
-    const Case &TC = Cases[CI];
-    SCOPED_TRACE("case " + std::to_string(CI));
-    ASSERT_TRUE(BatchKernel::pairable(Cache(TC.A)) &&
-                BatchKernel::pairable(Cache(TC.B)));
-    std::vector<Ref> Stream = randomStream(20000, /*Seed=*/CI);
-    if (TC.SinglePhase)
-      for (Ref &R : Stream)
-        R.ExecPhase = Phase::Mutator;
+enum class PhaseMix { Mutator, Collector, Mixed };
 
-    Cache ScalarA(TC.A), ScalarB(TC.B);
-    Cache PairA(TC.A), PairB(TC.B);
-    // Desynchronize B's LRU clock: pairing must not assume equal clocks.
-    std::vector<Ref> Lead = randomStream(337, /*Seed=*/99);
-    for (const Ref &R : Lead) {
-      (void)ScalarB.access(R);
-      (void)PairB.access(R);
+/// An allocation-like stream over a \p Footprint-byte region: bursts of
+/// sequential stores from a bump pointer (fresh blocks, write-validate
+/// allocations, and stores a chain proves are no-ops), re-reads and
+/// re-writes of recently allocated words, and random loads and stores
+/// anywhere. Under PhaseMix::Mixed the phase flips every few hundred
+/// references, with lone references of the other phase in between.
+std::vector<Ref> chainStream(size_t N, uint64_t Seed, PhaseMix Mix,
+                             Address Footprint) {
+  Rng R;
+  R.S += Seed;
+  std::vector<Ref> Out;
+  Out.reserve(N);
+  Address Frontier = 0;
+  Phase Current = Mix == PhaseMix::Collector ? Phase::Collector
+                                             : Phase::Mutator;
+  auto Push = [&](Address A, AccessKind K) {
+    Phase P = Current;
+    if (Mix == PhaseMix::Mixed) {
+      if (R.next() % 300 == 0)
+        Current = Current == Phase::Mutator ? Phase::Collector
+                                            : Phase::Mutator;
+      P = R.next() % 50 == 0 ? (Current == Phase::Mutator ? Phase::Collector
+                                                          : Phase::Mutator)
+                             : Current;
     }
-    for (const Ref &R : Stream) {
-      (void)ScalarA.access(R);
-      (void)ScalarB.access(R);
+    Out.push_back({A % Footprint, K, P});
+  };
+  while (Out.size() < N) {
+    const uint64_t V = R.next();
+    const size_t Burst = 4 + V % 60;
+    for (size_t I = 0; I != Burst && Out.size() < N; ++I) {
+      switch ((V >> 8) % 3) {
+      case 0: // allocation: sequential stores
+        Push(Frontier, AccessKind::Store);
+        Frontier = (Frontier + 4) % Footprint;
+        break;
+      case 1: { // recently allocated words, read or rewritten
+        const uint64_t W = R.next();
+        Push(Frontier - 4 - (W % 1024) * 4 + Footprint,
+             W & 1 ? AccessKind::Store : AccessKind::Load);
+        break;
+      }
+      default: { // anywhere
+        const uint64_t W = R.next();
+        Push(static_cast<Address>(W >> 20) & ~3u,
+             W & 1 ? AccessKind::Store : AccessKind::Load);
+        break;
+      }
+      }
     }
+  }
+  return Out;
+}
 
-    RefColumns Batch;
-    BatchIndex Idx;
-    for (size_t I = 0; I != Stream.size();) {
-      Batch.clear();
-      for (size_t K = 0; K != 997 && I != Stream.size(); ++K, ++I)
-        Batch.push_back(Stream[I]);
-      Idx.reset(&Batch);
-      BatchKernel::runPair(PairA, PairB, Batch, Idx);
-    }
-    expectStateIdentical(ScalarA, PairA, "paired cache A");
-    expectStateIdentical(ScalarB, PairB, "paired cache B");
+/// Runs \p Stream through \p Chain (ascending sizes) in batches of
+/// \p BatchRefs.
+void runChainBatched(const std::vector<Cache *> &Chain,
+                     const std::vector<Ref> &Stream, size_t BatchRefs) {
+  RefColumns B;
+  std::vector<ChainRun> Survivors;
+  for (size_t I = 0; I < Stream.size();) {
+    B.clear();
+    for (size_t K = 0; K != BatchRefs && I != Stream.size(); ++K, ++I)
+      B.push_back(Stream[I]);
+    BatchKernel::runChain(Chain, B, Survivors);
   }
 }
 
-TEST(BatchKernelPair, PairableScreensOutIneligibleCaches) {
-  EXPECT_TRUE(BatchKernel::pairable(
+/// Every link of an 8-size chain, at each paper block size, under both
+/// write-miss policies, over mutator, collector and mixed-phase streams
+/// cut into batches of 1, 7, 4096 and the bank's default: bit-identical
+/// to a solo Cache::access replay (counters, tags, valid and store masks)
+/// and to OracleCache. The sizes are scaled down from the paper's so the
+/// stream's footprint evicts in every link.
+class BatchKernelChain : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(BatchKernelChain, EveryLinkMatchesScalarAndOracle) {
+  const uint32_t BlockBytes = GetParam();
+  for (WriteMissPolicy Miss :
+       {WriteMissPolicy::WriteValidate, WriteMissPolicy::FetchOnWrite}) {
+    for (PhaseMix Mix :
+         {PhaseMix::Mutator, PhaseMix::Collector, PhaseMix::Mixed}) {
+      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(Miss)) +
+                   ", phases " + std::to_string(static_cast<int>(Mix)));
+      std::vector<CacheConfig> Configs;
+      for (uint32_t Size = 1 << 10; Size <= 128 << 10; Size *= 2)
+        Configs.push_back(
+            {.SizeBytes = Size, .BlockBytes = BlockBytes, .WriteMiss = Miss});
+      std::vector<Ref> Stream =
+          chainStream(30000, BlockBytes + static_cast<int>(Mix), Mix,
+                      /*Footprint=*/512 << 10);
+      std::vector<Ref> Random = randomStream(10000, BlockBytes);
+      for (Ref &R : Random)
+        if (Mix != PhaseMix::Mixed)
+          R.ExecPhase =
+              Mix == PhaseMix::Mutator ? Phase::Mutator : Phase::Collector;
+      Stream.insert(Stream.begin() + 15000, Random.begin(), Random.end());
+
+      std::vector<Cache> Scalar;
+      std::vector<OracleCache> Oracle;
+      for (const CacheConfig &Cfg : Configs) {
+        Scalar.emplace_back(Cfg);
+        Oracle.emplace_back(Cfg);
+      }
+      for (const Ref &R : Stream)
+        for (size_t K = 0; K != Configs.size(); ++K) {
+          (void)Scalar[K].access(R);
+          (void)Oracle[K].access(R);
+        }
+
+      for (size_t BatchRefs :
+           {size_t(1), size_t(7), size_t(4096), CacheBank::DefaultBatchRefs}) {
+        std::vector<Cache> Links;
+        for (const CacheConfig &Cfg : Configs)
+          Links.emplace_back(Cfg);
+        std::vector<Cache *> Chain;
+        for (Cache &C : Links) {
+          ASSERT_TRUE(BatchKernel::chainable(C));
+          Chain.push_back(&C);
+        }
+        runChainBatched(Chain, Stream, BatchRefs);
+        for (size_t K = 0; K != Links.size(); ++K) {
+          const std::string Where = Configs[K].label() + ", batch " +
+                                    std::to_string(BatchRefs);
+          expectStateIdentical(Scalar[K], Links[K], Where);
+          expectMatchesOracle(Links[K], Oracle[K], Where);
+          EXPECT_TRUE(Links[K].auditState().ok()) << Where;
+          if (K != 0) {
+            EXPECT_TRUE(Links[K - 1].auditInclusionIn(Links[K]).ok())
+                << Where;
+          }
+          if (::testing::Test::HasFatalFailure())
+            return;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperBlockSizes, BatchKernelChain,
+                         ::testing::ValuesIn(paperBlockSizes()));
+
+// A cache may leave a chain for a batch (a shadow oracle attached, so the
+// lane runs it solo) and rejoin it: every path keeps the store masks, so
+// the inclusion the filter needs holds throughout.
+TEST(BatchKernelChain, LinksLeaveAndRejoinBetweenBatches) {
+  std::vector<Ref> Stream =
+      chainStream(40000, /*Seed=*/3, PhaseMix::Mixed, 256 << 10);
+  std::vector<Cache> Scalar, Links;
+  for (uint32_t Size = 1 << 10; Size <= 16 << 10; Size *= 2) {
+    Scalar.emplace_back(CacheConfig{.SizeBytes = Size, .BlockBytes = 32});
+    Links.emplace_back(CacheConfig{.SizeBytes = Size, .BlockBytes = 32});
+  }
+  std::vector<Cache *> Chain;
+  for (Cache &C : Links)
+    Chain.push_back(&C);
+  RefColumns B;
+  BatchIndex Idx;
+  std::vector<ChainRun> Survivors;
+  for (size_t I = 0, Batch = 0; I < Stream.size(); ++Batch) {
+    B.clear();
+    for (size_t K = 0; K != 1000 && I != Stream.size(); ++K, ++I) {
+      B.push_back(Stream[I]);
+      for (Cache &C : Scalar)
+        (void)C.access(Stream[I]);
+    }
+    if (Batch % 3 == 1) {
+      // The path of a lane's solo caches.
+      Idx.reset(&B);
+      for (Cache *C : Chain)
+        BatchKernel::run(*C, B, Idx);
+    } else if (Batch % 3 == 2) {
+      // The path of a cross-checked cache.
+      for (size_t Row = 0; Row != B.size(); ++Row)
+        for (Cache *C : Chain)
+          (void)C->access(B.get(Row));
+    } else {
+      BatchKernel::runChain(Chain, B, Survivors);
+    }
+  }
+  for (size_t K = 0; K != Links.size(); ++K)
+    expectStateIdentical(Scalar[K], Links[K], Links[K].config().label());
+}
+
+TEST(BatchKernelChain, ChainableScreensOutIneligibleCaches) {
+  EXPECT_TRUE(BatchKernel::chainable(
       Cache({.SizeBytes = 1 << 10, .BlockBytes = 32})));
-  EXPECT_FALSE(BatchKernel::pairable(
+  EXPECT_TRUE(BatchKernel::chainable(Cache(
+      {.SizeBytes = 1 << 10, .BlockBytes = 32,
+       .WriteMiss = WriteMissPolicy::FetchOnWrite})));
+  EXPECT_FALSE(BatchKernel::chainable(
       Cache({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2})));
-  EXPECT_FALSE(BatchKernel::pairable(Cache(
+  EXPECT_FALSE(BatchKernel::chainable(Cache(
       {.SizeBytes = 1 << 10, .BlockBytes = 32, .TrackPerBlockStats = true})));
+  EXPECT_FALSE(BatchKernel::chainable(
+      Cache({.SizeBytes = 1 << 10, .BlockBytes = 32,
+             .WriteHit = WriteHitPolicy::WriteThrough})));
   Cache CrossChecked({.SizeBytes = 1 << 10, .BlockBytes = 32});
   CrossChecked.enableCrossCheck(1);
-  EXPECT_FALSE(BatchKernel::pairable(CrossChecked));
+  EXPECT_FALSE(BatchKernel::chainable(CrossChecked));
+
+  // One chain per block size and write-miss policy.
+  Cache A({.SizeBytes = 1 << 10, .BlockBytes = 32});
+  EXPECT_TRUE(BatchKernel::sameChain(
+      A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 32})));
+  EXPECT_FALSE(BatchKernel::sameChain(
+      A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 64})));
+  EXPECT_FALSE(BatchKernel::sameChain(
+      A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 32,
+                .WriteMiss = WriteMissPolicy::FetchOnWrite})));
+  EXPECT_FALSE(BatchKernel::sameChain(
+      A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 32,
+                .CollectorFetchOnWrite = false})));
 }
 
 //===----------------------------------------------------------------------===//
@@ -615,15 +763,15 @@ TEST(BatchBank, ExecutionModesAreBitIdentical) {
   EXPECT_TRUE(Inline.auditAll().ok());
 }
 
-// One block size split into lanes at pair boundaries: the eight-cache
-// size sweep has four pairs, so 2, 4 and 8 workers get 2, 4 and 4 lanes.
+// One block size split into lanes at chain midpoints: the eight-cache
+// size sweep is one chain, so 2, 4 and 8 workers get 2, 4 and 8 lanes.
 TEST(BatchBank, OneBlockSizeSweepSplitsIntoLanes) {
   std::vector<Ref> Stream = randomStream(40000, /*Seed=*/61);
   for (unsigned Threads : {2u, 4u, 8u}) {
     CacheBank Bank;
     Bank.addSizeSweep(CacheConfig{}, 64);
     Bank.setThreads(Threads, /*BatchRefs=*/1024);
-    EXPECT_EQ(Bank.threads(), std::min(Threads, 4u));
+    EXPECT_EQ(Bank.threads(), Threads);
     feedWithGcBoundary(Bank, Stream);
     expectBankMatches(referenceCaches(Bank, Stream), Bank,
                       " (" + std::to_string(Threads) + " threads)");

@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CacheTestPeer.h"
+
 #include "gcache/core/Experiment.h"
 #include "gcache/memsys/CacheBank.h"
 #include "gcache/support/Random.h"
@@ -140,6 +142,45 @@ TEST(ParallelBank, MatchesSerialOnRecordedTrace) {
     EXPECT_EQ(*Records, *SerialRecords);
     Parallel.flush();
     expectBanksEqual(Serial, Parallel);
+  }
+}
+
+// More workers than lanes split the longest chain at its midpoint, each
+// half a chain of its own. A 64 B size sweep under both write-miss
+// policies is one lane of two eight-link chains: 2 workers split it into
+// two lanes and 4 workers into four. The recorded trace (collector
+// phases, so the collector's fetch-on-write too) must leave every cache
+// bit-identical to the serial bank, line for line.
+TEST(ParallelBank, SplitChainsMatchSerial) {
+  const std::string &Path = recordedTracePath();
+  auto AddSweeps = [](CacheBank &Bank) {
+    Bank.addSizeSweep(CacheConfig{}, 64);
+    Bank.addSizeSweep(
+        CacheConfig{.WriteMiss = WriteMissPolicy::FetchOnWrite}, 64);
+  };
+  CacheBank Serial;
+  AddSweeps(Serial);
+  ASSERT_TRUE(TraceReader::replayEx(Path, Serial).ok());
+  Serial.flush();
+
+  for (unsigned Threads : {2u, 4u}) {
+    CacheBank Parallel;
+    AddSweeps(Parallel);
+    Parallel.setThreads(Threads, /*BatchRefs=*/4096);
+    EXPECT_EQ(Parallel.threads(), Threads);
+    ASSERT_TRUE(TraceReader::replayEx(Path, Parallel).ok());
+    Parallel.flush();
+    expectBanksEqual(Serial, Parallel);
+    for (size_t I = 0; I != Serial.size(); ++I) {
+      const auto &Want = CacheTestPeer::lines(Serial.cache(I));
+      const auto &Got = CacheTestPeer::lines(Parallel.cache(I));
+      ASSERT_EQ(Want.size(), Got.size());
+      for (size_t L = 0; L != Want.size(); ++L)
+        ASSERT_TRUE(CacheTestPeer::sameLine(Want[L], Got[L]))
+            << Serial.cache(I).config().label() << " line " << L << " at "
+            << Threads << " threads";
+    }
+    EXPECT_TRUE(Parallel.auditAll().ok());
   }
 }
 

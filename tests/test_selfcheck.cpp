@@ -186,6 +186,57 @@ TEST(SelfCheckMutation, AuditCatchesStampAheadOfClock) {
   EXPECT_FALSE(C.auditState().ok());
 }
 
+// A chain skips a run in its larger links when a smaller link proves it a
+// no-op, which is sound only while each block resident in a link is
+// resident in the next larger one with at least the same stored words.
+// A larger link that lost a stored word must fail the bank's audit, and a
+// checkpoint holding that state must be refused as Corrupt.
+TEST(SelfCheckMutation, ChainInclusionBreakIsCaughtByAuditAndLoad) {
+  CacheConfig Proto{.SizeBytes = 1 << 10, .BlockBytes = 32};
+  auto Build = [&](CacheBank &Bank) {
+    Bank.addConfig(Proto);
+    Bank.addConfig({.SizeBytes = 4 << 10, .BlockBytes = 32});
+  };
+  CacheBank Bank;
+  Build(Bank);
+  Rng R;
+  for (int I = 0; I != 4000; ++I)
+    Bank.onRef(randomRef(R));
+  ASSERT_TRUE(Bank.auditAll().ok());
+
+  Cache &Small = Bank.cache(0);
+  Cache &Large = Bank.cache(1);
+  bool Mutated = false;
+  for (size_t I = 0; I != CacheTestPeer::numLines(Small) && !Mutated; ++I) {
+    const CacheTestPeer::Line &L = CacheTestPeer::line(Small, I);
+    if (L.StoreMask == 0)
+      continue;
+    const size_t Block = size_t(L.Tag) * CacheTestPeer::numLines(Small) + I;
+    CacheTestPeer::Line &M = CacheTestPeer::line(
+        Large, Block % CacheTestPeer::numLines(Large));
+    M.StoreMask &= ~(L.StoreMask & -L.StoreMask); // its lowest stored word
+    Mutated = true;
+  }
+  ASSERT_TRUE(Mutated);
+  ASSERT_TRUE(Large.auditState().ok()) << "each cache alone is consistent";
+  Status S = Bank.auditAll();
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.code(), StatusCode::AuditFailure) << S.message();
+
+  SnapshotWriter W;
+  Bank.saveTo(W);
+  std::string Path = tempPath("broken_chain.gcsnap");
+  ASSERT_TRUE(W.writeFile(Path).ok());
+  SnapshotReader Rd;
+  ASSERT_TRUE(Rd.open(Path).ok()) << "the file itself is CRC-valid";
+  CacheBank Fresh;
+  Build(Fresh);
+  Status L = Fresh.loadFrom(Rd);
+  ASSERT_FALSE(L.ok());
+  EXPECT_EQ(L.code(), StatusCode::Corrupt) << L.message();
+  EXPECT_NE(L.message().find("inclusion"), std::string::npos) << L.message();
+}
+
 TEST(SelfCheckMutation, AuditSinkCatchesDriftedBankCounters) {
   CacheBank Bank;
   Bank.addConfig({.SizeBytes = 1 << 10, .BlockBytes = 32});
@@ -300,6 +351,29 @@ TEST(SelfCheck, PreV2CacheStateIsRejected) {
   EXPECT_EQ(S.code(), StatusCode::Corrupt);
   EXPECT_NE(S.message().find("state version"), std::string::npos)
       << S.message();
+}
+
+// Version 2 kept a dirty flag where version 3 keeps the store mask the
+// chains filter on; a v2 image cannot say which words were stored.
+TEST(SelfCheck, V2CacheStateIsRejected) {
+  CacheConfig Cfg{.SizeBytes = 1 << 10, .BlockBytes = 32};
+  SnapshotWriter W;
+  W.beginSection("cache-state");
+  W.putU32(0x65766132); // the v2 sentinel
+  W.putU32(Cfg.SizeBytes);
+  W.putU32(Cfg.BlockBytes);
+  W.putU32(Cfg.Ways);
+  std::string Path = tempPath("v2_crafted.gcsnap");
+  ASSERT_TRUE(W.writeFile(Path).ok());
+  SnapshotReader Rd;
+  ASSERT_TRUE(Rd.open(Path).ok());
+  Cache C(Cfg);
+  SnapshotCursor Cur = Rd.section("cache-state");
+  C.loadState(Cur);
+  Status S = Cur.finish();
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.code(), StatusCode::Corrupt);
+  EXPECT_NE(S.message().find("pre-v3"), std::string::npos) << S.message();
 }
 
 //===----------------------------------------------------------------------===//
