@@ -40,12 +40,9 @@
 ///                drains and the run reports partial results (exit 3)
 ///   --max-refs N simulated-reference budget, k/m/g suffixes ok
 ///                (GCACHE_MAX_REFS env)
-///   --mem-budget B  hard resident-memory budget, k/m/g suffixes ok
-///                (GCACHE_MEM_BUDGET env); crossing ~80% of it first
-///                degrades the analysis sinks (see --on-budget)
-///   --on-budget degrade|stop   what a soft memory breach does: degrade
-///                sinks to sampled/coarsened stats (default) or stop the
-///                run like a hard breach (GCACHE_ON_BUDGET env)
+///   --mem-budget B  resident-memory budget, k/m/g suffixes ok
+///                (GCACHE_MEM_BUDGET env); on a breach the current unit
+///                drains and reports partial-mem (exit 3)
 ///
 /// SIGTERM/SIGINT request the same graceful drain as a deadline: the
 /// current unit stops at the next poll site, in-flight cache batches are
@@ -125,7 +122,7 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
   std::vector<std::string> Known = {
       "scale",    "csv",       "workload",  "threads",    "batch",
       "fault",    "paranoid",  "crosscheck", "audit",     "deadline",
-      "max-refs", "mem-budget", "on-budget"};
+      "max-refs", "mem-budget"};
   for (const char *F : ExtraFlags)
     Known.push_back(F);
   std::vector<std::string> Unknown = A.Opts.unknownFlags(Known);
@@ -246,9 +243,6 @@ public:
       } else {
         ++Succeeded;
       }
-      if (R->Degraded)
-        std::printf("DEGRADED %s: %s\n", Unit.c_str(),
-                    R->DegradeNote.c_str());
       return R;
     }
     recordFailure(Unit, R.status());
@@ -324,10 +318,9 @@ inline void printTable(const Table &T, const BenchArgs &A) {
 
 /// Appends one JSON object to a BENCH_*.json results file. The file is a
 /// JSON array of timestamped entries — benchmark history accumulates
-/// across runs instead of each run overwriting the last. A legacy
-/// single-object file (the pre-append format) is wrapped into an array
-/// with its existing object as the first entry; a missing or empty file
-/// starts a new array.
+/// across runs instead of each run overwriting the last. A missing or
+/// empty file starts a new array; a file that is not an array is refused
+/// (false) and left as it is.
 inline bool appendBenchJson(const std::string &Path,
                             const std::string &ObjJson) {
   std::string Existing;
@@ -343,18 +336,14 @@ inline bool appendBenchJson(const std::string &Path,
   std::string Body;
   if (B == std::string::npos) {
     Body = "[\n" + ObjJson + "\n]\n";
-  } else if (Existing[B] == '[') {
+  } else {
     // Existing array: splice the new entry in before the final ']'.
-    size_t Close = Existing.rfind(']', E);
-    if (Close == std::string::npos)
+    if (Existing[B] != '[' || Existing[E] != ']')
       return false;
-    std::string Inner = Existing.substr(B + 1, Close - B - 1);
+    std::string Inner = Existing.substr(B + 1, E - B - 1);
     size_t IE = Inner.find_last_not_of(" \t\r\n");
     Inner = IE == std::string::npos ? "" : Inner.substr(0, IE + 1);
     Body = "[" + Inner + (Inner.empty() ? "\n" : ",\n") + ObjJson + "\n]\n";
-  } else {
-    // Legacy single object: keep it as the array's first entry.
-    Body = "[" + Existing.substr(B, E - B + 1) + ",\n" + ObjJson + "\n]\n";
   }
   std::string Tmp = Path + ".tmp";
   FILE *F = std::fopen(Tmp.c_str(), "wb");

@@ -16,8 +16,9 @@
 //                       column occupancy
 //   --gc-phases         report per-trace GC phase statistics: cycle and
 //                       step counts, and how collector references
-//                       distribute over the stepped phases (pre-v3
-//                       traces show their collector refs unattributed)
+//                       distribute over the stepped phases (collector
+//                       refs outside any phase marker show as
+//                       unattributed)
 //   --replay            replay into a simulated cache and print miss counts
 //   --cache-size=<b>    simulated cache size for --replay (default 65536)
 //   --block-size=<b>    simulated block size for --replay (default 64)
@@ -186,7 +187,7 @@ int main(int Argc, char **Argv) {
     std::printf("  %llu mutator refs outside cycles",
                 static_cast<unsigned long long>(P.MutatorRefs));
     if (P.UnattributedCollectorRefs)
-      std::printf(", %llu collector refs unattributed (pre-v3 trace)",
+      std::printf(", %llu collector refs unattributed",
                   static_cast<unsigned long long>(
                       P.UnattributedCollectorRefs));
     std::printf("\n");

@@ -29,7 +29,7 @@ int die(const Status &S) {
 }
 
 /// A small but representative event stream: both phases, both access
-/// kinds, allocations, and a GC pause.
+/// kinds, allocations, and a GC pause with phase markers.
 void emitEvents(TraceSink &Out) {
   for (uint32_t I = 0; I != 64; ++I) {
     Ref R;
@@ -41,6 +41,8 @@ void emitEvents(TraceSink &Out) {
       Out.onAlloc(0x8000 + I * 16, 16);
   }
   Out.onGcBegin();
+  Out.onGcPhase(GcPhase::Begin);
+  Out.onGcPhase(GcPhase::Trace);
   for (uint32_t I = 0; I != 16; ++I) {
     Ref R;
     R.Addr = 0x2000 + I * 8;
@@ -48,6 +50,7 @@ void emitEvents(TraceSink &Out) {
     R.ExecPhase = Phase::Collector;
     Out.onRef(R);
   }
+  Out.onGcPhase(GcPhase::Finish);
   Out.onGcEnd();
 }
 
@@ -60,10 +63,10 @@ int main(int Argc, char **Argv) {
   }
   std::string TraceDir = Argv[1], SnapDir = Argv[2];
 
-  // Seed 1: a complete valid v2 trace.
+  // Seed 1: a complete valid trace.
   {
     TraceWriter W;
-    if (Status S = W.open(TraceDir + "/valid_v2.gctrace"); !S.ok())
+    if (Status S = W.open(TraceDir + "/valid.gctrace"); !S.ok())
       return die(S);
     emitEvents(W);
     if (Status S = W.close(); !S.ok())

@@ -4,7 +4,6 @@
 
 #include <bit>
 #include <cassert>
-#include <iterator>
 
 using namespace gcache;
 
@@ -36,11 +35,7 @@ void BlockTracker::onAlloc(Address Addr, uint32_t Bytes) {
       LastAllocTime[Slot] = Clock ? Clock : 1;
     }
     FrontierBlocks = NewFrontier;
-    // Degraded mode freezes the dense record vector — new blocks go to
-    // the stride-sampled map instead (the cycle bookkeeping above is
-    // fixed-size and keeps running at full fidelity).
-    if (SampleEvery == 1)
-      Dynamic.resize(FrontierBlocks);
+    Dynamic.resize(FrontierBlocks);
   }
 }
 
@@ -61,15 +56,6 @@ void BlockTracker::onRef(const Ref &R) {
   if (R.Addr >= Heap::DynamicBase) {
     uint32_t BlockIdx = (R.Addr - Heap::DynamicBase) >> BlockShift;
     if (BlockIdx >= Dynamic.size()) {
-      if (SampleEvery > 1) {
-        // Degraded: only every SampleEvery-th block index is tracked;
-        // summary counts from this region are scaled back up.
-        if (BlockIdx + 1 > FrontierBlocks)
-          FrontierBlocks = BlockIdx + 1;
-        if (BlockIdx % SampleEvery == 0)
-          touch(Sampled[BlockIdx], cacheSlotOf(BlockIdx));
-        return;
-      }
       // A reference beyond the recorded frontier (e.g. collector-resized
       // areas); extend conservatively.
       Dynamic.resize(BlockIdx + 1);
@@ -124,31 +110,6 @@ BlockSummary BlockTracker::computeSummary() {
     }
   }
 
-  // Degraded region: each sampled record stands for SampleEvery block
-  // indices, so its block-count contributions are scaled back up. The
-  // histograms stay exact-only — scaling a histogram would fabricate
-  // observations.
-  S.Degraded = SampleEvery > 1;
-  S.SampleStride = SampleEvery;
-  for (const auto &[BlockIdx, Rec] : Sampled) {
-    if (Rec.RefCount == 0)
-      continue;
-    S.DynamicBlocks += SampleEvery;
-    uint32_t BirthCycle = BlockIdx / NumSlots + 1;
-    bool OneCycle = Rec.CyclesActive == 1 && Rec.LastCycleSeen == BirthCycle;
-    if (OneCycle)
-      S.OneCycleBlocks += SampleEvery;
-    else {
-      S.MultiCycleBlocks += SampleEvery;
-      if (Rec.CyclesActive <= 4)
-        S.MultiCycleActiveLe4 += SampleEvery;
-    }
-    if (Rec.RefCount >= BusyThreshold) {
-      S.BusyDynamicBlocks += SampleEvery;
-      S.BusyRefs += Rec.RefCount * SampleEvery;
-    }
-  }
-
   uint32_t RtBlockFirst = RuntimeVecAddr >> BlockShift;
   uint32_t RtBlockLast = (RuntimeVecAddr + 16 * 4) >> BlockShift;
   for (const auto &[BlockIdx, Rec] : Static) {
@@ -161,149 +122,4 @@ BlockSummary BlockTracker::computeSummary() {
       S.RuntimeVectorRefs += Rec.RefCount;
   }
   return S;
-}
-
-std::string BlockTracker::degrade() {
-  if (SampleEvery == 1) {
-    // First step: freeze the dense vector where it stands; everything
-    // beyond it is stride-sampled from here on.
-    SampleEvery = 16;
-  } else if (SampleEvery >= (1u << 20)) {
-    return std::string(); // Nothing meaningful left to shed.
-  } else {
-    SampleEvery *= 2;
-    // Thin existing samples to the new stride (lossy, like any shed).
-    for (auto It = Sampled.begin(); It != Sampled.end();)
-      It = It->first % SampleEvery ? Sampled.erase(It) : std::next(It);
-  }
-  return "block-tracker: new blocks stride-sampled 1-in-" +
-         std::to_string(SampleEvery);
-}
-
-static void saveRecord(SnapshotWriter &W, const BlockRecord &Rec) {
-  W.putU64(Rec.FirstRef);
-  W.putU64(Rec.LastRef);
-  W.putU64(Rec.RefCount);
-  W.putU32(Rec.LastCycleSeen);
-  W.putU32(Rec.CyclesActive);
-}
-
-static BlockRecord loadRecord(SnapshotCursor &C) {
-  BlockRecord Rec;
-  Rec.FirstRef = C.getU64();
-  Rec.LastRef = C.getU64();
-  Rec.RefCount = C.getU64();
-  Rec.LastCycleSeen = C.getU32();
-  Rec.CyclesActive = C.getU32();
-  return Rec;
-}
-
-void BlockTracker::saveTo(SnapshotWriter &W) const {
-  W.beginSection(snapshotTag());
-  W.putU32(BlockBytes);
-  W.putU32(NumSlots);
-  W.putU32(RuntimeVecAddr);
-  W.putU64(Clock);
-  W.putU32(FrontierBlocks);
-  W.putU64(StackRefs);
-  W.putU8(Finalized ? 1 : 0);
-  W.putU64(Dynamic.size());
-  for (const BlockRecord &Rec : Dynamic)
-    saveRecord(W, Rec);
-  W.putU64(Static.size());
-  for (const auto &[BlockIdx, Rec] : Static) {
-    W.putU32(BlockIdx);
-    saveRecord(W, Rec);
-  }
-  Lifetimes.save(W);
-  DynRefCounts.save(W);
-  CycleLens.save(W);
-  W.putVecU64(LastAllocTime);
-  W.putU32(SampleEvery);
-  W.putU64(Sampled.size());
-  for (const auto &[BlockIdx, Rec] : Sampled) {
-    W.putU32(BlockIdx);
-    saveRecord(W, Rec);
-  }
-}
-
-Status BlockTracker::loadFrom(const SnapshotReader &R) {
-  SnapshotCursor C = R.section(snapshotTag());
-  uint32_t SavedBlockBytes = C.getU32();
-  uint32_t SavedNumSlots = C.getU32();
-  uint32_t SavedRtAddr = C.getU32();
-  if (C.ok() && (SavedBlockBytes != BlockBytes || SavedNumSlots != NumSlots ||
-                 SavedRtAddr != RuntimeVecAddr))
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "block-tracker snapshot (block %u, slots %u) does "
-                         "not match this tracker (block %u, slots %u)",
-                         SavedBlockBytes, SavedNumSlots, BlockBytes,
-                         NumSlots));
-  uint64_t SavedClock = C.getU64();
-  uint32_t SavedFrontier = C.getU32();
-  uint64_t SavedStackRefs = C.getU64();
-  bool SavedFinalized = C.getU8() != 0;
-  uint64_t NumDynamic = C.getU64();
-  std::vector<BlockRecord> NewDynamic;
-  // Each dynamic record is 32 payload bytes; a count past remaining()/32
-  // can only be damage, so refuse before attempting a huge reserve.
-  if (C.ok() && NumDynamic > C.remaining() / 32)
-    C.fail(Status::failf(StatusCode::Truncated,
-                         "block-tracker snapshot claims %llu dynamic records",
-                         static_cast<unsigned long long>(NumDynamic)));
-  if (C.ok()) {
-    NewDynamic.reserve(static_cast<size_t>(NumDynamic));
-    for (uint64_t I = 0; C.ok() && I != NumDynamic; ++I)
-      NewDynamic.push_back(loadRecord(C));
-  }
-  uint64_t NumStatic = C.getU64();
-  std::unordered_map<uint32_t, BlockRecord> NewStatic;
-  if (C.ok() && NumStatic > C.remaining() / 36)
-    C.fail(Status::failf(StatusCode::Truncated,
-                         "block-tracker snapshot claims %llu static records",
-                         static_cast<unsigned long long>(NumStatic)));
-  for (uint64_t I = 0; C.ok() && I != NumStatic; ++I) {
-    uint32_t BlockIdx = C.getU32();
-    NewStatic.emplace(BlockIdx, loadRecord(C));
-  }
-  Log2Histogram NewLifetimes, NewDynRefCounts, NewCycleLens;
-  NewLifetimes.load(C);
-  NewDynRefCounts.load(C);
-  NewCycleLens.load(C);
-  std::vector<uint64_t> NewLastAlloc = C.getVecU64();
-  if (C.ok() && NewLastAlloc.size() != LastAllocTime.size() &&
-      !(LastAllocTime.empty() && NewLastAlloc.size() == NumSlots))
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "block-tracker snapshot has %zu alloc-time slots",
-                         NewLastAlloc.size()));
-  uint32_t SavedSampleEvery = C.getU32();
-  uint64_t NumSampled = C.getU64();
-  std::unordered_map<uint32_t, BlockRecord> NewSampled;
-  if (C.ok() && NumSampled > C.remaining() / 36)
-    C.fail(Status::failf(StatusCode::Truncated,
-                         "block-tracker snapshot claims %llu sampled records",
-                         static_cast<unsigned long long>(NumSampled)));
-  for (uint64_t I = 0; C.ok() && I != NumSampled; ++I) {
-    uint32_t BlockIdx = C.getU32();
-    NewSampled.emplace(BlockIdx, loadRecord(C));
-  }
-  if (C.ok() && SavedSampleEvery == 0)
-    C.fail(Status::fail(StatusCode::Corrupt,
-                        "block-tracker snapshot has a zero sample stride"));
-  if (Status S = C.finish(); !S.ok())
-    return S;
-
-  Clock = SavedClock;
-  FrontierBlocks = SavedFrontier;
-  StackRefs = SavedStackRefs;
-  Finalized = SavedFinalized;
-  Dynamic = std::move(NewDynamic);
-  Static = std::move(NewStatic);
-  Sampled = std::move(NewSampled);
-  SampleEvery = SavedSampleEvery;
-  Lifetimes = std::move(NewLifetimes);
-  DynRefCounts = std::move(NewDynRefCounts);
-  CycleLens = std::move(NewCycleLens);
-  LastAllocTime = std::move(NewLastAlloc);
-  return Status();
 }

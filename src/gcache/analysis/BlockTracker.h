@@ -30,8 +30,6 @@
 #define GCACHE_ANALYSIS_BLOCKTRACKER_H
 
 #include "gcache/heap/Heap.h"
-#include "gcache/support/Budget.h"
-#include "gcache/support/Snapshot.h"
 #include "gcache/support/Stats.h"
 #include "gcache/trace/Event.h"
 
@@ -63,9 +61,9 @@ struct BlockSummary {
   uint64_t BusyRefs = 0;              ///< Refs going to busy blocks.
   uint64_t RuntimeVectorRefs = 0;     ///< Refs to the hot runtime vector's block.
   uint64_t StackRefs = 0;             ///< Refs to the stack region.
-  /// True when a soft memory breach switched the tracker to sampled
-  /// per-block stats; block counts above were scaled by SampleStride.
+  /// Always false (the tracker is exact); perfbench's section7 checks it.
   bool Degraded = false;
+  /// Always 1 (every block is tracked); perfbench's section7 digests it.
   uint32_t SampleStride = 1;
   double oneCycleFraction() const {
     return DynamicBlocks ? static_cast<double>(OneCycleBlocks) / DynamicBlocks
@@ -79,18 +77,7 @@ struct BlockSummary {
 /// TraceSink computing the per-block behaviour statistics of one run.
 /// Intended for control-experiment (no-GC) runs, where dynamic allocation
 /// is strictly linear.
-///
-/// Under memory pressure (support/Budget.h soft breach) the tracker
-/// degrades: the dense per-block record vector is frozen at its current
-/// size and *new* blocks are tracked by deterministic 1-in-K stride
-/// sampling (K = 16, doubling on each further degrade step). Summary
-/// block counts from the sampled region are scaled by K; the lifetime and
-/// ref-count histograms only include exactly-tracked blocks. Stride
-/// sampling (not randomized reservoir sampling) keeps resumed and
-/// repeated runs bit-identical.
-class BlockTracker final : public TraceSink,
-                           public Snapshottable,
-                           public Degradable {
+class BlockTracker final : public TraceSink {
 public:
   /// \p BlockBytes is the memory-block size; \p CacheBytes the reference
   /// cache size for the allocation-cycle clock (the paper uses 64 KB).
@@ -120,18 +107,6 @@ public:
   const BlockRecord &dynamicRecord(size_t I) const { return Dynamic[I]; }
   size_t numDynamicRecords() const { return Dynamic.size(); }
 
-  // Snapshottable: full accumulator state (clock, frontier, every block
-  // record, histograms), validated against this tracker's configuration.
-  const char *snapshotTag() const override { return "block-tracker"; }
-  void saveTo(SnapshotWriter &W) const override;
-  Status loadFrom(const SnapshotReader &R) override;
-
-  // Degradable: freeze the dense record vector and stride-sample new
-  // blocks (double the stride on each further step).
-  std::string degrade() override;
-  bool degraded() const { return SampleEvery > 1; }
-  uint32_t sampleStride() const { return SampleEvery; }
-
 private:
   uint32_t cacheSlotOf(uint32_t BlockIdx) const { return BlockIdx & SlotMask; }
   /// Current allocation cycle of cache slot \p Slot (see file comment).
@@ -153,10 +128,6 @@ private:
 
   std::vector<BlockRecord> Dynamic; ///< Indexed by dynamic block number.
   std::unordered_map<uint32_t, BlockRecord> Static; ///< By block index.
-  /// Degraded mode: stride-sampled records for blocks past the frozen
-  /// dense vector (block index divisible by SampleEvery only).
-  std::unordered_map<uint32_t, BlockRecord> Sampled;
-  uint32_t SampleEvery = 1; ///< 1 = full fidelity (no degradation).
 
   Log2Histogram Lifetimes;
   Log2Histogram DynRefCounts;

@@ -9,29 +9,8 @@ using namespace gcache;
 
 MissPlot::MissPlot(const CacheConfig &Config, uint32_t RefsPerColumn)
     : Sim(Config), RefsPerColumn(RefsPerColumn),
-      BaseRefsPerColumn(RefsPerColumn), NumBlocks(Config.numSets()) {
+      NumBlocks(Config.numSets()) {
   assert(RefsPerColumn > 0 && "need a positive time bucket");
-}
-
-std::string MissPlot::degrade() {
-  if (RefsPerColumn >= (1u << 30))
-    return std::string(); // Axis already maximally coarse.
-  // OR-merge adjacent column pairs starting from column 0. The plot laws
-  // survive: ceil(ceil(R/r)/2) == ceil(R/(2r)), merged cells only lose
-  // marks relative to misses, and a plot with misses keeps >= 1 mark.
-  std::vector<std::vector<uint8_t>> Merged;
-  Merged.reserve((Columns.size() + 1) / 2);
-  for (size_t I = 0; I < Columns.size(); I += 2) {
-    std::vector<uint8_t> Col = std::move(Columns[I]);
-    if (I + 1 < Columns.size())
-      for (uint32_t B = 0; B != NumBlocks; ++B)
-        Col[B] |= Columns[I + 1][B];
-    Merged.push_back(std::move(Col));
-  }
-  Columns = std::move(Merged);
-  RefsPerColumn *= 2;
-  return "miss-plot: time axis coarsened to " +
-         std::to_string(RefsPerColumn) + " refs/column";
 }
 
 std::vector<uint8_t> &MissPlot::currentColumn() {
@@ -96,60 +75,4 @@ double MissPlot::fillFraction() const {
       Set += B;
   return static_cast<double>(Set) /
          (static_cast<double>(Columns.size()) * NumBlocks);
-}
-
-void MissPlot::saveTo(SnapshotWriter &W) const {
-  W.beginSection(snapshotTag());
-  W.putU32(RefsPerColumn);
-  W.putU32(NumBlocks);
-  W.putU64(RefsSeen);
-  W.putU64(Columns.size());
-  for (const auto &Col : Columns)
-    W.putBytes(Col.data(), Col.size());
-  Sim.saveState(W);
-}
-
-Status MissPlot::loadFrom(const SnapshotReader &R) {
-  SnapshotCursor C = R.section(snapshotTag());
-  uint32_t SavedRefsPerColumn = C.getU32();
-  uint32_t SavedNumBlocks = C.getU32();
-  // A snapshot cut after coarsening has refs/column == base * 2^k; the
-  // loading plot adopts the coarser axis. Anything else is a mismatch.
-  uint64_t Ratio =
-      BaseRefsPerColumn && SavedRefsPerColumn % BaseRefsPerColumn == 0
-          ? SavedRefsPerColumn / BaseRefsPerColumn
-          : 0;
-  bool CompatibleAxis =
-      Ratio != 0 && (Ratio & (Ratio - 1)) == 0 &&
-      SavedRefsPerColumn >= BaseRefsPerColumn;
-  if (C.ok() && (!CompatibleAxis || SavedNumBlocks != NumBlocks)) {
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "miss-plot snapshot (%u refs/col, %u blocks) does "
-                         "not match this plot (%u refs/col, %u blocks)",
-                         SavedRefsPerColumn, SavedNumBlocks,
-                         BaseRefsPerColumn, NumBlocks));
-    return C.finish();
-  }
-  uint64_t SavedRefsSeen = C.getU64();
-  uint64_t NumColumns = C.getU64();
-  if (C.ok() && NumColumns > C.remaining() / NumBlocks)
-    C.fail(Status::failf(StatusCode::Truncated,
-                         "miss-plot snapshot claims %llu columns",
-                         static_cast<unsigned long long>(NumColumns)));
-  std::vector<std::vector<uint8_t>> NewColumns;
-  if (C.ok()) {
-    NewColumns.reserve(static_cast<size_t>(NumColumns));
-    for (uint64_t I = 0; C.ok() && I != NumColumns; ++I) {
-      std::vector<uint8_t> Col(NumBlocks);
-      C.getBytes(Col.data(), Col.size());
-      NewColumns.push_back(std::move(Col));
-    }
-  }
-  Sim.loadState(C);
-  if (Status S = C.finish(); !S.ok())
-    return S;
-  RefsSeen = SavedRefsSeen;
-  RefsPerColumn = SavedRefsPerColumn;
-  Columns = std::move(NewColumns);
-  return Status();
 }

@@ -17,8 +17,6 @@
 #define GCACHE_ANALYSIS_MISSPLOT_H
 
 #include "gcache/memsys/Cache.h"
-#include "gcache/support/Budget.h"
-#include "gcache/support/Snapshot.h"
 
 #include <string>
 #include <vector>
@@ -26,16 +24,7 @@
 namespace gcache {
 
 /// TraceSink owning a cache and recording when/where misses occur.
-///
-/// Under memory pressure (support/Budget.h soft breach) the plot degrades
-/// by coarsening its time axis: adjacent column pairs are OR-merged and
-/// the per-column reference bucket doubles. The §7 plot laws survive every
-/// coarsening step (columns == ceil(refs/refsPerColumn), marked cells can
-/// only decrease, a run with misses keeps at least one mark), so a
-/// degraded plot still audits clean — it is just lower-resolution.
-class MissPlot final : public TraceSink,
-                       public Snapshottable,
-                       public Degradable {
+class MissPlot final : public TraceSink {
 public:
   /// \p RefsPerColumn is the paper's 1024-reference time bucket.
   explicit MissPlot(const CacheConfig &Config, uint32_t RefsPerColumn = 1024);
@@ -65,24 +54,14 @@ public:
   /// Fraction of plot cells containing at least one miss.
   double fillFraction() const;
 
-  // Snapshottable: the owned cache plus the accumulated plot columns. A
-  // snapshot cut by a coarsened plot loads into a freshly constructed one
-  // (the saved refs/column must be the constructed value times a power of
-  // two; the plot adopts it).
-  const char *snapshotTag() const override { return "miss-plot"; }
-  void saveTo(SnapshotWriter &W) const override;
-  Status loadFrom(const SnapshotReader &R) override;
-
-  // Degradable: OR-merge adjacent column pairs, doubling RefsPerColumn.
-  std::string degrade() override;
-  bool degraded() const { return RefsPerColumn != BaseRefsPerColumn; }
+  /// Always false (the time axis is exact); perfbench's section7 checks it.
+  bool degraded() const { return false; }
 
 private:
   std::vector<uint8_t> &currentColumn();
 
   Cache Sim;
   uint32_t RefsPerColumn;
-  uint32_t BaseRefsPerColumn; ///< As constructed (before coarsening).
   uint32_t NumBlocks;
   uint64_t RefsSeen = 0;
   /// One bitset (byte per block for simplicity) per time column.

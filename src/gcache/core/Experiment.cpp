@@ -125,17 +125,6 @@ ProgramRun gcache::runProgram(const Workload &W,
     Run.Coverage = 1.0;
   }
 
-  if (processBudget().degradeLevel() > 0) {
-    Run.Degraded = true;
-    std::string Joined;
-    for (const std::string &Note : processBudget().degradationNotes()) {
-      if (!Joined.empty())
-        Joined += "; ";
-      Joined += Note;
-    }
-    Run.DegradeNote = Joined;
-  }
-
   Run.Stats = Sys.lastRunStats();
   Run.TotalRefs = Counts.totalRefs();
   Run.MutatorRefs = Counts.mutatorRefs();

@@ -110,15 +110,11 @@ struct ProgramRun {
   /// to completion; the Partial* outcomes mean a budget or signal tripped
   /// mid-run and the counters below cover only the drained prefix.
   UnitOutcome Outcome = UnitOutcome::Ok;
-  /// Human-readable cancellation/degradation detail ("" when Ok).
+  /// Human-readable cancellation detail ("" when Ok).
   std::string OutcomeNote;
   /// Fraction of the workload's top-level forms that completed, in
   /// [0, 1]; negative when unknown (e.g. a run cancelled before load).
   double Coverage = -1.0;
-  /// True when a soft memory breach degraded any analysis sink; the
-  /// specific degradations are listed in DegradeNote.
-  bool Degraded = false;
-  std::string DegradeNote;
 
   bool partial() const { return Outcome != UnitOutcome::Ok; }
 };

@@ -5,7 +5,6 @@
 #include "gcache/support/FaultInjector.h"
 #include "gcache/support/Options.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
@@ -150,48 +149,7 @@ Expected<BudgetSpec> gcache::parseBudgetFlags(const Options &O) {
     Spec.MemBudgetBytes = *V;
   }
 
-  Expected<std::string> OnBudgetFlag = O.getStrict("on-budget", "degrade");
-  if (!OnBudgetFlag.ok())
-    return OnBudgetFlag.status();
-  const std::string &OnBudget = *OnBudgetFlag;
-  if (OnBudget == "degrade")
-    Spec.DegradeOnSoft = true;
-  else if (OnBudget == "stop")
-    Spec.DegradeOnSoft = false;
-  else
-    return Status::failf(StatusCode::InvalidArgument,
-                         "--on-budget expects 'degrade' or 'stop', got '%s'",
-                         OnBudget.c_str());
   return Spec;
-}
-
-//===----------------------------------------------------------------------===//
-// Degradable registry
-//===----------------------------------------------------------------------===//
-
-namespace {
-struct DegradableRegistry {
-  std::mutex Mu;
-  std::vector<Degradable *> Sinks;
-  std::vector<std::string> Notes;
-};
-DegradableRegistry &degradables() {
-  static DegradableRegistry R;
-  return R;
-}
-} // namespace
-
-Degradable::Degradable() {
-  DegradableRegistry &R = degradables();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  R.Sinks.push_back(this);
-}
-
-Degradable::~Degradable() {
-  DegradableRegistry &R = degradables();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  R.Sinks.erase(std::remove(R.Sinks.begin(), R.Sinks.end(), this),
-                R.Sinks.end());
 }
 
 //===----------------------------------------------------------------------===//
@@ -203,13 +161,6 @@ void Budget::configure(const BudgetSpec &NewSpec) {
   Spec = NewSpec;
   Start = std::chrono::steady_clock::now();
   RefsSeen.store(0, std::memory_order_relaxed);
-  DegradePending.store(false, std::memory_order_relaxed);
-  DegradeLevel.store(0, std::memory_order_relaxed);
-  {
-    DegradableRegistry &R = degradables();
-    std::lock_guard<std::mutex> Lock(R.Mu);
-    R.Notes.clear();
-  }
   cancelToken().reset();
   Active.store(Spec.any(), std::memory_order_release);
 }
@@ -251,21 +202,8 @@ uint64_t Budget::residentBytes() const {
 void Budget::checkMemory() {
   if (!active() || !Spec.MemBudgetBytes)
     return;
-  uint64_t R = residentBytes();
-  if (R >= Spec.MemBudgetBytes) {
+  if (residentBytes() >= Spec.MemBudgetBytes)
     cancelToken().request(CancelReason::MemBudget);
-    return;
-  }
-  if (R < Spec.softBytes())
-    return;
-  // Soft breach. Degrading is only worth one request per applied step; if
-  // we have already degraded many times and memory still will not fall,
-  // stop pretending and drain.
-  if (!Spec.DegradeOnSoft || degradeLevel() >= 16) {
-    cancelToken().request(CancelReason::MemBudget);
-    return;
-  }
-  requestDegrade();
 }
 
 void Budget::checkProgress() {
@@ -275,34 +213,6 @@ void Budget::checkProgress() {
     cancelToken().request(CancelReason::Deadline);
   if (Spec.MaxRefs && refsSeen() >= Spec.MaxRefs)
     cancelToken().request(CancelReason::RefBudget);
-}
-
-void Budget::applyPendingDegrade() {
-  if (!DegradePending.exchange(false, std::memory_order_acq_rel))
-    return;
-  DegradeLevel.fetch_add(1, std::memory_order_relaxed);
-  DegradableRegistry &R = degradables();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  for (Degradable *D : R.Sinks) {
-    std::string Note = D->degrade();
-    if (!Note.empty())
-      R.Notes.push_back(std::move(Note));
-  }
-}
-
-std::vector<std::string> Budget::degradationNotes() const {
-  DegradableRegistry &R = degradables();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  return R.Notes;
-}
-
-void Budget::injectMemBreach() {
-  // Mirrors checkMemory() on a simulated breach: soft (degrade) while that
-  // is the policy, hard (drain) otherwise.
-  if (Spec.DegradeOnSoft && degradeLevel() < 16)
-    requestDegrade();
-  else
-    cancelToken().request(CancelReason::MemBudget);
 }
 
 CancelToken &gcache::cancelToken() {
@@ -316,7 +226,6 @@ Budget &gcache::processBudget() {
 }
 
 void gcache::pollCancellation(const char *Where) {
-  Budget &B = processBudget();
   FaultInjector &Fi = faultInjector();
   // The drain-path fault sites are counted at every cooperative poll (and
   // only here), so a census run plus an every-occurrence sweep exercises a
@@ -325,9 +234,8 @@ void gcache::pollCancellation(const char *Where) {
   if (Fi.shouldFire(FaultSite::WatchdogTrip))
     cancelToken().request(CancelReason::Deadline);
   if (Fi.shouldFire(FaultSite::BudgetProbe))
-    B.injectMemBreach();
-  B.checkProgress();
-  B.applyPendingDegrade();
+    cancelToken().request(CancelReason::MemBudget);
+  processBudget().checkProgress();
   CancelToken &T = cancelToken();
   if (T.requested())
     throwStatus(StatusCode::Cancelled, "%s requested at %s",

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Resource governance for long measurement runs: a wall-clock deadline, a
-/// simulated-reference budget, and a resident-memory budget with soft and
-/// hard thresholds, all enforced through *cooperative cancellation*.
+/// simulated-reference budget, and a resident-memory budget, all enforced
+/// through *cooperative cancellation*.
 ///
 /// The process-wide CancelToken is tripped by whoever notices a limit
 /// first — the Watchdog monitor thread (support/Watchdog.h), a SIGTERM or
@@ -26,12 +26,11 @@
 /// result instead of tearing down mid-batch; a checkpointed replay also
 /// cuts one final checkpoint.
 ///
-/// Memory budgets degrade before they cancel: crossing the soft threshold
-/// (default 80% of the hard budget) asks every registered Degradable sink
-/// to shed memory — BlockTracker switches to sampled per-block stats,
-/// MissPlot coarsens its time bucketing — and only the hard threshold (or
-/// --on-budget=stop) trips the token. Degradation runs on the mutator
-/// thread at the next poll site, never concurrently with the sinks.
+/// The memory budget has one threshold. The watchdog probes resident
+/// memory every 50 ms; once it reaches the budget, the token trips with
+/// MemBudget and the unit drains as partial-mem, just as --max-refs drains
+/// as partial-deadline. The analysis sinks never trade exactness for
+/// memory.
 ///
 /// The watchdog-trip and budget-probe fault sites (support/FaultInjector.h)
 /// are counted at every poll, so the whole drain path gets the same
@@ -49,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 namespace gcache {
 
@@ -61,7 +59,7 @@ enum class CancelReason : uint8_t {
   None = 0,
   Deadline,  ///< Wall-clock deadline (--deadline) or injected watchdog trip.
   RefBudget, ///< Simulated-reference budget exhausted (--max-refs).
-  MemBudget, ///< Hard resident-memory budget breached (--mem-budget).
+  MemBudget, ///< Resident-memory budget breached (--mem-budget).
   Signal,    ///< SIGTERM/SIGINT requested a drain (support/SignalGuard.h).
 };
 
@@ -98,7 +96,7 @@ private:
 /// How a bench unit or a replay ended. A run interrupted mid-way
 /// drains to a *partial* result, attributed to what tripped the token:
 /// deadline-like trips — wall clock, ref budget, SIGTERM — are
-/// partial-deadline; a hard memory breach is partial-mem.
+/// partial-deadline; a memory breach is partial-mem.
 enum class UnitOutcome : uint8_t {
   Ok = 0,
   PartialDeadline,
@@ -115,16 +113,9 @@ UnitOutcome outcomeForReason(CancelReason Reason);
 struct BudgetSpec {
   double DeadlineSec = 0;      ///< Wall clock for the whole process run.
   uint64_t MaxRefs = 0;        ///< Total simulated references.
-  uint64_t MemBudgetBytes = 0; ///< Hard resident-memory budget.
-  uint64_t MemSoftBytes = 0;   ///< Soft threshold; 0 = 80% of the hard one.
-  bool DegradeOnSoft = true;   ///< --on-budget=degrade (true) | stop.
+  uint64_t MemBudgetBytes = 0; ///< Resident-memory budget.
 
   bool any() const { return DeadlineSec > 0 || MaxRefs || MemBudgetBytes; }
-  uint64_t softBytes() const {
-    if (MemSoftBytes)
-      return MemSoftBytes;
-    return MemBudgetBytes - MemBudgetBytes / 5;
-  }
 };
 
 /// Parses "512", "64k", "512m", "2g" into bytes. InvalidArgument (naming
@@ -132,42 +123,23 @@ struct BudgetSpec {
 Expected<uint64_t> parseByteSize(const std::string &Text,
                                  const std::string &Flag);
 
-/// Parses the budget flags --deadline (seconds, fractional ok), --max-refs,
-/// --mem-budget (bytes with optional k/m/g suffix), and
-/// --on-budget=degrade|stop from \p O, with the usual GCACHE_<NAME> env
-/// fallback. A flag that is bare, non-positive, malformed, or overflowing
-/// is InvalidArgument — bench binaries exit 2 on it.
+/// Parses the budget flags --deadline (seconds, fractional ok), --max-refs
+/// and --mem-budget (bytes with optional k/m/g suffix) from \p O, with the
+/// usual GCACHE_<NAME> env fallback. A flag that is bare, non-positive,
+/// malformed, or overflowing is InvalidArgument — bench binaries exit 2 on
+/// it.
 Expected<BudgetSpec> parseBudgetFlags(const Options &O);
 
-/// A sink that can shed memory when the soft budget is breached. Instances
-/// register themselves in a process-wide list; Budget::applyPendingDegrade
-/// walks it on the mutator thread (degrade() is never called concurrently
-/// with the sink's own onRef path).
-class Degradable {
-public:
-  /// Sheds memory one step (halve resolution, double sampling stride).
-  /// Returns a short human-readable note for the unit's DEGRADED line, or
-  /// empty when this instance cannot degrade further.
-  virtual std::string degrade() = 0;
-
-protected:
-  Degradable();
-  ~Degradable();
-  Degradable(const Degradable &) = delete;
-  Degradable &operator=(const Degradable &) = delete;
-};
-
-/// The process-wide budget: limits, elapsed/consumed accounting, and the
-/// degrade machinery. Checks are split by thread:
+/// The process-wide budget: limits and elapsed/consumed accounting.
+/// Checks are split by thread:
 ///  - checkMemory() runs on the watchdog thread (it reads /proc, too slow
-///    for a poll site) and only sets flags / trips the token;
-///  - pollCancellation() runs on the mutator thread and applies pending
-///    degradation there before throwing on a tripped token.
+///    for a poll site) and only trips the token;
+///  - pollCancellation() runs on the mutator thread and throws on a
+///    tripped token.
 class Budget {
 public:
   /// Installs \p Spec and anchors the deadline clock at *now*. Resets the
-  /// consumed-reference counter and the degrade state, and re-arms the
-  /// cancel token.
+  /// consumed-reference counter and re-arms the cancel token.
   void configure(const BudgetSpec &Spec);
 
   /// Drops all limits (tests; equivalent to configure({})).
@@ -190,36 +162,16 @@ public:
   /// Resident set size in bytes (/proc/self/statm; 0 where unsupported),
   /// or whatever setMemoryProbe installed.
   uint64_t residentBytes() const;
-  /// Replaces the RSS probe (tests drive soft/hard breaches
-  /// deterministically). nullptr restores the real probe.
+  /// Replaces the RSS probe (tests drive breaches deterministically).
+  /// nullptr restores the real probe.
   void setMemoryProbe(std::function<uint64_t()> Probe);
 
-  /// Evaluates the memory thresholds (watchdog thread): soft breach
-  /// requests degradation (or trips the token under --on-budget=stop),
-  /// hard breach always trips the token.
+  /// Trips the token with MemBudget once resident memory reaches the
+  /// budget (watchdog thread).
   void checkMemory();
 
   /// Evaluates the deadline and reference budget (poll sites; cheap).
   void checkProgress();
-
-  /// Latches a degrade request; applied at the next mutator-thread poll.
-  void requestDegrade() {
-    DegradePending.store(true, std::memory_order_release);
-  }
-  /// Runs every registered Degradable once if a request is pending. Called
-  /// from pollCancellation on the mutator thread.
-  void applyPendingDegrade();
-
-  /// How many degrade steps have been applied (0 = full fidelity).
-  unsigned degradeLevel() const {
-    return DegradeLevel.load(std::memory_order_relaxed);
-  }
-  /// The notes returned by the degraded sinks, for the DEGRADED line.
-  std::vector<std::string> degradationNotes() const;
-
-  /// The budget-probe fault site's payload: simulates a memory breach at
-  /// this occurrence (soft under --on-budget=degrade, hard otherwise).
-  void injectMemBreach();
 
 private:
   BudgetSpec Spec;
@@ -227,8 +179,6 @@ private:
   std::chrono::steady_clock::time_point Start =
       std::chrono::steady_clock::now();
   std::atomic<uint64_t> RefsSeen{0};
-  std::atomic<bool> DegradePending{false};
-  std::atomic<unsigned> DegradeLevel{0};
 };
 
 /// The process-wide cancel token and budget (mirrors faultInjector()).
@@ -237,9 +187,8 @@ Budget &processBudget();
 
 /// The cooperative poll every long loop calls at a safe boundary: counts
 /// the watchdog-trip / budget-probe fault sites, re-checks the cheap
-/// limits, applies pending degradation, and throws
-/// StatusError(StatusCode::Cancelled) naming \p Where once the token is
-/// tripped. Costs a few atomic operations when nothing is armed — call it
+/// limits, and throws StatusError(StatusCode::Cancelled) naming \p Where
+/// once the token is tripped. Costs a few atomic operations when nothing is armed — call it
 /// every few thousand iterations, not every iteration.
 void pollCancellation(const char *Where);
 

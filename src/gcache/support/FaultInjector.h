@@ -26,9 +26,9 @@
 ///   watchdog-trip   The Nth cooperative cancellation poll behaves as if
 ///                   the watchdog had tripped the deadline: the run drains
 ///                   to a partial result (support/Budget.h).
-///   budget-probe    The Nth poll simulates a memory-budget breach: soft
-///                   (degrade the analysis sinks) under
-///                   --on-budget=degrade, hard (drain) otherwise.
+///   budget-probe    The Nth poll simulates a memory-budget breach: the
+///                   run drains to a partial-mem result
+///                   (support/Budget.h).
 ///   gc-step-abort   The Nth GC step boundary throws Aborted after the
 ///                   step's work completes; the cycle stays in flight and
 ///                   the caller may drive it to completion

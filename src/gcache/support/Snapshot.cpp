@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace gcache;
 
@@ -38,13 +39,6 @@ void SnapshotWriter::putU32(uint32_t V) {
 void SnapshotWriter::putU64(uint64_t V) {
   putU32(static_cast<uint32_t>(V));
   putU32(static_cast<uint32_t>(V >> 32));
-}
-
-void SnapshotWriter::putDouble(double V) {
-  uint64_t Bits;
-  static_assert(sizeof(Bits) == sizeof(V), "double must be 64-bit");
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  putU64(Bits);
 }
 
 void SnapshotWriter::putString(const std::string &S) {
@@ -173,13 +167,6 @@ uint64_t SnapshotCursor::getU64() {
   return readU64(B);
 }
 
-double SnapshotCursor::getDouble() {
-  uint64_t Bits = getU64();
-  double V;
-  std::memcpy(&V, &Bits, sizeof(V));
-  return V;
-}
-
 std::string SnapshotCursor::getString() {
   uint64_t N = getU64();
   if (!Error.ok())
@@ -193,8 +180,6 @@ std::string SnapshotCursor::getString() {
   Pos += static_cast<size_t>(N);
   return S;
 }
-
-void SnapshotCursor::getBytes(void *Out, size_t N) { take(Out, N); }
 
 std::vector<uint64_t> SnapshotCursor::getVecU64() {
   uint64_t N = getU64();
@@ -458,5 +443,3 @@ Status gcache::openSnapshotAb(SnapshotReader &R, const std::string &Base,
   }
   return Status();
 }
-
-Snapshottable::~Snapshottable() = default;

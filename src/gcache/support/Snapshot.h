@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The checkpoint/resume substrate. A snapshot is a small container file
-/// holding named, individually CRC-32-checksummed sections; each layer of
-/// the simulator (cache bank, counting sink, behaviour analyses, fault
-/// injector, replay cursor) serializes its state into one or more sections
-/// and can restore itself bit-identically from them.
+/// holding named, individually CRC-32-checksummed sections. A replay
+/// checkpoint stores the cache bank, the counting sink, the fault injector
+/// and the replay cursor, each in one or more sections, and each restores
+/// itself bit-identically from them.
 ///
 /// Durability contract:
 ///  - SnapshotWriter::writeFile writes to `<path>.tmp`, fflushes, fsyncs,
@@ -40,7 +40,6 @@
 #include "gcache/support/Status.h"
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -59,12 +58,8 @@ public:
   void putU8(uint8_t V) { append(&V, 1); }
   void putU32(uint32_t V);
   void putU64(uint64_t V);
-  /// Doubles are stored as their IEEE-754 bit pattern, so a round trip is
-  /// bit-exact.
-  void putDouble(double V);
   /// u64 length followed by the raw bytes.
   void putString(const std::string &S);
-  void putBytes(const void *Data, size_t Len) { append(Data, Len); }
   /// u64 element count followed by the values.
   void putVecU64(const std::vector<uint64_t> &V);
 
@@ -108,9 +103,7 @@ public:
   uint8_t getU8();
   uint32_t getU32();
   uint64_t getU64();
-  double getDouble();
   std::string getString();
-  void getBytes(void *Out, size_t N);
   std::vector<uint64_t> getVecU64();
 
   size_t remaining() const { return Len - Pos; }
@@ -217,24 +210,6 @@ Status writeSnapshotAb(SnapshotWriter &W, const std::string &Base);
 /// both slots are damaged, returns the newer slot's error.
 Status openSnapshotAb(SnapshotReader &R, const std::string &Base,
                       AbSlotInfo *Info = nullptr);
-
-/// Interface for components whose state can ride in a snapshot. saveTo
-/// appends one or more sections; loadFrom consumes the cursor positioned
-/// on the component's section and must validate configuration (geometry)
-/// before touching state.
-class Snapshottable {
-public:
-  virtual ~Snapshottable();
-
-  /// Stable section tag for this component.
-  virtual const char *snapshotTag() const = 0;
-  /// Appends this component's state (beginSection + payload) to \p W.
-  virtual void saveTo(SnapshotWriter &W) const = 0;
-  /// Restores state from this component's section in \p R. Returns
-  /// Corrupt/Truncated on any validation failure and leaves the component
-  /// unusable-for-results (callers discard it) rather than half-restored.
-  virtual Status loadFrom(const SnapshotReader &R) = 0;
-};
 
 } // namespace gcache
 

@@ -1,7 +1,6 @@
 //===- Stats.cpp - Running statistics and distributions -------------------===//
 
 #include "gcache/support/Stats.h"
-#include "gcache/support/Snapshot.h"
 #include "gcache/support/Table.h"
 
 #include <bit>
@@ -20,20 +19,6 @@ void RunningStats::add(double X) {
   }
   ++N;
   Sum += X;
-}
-
-void RunningStats::save(SnapshotWriter &W) const {
-  W.putU64(N);
-  W.putDouble(Sum);
-  W.putDouble(Lo);
-  W.putDouble(Hi);
-}
-
-void RunningStats::load(SnapshotCursor &C) {
-  N = C.getU64();
-  Sum = C.getDouble();
-  Lo = C.getDouble();
-  Hi = C.getDouble();
 }
 
 static unsigned bucketOf(uint64_t X) {
@@ -60,26 +45,6 @@ double Log2Histogram::cumulativeFractionAt(uint64_t X) const {
     return 0.0;
   return static_cast<double>(countAtOrBelowBucketOf(X)) /
          static_cast<double>(Total);
-}
-
-void Log2Histogram::save(SnapshotWriter &W) const {
-  W.putVecU64(Buckets);
-  W.putU64(Total);
-}
-
-void Log2Histogram::load(SnapshotCursor &C) {
-  std::vector<uint64_t> B = C.getVecU64();
-  uint64_t T = C.getU64();
-  if (!C.ok())
-    return;
-  if (B.size() != Buckets.size()) {
-    C.fail(Status::failf(StatusCode::Corrupt,
-                         "log2 histogram snapshot has %zu buckets, not %zu",
-                         B.size(), Buckets.size()));
-    return;
-  }
-  Buckets = std::move(B);
-  Total = T;
 }
 
 std::string

@@ -21,9 +21,6 @@
 
 namespace gcache {
 
-class SnapshotWriter;
-class SnapshotCursor;
-
 /// Accumulates count/min/max/mean without storing samples.
 class RunningStats {
 public:
@@ -34,12 +31,6 @@ public:
   double min() const { return N ? Lo : 0.0; }
   double max() const { return N ? Hi : 0.0; }
   double sum() const { return Sum; }
-
-  /// Appends the accumulator fields to an open snapshot section (callers
-  /// own the section; several accumulators usually share one).
-  void save(SnapshotWriter &W) const;
-  /// Restores the fields written by save(); errors latch in \p C.
-  void load(SnapshotCursor &C);
 
 private:
   uint64_t N = 0;
@@ -70,11 +61,6 @@ public:
 
   /// Renders "x<=V: frac" lines for the given probe points.
   std::string renderCumulative(const std::vector<uint64_t> &Probes) const;
-
-  /// Appends buckets and total to an open snapshot section.
-  void save(SnapshotWriter &W) const;
-  /// Restores the fields written by save(); errors latch in \p C.
-  void load(SnapshotCursor &C);
 
 private:
   std::vector<uint64_t> Buckets;

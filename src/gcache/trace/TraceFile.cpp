@@ -26,7 +26,7 @@ enum Opcode : uint8_t {
   OpAlloc = 4,
   OpGcBegin = 5,
   OpGcEnd = 6,
-  OpGcPhase = 7, // v3: stepped-collector phase marker; payload = GcPhase
+  OpGcPhase = 7, // Stepped-collector phase marker; payload = GcPhase.
 };
 
 /// A GC phase marker's payload must name a real in-cycle phase; Idle never
@@ -280,20 +280,20 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
     return Status::failf(StatusCode::Corrupt,
                          "'%s' is not a trace file (bad magic)", Name.c_str());
   uint32_t FileVersion = get32(Data.data() + 4);
-  if (FileVersion < 1 || FileVersion > Version)
+  if (FileVersion != Version)
     return Status::failf(StatusCode::Corrupt,
-                         "trace '%s' has unsupported version %u", Name.c_str(),
-                         FileVersion);
+                         "trace '%s' has unsupported version %u (only "
+                         "version %u is read)",
+                         Name.c_str(), FileVersion, Version);
   uint64_t Expected = static_cast<uint64_t>(get32(Data.data() + 8)) |
                       (static_cast<uint64_t>(get32(Data.data() + 12)) << 32);
   Declared = Expected;
-  bool HasFooter = FileVersion >= 2;
 
   // Walk the record stream, remembering the end of the last whole record
   // so salvage can cut there.
-  size_t StreamEnd = Data.size() - (HasFooter ? FooterBytes : 0);
+  size_t StreamEnd = Data.size() - FooterBytes;
   bool FooterMissing = false;
-  if (HasFooter && Data.size() < HeaderBytes + FooterBytes) {
+  if (Data.size() < HeaderBytes + FooterBytes) {
     StreamEnd = Data.size();
     FooterMissing = true;
   }
@@ -311,9 +311,9 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
       break;
     }
     if (P + Len > StreamEnd) {
-      // The stream ends inside this record. For a footered file the tail
-      // bytes we reserved for the footer might actually be record bytes of
-      // a truncated file — either way the structure ends early.
+      // The stream ends inside this record. The tail bytes reserved for
+      // the footer might actually be record bytes of a truncated file —
+      // either way the structure ends early.
       Found = Status::failf(StatusCode::Truncated,
                             "trace '%s' ends inside record %llu", Name.c_str(),
                             static_cast<unsigned long long>(Seen));
@@ -335,7 +335,7 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
   if (Found.ok() && FooterMissing)
     Found = Status::failf(StatusCode::Truncated,
                           "trace '%s' ends before its footer", Name.c_str());
-  if (Found.ok() && HasFooter &&
+  if (Found.ok() &&
       std::memcmp(Data.data() + StreamEnd, FooterMagic, 4) != 0) {
     // A bad footer magic on a file holding fewer records than the header
     // promises is a file cut short at a record boundary: the "footer"
@@ -351,7 +351,7 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
       Found = Status::failf(StatusCode::Corrupt,
                             "trace '%s' has a malformed footer", Name.c_str());
   }
-  if (Found.ok() && HasFooter) {
+  if (Found.ok()) {
     uint32_t WantCrc = get32(Data.data() + StreamEnd + 4);
     uint32_t GotCrc =
         crc32(Data.data() + RecordsBegin, RecordsEnd - RecordsBegin);
@@ -468,7 +468,7 @@ TracePhaseStats gcache::collectTracePhaseStats(TraceStream &S) {
       if (Cur != GcPhase::Idle)
         ++St.RefsByPhase[static_cast<unsigned>(Cur)];
       else if (Rec.R.ExecPhase == Phase::Collector)
-        ++St.UnattributedCollectorRefs; // pre-v3 trace: no markers
+        ++St.UnattributedCollectorRefs; // no marker before it
       else
         ++St.MutatorRefs;
       break;

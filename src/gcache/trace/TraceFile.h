@@ -12,23 +12,24 @@
 /// write a run once, then re-simulate it under many cache models, resuming
 /// after an interruption from the exact record where a checkpoint was cut.
 ///
-/// Format (all integers little-endian):
+/// Format (version 3, all integers little-endian):
 ///   header   "GCTR", u32 version, u64 record count
 ///   records  one per event: 1-byte opcode (kind+phase or control event),
 ///            4-byte address, and for allocations a further 4-byte size
-///   footer   (version >= 2) "GCTF", u32 CRC-32 over all record bytes
+///   footer   "GCTF", u32 CRC-32 over all record bytes
 ///
-/// Version 1 files (no footer) remain fully readable. Version 2 adds the
-/// checksum footer, and the writer gains durability: the stream goes to
-/// `<path>.tmp` and is fflushed, fsynced, and atomically renamed onto the
-/// final path only when close() succeeds — a crash or write failure never
-/// leaves a half-written trace at the final path. Version 3 adds the GC
-/// phase marker record (opcode 7, 5 bytes): the stepped collectors emit
-/// one marker per bounded step, so a trace partitions every collector
-/// reference by the phase that produced it, and step shapes are
-/// observable from the artifact alone (trace_inspect --gc-phases).
-/// Versions 1 and 2 remain fully readable; a marker whose phase value is
-/// out of range is Corrupt.
+/// The GC phase marker record (opcode 7, 5 bytes) lets the stepped
+/// collectors emit one marker per bounded step, so a trace partitions
+/// every collector reference by the phase that produced it, and step
+/// shapes are observable from the artifact alone (trace_inspect
+/// --gc-phases); a marker whose phase value is out of range is Corrupt.
+/// Only version 3 is read: versions 1 and 2 (no phase markers; version 1
+/// also without the footer) are refused as Corrupt.
+///
+/// The writer is durable: the stream goes to `<path>.tmp` and is flushed,
+/// fsynced, and atomically renamed onto the final path only when close()
+/// succeeds — a crash or write failure never leaves a half-written trace
+/// at the final path.
 ///
 /// Error handling: open() and close() return Status; mid-stream write
 /// failures (short fwrite, injected trace-write disk-full) latch a sticky
@@ -118,7 +119,7 @@ struct TraceRecord {
 /// substrate for both whole-file replay and checkpointed resume.
 ///
 /// open() reads and validates the entire file up front (framing, record
-/// count, and the version-2 checksum), so next() never fails mid-stream
+/// count, and the footer checksum), so next() never fails mid-stream
 /// and a malformed trace never partially mutates a sink. recordIndex() and
 /// byteOffset() identify the exact resume point for a checkpoint;
 /// seekTo() returns there.
@@ -223,8 +224,8 @@ TraceBatchStats collectTraceBatchStats(TraceStream &S, size_t BatchRefs);
 
 /// Per-trace GC phase statistics (trace_inspect --gc-phases): how many
 /// cycles and bounded steps the trace's collections took, and how its
-/// references distribute over the stepped phases. Pre-v3 traces have no
-/// markers, so their collector references show up as unattributed.
+/// references distribute over the stepped phases. Collector references
+/// before the first marker of a cycle show up as unattributed.
 struct TracePhaseStats {
   uint64_t Cycles = 0;     ///< GcBegin records.
   uint64_t PhaseMarks = 0; ///< GC phase markers (including Begin).
@@ -234,7 +235,7 @@ struct TracePhaseStats {
   uint64_t MarksByPhase[NumGcPhases] = {};
   uint64_t RefsByPhase[NumGcPhases] = {}; ///< Refs under each phase marker.
   uint64_t MutatorRefs = 0;               ///< Refs outside any cycle.
-  /// Collector refs in a trace without phase markers (pre-v3 file).
+  /// Collector refs outside any phase marker.
   uint64_t UnattributedCollectorRefs = 0;
 
   double meanSteps() const {

@@ -2,25 +2,21 @@
 //
 // The correctness harness for the budget layer (support/Budget.h and
 // friends): flag parsing with env fallback, the cancel-token discipline,
-// watchdog and signal trips, graceful degradation of the analysis sinks,
-// and — the headline guarantee — that a replay drained mid-flight by a
-// deadline, signal, or injected watchdog trip leaves an auditable
-// checkpoint from which a resume finishes bit-identical to an
-// uninterrupted run, serially and threaded.
+// watchdog, memory and signal trips, and — the headline guarantee — that
+// a replay drained mid-flight by a deadline, signal, or injected watchdog
+// trip leaves an auditable checkpoint from which a resume finishes
+// bit-identical to an uninterrupted run, serially and threaded.
 //
 //===----------------------------------------------------------------------===//
 
 #include "../bench/BenchCommon.h"
 
-#include "gcache/analysis/BlockTracker.h"
-#include "gcache/analysis/MissPlot.h"
 #include "gcache/core/Checkpoint.h"
 #include "gcache/memsys/CacheBank.h"
 #include "gcache/support/Budget.h"
 #include "gcache/support/FaultInjector.h"
 #include "gcache/support/Options.h"
 #include "gcache/support/SignalGuard.h"
-#include "gcache/support/Snapshot.h"
 #include "gcache/support/Watchdog.h"
 #include "gcache/trace/TraceFile.h"
 
@@ -61,8 +57,6 @@ Options optionsFrom(std::vector<const char *> Flags) {
   return Options::parse(static_cast<int>(Argv.size()),
                         const_cast<char **>(Argv.data()));
 }
-
-Ref load(Address A) { return {A, AccessKind::Load, Phase::Mutator}; }
 
 std::string readWholeFile(const std::string &Path) {
   FILE *F = std::fopen(Path.c_str(), "rb");
@@ -230,31 +224,27 @@ TEST(BudgetFlags, ParseByteSizeAcceptsSuffixesRejectsGarbage) {
   }
 }
 
-TEST(BudgetFlags, ParsesAllFourFlags) {
+TEST(BudgetFlags, ParsesAllThreeFlags) {
   Options O = optionsFrom({"--deadline=0.25", "--max-refs=2m",
-                           "--mem-budget=64k", "--on-budget=stop"});
+                           "--mem-budget=64k"});
   Expected<BudgetSpec> S = parseBudgetFlags(O);
   ASSERT_TRUE(S.ok()) << S.status().message();
   EXPECT_DOUBLE_EQ(S->DeadlineSec, 0.25);
   EXPECT_EQ(S->MaxRefs, 2ull << 20);
   EXPECT_EQ(S->MemBudgetBytes, 64u << 10);
-  EXPECT_FALSE(S->DegradeOnSoft);
   EXPECT_TRUE(S->any());
-  // Soft threshold defaults to 80% of the hard budget.
-  EXPECT_EQ(S->softBytes(), (64u << 10) - (64u << 10) / 5);
 
   EXPECT_FALSE(parseBudgetFlags(optionsFrom({})).take().any());
 }
 
-TEST(BudgetFlags, RejectsNonPositiveMalformedAndUnknownPolicy) {
+TEST(BudgetFlags, RejectsNonPositiveAndMalformed) {
   for (std::vector<const char *> Bad :
        {std::vector<const char *>{"--deadline=0"},
         std::vector<const char *>{"--deadline=-1"},
         std::vector<const char *>{"--deadline=abc"},
         std::vector<const char *>{"--max-refs=0"},
         std::vector<const char *>{"--max-refs=1x"},
-        std::vector<const char *>{"--mem-budget=-64k"},
-        std::vector<const char *>{"--on-budget=panic"}}) {
+        std::vector<const char *>{"--mem-budget=-64k"}}) {
     Expected<BudgetSpec> S = parseBudgetFlags(optionsFrom(Bad));
     ASSERT_FALSE(S.ok()) << Bad[0];
     EXPECT_EQ(S.status().code(), StatusCode::InvalidArgument) << Bad[0];
@@ -305,17 +295,15 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBadBudgetFlags) {
               "max-refs");
   EXPECT_EXIT(parseFlags({"--mem-budget=abc"}), testing::ExitedWithCode(2),
               "mem-budget");
-  EXPECT_EXIT(parseFlags({"--on-budget=panic"}), testing::ExitedWithCode(2),
-              "on-budget");
 }
 
 // A bare valued flag would parse as "1" — a one-reference batch, one
 // worker, scale 1, a one-reference or one-byte budget, a one-second
 // deadline, a workload named "1" — so it exits 2 naming the flag. A bare
 // --crosscheck keeps its documented meaning: compare every reference.
-// The checkpoint, resume and supervision flags are not shared flags at
-// all: each is an unknown flag (trace_inspect declares the checkpoint
-// ones itself).
+// The checkpoint, resume and supervision flags and --on-budget are not
+// shared flags at all: each is an unknown flag (trace_inspect declares
+// the checkpoint ones itself).
 TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBareValuedFlags) {
   GovernanceReset Guard;
   testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -324,15 +312,16 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBareValuedFlags) {
   EXPECT_EXIT(parseFlags({"--threads", "--csv"}), testing::ExitedWithCode(2),
               "--threads");
   EXPECT_EXIT(parseFlags({"--scale"}), testing::ExitedWithCode(2), "--scale");
-  for (const char *Flag : {"--max-refs", "--mem-budget", "--on-budget",
-                           "--deadline", "--workload", "--fault"}) {
+  for (const char *Flag : {"--max-refs", "--mem-budget", "--deadline",
+                           "--workload", "--fault"}) {
     std::string Want = std::string(Flag) + " needs a value";
     EXPECT_EXIT(parseFlags({Flag, "--csv"}), testing::ExitedWithCode(2), Want)
         << Flag;
   }
   for (std::string Flag :
        {"--checkpoint-dir=d", "--checkpoint-every=5", "--resume",
-        "--supervise", "--retries=1", "--timeout=1", "--grace=1"}) {
+        "--supervise", "--retries=1", "--timeout=1", "--grace=1",
+        "--on-budget=stop"}) {
     std::string Want = "unknown flag " + Flag.substr(0, Flag.find('='));
     EXPECT_EXIT(parseFlags({Flag.c_str()}), testing::ExitedWithCode(2), Want)
         << Flag;
@@ -394,61 +383,25 @@ TEST(Watchdog, TripsDeadlineFromMonitorThread) {
   EXPECT_FALSE(W.running());
 }
 
-namespace {
-struct CountingDegradable final : Degradable {
-  int Calls = 0;
-  std::string degrade() override {
-    ++Calls;
-    return "counting-sink degraded";
-  }
-};
-} // namespace
-
-TEST(MemoryBudget, SoftBreachDegradesHardBreachDrains) {
+TEST(MemoryBudget, BreachDrainsAsPartialMem) {
   GovernanceReset Guard;
-  CountingDegradable Sink;
   BudgetSpec Spec;
-  Spec.MemBudgetBytes = 1000; // soft threshold: 800
+  Spec.MemBudgetBytes = 1000;
   processBudget().configure(Spec);
-  uint64_t Resident = 500;
+  uint64_t Resident = 999;
   processBudget().setMemoryProbe([&Resident] { return Resident; });
 
   processBudget().checkMemory();
-  EXPECT_NO_THROW(pollCancellation("mem"));
-  EXPECT_EQ(Sink.Calls, 0);
-
-  // Soft breach: degrade at the next mutator poll, no cancellation.
-  Resident = 900;
-  processBudget().checkMemory();
   EXPECT_FALSE(cancelToken().requested());
   EXPECT_NO_THROW(pollCancellation("mem"));
-  EXPECT_EQ(Sink.Calls, 1);
-  EXPECT_EQ(processBudget().degradeLevel(), 1u);
-  std::vector<std::string> Notes = processBudget().degradationNotes();
-  ASSERT_EQ(Notes.size(), 1u);
-  EXPECT_EQ(Notes[0], "counting-sink degraded");
 
-  // Hard breach: the token trips with the memory reason.
-  Resident = 1200;
+  // Reaching the budget trips the token with the memory reason.
+  Resident = 1000;
   processBudget().checkMemory();
   EXPECT_TRUE(cancelToken().requested());
   EXPECT_EQ(cancelToken().reason(), CancelReason::MemBudget);
   EXPECT_EQ(outcomeForReason(cancelToken().reason()), UnitOutcome::PartialMem);
   EXPECT_THROW(pollCancellation("mem"), StatusError);
-}
-
-TEST(MemoryBudget, OnBudgetStopSkipsDegradation) {
-  GovernanceReset Guard;
-  CountingDegradable Sink;
-  BudgetSpec Spec;
-  Spec.MemBudgetBytes = 1000;
-  Spec.DegradeOnSoft = false; // --on-budget=stop
-  processBudget().configure(Spec);
-  processBudget().setMemoryProbe([] { return uint64_t(900); });
-  processBudget().checkMemory();
-  EXPECT_TRUE(cancelToken().requested());
-  EXPECT_EQ(cancelToken().reason(), CancelReason::MemBudget);
-  EXPECT_EQ(Sink.Calls, 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -569,112 +522,21 @@ TEST(BudgetDrain, ExperimentDrainsToPartialProgramRun) {
   EXPECT_LT(Run.Coverage, 1.0);
 }
 
-//===----------------------------------------------------------------------===//
-// Degradation of the analysis sinks
-//===----------------------------------------------------------------------===//
-
-TEST(MissPlotDegrade, CoarsensTimeAxisAndAdoptsItOnLoad) {
+// The budget-probe fault site stands in for a memory breach at its Nth
+// poll: the program run drains to a partial-mem result, as a reference
+// budget drains to partial-deadline.
+TEST(BudgetDrain, BudgetProbeDrainsToPartialMem) {
   GovernanceReset Guard;
-  CacheConfig Config{.SizeBytes = 1024, .BlockBytes = 64};
-  MissPlot P(Config, /*RefsPerColumn=*/4);
-  constexpr Address Base = 0x20000000; // cache-aligned
-  P.onRef(load(Base)); // miss: column 0, block 0
-  P.onRef(load(Base));
-  P.onRef(load(Base));
-  P.onRef(load(Base));
-  P.onRef(load(Base + 1024)); // conflict miss: column 1, block 0
-  P.onRef(load(Base + 64));   // miss: column 1, block 1
-  ASSERT_EQ(P.columns(), 2u);
+  faultInjector().arm({FaultSite::BudgetProbe, 3, 0});
 
-  std::string Note = P.degrade();
-  EXPECT_FALSE(Note.empty());
-  EXPECT_TRUE(P.degraded());
-  EXPECT_EQ(P.refsPerColumn(), 8u);
-  // The plot laws survive: merged cells keep their marks, and columns
-  // never exceed ceil(refs/refsPerColumn) (they materialize on misses).
-  EXPECT_EQ(P.columns(), (P.refsSeen() + 7) / 8);
-  EXPECT_TRUE(P.missedAt(0, 0));
-  EXPECT_TRUE(P.missedAt(0, 1));
-
-  // Accumulation continues on the coarser axis: pad into the second
-  // 8-ref column, then force a conflict miss there.
-  for (int I = 0; I != 4; ++I)
-    P.onRef(load(Base));
-  P.onRef(load(Base + 2048)); // ref index 10 → coarse column 1
-  EXPECT_EQ(P.columns(), 2u);
-  EXPECT_TRUE(P.missedAt(1, 0));
-  EXPECT_EQ(P.columns(), (P.refsSeen() + 7) / 8);
-
-  // A snapshot cut after coarsening loads into a freshly constructed plot
-  // (base axis), which adopts the coarser axis.
-  SnapshotWriter W;
-  P.saveTo(W);
-  std::string Path =
-      std::string(::testing::TempDir()) + "/missplot_degraded.gcsnap";
-  ASSERT_TRUE(W.writeFile(Path).ok());
-  SnapshotReader Rd;
-  ASSERT_TRUE(Rd.open(Path).ok());
-  MissPlot Q(Config, 4);
-  ASSERT_TRUE(Q.loadFrom(Rd).ok());
-  EXPECT_EQ(Q.refsPerColumn(), 8u);
-  EXPECT_EQ(Q.columns(), P.columns());
-  EXPECT_EQ(Q.refsSeen(), P.refsSeen());
-  EXPECT_TRUE(Q.missedAt(0, 1));
-
-  // An axis that is not base * 2^k is someone else's snapshot.
-  MissPlot Incompatible(Config, 3);
-  Status S = Incompatible.loadFrom(Rd);
-  ASSERT_FALSE(S.ok());
-  EXPECT_EQ(S.code(), StatusCode::Corrupt);
-  std::remove(Path.c_str());
-}
-
-TEST(BlockTrackerDegrade, StrideSamplingIsDeterministicAndScaled) {
-  GovernanceReset Guard;
-  constexpr Address Dyn = Heap::DynamicBase;
-  auto FeedDense = [](BlockTracker &T) {
-    T.onAlloc(Dyn, 64 * 64); // 64 dynamic blocks, all referenced
-    for (int I = 0; I != 64; ++I)
-      T.onRef(load(Dyn + static_cast<Address>(I) * 64));
-  };
-  auto FeedSampled = [](BlockTracker &T) {
-    T.onAlloc(Dyn + 64 * 64, 256 * 64); // 256 more blocks past the freeze
-    for (int I = 64; I != 320; ++I)
-      T.onRef(load(Dyn + static_cast<Address>(I) * 64));
-  };
-
-  BlockTracker A(64, 256), B(64, 256);
-  FeedDense(A);
-  FeedDense(B);
-  std::string Note = A.degrade();
-  EXPECT_FALSE(Note.empty());
-  EXPECT_TRUE(A.degraded());
-  EXPECT_EQ(A.sampleStride(), 16u);
-  EXPECT_FALSE(B.degrade().empty());
-  FeedSampled(A);
-  FeedSampled(B);
-
-  BlockSummary SA = A.computeSummary();
-  BlockSummary SB = B.computeSummary();
-  EXPECT_TRUE(SA.Degraded);
-  EXPECT_EQ(SA.SampleStride, 16u);
-  // Uniformly touched blocks: 64 exact + 16 sampled * stride 16 = 320,
-  // i.e. the scaled estimate is exact here.
-  EXPECT_EQ(SA.TotalRefs, 320u);
-  EXPECT_EQ(SA.DynamicBlocks, 320u);
-  // Deterministic: an identical run degrades to identical numbers.
-  EXPECT_EQ(SA.DynamicBlocks, SB.DynamicBlocks);
-  EXPECT_EQ(SA.OneCycleBlocks, SB.OneCycleBlocks);
-  EXPECT_EQ(SA.MultiCycleBlocks, SB.MultiCycleBlocks);
-  EXPECT_EQ(SA.BusyDynamicBlocks, SB.BusyDynamicBlocks);
-  EXPECT_EQ(SA.BusyRefs, SB.BusyRefs);
-
-  // A second degrade step doubles the stride.
-  BlockTracker C(64, 256);
-  FeedDense(C);
-  EXPECT_FALSE(C.degrade().empty());
-  EXPECT_FALSE(C.degrade().empty());
-  EXPECT_EQ(C.sampleStride(), 32u);
+  ExperimentOptions O;
+  O.Scale = 0.05;
+  O.Grid = CacheGridKind::None;
+  ProgramRun Run = runProgram(nbodyWorkload(), O);
+  EXPECT_EQ(Run.Outcome, UnitOutcome::PartialMem);
+  EXPECT_NE(Run.OutcomeNote.find("mem-budget"), std::string::npos)
+      << Run.OutcomeNote;
+  EXPECT_LT(Run.Coverage, 1.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -698,6 +560,31 @@ TEST(BudgetSupervisor, SweepsStaleTmpFilesOnStartup) {
   EXPECT_TRUE(readWholeFile(Dir + "/other.tmp").empty());
   EXPECT_EQ(readWholeFile(Dir + "/unit_b.snap"), "torn");
   EXPECT_EQ(sweepStaleTmpFiles(Dir), 0u) << "second sweep finds nothing";
+}
+
+//===----------------------------------------------------------------------===//
+// BENCH_*.json history files
+//===----------------------------------------------------------------------===//
+
+// A history file is a JSON array: a missing file starts one, each call
+// appends an entry, and a file that is not an array is refused and left
+// as it was.
+TEST(BenchJson, AppendsToArrayAndRefusesOtherFiles) {
+  std::string Path = std::string(::testing::TempDir()) + "/bench_hist.json";
+  std::remove(Path.c_str());
+  ASSERT_TRUE(appendBenchJson(Path, "{\"run\": 1}"));
+  ASSERT_TRUE(appendBenchJson(Path, "{\"run\": 2}"));
+  EXPECT_EQ(readWholeFile(Path), "[\n{\"run\": 1},\n{\"run\": 2}\n]\n");
+
+  for (std::string Other : {"{\"run\": 0}\n", "[{\"run\": 0}] trailing\n"}) {
+    FILE *F = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fputs(Other.c_str(), F);
+    std::fclose(F);
+    EXPECT_FALSE(appendBenchJson(Path, "{\"run\": 3}")) << Other;
+    EXPECT_EQ(readWholeFile(Path), Other);
+  }
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

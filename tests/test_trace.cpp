@@ -1,6 +1,7 @@
 //===- test_trace.cpp - Trace event and sink unit tests -----------------------===//
 
 #include "gcache/core/Experiment.h"
+#include "gcache/support/Crc32.h"
 #include "gcache/trace/Sinks.h"
 #include "gcache/trace/TraceFile.h"
 
@@ -8,6 +9,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 using namespace gcache;
@@ -123,7 +125,7 @@ void writeRaw(const std::string &Path, const std::vector<uint8_t> &Bytes) {
 }
 
 /// A valid header claiming \p Records records, with \p Version.
-std::vector<uint8_t> header(uint32_t Records, uint32_t Version = 1) {
+std::vector<uint8_t> header(uint32_t Records, uint32_t Version = 3) {
   std::vector<uint8_t> H(16, 0);
   std::memcpy(H.data(), "GCTR", 4);
   H[4] = static_cast<uint8_t>(Version);
@@ -131,15 +133,30 @@ std::vector<uint8_t> header(uint32_t Records, uint32_t Version = 1) {
   return H;
 }
 
-/// Expects replay of \p Bytes to fail with -1 and to leave the sink
+/// \p Bytes (a header and records) followed by the footer the writer
+/// appends: "GCTF" and the CRC-32 of every byte after the header.
+std::vector<uint8_t> sealed(std::vector<uint8_t> Bytes) {
+  uint32_t Crc = crc32(Bytes.data() + 16, Bytes.size() - 16);
+  Bytes.insert(Bytes.end(), {'G', 'C', 'T', 'F'});
+  for (unsigned Shift = 0; Shift != 32; Shift += 8)
+    Bytes.push_back(static_cast<uint8_t>(Crc >> Shift));
+  return Bytes;
+}
+
+/// Expects replay of \p Bytes to fail with a message containing \p Why
+/// (the defect the file was built to carry) and to leave the sink
 /// completely untouched (no partial event delivery before the error).
 void expectRejectedWithoutSinkMutation(const char *Name,
-                                       const std::vector<uint8_t> &Bytes) {
+                                       const std::vector<uint8_t> &Bytes,
+                                       const char *Why) {
   std::string Path =
       std::string(::testing::TempDir()) + "/" + Name + ".gct";
   writeRaw(Path, Bytes);
   CountingSink S;
-  EXPECT_FALSE(TraceReader::replayEx(Path, S).ok()) << Name;
+  Expected<uint64_t> R = TraceReader::replayEx(Path, S);
+  ASSERT_FALSE(R.ok()) << Name;
+  EXPECT_NE(R.status().message().find(Why), std::string::npos)
+      << Name << ": " << R.status().message();
   EXPECT_EQ(S.totalRefs(), 0u) << Name;
   EXPECT_EQ(S.allocatedBytes(), 0u) << Name;
   EXPECT_EQ(S.collections(), 0u) << Name;
@@ -150,17 +167,27 @@ void expectRejectedWithoutSinkMutation(const char *Name,
 TEST(TraceFile, RejectsTruncatedHeader) {
   std::vector<uint8_t> Bytes = header(0);
   Bytes.resize(8); // header cut in half
-  expectRejectedWithoutSinkMutation("trunc_header", Bytes);
+  expectRejectedWithoutSinkMutation("trunc_header", Bytes,
+                                    "shorter than its header");
 }
 
 TEST(TraceFile, RejectsBadMagic) {
-  std::vector<uint8_t> Bytes = header(0);
+  std::vector<uint8_t> Bytes = sealed(header(0));
   Bytes[0] = 'X';
-  expectRejectedWithoutSinkMutation("bad_magic", Bytes);
+  expectRejectedWithoutSinkMutation("bad_magic", Bytes, "bad magic");
 }
 
 TEST(TraceFile, RejectsWrongVersion) {
-  expectRejectedWithoutSinkMutation("bad_version", header(0, /*Version=*/4));
+  // Each is a well-formed empty file of its version: version 1 had no
+  // footer, version 2 had no phase markers, 0 and 4 never existed. Only
+  // version 3 is read.
+  for (uint32_t Version : {0u, 1u, 2u, 4u}) {
+    std::vector<uint8_t> Bytes =
+        Version == 1 ? header(0, Version) : sealed(header(0, Version));
+    std::string Name = "bad_version_" + std::to_string(Version);
+    expectRejectedWithoutSinkMutation(Name.c_str(), Bytes,
+                                      "unsupported version");
+  }
 }
 
 TEST(TraceFile, RejectsMidRecordEofWithoutMutatingSink) {
@@ -169,7 +196,8 @@ TEST(TraceFile, RejectsMidRecordEofWithoutMutatingSink) {
   std::vector<uint8_t> Bytes = header(2);
   Bytes.insert(Bytes.end(), {0 /*OpLoadMut*/, 0x00, 0x10, 0x00, 0x00});
   Bytes.insert(Bytes.end(), {1 /*OpStoreMut*/, 0x04, 0x10});
-  expectRejectedWithoutSinkMutation("mid_record_eof", Bytes);
+  expectRejectedWithoutSinkMutation("mid_record_eof", sealed(Bytes),
+                                    "ends inside record 1");
 }
 
 TEST(TraceFile, RejectsTruncatedAllocPayload) {
@@ -178,25 +206,28 @@ TEST(TraceFile, RejectsTruncatedAllocPayload) {
   std::vector<uint8_t> Bytes = header(2);
   Bytes.insert(Bytes.end(), {0 /*OpLoadMut*/, 0x00, 0x10, 0x00, 0x00});
   Bytes.insert(Bytes.end(), {4 /*OpAlloc*/, 0x00, 0x20, 0x00, 0x00, 0x40});
-  expectRejectedWithoutSinkMutation("trunc_alloc", Bytes);
+  expectRejectedWithoutSinkMutation("trunc_alloc", sealed(Bytes),
+                                    "ends inside record 1");
 }
 
 TEST(TraceFile, RejectsUnknownOpcodeWithoutMutatingSink) {
   std::vector<uint8_t> Bytes = header(2);
   Bytes.insert(Bytes.end(), {0 /*OpLoadMut*/, 0x00, 0x10, 0x00, 0x00});
   Bytes.insert(Bytes.end(), {0x7f /*bogus*/, 0x00, 0x00, 0x00, 0x00});
-  expectRejectedWithoutSinkMutation("bad_opcode", Bytes);
+  expectRejectedWithoutSinkMutation("bad_opcode", sealed(Bytes),
+                                    "unknown opcode 127");
 }
 
 TEST(TraceFile, RejectsRecordCountMismatchWithoutMutatingSink) {
   // Header promises three records but the stream holds one.
   std::vector<uint8_t> Bytes = header(3);
   Bytes.insert(Bytes.end(), {0 /*OpLoadMut*/, 0x00, 0x10, 0x00, 0x00});
-  expectRejectedWithoutSinkMutation("count_mismatch", Bytes);
+  expectRejectedWithoutSinkMutation("count_mismatch", sealed(Bytes),
+                                    "promises 3");
 }
 
 //===----------------------------------------------------------------------===//
-// Version 2: checksum footer, corrupt/truncated classification, salvage
+// Checksum footer, corrupt/truncated classification, salvage
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -240,23 +271,6 @@ TEST(TraceFileV2, WriterEmitsCurrentVersionWithFooter) {
   ASSERT_EQ(Bytes.size(), 16u + 4 * 5 + 8);
   EXPECT_EQ(Bytes[4], 3u) << "writer must stamp the current version";
   EXPECT_EQ(std::memcmp(Bytes.data() + Bytes.size() - 8, "GCTF", 4), 0);
-  std::remove(Path.c_str());
-}
-
-TEST(TraceFileV2, VersionOneFilesWithoutFooterStillReplay) {
-  // A hand-built v1 file: no footer, just header + records.
-  std::vector<uint8_t> Bytes = header(2, /*Version=*/1);
-  Bytes.insert(Bytes.end(), {0 /*OpLoadMut*/, 0x00, 0x10, 0x00, 0x00});
-  Bytes.insert(Bytes.end(), {4 /*OpAlloc*/, 0x00, 0x20, 0x00, 0x00, 0x18, 0x00,
-                             0x00, 0x00});
-  std::string Path = tempPath("v1_compat.gct");
-  writeRaw(Path, Bytes);
-  CountingSink S;
-  Expected<uint64_t> R = TraceReader::replayEx(Path, S);
-  ASSERT_TRUE(R.ok()) << R.status().message();
-  EXPECT_EQ(*R, 2u);
-  EXPECT_EQ(S.totalRefs(), 1u);
-  EXPECT_EQ(S.allocatedBytes(), 0x18u);
   std::remove(Path.c_str());
 }
 
@@ -524,7 +538,8 @@ TEST(TraceFileV3, RejectsIdlePhasePayloadWithoutMutatingSink) {
   // Idle is never emitted as a marker, so its payload value is invalid.
   std::vector<uint8_t> Bytes = header(1);
   Bytes.insert(Bytes.end(), {7 /*OpGcPhase*/, 0x00, 0x00, 0x00, 0x00});
-  expectRejectedWithoutSinkMutation("phase_idle", Bytes);
+  expectRejectedWithoutSinkMutation("phase_idle", sealed(Bytes),
+                                    "invalid phase 0");
 }
 
 TEST(TraceFileV3, RejectsOutOfRangePhasePayloadWithoutMutatingSink) {
@@ -533,14 +548,15 @@ TEST(TraceFileV3, RejectsOutOfRangePhasePayloadWithoutMutatingSink) {
   std::vector<uint8_t> Bytes = header(2);
   Bytes.insert(Bytes.end(), {7 /*OpGcPhase*/, 0x01, 0x00, 0x00, 0x00});
   Bytes.insert(Bytes.end(), {7 /*OpGcPhase*/, 0x63, 0x00, 0x00, 0x00});
-  expectRejectedWithoutSinkMutation("phase_range", Bytes);
+  expectRejectedWithoutSinkMutation("phase_range", sealed(Bytes),
+                                    "invalid phase 99");
 }
 
 TEST(TraceFileV3, StreamReportsInvalidPhaseAsCorrupt) {
   std::string Path = tempPath("phase_corrupt.gct");
   std::vector<uint8_t> Bytes = header(1);
   Bytes.insert(Bytes.end(), {7 /*OpGcPhase*/, 0x07, 0x00, 0x00, 0x00});
-  writeRaw(Path, Bytes);
+  writeRaw(Path, sealed(Bytes));
   TraceStream S;
   Status St = S.open(Path, /*Salvage=*/false);
   ASSERT_FALSE(St.ok());
@@ -564,7 +580,7 @@ TEST(TraceFileV3, PhaseStatsSummarizeSyntheticTrace) {
   W.onGcPhase(GcPhase::Finish);
   W.onGcEnd();
   W.onRef({0x104, AccessKind::Store, Phase::Mutator});
-  // Cycle 2: a collector ref before any marker (the pre-v3 shape) and a
+  // Cycle 2: a collector ref before any marker (unattributed) and a
   // single bounded step.
   W.onGcBegin();
   W.onRef({0x300, AccessKind::Load, Phase::Collector});
