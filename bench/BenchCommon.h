@@ -52,10 +52,12 @@
 /// Unknown flags and malformed values (--threads=abc, --scale=1x,
 /// --fault=bogus, --deadline=-1) are hard errors: the binary prints a
 /// diagnostic and exits with status 2 instead of silently running with
-/// defaults. So is any flag that takes a value given without one (a bare
-/// --scale, --max-refs or --workload), which would otherwise read as
-/// "1". Of the flags that take a value, only --paranoid and --crosscheck
-/// have a bare meaning.
+/// defaults. So is a GCACHE_* environment variable that stands for no
+/// flag of the binary (GCACHE_ON_BUDGET, a misspelt GCACHE_SCAL), and
+/// any flag that takes a value given without one (a bare --scale,
+/// --max-refs or --workload), which would otherwise read as "1". Of the
+/// flags that take a value, only --paranoid and --crosscheck have a bare
+/// meaning.
 ///
 /// Failure isolation: bench mains run each workload/configuration as a
 /// unit through BenchUnitRunner. A structured failure (injected fault,
@@ -111,9 +113,10 @@ template <typename T> T flagOrExit(Expected<T> Value) {
 }
 
 /// Parses and validates the shared bench flags plus any \p ExtraFlags the
-/// binary declares (e.g. "seeds" for ext2_layout). Unknown flags and
-/// malformed values are fatal: diagnostic on stderr, exit(2). Also arms
-/// the process-wide fault injector from --fault / GCACHE_FAULT.
+/// binary declares (e.g. "seeds" for ext2_layout). Unknown flags, unknown
+/// GCACHE_* variables and malformed values are fatal: diagnostic on
+/// stderr, exit(2). Also arms the process-wide fault injector from
+/// --fault / GCACHE_FAULT.
 inline BenchArgs parseBenchArgs(int Argc, char **Argv,
                                 std::initializer_list<const char *> ExtraFlags = {}) {
   BenchArgs A;
@@ -126,9 +129,13 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
   for (const char *F : ExtraFlags)
     Known.push_back(F);
   std::vector<std::string> Unknown = A.Opts.unknownFlags(Known);
-  if (!Unknown.empty()) {
+  std::vector<std::string> UnknownEnv = Options::unknownEnvFlags(Known);
+  if (!Unknown.empty() || !UnknownEnv.empty()) {
     for (const std::string &F : Unknown)
       std::fprintf(stderr, "error: unknown flag --%s\n", F.c_str());
+    for (const std::string &V : UnknownEnv)
+      std::fprintf(stderr, "error: unknown environment variable %s\n",
+                   V.c_str());
     std::fprintf(stderr, "known flags:");
     for (const std::string &F : Known)
       std::fprintf(stderr, " --%s", F.c_str());

@@ -206,12 +206,15 @@ void Cache::saveState(SnapshotWriter &W) const {
   W.putU64(LruClock);
   W.putU64(Lines.size());
   const bool Stamps = Config.Ways > 1;
+  // Tag, valid mask, store mask and, for associative caches, the stamp.
+  const size_t LineBytes = 4 + 8 + 8 + (Stamps ? 8 : 0);
+  uint8_t *P = W.extend(Lines.size() * LineBytes);
   for (const Line &L : Lines) {
-    W.putU32(L.Tag);
-    W.putU64(L.ValidMask);
-    W.putU64(L.StoreMask);
+    P = SnapshotWriter::storeU32(P, L.Tag);
+    P = SnapshotWriter::storeU64(P, L.ValidMask);
+    P = SnapshotWriter::storeU64(P, L.StoreMask);
     if (Stamps)
-      W.putU64(L.LruStamp);
+      P = SnapshotWriter::storeU64(P, L.LruStamp);
   }
   saveCounters(W, Counts[0]);
   saveCounters(W, Counts[1]);

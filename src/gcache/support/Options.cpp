@@ -4,9 +4,21 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <string_view>
 
+extern char **environ;
+
 using namespace gcache;
+
+/// The environment variable that stands in for flag \p Name: GCACHE_ and
+/// the name upper-cased, with '-' as '_'.
+static std::string envName(const std::string &Name) {
+  std::string Env = "GCACHE_";
+  for (char C : Name)
+    Env += static_cast<char>(C == '-' ? '_' : toupper(C));
+  return Env;
+}
 
 Options Options::parse(int Argc, char **Argv) {
   Options O;
@@ -41,10 +53,7 @@ std::string Options::get(const std::string &Name,
   auto It = Values.find(Name);
   if (It != Values.end())
     return It->second;
-  std::string Env = "GCACHE_";
-  for (char C : Name)
-    Env += static_cast<char>(C == '-' ? '_' : toupper(C));
-  if (const char *V = std::getenv(Env.c_str()))
+  if (const char *V = std::getenv(envName(Name).c_str()))
     return V;
   return Default;
 }
@@ -69,6 +78,22 @@ Options::unknownFlags(const std::vector<std::string> &Known) const {
       Found = Found || K == Name;
     if (!Found)
       Unknown.push_back(Name);
+  }
+  return Unknown;
+}
+
+std::vector<std::string>
+Options::unknownEnvFlags(const std::vector<std::string> &Known) {
+  std::vector<std::string> Unknown;
+  for (char **E = environ; E && *E; ++E) {
+    if (std::strncmp(*E, "GCACHE_", 7) != 0)
+      continue;
+    std::string Var(*E, std::strcspn(*E, "="));
+    bool Found = false;
+    for (const std::string &K : Known)
+      Found = Found || envName(K) == Var;
+    if (!Found)
+      Unknown.push_back(Var);
   }
   return Unknown;
 }

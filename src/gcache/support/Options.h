@@ -37,6 +37,12 @@ public:
   std::vector<std::string>
   unknownFlags(const std::vector<std::string> &Known) const;
 
+  /// GCACHE_* environment variables, by full name, that stand in for no
+  /// flag in \p Known. A misspelt or retired variable would otherwise be
+  /// ignored without a word, so binaries reject these like unknown flags.
+  static std::vector<std::string>
+  unknownEnvFlags(const std::vector<std::string> &Known);
+
   /// Returns the flag value, or the GCACHE_<NAME> environment variable, or
   /// \p Default. A bare flag reads as "1".
   std::string get(const std::string &Name, const std::string &Default) const;

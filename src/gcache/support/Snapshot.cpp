@@ -15,58 +15,7 @@ using namespace gcache;
 static const char SnapshotMagic[4] = {'G', 'C', 'S', 'P'};
 static const uint32_t SnapshotVersion = 1;
 
-//===----------------------------------------------------------------------===//
-// SnapshotWriter
-//===----------------------------------------------------------------------===//
-
-void SnapshotWriter::beginSection(const std::string &Tag) {
-  assert(!Tag.empty() && Tag.size() <= 64 && "section tag must be 1..64 bytes");
-  Sections.push_back(Section{Tag, {}});
-}
-
-void SnapshotWriter::append(const void *Data, size_t Len) {
-  assert(!Sections.empty() && "put* before beginSection");
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  Sections.back().Payload.insert(Sections.back().Payload.end(), P, P + Len);
-}
-
-void SnapshotWriter::putU32(uint32_t V) {
-  uint8_t B[4] = {static_cast<uint8_t>(V), static_cast<uint8_t>(V >> 8),
-                  static_cast<uint8_t>(V >> 16), static_cast<uint8_t>(V >> 24)};
-  append(B, 4);
-}
-
-void SnapshotWriter::putU64(uint64_t V) {
-  putU32(static_cast<uint32_t>(V));
-  putU32(static_cast<uint32_t>(V >> 32));
-}
-
-void SnapshotWriter::putString(const std::string &S) {
-  putU64(S.size());
-  append(S.data(), S.size());
-}
-
-void SnapshotWriter::putVecU64(const std::vector<uint64_t> &V) {
-  putU64(V.size());
-  for (uint64_t X : V)
-    putU64(X);
-}
-
 namespace {
-
-/// Little-endian scalar encoders for the container framing (header and
-/// section frames are built outside any SnapshotWriter section).
-void pushU32(std::vector<uint8_t> &Out, uint32_t V) {
-  Out.push_back(static_cast<uint8_t>(V));
-  Out.push_back(static_cast<uint8_t>(V >> 8));
-  Out.push_back(static_cast<uint8_t>(V >> 16));
-  Out.push_back(static_cast<uint8_t>(V >> 24));
-}
-
-void pushU64(std::vector<uint8_t> &Out, uint64_t V) {
-  pushU32(Out, static_cast<uint32_t>(V));
-  pushU32(Out, static_cast<uint32_t>(V >> 32));
-}
 
 uint32_t readU32(const uint8_t *P) {
   return static_cast<uint32_t>(P[0]) | static_cast<uint32_t>(P[1]) << 8 |
@@ -78,38 +27,99 @@ uint64_t readU64(const uint8_t *P) {
          static_cast<uint64_t>(readU32(P + 4)) << 32;
 }
 
+/// A section's frame is a u32 tag length, the tag, then the u64 payload
+/// length and u32 payload CRC.
+constexpr size_t HeaderBytes = 16;
+constexpr size_t LenCrcBytes = 8 + 4;
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// SnapshotWriter
+//===----------------------------------------------------------------------===//
+
+SnapshotWriter::SnapshotWriter() : Image(HeaderBytes, 0) {
+  std::memcpy(Image.data(), SnapshotMagic, 4);
+  storeU32(Image.data() + 4, SnapshotVersion);
+  // Section count (offset 8) is filled in by seal(); offset 12 is reserved.
+}
+
+uint8_t *SnapshotWriter::storeU32(uint8_t *P, uint32_t V) {
+  P[0] = static_cast<uint8_t>(V);
+  P[1] = static_cast<uint8_t>(V >> 8);
+  P[2] = static_cast<uint8_t>(V >> 16);
+  P[3] = static_cast<uint8_t>(V >> 24);
+  return P + 4;
+}
+
+uint8_t *SnapshotWriter::storeU64(uint8_t *P, uint64_t V) {
+  return storeU32(storeU32(P, static_cast<uint32_t>(V)),
+                  static_cast<uint32_t>(V >> 32));
+}
+
+void SnapshotWriter::beginSection(const std::string &Tag) {
+  assert(!Tag.empty() && Tag.size() <= 64 && "section tag must be 1..64 bytes");
+  seal();
+  size_t FrameAt = Image.size();
+  Image.resize(FrameAt + 4 + Tag.size() + LenCrcBytes);
+  storeU32(Image.data() + FrameAt, static_cast<uint32_t>(Tag.size()));
+  std::memcpy(Image.data() + FrameAt + 4, Tag.data(), Tag.size());
+  Sections.push_back(Section{FrameAt, Image.size()});
+}
+
+uint8_t *SnapshotWriter::extend(size_t Len) {
+  assert(!Sections.empty() && "put* before beginSection");
+  size_t At = Image.size();
+  Image.resize(At + Len);
+  return Image.data() + At;
+}
+
+void SnapshotWriter::putString(const std::string &S) {
+  putU64(S.size());
+  if (!S.empty())
+    std::memcpy(extend(S.size()), S.data(), S.size());
+}
+
+void SnapshotWriter::putVecU64(const std::vector<uint64_t> &V) {
+  putU64(V.size());
+  uint8_t *P = extend(8 * V.size());
+  for (uint64_t X : V)
+    P = storeU64(P, X);
+}
+
+void SnapshotWriter::seal() {
+  storeU32(Image.data() + 8, static_cast<uint32_t>(Sections.size()));
+  if (Sections.empty())
+    return;
+  const Section &S = Sections.back();
+  size_t PayloadLen = Image.size() - S.PayloadAt;
+  uint8_t *Frame = Image.data() + S.PayloadAt - LenCrcBytes;
+  storeU64(Frame, PayloadLen);
+  storeU32(Frame + 8, crc32(Image.data() + S.PayloadAt, PayloadLen));
+}
 
 uint32_t SnapshotWriter::contentCrc() const {
   Crc32 C;
-  for (const Section &S : Sections) {
-    uint64_t TagLen = S.Tag.size();
+  for (size_t I = 0; I != Sections.size(); ++I) {
+    const Section &S = Sections[I];
+    uint64_t TagLen = S.PayloadAt - LenCrcBytes - (S.FrameAt + 4);
     C.update(&TagLen, sizeof(TagLen));
-    C.update(S.Tag.data(), S.Tag.size());
-    uint64_t PayloadLen = S.Payload.size();
+    C.update(Image.data() + S.FrameAt + 4, TagLen);
+    size_t End = I + 1 != Sections.size() ? Sections[I + 1].FrameAt
+                                          : Image.size();
+    uint64_t PayloadLen = End - S.PayloadAt;
     C.update(&PayloadLen, sizeof(PayloadLen));
-    C.update(S.Payload.data(), S.Payload.size());
+    C.update(Image.data() + S.PayloadAt, PayloadLen);
   }
   return C.value();
 }
 
-std::vector<uint8_t> SnapshotWriter::serialize() const {
-  std::vector<uint8_t> Blob;
-  Blob.insert(Blob.end(), SnapshotMagic, SnapshotMagic + 4);
-  pushU32(Blob, SnapshotVersion);
-  pushU32(Blob, static_cast<uint32_t>(Sections.size()));
-  pushU32(Blob, 0); // reserved
-  for (const Section &S : Sections) {
-    pushU32(Blob, static_cast<uint32_t>(S.Tag.size()));
-    Blob.insert(Blob.end(), S.Tag.begin(), S.Tag.end());
-    pushU64(Blob, S.Payload.size());
-    pushU32(Blob, crc32(S.Payload.data(), S.Payload.size()));
-    Blob.insert(Blob.end(), S.Payload.begin(), S.Payload.end());
-  }
-  return Blob;
+const std::vector<uint8_t> &SnapshotWriter::image() {
+  seal();
+  return Image;
 }
 
-Status SnapshotWriter::writeFile(const std::string &Path) const {
+Status SnapshotWriter::writeFile(const std::string &Path) {
   if (faultInjector().shouldFire(FaultSite::SnapshotWrite))
     return Status::failf(StatusCode::IoError,
                          "injected snapshot-write fault for '%s'",
@@ -118,7 +128,7 @@ Status SnapshotWriter::writeFile(const std::string &Path) const {
   // The Vfs's atomic protocol: `<path>.tmp`, write, fsync, rename. A crash
   // at any point leaves either the old snapshot or no snapshot at Path —
   // never a torn one.
-  std::vector<uint8_t> Blob = serialize();
+  const std::vector<uint8_t> &Blob = image();
   return vfs().writeFileAtomic(Path, Blob.data(), Blob.size());
 }
 
@@ -220,6 +230,7 @@ void SnapshotCursor::fail(Status S) {
 
 Status SnapshotReader::open(const std::string &Path) {
   Sections.clear();
+  Image.clear();
   if (faultInjector().shouldFire(FaultSite::SnapshotLoad))
     return Status::failf(StatusCode::IoError,
                          "injected snapshot-load fault for '%s'", Path.c_str());
@@ -227,12 +238,13 @@ Status SnapshotReader::open(const std::string &Path) {
   Expected<std::vector<uint8_t>> Blob = vfs().readFile(Path);
   if (!Blob)
     return Blob.status();
-  return openBuffer(*Blob, Path);
+  return openBuffer(Blob.take(), Path);
 }
 
-Status SnapshotReader::openBuffer(const std::vector<uint8_t> &Blob,
+Status SnapshotReader::openBuffer(std::vector<uint8_t> Blob,
                                   const std::string &Path) {
   Sections.clear();
+  Image.clear();
 
   // Header.
   if (Blob.size() < 16)
@@ -286,10 +298,7 @@ Status SnapshotReader::openBuffer(const std::vector<uint8_t> &Blob,
                            "snapshot '%s' section '%s' fails its checksum "
                            "(stored %08x, computed %08x)",
                            Path.c_str(), Tag.c_str(), WantCrc, GotCrc);
-    Loaded.push_back(Section{
-        std::move(Tag),
-        std::vector<uint8_t>(Blob.begin() + Pos,
-                             Blob.begin() + Pos + PayloadLen)});
+    Loaded.push_back(Section{std::move(Tag), Pos, PayloadLen});
     Pos += PayloadLen;
   }
   if (Pos != Blob.size())
@@ -297,6 +306,7 @@ Status SnapshotReader::openBuffer(const std::vector<uint8_t> &Blob,
                          "snapshot '%s' has %zu trailing bytes", Path.c_str(),
                          Blob.size() - Pos);
   Sections = std::move(Loaded);
+  Image = std::move(Blob);
   return Status();
 }
 
@@ -310,7 +320,7 @@ bool SnapshotReader::hasSection(const std::string &Tag) const {
 SnapshotCursor SnapshotReader::section(const std::string &Tag) const {
   for (const Section &S : Sections)
     if (S.Tag == Tag)
-      return SnapshotCursor(S.Tag, S.Payload.data(), S.Payload.size());
+      return SnapshotCursor(S.Tag, Image.data() + S.PayloadAt, S.PayloadLen);
   SnapshotCursor C;
   C.fail(Status::failf(StatusCode::Corrupt, "snapshot has no section '%s'",
                        Tag.c_str()));
@@ -333,16 +343,16 @@ std::string gcache::snapshotSlotB(const std::string &Base) {
 namespace {
 
 /// One slot's probed state. Probing reads the raw bytes and validates them
-/// with openBuffer — deliberately NOT SnapshotReader::open, so slot
-/// selection never consumes `snapshot-load` fault occurrences; that site
-/// keeps firing exactly once per logical resume, at the authoritative
-/// load.
+/// (every section's CRC) with openBuffer — deliberately NOT
+/// SnapshotReader::open, so slot selection never consumes `snapshot-load`
+/// fault occurrences; that site keeps firing exactly once per logical
+/// resume, at the authoritative load. The bytes are dropped once the
+/// generation is read.
 struct SlotProbe {
   std::string Path;
   bool Present = false;  ///< A file exists at Path.
   bool Valid = false;    ///< It parses and carries a generation.
   uint64_t Gen = 0;
-  std::vector<uint8_t> Bytes; ///< Raw image (valid slots only; scrub source).
   Status Err;
 };
 
@@ -361,7 +371,7 @@ SlotProbe probeSlot(const std::string &Path) {
     return P;
   }
   SnapshotReader R;
-  if (Status S = R.openBuffer(*Blob, Path); !S.ok()) {
+  if (Status S = R.openBuffer(Blob.take(), Path); !S.ok()) {
     P.Err = S;
     return P;
   }
@@ -379,7 +389,6 @@ SlotProbe probeSlot(const std::string &Path) {
   }
   P.Valid = true;
   P.Gen = Gen;
-  P.Bytes = Blob.take();
   return P;
 }
 
@@ -433,12 +442,12 @@ Status gcache::openSnapshotAb(SnapshotReader &R, const std::string &Base,
     return S;
 
   // Scrub: restore redundancy by rewriting the damaged (or missing after a
-  // crash consumed it) slot from the good slot's bytes. Failure to scrub
-  // is not failure to load; the caller proceeds on the good slot.
+  // crash consumed it) slot from the good slot's bytes, which R has just
+  // read and validated. Failure to scrub is not failure to load; the
+  // caller proceeds on the good slot.
   if (!Other.Valid) {
-    if (vfs().writeFileAtomic(Other.Path, Good.Bytes.data(),
-                              Good.Bytes.size())
-            .ok())
+    const std::vector<uint8_t> &Bytes = R.image();
+    if (vfs().writeFileAtomic(Other.Path, Bytes.data(), Bytes.size()).ok())
       I.Scrubbed = true;
   }
   return Status();

@@ -48,20 +48,37 @@ namespace gcache {
 class SnapshotWriter;
 class SnapshotCursor;
 
-/// Accumulates named sections in memory, then writes them out atomically.
+/// Builds the container image in one buffer as sections are put, then
+/// writes it out atomically. Each section's frame is appended when the
+/// section begins; its payload length and CRC are filled in when the next
+/// section begins or the image is taken, so the bytes written are the
+/// buffer itself, never a copy.
 class SnapshotWriter {
 public:
+  SnapshotWriter();
+
   /// Starts a new section; subsequent put* calls append to it. \p Tag must
   /// be non-empty and at most 64 bytes.
   void beginSection(const std::string &Tag);
 
-  void putU8(uint8_t V) { append(&V, 1); }
-  void putU32(uint32_t V);
-  void putU64(uint64_t V);
+  void putU8(uint8_t V) { *extend(1) = V; }
+  void putU32(uint32_t V) { storeU32(extend(4), V); }
+  void putU64(uint64_t V) { storeU64(extend(8), V); }
   /// u64 length followed by the raw bytes.
   void putString(const std::string &S);
   /// u64 element count followed by the values.
   void putVecU64(const std::vector<uint64_t> &V);
+
+  /// Appends \p Len bytes to the open section and returns where they
+  /// start, for encoders that fill a large array in one pass (with
+  /// storeU32/storeU64, so the bytes are what the put* calls would have
+  /// written). The pointer is valid until the next put.
+  uint8_t *extend(size_t Len);
+
+  /// Little-endian encoders for extend()ed space; each returns the byte
+  /// after the value.
+  static uint8_t *storeU32(uint8_t *P, uint32_t V);
+  static uint8_t *storeU64(uint8_t *P, uint64_t V);
 
   size_t sectionCount() const { return Sections.size(); }
 
@@ -71,24 +88,28 @@ public:
   uint32_t contentCrc() const;
 
   /// The exact container image writeFile persists (header + framed
-  /// sections), for callers that place the bytes themselves.
-  std::vector<uint8_t> serialize() const;
+  /// sections), for callers that place the bytes themselves. Later puts
+  /// extend it; take it again afterwards.
+  const std::vector<uint8_t> &image();
 
-  /// Writes every section to `<Path>.tmp`, fsyncs, and renames onto
-  /// \p Path — all through the process Vfs. On any failure (including an
-  /// injected `snapshot-write` fault) the temporary file is removed and
-  /// IoError is returned; the previous snapshot at \p Path, if any, is
-  /// left untouched.
-  Status writeFile(const std::string &Path) const;
+  /// Writes the image to `<Path>.tmp`, fsyncs, and renames onto \p Path —
+  /// all through the process Vfs. On any failure (including an injected
+  /// `snapshot-write` fault) the temporary file is removed and IoError is
+  /// returned; the previous snapshot at \p Path, if any, is left
+  /// untouched.
+  Status writeFile(const std::string &Path);
 
 private:
-  void append(const void *Data, size_t Len);
+  /// Fills in the last section's payload length and CRC and the header's
+  /// section count.
+  void seal();
 
   struct Section {
-    std::string Tag;
-    std::vector<uint8_t> Payload;
+    size_t FrameAt;   ///< Offset of the section's u32 tag length.
+    size_t PayloadAt; ///< Offset of its first payload byte.
   };
   std::vector<Section> Sections;
+  std::vector<uint8_t> Image;
 };
 
 /// A sticky-error read cursor over one section's payload. Reading past the
@@ -131,7 +152,7 @@ private:
 };
 
 /// Loads a snapshot file, validates it in full, and hands out section
-/// cursors.
+/// cursors that read the validated image in place.
 class SnapshotReader {
 public:
   /// Reads and validates \p Path. Returns IoError when the file cannot be
@@ -144,24 +165,30 @@ public:
   /// validation semantics. \p Name labels diagnostics. This is the
   /// fuzzing entry point: hostile bytes go through the identical code
   /// path as hostile files.
-  Status openBuffer(const std::vector<uint8_t> &Bytes,
+  Status openBuffer(std::vector<uint8_t> Bytes,
                     const std::string &Name = "<buffer>");
 
   bool hasSection(const std::string &Tag) const;
   /// Cursor over the section's payload; a missing section returns a cursor
   /// whose status is already Corrupt (the caller's finish() reports it).
+  /// The cursor reads this reader's image, so it must not outlive it.
   SnapshotCursor section(const std::string &Tag) const;
 
   size_t sectionCount() const { return Sections.size(); }
   /// Tag of the I-th section in file order (tests and fuzz walkers).
   const std::string &sectionTag(size_t I) const { return Sections[I].Tag; }
 
+  /// The validated container image (empty after a failed open).
+  const std::vector<uint8_t> &image() const { return Image; }
+
 private:
   struct Section {
     std::string Tag;
-    std::vector<uint8_t> Payload;
+    size_t PayloadAt;
+    size_t PayloadLen;
   };
   std::vector<Section> Sections;
+  std::vector<uint8_t> Image;
 };
 
 //===----------------------------------------------------------------------===//

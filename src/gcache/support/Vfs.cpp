@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -211,24 +212,37 @@ Expected<std::unique_ptr<VfsFile>> RealVfs::openWrite(const std::string &Path) {
 Expected<std::vector<uint8_t>> RealVfs::readFile(const std::string &Path) {
   if (Status S = applyReadFaults("read", Path); !S.ok())
     return S;
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return errnoFail("open for read", Path);
-  std::vector<uint8_t> Data;
-  uint8_t Buf[64 * 1024];
-  for (;;) {
-    size_t N = std::fread(Buf, 1, sizeof(Buf), F);
-    Data.insert(Data.end(), Buf, Buf + N);
-    if (N < sizeof(Buf)) {
-      if (std::ferror(F)) {
-        Status S = errnoFail("read", Path);
-        std::fclose(F);
-        return S;
-      }
-      break;
-    }
+  struct stat St;
+  if (::fstat(Fd, &St) != 0) {
+    Status S = errnoFail("stat", Path);
+    ::close(Fd);
+    return S;
   }
-  std::fclose(F);
+  // One buffer of the size fstat reports, read into in place. The spare
+  // byte lets end of file show without growing it; a file that grew since
+  // the fstat is still read to its end.
+  std::vector<uint8_t> Data(static_cast<size_t>(St.st_size) + 1);
+  size_t Got = 0;
+  for (;;) {
+    if (Got == Data.size())
+      Data.resize(2 * Data.size());
+    ssize_t N = ::read(Fd, Data.data() + Got, Data.size() - Got);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0) {
+      Status S = errnoFail("read", Path);
+      ::close(Fd);
+      return S;
+    }
+    if (N == 0)
+      break;
+    Got += static_cast<size_t>(N);
+  }
+  ::close(Fd);
+  Data.resize(Got);
   return Data;
 }
 

@@ -17,6 +17,7 @@ constexpr char FooterMagic[4] = {'G', 'C', 'T', 'F'};
 constexpr uint32_t Version = 3;
 constexpr size_t HeaderBytes = 16;
 constexpr size_t FooterBytes = 8;
+constexpr size_t MaxRecordBytes = 9; // An allocation: opcode, address, size.
 
 enum Opcode : uint8_t {
   OpLoadMut = 0,
@@ -61,6 +62,9 @@ Status TraceWriter::open(const std::string &Path) {
   Records = 0;
   RecordCrc.reset();
   StreamStatus = Status();
+  if (!Chunk)
+    Chunk = std::make_unique<uint8_t[]>(ChunkBytes);
+  ChunkFill = 0;
   // Placeholder header; record count is patched in close().
   uint8_t Header[HeaderBytes] = {};
   std::memcpy(Header, Magic, 4);
@@ -85,23 +89,32 @@ void TraceWriter::emit(uint8_t Op, uint32_t A, uint32_t B, bool HasB) {
         static_cast<unsigned long long>(Records));
     return;
   }
-  uint8_t Buf[9];
-  Buf[0] = Op;
-  put32(Buf + 1, A);
-  size_t Len = 5;
+  uint8_t *P = Chunk.get() + ChunkFill;
+  P[0] = Op;
+  put32(P + 1, A);
+  ChunkFill += 5;
   if (HasB) {
-    put32(Buf + 5, B);
-    Len = 9;
+    put32(P + 5, B);
+    ChunkFill += 4;
   }
-  if (Status S = File->write(Buf, Len); !S.ok()) {
+  ++Records;
+  if (ChunkFill > ChunkBytes - MaxRecordBytes) // The next may not fit.
+    flushChunk();
+}
+
+void TraceWriter::flushChunk() {
+  if (ChunkFill == 0)
+    return;
+  if (Status S = File->write(Chunk.get(), ChunkFill); !S.ok()) {
     StreamStatus = Status::failf(
-        StatusCode::IoError, "short write at trace record %llu of '%s': %s",
-        static_cast<unsigned long long>(Records), TmpPath.c_str(),
+        StatusCode::IoError,
+        "short write of the trace chunk ending at record %llu of '%s': %s",
+        static_cast<unsigned long long>(Records - 1), TmpPath.c_str(),
         S.message().c_str());
     return;
   }
-  RecordCrc.update(Buf, Len);
-  ++Records;
+  RecordCrc.update(Chunk.get(), ChunkFill);
+  ChunkFill = 0;
 }
 
 void TraceWriter::onRef(const Ref &R) {
@@ -124,6 +137,8 @@ void TraceWriter::onGcPhase(GcPhase P) {
 Status TraceWriter::close() {
   if (!File)
     return Status::fail(StatusCode::IoError, "trace writer is not open");
+  if (StreamStatus.ok())
+    flushChunk();
   Status Result = StreamStatus;
 
   // Footer: checksum over every record byte.
@@ -289,8 +304,8 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
                       (static_cast<uint64_t>(get32(Data.data() + 12)) << 32);
   Declared = Expected;
 
-  // Walk the record stream, remembering the end of the last whole record
-  // so salvage can cut there.
+  // Walk the record stream up to the footer's place, remembering the end
+  // of the last whole record so salvage can cut there.
   size_t StreamEnd = Data.size() - FooterBytes;
   bool FooterMissing = false;
   if (Data.size() < HeaderBytes + FooterBytes) {
@@ -300,36 +315,36 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
   RecordsBegin = HeaderBytes;
   size_t P = RecordsBegin;
   uint64_t Seen = 0;
-  Status Found; // first structural problem, if any
-  while (P < StreamEnd) {
-    size_t Len = recordLen(Data[P]);
-    if (Len == 0) {
-      Found = Status::failf(StatusCode::Corrupt,
-                            "trace '%s' has unknown opcode %u at record %llu",
-                            Name.c_str(), Data[P],
-                            static_cast<unsigned long long>(Seen));
-      break;
+  // Advances P over whole records that end by \p End; the first record
+  // that does not is the structural problem returned.
+  auto walkTo = [&](size_t End) -> Status {
+    while (P < End) {
+      size_t Len = recordLen(Data[P]);
+      if (Len == 0)
+        return Status::failf(StatusCode::Corrupt,
+                             "trace '%s' has unknown opcode %u at record %llu",
+                             Name.c_str(), Data[P],
+                             static_cast<unsigned long long>(Seen));
+      if (P + Len > End)
+        // The stream ends inside this record. The tail bytes reserved for
+        // the footer might actually be record bytes of a truncated file —
+        // either way the structure ends early.
+        return Status::failf(StatusCode::Truncated,
+                             "trace '%s' ends inside record %llu",
+                             Name.c_str(),
+                             static_cast<unsigned long long>(Seen));
+      if (Data[P] == OpGcPhase && !gcPhasePayloadValid(get32(&Data[P] + 1)))
+        return Status::failf(StatusCode::Corrupt,
+                             "trace '%s' has GC phase marker with invalid "
+                             "phase %u at record %llu",
+                             Name.c_str(), get32(&Data[P] + 1),
+                             static_cast<unsigned long long>(Seen));
+      P += Len;
+      ++Seen;
     }
-    if (P + Len > StreamEnd) {
-      // The stream ends inside this record. The tail bytes reserved for
-      // the footer might actually be record bytes of a truncated file —
-      // either way the structure ends early.
-      Found = Status::failf(StatusCode::Truncated,
-                            "trace '%s' ends inside record %llu", Name.c_str(),
-                            static_cast<unsigned long long>(Seen));
-      break;
-    }
-    if (Data[P] == OpGcPhase && !gcPhasePayloadValid(get32(&Data[P] + 1))) {
-      Found = Status::failf(StatusCode::Corrupt,
-                            "trace '%s' has GC phase marker with invalid "
-                            "phase %u at record %llu",
-                            Name.c_str(), get32(&Data[P] + 1),
-                            static_cast<unsigned long long>(Seen));
-      break;
-    }
-    P += Len;
-    ++Seen;
-  }
+    return Status();
+  };
+  Status Found = walkTo(StreamEnd); // first structural problem, if any
   RecordsEnd = P;
 
   if (Found.ok() && FooterMissing)
@@ -378,7 +393,16 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
     // Salvage: keep the longest valid record prefix, remember what was
     // lost. A checksum failure cannot localize the damage, so the whole
     // stream stays (the framing was intact) — the caller opted into
-    // trusting it.
+    // trusting it. When no footer sits at the end, the bytes reserved for
+    // it belong to a torn record stream: keep walking whole records to
+    // the end of the file.
+    bool FooterInPlace = !FooterMissing && P == StreamEnd &&
+                         std::memcmp(Data.data() + StreamEnd, FooterMagic,
+                                     4) == 0;
+    if (!FooterInPlace) {
+      (void)walkTo(Data.size());
+      RecordsEnd = P;
+    }
     Damage = Found;
   }
   Count = Seen;

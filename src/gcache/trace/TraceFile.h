@@ -17,6 +17,10 @@
 ///   records  one per event: 1-byte opcode (kind+phase or control event),
 ///            4-byte address, and for allocations a further 4-byte size
 ///   footer   "GCTF", u32 CRC-32 over all record bytes
+/// Opcodes: 0/1 mutator load/store, 2/3 collector load/store (bit 0 is
+/// the access kind, bit 1 the phase), 4 allocation (address, size),
+/// 5 GC begin, 6 GC end, 7 GC phase marker (the phase in the address
+/// field); the control events carry 0 where no value is named.
 ///
 /// The GC phase marker record (opcode 7, 5 bytes) lets the stepped
 /// collectors emit one marker per bounded step, so a trace partitions
@@ -31,10 +35,18 @@
 /// succeeds — a crash or write failure never leaves a half-written trace
 /// at the final path.
 ///
+/// The writer encodes records into one 64 KiB chunk and checksums and
+/// writes the chunk when it fills (and at close()), so the Vfs sees one
+/// write per chunk, not one per record.
+///
 /// Error handling: open() and close() return Status; mid-stream write
-/// failures (short fwrite, injected trace-write disk-full) latch a sticky
-/// IoError visible through status(), and the writer stops emitting so a
-/// single failure does not cascade into thousands of fwrite errors.
+/// failures (a failed chunk write, injected trace-write disk-full) latch a
+/// sticky IoError visible through status(), and the writer stops emitting
+/// so a single failure does not cascade into thousands of write errors.
+/// Because records are buffered, a write error reaches status() up to one
+/// chunk late: when the chunk holding the record is written, at the
+/// latest at close(). The trace-write fault site still counts every
+/// record; the Vfs's io-* sites count one write per chunk.
 /// Readers distinguish StatusCode::Corrupt (bad magic, unknown opcode or
 /// version, checksum or record-count mismatch) from StatusCode::Truncated
 /// (the file ends mid-structure), and an opt-in salvage mode replays the
@@ -80,7 +92,8 @@ public:
 
   /// Sticky stream state: Ok until the first write failure, then the
   /// IoError that stopped the stream. TraceSink callbacks cannot return
-  /// errors, so mid-run failures are reported here and at close().
+  /// errors, so mid-run failures are reported here and at close(). A
+  /// write error shows here up to one chunk late (see the file comment).
   const Status &status() const { return StreamStatus; }
 
   void onRef(const Ref &R) override;
@@ -92,9 +105,17 @@ public:
   ~TraceWriter() override;
 
 private:
+  /// Bytes of encoded records buffered per write.
+  static constexpr size_t ChunkBytes = 64 * 1024;
+
   void emit(uint8_t Op, uint32_t A, uint32_t B, bool HasB);
+  /// Checksums and writes the buffered records; a failure latches
+  /// StreamStatus.
+  void flushChunk();
 
   std::unique_ptr<VfsFile> File;
+  std::unique_ptr<uint8_t[]> Chunk; ///< ChunkBytes, allocated at open().
+  size_t ChunkFill = 0;             ///< Encoded bytes in Chunk.
   std::string FinalPath;
   std::string TmpPath;
   uint64_t Records = 0;

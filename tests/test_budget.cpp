@@ -334,6 +334,33 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBareValuedFlags) {
       testing::ExitedWithCode(0), "");
 }
 
+// A GCACHE_<FLAG> variable stands in for --<flag>, so one that stands for
+// no flag is as wrong as an unknown flag: the retired GCACHE_ON_BUDGET and
+// a misspelt GCACHE_SCAL exit 2 naming the variable, while GCACHE_SCALE
+// is still read as --scale.
+TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnUnknownEnvVariables) {
+  GovernanceReset Guard;
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char *Var : {"GCACHE_ON_BUDGET", "GCACHE_SCAL"}) {
+    std::string Want = std::string("unknown environment variable ") + Var;
+    EXPECT_EXIT(
+        {
+          setenv(Var, "stop", 1);
+          parseFlags({"--scale=0.02"});
+        },
+        testing::ExitedWithCode(2), Want)
+        << Var;
+  }
+  EXPECT_EXIT(
+      {
+        setenv("GCACHE_SCALE", "0.02", 1);
+        const char *Argv[] = {"bench"};
+        BenchArgs A = parseBenchArgs(1, const_cast<char **>(Argv));
+        std::exit(A.Scale == 0.02 ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
+}
+
 //===----------------------------------------------------------------------===//
 // Poll sites, watchdog, and memory budgets
 //===----------------------------------------------------------------------===//

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 
@@ -289,6 +290,37 @@ TEST_F(FaultInjection, TraceWriteFaultLatchesStickyIoError) {
   EXPECT_EQ(Close.code(), StatusCode::IoError);
 }
 
+// Records are buffered and written one 64 KiB chunk at a time, but the
+// trace-write site still counts every record: a fault in the middle of the
+// first chunk stops the stream at exactly that record, the site stops
+// counting with it, and close() installs nothing.
+TEST_F(FaultInjection, TraceWriteFaultMidChunkKeepsRecordCountExact) {
+  TraceWriter W;
+  std::string Path = ::testing::TempDir() + "/gcache_fault_mid_chunk.gct";
+  ASSERT_TRUE(W.open(Path).ok());
+
+  faultInjector().arm({FaultSite::TraceShortWrite, 1000, 0});
+  Ref R{0x10000000, AccessKind::Load, Phase::Mutator};
+  for (int I = 0; I != 30000; ++I) // More than two chunks of 5-byte records.
+    W.onRef(R);
+
+  EXPECT_EQ(W.recordCount(), 999u);
+  EXPECT_EQ(faultInjector().occurrences(FaultSite::TraceShortWrite), 1000u);
+  ASSERT_FALSE(W.status().ok());
+  EXPECT_NE(W.status().message().find("trace record 999"), std::string::npos)
+      << W.status().message();
+
+  ASSERT_FALSE(W.close().ok());
+  auto exists = [](const std::string &P) {
+    std::FILE *F = std::fopen(P.c_str(), "rb");
+    if (F)
+      std::fclose(F);
+    return F != nullptr;
+  };
+  EXPECT_FALSE(exists(Path));
+  EXPECT_FALSE(exists(Path + ".tmp"));
+}
+
 //===----------------------------------------------------------------------===//
 // snapshot-write / snapshot-load
 //===----------------------------------------------------------------------===//
@@ -395,7 +427,7 @@ TEST_F(FaultInjection, SnapshotWithAnotherSiteCountIsRefused) {
   for (unsigned I = 0; I != SavedSites; ++I)
     W.putU64(100 + I);
   SnapshotReader R;
-  ASSERT_TRUE(R.openBuffer(W.serialize()).ok());
+  ASSERT_TRUE(R.openBuffer(W.image()).ok());
 
   Status S = Fi.loadFrom(R);
   ASSERT_FALSE(S.ok());

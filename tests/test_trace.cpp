@@ -2,6 +2,7 @@
 
 #include "gcache/core/Experiment.h"
 #include "gcache/support/Crc32.h"
+#include "gcache/support/FaultInjector.h"
 #include "gcache/trace/Sinks.h"
 #include "gcache/trace/TraceFile.h"
 
@@ -322,28 +323,39 @@ TEST(TraceFileV2, SalvageReplaysLongestValidPrefix) {
   std::vector<uint8_t> Good = readRaw(Path);
   ASSERT_EQ(Good.size(), 16u + 6 * 5 + 8);
 
-  // Tear the file mid-way through record 5. The reader reserves the last
-  // 8 remaining bytes as a potential footer, so the salvageable prefix is
-  // the records that fit before that reserve: the first two.
-  size_t Cut = 16 + 4 * 5 + 2;
-  writeRaw(Path, std::vector<uint8_t>(Good.begin(), Good.begin() + Cut));
+  // Tear the file mid-way through record 5 (index 4), and on the record
+  // boundary after record 5. Either way the last 8 bytes are record bytes,
+  // not a footer, and salvage keeps every whole record before the tear:
+  // 4 and 5 of the 6.
+  struct Tear {
+    size_t Cut;
+    uint64_t Whole;
+  };
+  for (Tear T : {Tear{16 + 4 * 5 + 2, 4}, Tear{16 + 5 * 5, 5}}) {
+    writeRaw(Path, std::vector<uint8_t>(Good.begin(), Good.begin() + T.Cut));
 
-  CountingSink Strict;
-  ASSERT_FALSE(TraceReader::replayEx(Path, Strict).ok());
+    CountingSink Strict;
+    Expected<uint64_t> Refused = TraceReader::replayEx(Path, Strict);
+    ASSERT_FALSE(Refused.ok()) << "cut at " << T.Cut;
+    EXPECT_EQ(Refused.status().code(), StatusCode::Truncated)
+        << "cut at " << T.Cut;
 
-  CountingSink S;
-  ReplayOptions Opts;
-  Opts.Salvage = true;
-  Expected<uint64_t> R = TraceReader::replayEx(Path, S, Opts);
-  ASSERT_TRUE(R.ok()) << R.status().message();
-  EXPECT_EQ(*R, 2u);
-  EXPECT_EQ(S.totalRefs(), 2u) << "salvage delivers exactly the prefix";
+    CountingSink S;
+    ReplayOptions Opts;
+    Opts.Salvage = true;
+    Expected<uint64_t> R = TraceReader::replayEx(Path, S, Opts);
+    ASSERT_TRUE(R.ok()) << R.status().message();
+    EXPECT_EQ(*R, T.Whole) << "cut at " << T.Cut;
+    EXPECT_EQ(S.totalRefs(), T.Whole) << "salvage delivers exactly the prefix";
 
-  // The suppressed damage is still visible through TraceStream.
-  TraceStream Stream;
-  ASSERT_TRUE(Stream.open(Path, /*Salvage=*/true).ok());
-  EXPECT_FALSE(Stream.damage().ok());
-  EXPECT_EQ(Stream.damage().code(), StatusCode::Truncated);
+    // The suppressed damage is still visible through TraceStream, and the
+    // accounting names what the tear took.
+    TraceStream Stream;
+    ASSERT_TRUE(Stream.open(Path, /*Salvage=*/true).ok());
+    EXPECT_EQ(Stream.damage().code(), StatusCode::Truncated);
+    EXPECT_EQ(Stream.droppedBytes(), T.Cut - 16 - T.Whole * 5);
+    EXPECT_EQ(Stream.droppedRecords(), 6 - T.Whole);
+  }
   std::remove(Path.c_str());
 }
 
@@ -399,6 +411,102 @@ TEST(TraceFileV2, WriterIsAtomicNothingVisibleUntilClose) {
   Expected<uint64_t> N = TraceReader::replayEx(Path, S);
   ASSERT_TRUE(N.ok()) << N.status().message();
   EXPECT_EQ(*N, 1u);
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Chunked writes
+//===----------------------------------------------------------------------===//
+
+// The writer buffers records into 64 KiB chunks. A stream of more than
+// three chunks, with a 9-byte allocation record across every 64 KiB edge
+// of the record stream, must come out byte for byte as the format spec
+// lays it out, read back record for record, and reach the file in a
+// handful of writes rather than one per record.
+TEST(TraceFileChunks, StreamAcrossChunkEdgesMatchesTheFormatSpec) {
+  constexpr size_t Chunk = 64 * 1024;
+  std::string Path = tempPath("chunked.gct");
+  faultInjector().resetCounters(); // Disarmed: the io-* sites only count.
+  TraceWriter W;
+  ASSERT_TRUE(W.open(Path).ok());
+
+  std::vector<uint8_t> Records; // The record stream, encoded from the spec.
+  auto put = [&](uint8_t Op, uint32_t A) {
+    Records.push_back(Op);
+    for (unsigned Shift = 0; Shift != 32; Shift += 8)
+      Records.push_back(static_cast<uint8_t>(A >> Shift));
+  };
+  std::vector<TraceRecord> Want;
+  size_t NextEdge = Chunk, Straddles = 0;
+  for (uint32_t I = 0; Records.size() < 3 * Chunk + Chunk / 2; ++I) {
+    TraceRecord Rec;
+    if (Records.size() + 9 > NextEdge) {
+      // Starts before the edge, ends after it.
+      Rec.Op = TraceRecord::Kind::Alloc;
+      Rec.AllocAddr = 0x100000 + 16 * I;
+      Rec.AllocBytes = 8 + I % 64;
+      W.onAlloc(Rec.AllocAddr, Rec.AllocBytes);
+      put(4, Rec.AllocAddr);
+      for (unsigned Shift = 0; Shift != 32; Shift += 8)
+        Records.push_back(static_cast<uint8_t>(Rec.AllocBytes >> Shift));
+      NextEdge += Chunk;
+      ++Straddles;
+    } else if (I % 1000 == 999) {
+      Rec.Op = TraceRecord::Kind::GcPhase;
+      Rec.PhaseMark = GcPhase::Trace;
+      W.onGcPhase(Rec.PhaseMark);
+      put(7, static_cast<uint32_t>(Rec.PhaseMark));
+    } else {
+      Rec.R = {0x200000 + 4 * I,
+               I % 3 ? AccessKind::Load : AccessKind::Store,
+               I % 5 ? Phase::Mutator : Phase::Collector};
+      W.onRef(Rec.R);
+      put(static_cast<uint8_t>((Rec.R.ExecPhase == Phase::Collector ? 2 : 0) +
+                               (Rec.R.Kind == AccessKind::Store ? 1 : 0)),
+          Rec.R.Addr);
+    }
+    Want.push_back(Rec);
+  }
+  ASSERT_EQ(Straddles, 3u);
+  EXPECT_EQ(W.recordCount(), Want.size());
+  ASSERT_TRUE(W.close().ok());
+  // Header, chunks, footer and the count patch: one write per chunk.
+  EXPECT_LE(faultInjector().occurrences(FaultSite::IoShortWrite),
+            3 + Records.size() / (Chunk - 8) + 1);
+
+  std::vector<uint8_t> Image(16, 0);
+  std::memcpy(Image.data(), "GCTR", 4);
+  Image[4] = 3;
+  for (unsigned Shift = 0; Shift != 64; Shift += 8)
+    Image[8 + Shift / 8] = static_cast<uint8_t>(uint64_t(Want.size()) >> Shift);
+  Image.insert(Image.end(), Records.begin(), Records.end());
+  Image = sealed(std::move(Image));
+  std::vector<uint8_t> Got = readRaw(Path);
+  ASSERT_EQ(Got.size(), Image.size());
+  EXPECT_TRUE(Got == Image) << "the file differs from the spec's encoding";
+
+  TraceStream Stream;
+  ASSERT_TRUE(Stream.open(Path).ok());
+  ASSERT_EQ(Stream.recordCount(), Want.size());
+  TraceRecord Rec;
+  for (size_t I = 0; I != Want.size(); ++I) {
+    ASSERT_TRUE(Stream.next(Rec)) << "record " << I;
+    ASSERT_EQ(Rec.Op, Want[I].Op) << "record " << I;
+    switch (Rec.Op) {
+    case TraceRecord::Kind::Ref:
+      ASSERT_EQ(Rec.R.Addr, Want[I].R.Addr) << "record " << I;
+      ASSERT_EQ(Rec.R.Kind, Want[I].R.Kind) << "record " << I;
+      ASSERT_EQ(Rec.R.ExecPhase, Want[I].R.ExecPhase) << "record " << I;
+      break;
+    case TraceRecord::Kind::Alloc:
+      ASSERT_EQ(Rec.AllocAddr, Want[I].AllocAddr) << "record " << I;
+      ASSERT_EQ(Rec.AllocBytes, Want[I].AllocBytes) << "record " << I;
+      break;
+    default:
+      ASSERT_EQ(Rec.PhaseMark, Want[I].PhaseMark) << "record " << I;
+    }
+  }
+  EXPECT_FALSE(Stream.next(Rec));
   std::remove(Path.c_str());
 }
 

@@ -422,6 +422,65 @@ TEST_F(VfsTest, AbBothSlotsDamagedIsAnError) {
   EXPECT_EQ(S.code(), StatusCode::Corrupt);
 }
 
+// writeSnapshotAb reads and validates both slots before it picks one.
+// With generation 2 damaged, the next checkpoint must replace the damaged
+// slot and leave generation 1, the newest good one, intact; a writer that
+// skipped the probes and alternated slots would overwrite generation 1.
+TEST_F(VfsTest, AbWriteProbesBothSlotsAndReplacesTheDamagedOne) {
+  FaultVfs Fv;
+  ScopedVfs Guard(Fv);
+  const std::string Base = "ckpt.snap";
+  for (int I = 1; I <= 2; ++I) {
+    SnapshotWriter W = makeSnapshot("gen" + std::to_string(I));
+    ASSERT_TRUE(writeSnapshotAb(W, Base).ok());
+  }
+  const std::string Gen1 = getFile(Fv, snapshotSlotA(Base));
+  std::string Gen2 = getFile(Fv, snapshotSlotB(Base));
+  ASSERT_FALSE(Gen1.empty());
+  ASSERT_FALSE(Gen2.empty());
+  Gen2[Gen2.size() / 2] ^= 0x20;
+  putFile(Fv, snapshotSlotB(Base), Gen2);
+
+  SnapshotWriter W3 = makeSnapshot("gen3");
+  ASSERT_TRUE(writeSnapshotAb(W3, Base).ok());
+  EXPECT_EQ(getFile(Fv, snapshotSlotA(Base)), Gen1)
+      << "the newest good checkpoint must survive the next write";
+
+  SnapshotReader R;
+  AbSlotInfo Info;
+  ASSERT_TRUE(openSnapshotAb(R, Base, &Info).ok());
+  EXPECT_EQ(Info.LoadedPath, snapshotSlotB(Base));
+  EXPECT_EQ(Info.Generation, 2u) << "one past the newest valid generation";
+  EXPECT_FALSE(Info.FellBack);
+  EXPECT_EQ(abReadPayload(R), "gen3");
+}
+
+// A failed chunk write fails the trace. io-short-write at the writer's
+// second write hits the first chunk: for 20000 records a full chunk
+// written mid-stream, for 100 records the only chunk, written by close().
+// Either way close() fails and nothing appears at the final path.
+TEST_F(VfsTest, TraceChunkShortWriteFailsCloseAndInstallsNothing) {
+  FaultVfs Fv;
+  ScopedVfs Guard(Fv);
+  for (uint32_t Refs : {20000u, 100u}) {
+    ASSERT_TRUE(faultInjector().armFromSpec("io-short-write:2").ok());
+    TraceWriter W;
+    ASSERT_TRUE(W.open("t.gct").ok()) << "write 1 is the header";
+    for (uint32_t I = 0; I != Refs; ++I)
+      W.onRef({0x1000 + 4 * I, AccessKind::Load, Phase::Mutator});
+    EXPECT_EQ(W.status().ok(), Refs == 100u)
+        << "a full chunk is written, and fails, before close()";
+    Status S = W.close();
+    ASSERT_FALSE(S.ok()) << Refs << " records";
+    EXPECT_EQ(S.code(), StatusCode::IoError);
+    EXPECT_NE(S.message().find("injected short write"), std::string::npos)
+        << S.message();
+    EXPECT_FALSE(Fv.exists("t.gct"));
+    EXPECT_FALSE(Fv.exists("t.gct.tmp"));
+    faultInjector().disarm();
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Truncate-at-every-byte rejection sweeps (torn tail, not corruption)
 //===----------------------------------------------------------------------===//
@@ -471,7 +530,7 @@ TEST_F(VfsTest, SnapshotTruncatedAtEveryByteIsAlwaysTruncated) {
   W.beginSection("beta");
   W.putU64(0x0123456789abcdefULL);
   W.putVecU64({1, 2, 3});
-  const std::vector<uint8_t> Good = W.serialize();
+  const std::vector<uint8_t> Good = W.image();
   ASSERT_GT(Good.size(), 40u);
 
   {
