@@ -128,20 +128,10 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
       "max-refs", "mem-budget"};
   for (const char *F : ExtraFlags)
     Known.push_back(F);
-  std::vector<std::string> Unknown = A.Opts.unknownFlags(Known);
-  std::vector<std::string> UnknownEnv = Options::unknownEnvFlags(Known);
-  if (!Unknown.empty() || !UnknownEnv.empty()) {
-    for (const std::string &F : Unknown)
-      std::fprintf(stderr, "error: unknown flag --%s\n", F.c_str());
-    for (const std::string &V : UnknownEnv)
-      std::fprintf(stderr, "error: unknown environment variable %s\n",
-                   V.c_str());
-    std::fprintf(stderr, "known flags:");
-    for (const std::string &F : Known)
-      std::fprintf(stderr, " --%s", F.c_str());
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-  }
+  std::string Usage = "known flags:";
+  for (const std::string &F : Known)
+    Usage += " --" + F;
+  A.Opts.exitOnUnknown(Known, Usage);
 
   A.Scale = flagOrExit(A.Opts.getStrictDouble("scale", 0.3));
   A.Threads = flagOrExit(A.Opts.getStrictUnsigned("threads", 0));

@@ -20,13 +20,9 @@ using namespace gcache;
 
 int main(int Argc, char **Argv) {
   Options Opts = Options::parse(Argc, Argv);
-  std::vector<std::string> Unknown = Opts.unknownFlags({"workload", "scale"});
-  if (!Unknown.empty()) {
-    for (const std::string &F : Unknown)
-      std::fprintf(stderr, "error: unknown flag --%s\n", F.c_str());
-    std::fprintf(stderr, "usage: cache_explorer [--workload W] [--scale S]\n");
-    return 2;
-  }
+  Opts.exitOnUnknown({"workload", "scale"},
+                     "usage: cache_explorer [--workload W] [--scale S]",
+                     /*EnvOnly=*/{"fault"});
   std::string Name = Opts.get("workload", "gambit");
   Expected<double> ScaleArg = Opts.getStrictDouble("scale", 0.3);
   if (!ScaleArg.ok()) {

@@ -23,16 +23,11 @@ using namespace gcache;
 
 int main(int Argc, char **Argv) {
   Options Opts = Options::parse(Argc, Argv);
-  std::vector<std::string> Unknown =
-      Opts.unknownFlags({"workload", "scale", "cache-kb", "block", "gc"});
-  if (!Unknown.empty()) {
-    for (const std::string &F : Unknown)
-      std::fprintf(stderr, "error: unknown flag --%s\n", F.c_str());
-    std::fprintf(stderr, "usage: missplot_art [--workload W] [--scale S] "
-                         "[--cache-kb N] [--block N] [--gc none|cheney|"
-                         "generational]\n");
-    return 2;
-  }
+  Opts.exitOnUnknown({"workload", "scale", "cache-kb", "block", "gc"},
+                     "usage: missplot_art [--workload W] [--scale S] "
+                     "[--cache-kb N] [--block N] [--gc none|cheney|"
+                     "generational]",
+                     /*EnvOnly=*/{"fault"});
   std::string Name = Opts.get("workload", "nbody");
   Expected<double> ScaleArg = Opts.getStrictDouble("scale", 0.15);
   Expected<unsigned> CacheKbArg = Opts.getStrictUnsigned("cache-kb", 64);

@@ -15,6 +15,7 @@
 #include "gcache/core/Experiment.h"
 #include "gcache/memsys/Cache.h"
 #include "gcache/support/FaultInjector.h"
+#include "gcache/support/Options.h"
 #include "gcache/support/Table.h"
 #include "gcache/trace/Sinks.h"
 #include "gcache/vm/SchemeSystem.h"
@@ -23,7 +24,9 @@
 
 using namespace gcache;
 
-int main() {
+int main(int Argc, char **Argv) {
+  Options::parse(Argc, Argv)
+      .exitOnUnknown({}, "usage: quickstart", /*EnvOnly=*/{"fault"});
   Status Fault = faultInjector().armFromEnv();
   if (!Fault.ok()) {
     std::fprintf(stderr, "error: %s\n", Fault.message().c_str());

@@ -36,7 +36,6 @@ ProgramRun gcache::runProgram(const Workload &W,
   auto Bank = std::make_unique<CacheBank>();
   CacheConfig Prototype;
   Prototype.WriteMiss = Opts.WriteMiss;
-  Prototype.TrackPerBlockStats = Opts.PerBlockStats;
   switch (Opts.Grid) {
   case CacheGridKind::PaperGrid:
     Bank->addPaperGrid(Prototype);

@@ -57,8 +57,6 @@ struct ExperimentOptions {
   /// Also simulate every grid config under the opposite write-miss policy
   /// (one pass feeds both, for the §5 write-policy comparison).
   bool AlsoOppositePolicy = false;
-  /// Track per-cache-block stats on every cache (local-miss figures).
-  bool PerBlockStats = false;
   /// Additional sinks to attach to the trace bus (analysis).
   std::vector<TraceSink *> ExtraSinks;
   /// Static-layout scatter seed (0 = default layout); see ext2_layout.

@@ -516,23 +516,35 @@ void BatchKernel::run(Cache &C, const RefColumns &Batch, BatchIndex &Index) {
 bool BatchKernel::chainable(const Cache &C) {
   const CacheConfig &Cfg = C.config();
   return Cfg.Ways == 1 && Cfg.WriteHit == WriteHitPolicy::WriteBack &&
-         !Cfg.TrackPerBlockStats && !C.crossCheckEnabled();
+         !C.crossCheckEnabled();
 }
 
 bool BatchKernel::sameChain(const Cache &A, const Cache &B) {
   const CacheConfig &X = A.config(), &Y = B.config();
   return X.BlockBytes == Y.BlockBytes && X.WriteMiss == Y.WriteMiss &&
-         X.CollectorFetchOnWrite == Y.CollectorFetchOnWrite;
+         X.CollectorFetchOnWrite == Y.CollectorFetchOnWrite &&
+         X.TrackPerBlockStats == Y.TrackPerBlockStats;
 }
 
 void BatchKernel::runChain(std::span<Cache *const> Links,
                            const RefColumns &Batch,
-                           std::vector<ChainRun> &Survivors) {
+                           std::vector<ChainRun> &Survivors,
+                           std::vector<uint64_t> &SetRefs) {
   assert(!Links.empty() && "a chain has at least one link");
   const size_t N = Batch.size();
   if (Survivors.size() < ChainChunkRefs)
     Survivors.resize(ChainChunkRefs);
   const CacheConfig &Cfg = Links.front()->config();
+  const bool PerBlock = Cfg.TrackPerBlockStats;
+  // One histogram entry per set of the largest link; the fold leaves the
+  // whole vector zeroed for the next chain or batch.
+  std::span<uint64_t> Refs;
+  if (PerBlock) {
+    const size_t Sets = Links.back()->SetMask + size_t(1);
+    if (SetRefs.size() < Sets)
+      SetRefs.resize(Sets);
+    Refs = {SetRefs.data(), Sets};
+  }
   const uint8_t *PhaseTag = Batch.PhaseTag.data();
   for (size_t Begin = 0; Begin != N;) {
     // Segmentation is unobservable, so a mixed-phase batch runs as its
@@ -543,32 +555,61 @@ void BatchKernel::runChain(std::span<Cache *const> Links,
         Switch ? static_cast<const uint8_t *>(Switch) - PhaseTag : N;
     const bool FoW = Cfg.WriteMiss == WriteMissPolicy::FetchOnWrite ||
                      (Cfg.CollectorFetchOnWrite && P != 0);
-    FoW ? runSegment<true>(Links, Batch, Begin, End, P, Survivors.data())
-        : runSegment<false>(Links, Batch, Begin, End, P, Survivors.data());
+    ChainRun *Runs = Survivors.data();
+    if (PerBlock)
+      FoW ? runSegment<true, true>(Links, Batch, Begin, End, P, Runs, Refs)
+          : runSegment<false, true>(Links, Batch, Begin, End, P, Runs, Refs);
+    else
+      FoW ? runSegment<true, false>(Links, Batch, Begin, End, P, Runs, Refs)
+          : runSegment<false, false>(Links, Batch, Begin, End, P, Runs, Refs);
     Begin = End;
   }
+  if (PerBlock)
+    foldSetRefs(Links, Refs);
 }
 
-template <bool FetchOnWrite>
+/// Bit-selection sets nest: set S of a cache with Sets sets holds the
+/// blocks of sets S and S + Sets of one twice its size. So walking the
+/// links from the largest down, halving the histogram in place gives each
+/// link's per-set counts.
+void BatchKernel::foldSetRefs(std::span<Cache *const> Links,
+                              std::span<uint64_t> SetRefs) {
+  uint64_t *const Hist = SetRefs.data();
+  size_t Sets = SetRefs.size();
+  for (size_t K = Links.size(); K-- != 0;) {
+    Cache &C = *Links[K];
+    for (const size_t Want = C.SetMask + size_t(1); Sets > Want; Sets /= 2)
+      for (size_t S = 0; S != Sets / 2; ++S)
+        Hist[S] += Hist[S + Sets / 2];
+    assert(Sets == C.SetMask + size_t(1) && "links in ascending size");
+    uint64_t *const BlockRefs = C.BlockRefs.data();
+    for (size_t S = 0; S != Sets; ++S)
+      BlockRefs[S] += Hist[S];
+  }
+  std::fill(SetRefs.begin(), SetRefs.end(), 0);
+}
+
+template <bool FetchOnWrite, bool PerBlock>
 void BatchKernel::runSegment(std::span<Cache *const> Links,
                              const RefColumns &Batch, size_t Begin,
-                             size_t End, unsigned P, ChainRun *Runs) {
+                             size_t End, unsigned P, ChainRun *Runs,
+                             std::span<uint64_t> SetRefs) {
   uint64_t Stores = 0;
   for (size_t From = Begin; From != End;) {
     const size_t To = std::min(End, From + ChainChunkRefs);
     Cache &First = *Links.front();
     size_t NumRuns =
         Links.size() > 1
-            ? firstLink<FetchOnWrite, true>(First, Batch, From, To, P, Runs,
-                                            Stores)
-            : firstLink<FetchOnWrite, false>(First, Batch, From, To, P, Runs,
-                                             Stores);
+            ? firstLink<FetchOnWrite, true, PerBlock>(First, Batch, From, To,
+                                                      P, Runs, Stores, SetRefs)
+            : firstLink<FetchOnWrite, false, PerBlock>(
+                  First, Batch, From, To, P, Runs, Stores, SetRefs);
     for (size_t K = 1; K != Links.size() && NumRuns != 0; ++K)
       NumRuns = K + 1 != Links.size()
-                    ? nextLink<FetchOnWrite, true>(*Links[K], Batch, Runs,
-                                                   NumRuns, P)
-                    : nextLink<FetchOnWrite, false>(*Links[K], Batch, Runs,
-                                                    NumRuns, P);
+                    ? nextLink<FetchOnWrite, true, PerBlock>(*Links[K], Batch,
+                                                             Runs, NumRuns, P)
+                    : nextLink<FetchOnWrite, false, PerBlock>(
+                          *Links[K], Batch, Runs, NumRuns, P);
     From = To;
   }
   // Every link sees every reference, so all take the same tally.
@@ -584,10 +625,11 @@ void BatchKernel::runSegment(std::span<Cache *const> Links,
 /// closing a run records it for the next link unless the line was
 /// resident when the run began and every word the run touched was already
 /// in the line's store mask.
-template <bool FetchOnWrite, bool Emit>
+template <bool FetchOnWrite, bool Emit, bool PerBlock>
 size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
                               size_t Begin, size_t End, unsigned P,
-                              ChainRun *Out, uint64_t &Stores) {
+                              ChainRun *Out, uint64_t &Stores,
+                              std::span<uint64_t> SetRefs) {
   using Line = Cache::Line;
   Line *const Lines = C.Lines.data();
   const uint32_t SetMask = C.SetMask;
@@ -597,6 +639,10 @@ size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
   const uint64_t FullMask = C.FullMask;
   const Address *Addr = Batch.Addr.data();
   const uint8_t *Kind = Batch.Kind.data();
+  uint64_t *const BlockMisses = PerBlock ? C.BlockMisses.data() : nullptr;
+  uint64_t *const BlockFetch = PerBlock ? C.BlockFetchMisses.data() : nullptr;
+  uint64_t *const Hist = SetRefs.data();
+  const size_t HistMask = SetRefs.size() - 1;
   uint64_t Fetch = 0, NoFetch = 0, Wb = 0, StoreRefs = 0;
   size_t NumOut = 0;
 
@@ -607,12 +653,23 @@ size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
   uint64_t VM = 0, SM = 0, Proof = 0;
   bool WasResident = false;
   ChainRun Run{};
-  auto Close = [&] {
+  // Closes the open run; \p Next is the row after its last reference.
+  auto Close = [&](size_t Next) {
     L->ValidMask = VM;
     L->StoreMask = SM;
+    if constexpr (PerBlock)
+      Hist[Run.Block & HistMask] += Next - Run.Start;
     if constexpr (Emit)
       if (!WasResident || (Run.Words & ~Proof))
         Out[NumOut++] = Run;
+  };
+  // A fetch miss of the open run's line.
+  auto FetchMiss = [&] {
+    ++Fetch;
+    if constexpr (PerBlock) {
+      ++BlockMisses[L - Lines];
+      ++BlockFetch[L - Lines];
+    }
   };
 
   for (size_t I = Begin; I != End; ++I) {
@@ -630,7 +687,7 @@ size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
       SM |= StoreBit;
       if (!(VM & Bit)) {
         VM = FullMask; // sub-block read miss
-        ++Fetch;
+        FetchMiss();
       }
       if constexpr (Emit) {
         ++Run.Len;
@@ -641,7 +698,7 @@ size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
       continue;
     }
     if (L)
-      Close();
+      Close(I);
     L = Lines + (BI & SetMask);
     const uint32_t Tag = BI >> SetShift;
     VM = L->ValidMask;
@@ -655,7 +712,7 @@ size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
       SM |= StoreBit;
       if (!(VM & Bit)) {
         VM = FullMask;
-        ++Fetch;
+        FetchMiss();
       }
     } else {
       Wb += SM != 0;
@@ -663,15 +720,17 @@ size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
       if (IsStore && !FetchOnWrite) {
         VM = Bit; // write-validate: allocate without fetching
         ++NoFetch;
+        if constexpr (PerBlock)
+          ++BlockMisses[L - Lines];
       } else {
         VM = FullMask;
-        ++Fetch;
+        FetchMiss();
       }
       SM = StoreBit;
     }
   }
   if (L)
-    Close();
+    Close(End);
 
   CacheCounters &Cnt = C.Counts[P];
   Cnt.FetchMisses += Fetch;
@@ -685,7 +744,7 @@ size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
 /// direct-mapped loop makes them. A run is dropped, before it touches the
 /// line, when its block is resident with every word it touches in the
 /// store mask: by inclusion that holds in every larger link too.
-template <bool FetchOnWrite, bool Emit>
+template <bool FetchOnWrite, bool Emit, bool PerBlock>
 size_t BatchKernel::nextLink(Cache &C, const RefColumns &Batch,
                              ChainRun *Runs, size_t NumRuns, unsigned P) {
   using Line = Cache::Line;
@@ -696,6 +755,8 @@ size_t BatchKernel::nextLink(Cache &C, const RefColumns &Batch,
   const uint64_t FullMask = C.FullMask;
   const Address *Addr = Batch.Addr.data();
   const uint8_t *Kind = Batch.Kind.data();
+  uint64_t *const BlockMisses = PerBlock ? C.BlockMisses.data() : nullptr;
+  uint64_t *const BlockFetch = PerBlock ? C.BlockFetchMisses.data() : nullptr;
   uint64_t Fetch = 0, NoFetch = 0, Wb = 0;
   size_t NumOut = 0;
   // The larger links' line arrays outgrow the host caches; prefetch the
@@ -706,11 +767,19 @@ size_t BatchKernel::nextLink(Cache &C, const RefColumns &Batch,
     if (R + PrefetchRuns < NumRuns)
       __builtin_prefetch(Lines + (Runs[R + PrefetchRuns].Block & SetMask));
     const ChainRun Run = Runs[R];
-    Line *L = Lines + (Run.Block & SetMask);
+    const uint32_t Set = Run.Block & SetMask;
+    Line *L = Lines + Set;
     const uint32_t Tag = Run.Block >> SetShift;
     uint64_t VM = L->ValidMask, SM = L->StoreMask;
     const uint64_t WB = 1ull << (Run.Flags & ChainRun::FirstWordMask);
     const bool IsStore = (Run.Flags & ChainRun::FirstIsStore) != 0;
+    auto FetchMiss = [&] {
+      ++Fetch;
+      if constexpr (PerBlock) {
+        ++BlockMisses[Set];
+        ++BlockFetch[Set];
+      }
+    };
     if (VM != 0 && L->Tag == Tag) {
       if (!(Run.Words & ~SM))
         continue; // a no-op here and in every larger link
@@ -719,7 +788,7 @@ size_t BatchKernel::nextLink(Cache &C, const RefColumns &Batch,
         SM |= WB;
       } else if (!(VM & WB)) {
         VM = FullMask;
-        ++Fetch;
+        FetchMiss();
       }
     } else {
       Wb += SM != 0;
@@ -727,9 +796,11 @@ size_t BatchKernel::nextLink(Cache &C, const RefColumns &Batch,
       if (IsStore && !FetchOnWrite) {
         VM = WB;
         ++NoFetch;
+        if constexpr (PerBlock)
+          ++BlockMisses[Set];
       } else {
         VM = FullMask;
-        ++Fetch;
+        FetchMiss();
       }
       SM = IsStore ? WB : 0;
     }
@@ -745,7 +816,7 @@ size_t BatchKernel::nextLink(Cache &C, const RefColumns &Batch,
         SM |= StoreBit;
         if (!(VM & Bit)) {
           VM = FullMask;
-          ++Fetch;
+          FetchMiss();
         }
       }
     }

@@ -9,16 +9,16 @@
 /// batch (trace/Event.h RefColumns):
 ///
 ///  - runChain simulates an inclusion chain: the direct-mapped write-back
-///    caches of one block size and policy, smallest first. The smallest
-///    link sees every reference; each larger link sees only the same-block
-///    runs the link before it could not prove to be no-ops. This is the
-///    path of the paper grid and of every size sweep.
+///    caches of one block size and policy, smallest first, with or
+///    without per-block statistics. The smallest link sees every
+///    reference; each larger link sees only the same-block runs the link
+///    before it could not prove to be no-ops. This is the path of the
+///    paper grid and of every size sweep.
 ///  - run simulates one cache in a tight, branch-light loop: policy flags
 ///    are hoisted, counters live in locals, the direct-mapped case skips
 ///    the way scan, and the address decomposition is precomputed once per
 ///    batch in a BatchIndex shared by every solo cache with that block
-///    size. Associative, per-block-statistics, write-through and
-///    cross-checked caches take it.
+///    size. Associative, write-through and cross-checked caches take it.
 ///
 /// Correctness contract: both are *bit-identical* to feeding the same
 /// references through Cache::access one at a time — same counters, same
@@ -168,16 +168,18 @@ public:
   static void run(Cache &C, const RefColumns &Batch, BatchIndex &Index);
 
   /// True when \p C can be a link of a chain: direct-mapped, write-back,
-  /// no per-block statistics, no shadow oracle attached.
+  /// no shadow oracle attached.
   static bool chainable(const Cache &C);
 
   /// True when chainable caches \p A and \p B may share one chain: the
-  /// same block size, write-miss policy and collector fetch-on-write.
+  /// same block size, write-miss policy, collector fetch-on-write and
+  /// per-block statistics flag.
   static bool sameChain(const Cache &A, const Cache &B);
 
   /// Simulates \p Batch against an inclusion chain: \p Links are
   /// chainable caches sharing one chain (sameChain), in ascending size.
-  /// Each link ends bit-identical to a run() call of its own.
+  /// Each link ends bit-identical to a run() call of its own, per-block
+  /// statistics included.
   ///
   /// Direct-mapped caches of one block size with bit-selection indexing
   /// nest: a block resident in a smaller cache is resident in every
@@ -191,8 +193,20 @@ public:
   /// prove to be no-ops into \p Survivors; each larger link simulates and
   /// filters those again, compacting them in place. A mixed-phase batch
   /// runs as its maximal single-phase segments.
+  ///
+  /// Links with per-block statistics count each miss where they simulate
+  /// it. A dropped run still counts toward the BlockRefs of every larger
+  /// link, and a block's reference count depends only on its address: the
+  /// first link adds each run's length to \p SetRefs, a histogram over
+  /// the largest link's sets, which is folded into every link's BlockRefs
+  /// before this returns (bit-selection sets nest, so halving it gives
+  /// each smaller link's sets) and left zeroed. Every per-block array is
+  /// thus complete at each batch boundary. The fold costs one add into
+  /// BlockRefs per set of the chain per batch (130,560 for a 64 B size
+  /// sweep), plus halving and zeroing the histogram.
   static void runChain(std::span<Cache *const> Links, const RefColumns &Batch,
-                       std::vector<ChainRun> &Survivors);
+                       std::vector<ChainRun> &Survivors,
+                       std::vector<uint64_t> &SetRefs);
 
   /// Screens untrusted columnar input: the three columns must be the same
   /// length and every Kind/PhaseTag byte must be a valid enumerator.
@@ -220,27 +234,36 @@ private:
                       const BatchIndex::RefTally &Tally, unsigned BatchPhase);
 
   /// runChain over rows [\p Begin, \p End) of one phase \p P, whose
-  /// write-miss decision is \p FetchOnWrite, a chunk at a time.
-  template <bool FetchOnWrite>
+  /// write-miss decision is \p FetchOnWrite, a chunk at a time. With
+  /// \p PerBlock the links keep per-block statistics and \p SetRefs is
+  /// the chain's reference histogram.
+  template <bool FetchOnWrite, bool PerBlock>
   static void runSegment(std::span<Cache *const> Links,
                          const RefColumns &Batch, size_t Begin, size_t End,
-                         unsigned P, ChainRun *Runs);
+                         unsigned P, ChainRun *Runs,
+                         std::span<uint64_t> SetRefs);
 
   /// The first link of a chain over rows [\p Begin, \p End) of one
   /// phase \p P: splits them into runs, simulates each, and (with
   /// \p Emit) writes the runs it cannot prove to be no-ops to \p Out.
-  /// Returns the number written; adds the rows' stores to \p Stores.
-  template <bool FetchOnWrite, bool Emit>
+  /// Returns the number written; adds the rows' stores to \p Stores and
+  /// (with \p PerBlock) each run's length to its set of \p SetRefs.
+  template <bool FetchOnWrite, bool Emit, bool PerBlock>
   static size_t firstLink(Cache &C, const RefColumns &Batch, size_t Begin,
                           size_t End, unsigned P, ChainRun *Out,
-                          uint64_t &Stores);
+                          uint64_t &Stores, std::span<uint64_t> SetRefs);
 
   /// A larger link: simulates the \p NumRuns runs of \p Runs, keeping
   /// (with \p Emit) those it cannot prove to be no-ops at the front of
   /// \p Runs. Returns how many it kept.
-  template <bool FetchOnWrite, bool Emit>
+  template <bool FetchOnWrite, bool Emit, bool PerBlock>
   static size_t nextLink(Cache &C, const RefColumns &Batch, ChainRun *Runs,
                          size_t NumRuns, unsigned P);
+
+  /// Adds \p SetRefs, a batch's references per set of the largest link,
+  /// to the BlockRefs of every link of \p Links, then zeroes it.
+  static void foldSetRefs(std::span<Cache *const> Links,
+                          std::span<uint64_t> SetRefs);
 };
 
 } // namespace gcache

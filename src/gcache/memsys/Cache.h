@@ -26,8 +26,11 @@
 /// (a block resident in a smaller one is resident in every larger one),
 /// and their store masks nest with them; the bank's inclusion chains use
 /// that to skip references a smaller cache proves change nothing in a
-/// larger one (memsys/BatchKernel.h). Only associative caches keep LRU
-/// stamps and a clock; no direct-mapped victim choice reads them.
+/// larger one (memsys/BatchKernel.h). A skipped reference is still
+/// counted in the larger cache's per-block statistics: a chain folds the
+/// per-set reference counts of each batch into every link. Only
+/// associative caches keep LRU stamps and a clock; no direct-mapped
+/// victim choice reads them.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -16,15 +16,17 @@
 /// The bank has one execution path. References accumulate into fixed-size
 /// columnar batches, and the batch kernel simulates each batch lane by
 /// lane (memsys/ShardPool.h): a lane holds the caches of one block size.
-/// Its direct-mapped write-back caches form inclusion chains, smallest
-/// first, in which a larger cache skips the references a smaller one
-/// proves are no-ops for it; its other caches run solo on one shared
-/// decomposition of the batch. Without threads, publishing a batch runs
-/// every lane inline; setThreads(N) hands the lanes to N workers. Each
-/// lane consumes the batches in order, so every counter is bit-identical
-/// at any thread count and batch size (tests/test_parallel_bank.cpp).
-/// Reading a cache (cache(), find()) first simulates everything fed so
-/// far.
+/// Its direct-mapped write-back caches, with or without per-block
+/// statistics, form inclusion chains, smallest first, in which a larger
+/// cache skips the references a smaller one proves are no-ops for it (the
+/// skipped references still reach its per-block reference counts); its
+/// associative, write-through and cross-checked caches run solo on one
+/// shared decomposition of the batch. Without threads, publishing a batch
+/// runs every lane inline; setThreads(N) hands the lanes to N workers.
+/// Each lane consumes the batches in order, so every counter is
+/// bit-identical at any thread count and batch size
+/// (tests/test_parallel_bank.cpp). Reading a cache (cache(), find())
+/// first simulates everything fed so far.
 ///
 /// Drain-on-cancel: every batch boundary is a point of the exact serial
 /// stream, so a cancelled run (support/Budget.h) just stops feeding and

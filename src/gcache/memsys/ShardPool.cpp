@@ -19,7 +19,7 @@ void Lane::run(const RefColumns &Batch) {
     if (std::all_of(Chain.begin(), Chain.end(), [](const Cache *C) {
           return BatchKernel::chainable(*C);
         })) {
-      BatchKernel::runChain(Chain, Batch, Survivors);
+      BatchKernel::runChain(Chain, Batch, Survivors, SetRefs);
     } else {
       for (Cache *C : Chain)
         BatchKernel::run(*C, Batch, Index);

@@ -7,13 +7,15 @@
 /// \file
 /// The execution machinery behind CacheBank's single batched path. A
 /// *lane* holds caches of one block size. Its direct-mapped write-back
-/// caches form inclusion *chains*, one per write-miss policy, smallest
-/// first (BatchKernel::runChain): a larger cache only simulates the runs a
-/// smaller one cannot prove to be no-ops. Every other cache of the lane
-/// (associative, per-block statistics, write-through, cross-checked) runs
-/// solo through BatchKernel::run on the lane's shared BatchIndex. While a
-/// bank has more workers than lanes, a chain is split at its midpoint,
-/// and each half is a chain of its own in a lane of its own.
+/// caches form inclusion *chains*, one per write-miss policy and
+/// per-block statistics flag, smallest first (BatchKernel::runChain): a
+/// larger cache only simulates the runs a smaller one cannot prove to be
+/// no-ops, and per-block reference counts reach it through a histogram the
+/// first link fills. Every other cache of the lane (associative,
+/// write-through, cross-checked) runs solo through BatchKernel::run on the
+/// lane's shared BatchIndex. While a bank has more workers than lanes, a
+/// chain is split at its midpoint, and each half is a chain of its own in
+/// a lane of its own.
 ///
 /// A bank without threads runs its lanes inline. A ShardPool runs them on
 /// N interchangeable workers: each batch is queued on every lane, and a
@@ -56,6 +58,7 @@ struct Lane {
   std::vector<Cache *> Solos;
   BatchIndex Index; ///< The solo caches' decomposition of the batch.
   std::vector<ChainRun> Survivors; ///< The chains' run buffer.
+  std::vector<uint64_t> SetRefs;   ///< The chains' per-set reference counts.
 
   // Scheduling state of a threaded bank, guarded by the ShardPool mutex.
   std::deque<std::shared_ptr<const RefColumns>> Queue;
@@ -67,11 +70,12 @@ struct Lane {
 };
 
 /// Groups \p Caches into lanes for a bank with \p Threads workers: one lane
-/// per block size, ascending, holding one chain per policy of its
-/// chainable caches and its other caches solo. Then, while there are
-/// fewer lanes than workers, the longest chain is split at its midpoint
-/// into a lane of its own; once no chain has two links, the lane with the
-/// most solo caches gives half of them to a new lane.
+/// per block size, ascending, holding one chain per policy and per-block
+/// statistics flag of its chainable caches and its other caches solo.
+/// Then, while there are fewer lanes than workers, the longest chain is
+/// split at its midpoint into a lane of its own; once no chain has two
+/// links, the lane with the most solo caches gives half of them to a new
+/// lane.
 std::vector<Lane>
 buildLanes(const std::vector<std::unique_ptr<Cache>> &Caches, unsigned Threads);
 

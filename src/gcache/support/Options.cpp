@@ -3,6 +3,7 @@
 #include "gcache/support/Options.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
@@ -96,6 +97,24 @@ Options::unknownEnvFlags(const std::vector<std::string> &Known) {
       Unknown.push_back(Var);
   }
   return Unknown;
+}
+
+void Options::exitOnUnknown(const std::vector<std::string> &Known,
+                            const std::string &Usage,
+                            const std::vector<std::string> &EnvOnly) const {
+  std::vector<std::string> EnvKnown = Known;
+  EnvKnown.insert(EnvKnown.end(), EnvOnly.begin(), EnvOnly.end());
+  std::vector<std::string> Unknown = unknownFlags(Known);
+  std::vector<std::string> UnknownEnv = unknownEnvFlags(EnvKnown);
+  if (Unknown.empty() && UnknownEnv.empty())
+    return;
+  for (const std::string &F : Unknown)
+    std::fprintf(stderr, "error: unknown flag --%s\n", F.c_str());
+  for (const std::string &V : UnknownEnv)
+    std::fprintf(stderr, "error: unknown environment variable %s\n",
+                 V.c_str());
+  std::fprintf(stderr, "%s\n", Usage.c_str());
+  std::exit(2);
 }
 
 Expected<std::string> Options::getStrict(const std::string &Name,

@@ -43,6 +43,15 @@ public:
   static std::vector<std::string>
   unknownEnvFlags(const std::vector<std::string> &Known);
 
+  /// Exits 2 when the command line holds a flag not in \p Known, or a
+  /// GCACHE_* variable stands in for no name in \p Known or \p EnvOnly
+  /// (names read only from the environment, e.g. "fault" for
+  /// FaultInjector::armFromEnv). Each is named on stderr, then the line
+  /// \p Usage. Returns when there is none.
+  void exitOnUnknown(const std::vector<std::string> &Known,
+                     const std::string &Usage,
+                     const std::vector<std::string> &EnvOnly = {}) const;
+
   /// Returns the flag value, or the GCACHE_<NAME> environment variable, or
   /// \p Default. A bare flag reads as "1".
   std::string get(const std::string &Name, const std::string &Default) const;

@@ -347,24 +347,35 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
   Status Found = walkTo(StreamEnd); // first structural problem, if any
   RecordsEnd = P;
 
-  if (Found.ok() && FooterMissing)
-    Found = Status::failf(StatusCode::Truncated,
-                          "trace '%s' ends before its footer", Name.c_str());
-  if (Found.ok() &&
-      std::memcmp(Data.data() + StreamEnd, FooterMagic, 4) != 0) {
-    // A bad footer magic on a file holding fewer records than the header
-    // promises is a file cut short at a record boundary: the "footer"
-    // bytes are really the tail of the lost record stream. Only a
-    // full-length file with wrong bytes where "GCTF" belongs is Corrupt.
-    if (Seen < Expected)
+  // Without a footer at its end a file was torn, unless it holds every
+  // record the header promises: then the bytes where "GCTF" belongs are
+  // wrong, and it is Corrupt.
+  const bool FooterAtEnd =
+      !FooterMissing &&
+      std::memcmp(Data.data() + StreamEnd, FooterMagic, 4) == 0;
+  if (!FooterAtEnd && Found.ok() && !FooterMissing && Seen >= Expected) {
+    Found = Status::failf(StatusCode::Corrupt,
+                          "trace '%s' has a malformed footer", Name.c_str());
+  } else if (!FooterAtEnd && (Found.ok() || FooterMissing ||
+                               Found.code() == StatusCode::Truncated)) {
+    // The bytes reserved for the footer belong to the torn record stream:
+    // walk whole records to the end of the file, and name the tear from
+    // there, so the error counts the records salvage keeps. After the
+    // last whole record comes the record the file ends inside, or the
+    // start of the footer (nothing, on a record boundary). A file shorter
+    // than header and footer was walked to its end already, and the walk
+    // may have read the footer's "G" as an opcode.
+    Found = walkTo(Data.size());
+    RecordsEnd = P;
+    const size_t Left = Data.size() - P;
+    const size_t MagicLeft = std::min<size_t>(Left, 4);
+    if (Left < FooterBytes &&
+        std::memcmp(Data.data() + P, FooterMagic, MagicLeft) == 0)
       Found = Status::failf(StatusCode::Truncated,
                             "trace '%s' ends before its footer (%llu of %llu "
                             "records present)",
                             Name.c_str(), static_cast<unsigned long long>(Seen),
                             static_cast<unsigned long long>(Expected));
-    else
-      Found = Status::failf(StatusCode::Corrupt,
-                            "trace '%s' has a malformed footer", Name.c_str());
   }
   if (Found.ok()) {
     uint32_t WantCrc = get32(Data.data() + StreamEnd + 4);
@@ -393,16 +404,8 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
     // Salvage: keep the longest valid record prefix, remember what was
     // lost. A checksum failure cannot localize the damage, so the whole
     // stream stays (the framing was intact) — the caller opted into
-    // trusting it. When no footer sits at the end, the bytes reserved for
-    // it belong to a torn record stream: keep walking whole records to
-    // the end of the file.
-    bool FooterInPlace = !FooterMissing && P == StreamEnd &&
-                         std::memcmp(Data.data() + StreamEnd, FooterMagic,
-                                     4) == 0;
-    if (!FooterInPlace) {
-      (void)walkTo(Data.size());
-      RecordsEnd = P;
-    }
+    // trusting it. A torn stream was already walked to the end of the
+    // file; the bytes of a malformed footer are no records.
     Damage = Found;
   }
   Count = Seen;

@@ -15,9 +15,11 @@
 //
 //  - batch segmentation invariance (any cut of the same stream agrees);
 //  - inclusion chains: every link of 8-size chains at each paper block
-//    size, both write-miss policies, mutator, collector and mixed-phase
-//    batches, against Cache::access and OracleCache, including links
-//    that leave the chain for a batch and rejoin it;
+//    size, both write-miss policies, with and without per-block
+//    statistics, mutator, collector and mixed-phase batches, against
+//    Cache::access and OracleCache, including links that leave the chain
+//    for a batch and rejoin it, and per-block reference counts of runs the
+//    larger links never see;
 //  - CacheBank equivalence with standalone caches fed one reference at
 //    a time, inline and on lane workers (including more workers than
 //    block sizes), with --crosscheck and --audit semantics;
@@ -349,34 +351,46 @@ void runChainBatched(const std::vector<Cache *> &Chain,
                      const std::vector<Ref> &Stream, size_t BatchRefs) {
   RefColumns B;
   std::vector<ChainRun> Survivors;
+  std::vector<uint64_t> SetRefs;
   for (size_t I = 0; I < Stream.size();) {
     B.clear();
     for (size_t K = 0; K != BatchRefs && I != Stream.size(); ++K, ++I)
       B.push_back(Stream[I]);
-    BatchKernel::runChain(Chain, B, Survivors);
+    BatchKernel::runChain(Chain, B, Survivors, SetRefs);
   }
+  EXPECT_TRUE(std::all_of(SetRefs.begin(), SetRefs.end(),
+                          [](uint64_t N) { return N == 0; }))
+      << "runChain must leave its histogram zeroed";
 }
 
 /// Every link of an 8-size chain, at each paper block size, under both
-/// write-miss policies, over mutator, collector and mixed-phase streams
-/// cut into batches of 1, 7, 4096 and the bank's default: bit-identical
-/// to a solo Cache::access replay (counters, tags, valid and store masks)
-/// and to OracleCache. The sizes are scaled down from the paper's so the
-/// stream's footprint evicts in every link.
+/// write-miss policies, with and without per-block statistics, over
+/// mutator, collector and mixed-phase streams cut into batches of 1, 7,
+/// 4096 and the bank's default: bit-identical to a solo Cache::access
+/// replay (counters, tags, valid and store masks, per-block arrays) and to
+/// OracleCache. The sizes are scaled down from the paper's so the stream's
+/// footprint evicts in every link.
 class BatchKernelChain : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(BatchKernelChain, EveryLinkMatchesScalarAndOracle) {
   const uint32_t BlockBytes = GetParam();
-  for (WriteMissPolicy Miss :
-       {WriteMissPolicy::WriteValidate, WriteMissPolicy::FetchOnWrite}) {
+  const std::pair<bool, WriteMissPolicy> Cells[] = {
+      {false, WriteMissPolicy::WriteValidate},
+      {false, WriteMissPolicy::FetchOnWrite},
+      {true, WriteMissPolicy::WriteValidate},
+      {true, WriteMissPolicy::FetchOnWrite}};
+  for (const auto &[PerBlock, Miss] : Cells) {
     for (PhaseMix Mix :
          {PhaseMix::Mutator, PhaseMix::Collector, PhaseMix::Mixed}) {
       SCOPED_TRACE("policy " + std::to_string(static_cast<int>(Miss)) +
-                   ", phases " + std::to_string(static_cast<int>(Mix)));
+                   ", phases " + std::to_string(static_cast<int>(Mix)) +
+                   (PerBlock ? ", per-block" : ""));
       std::vector<CacheConfig> Configs;
       for (uint32_t Size = 1 << 10; Size <= 128 << 10; Size *= 2)
-        Configs.push_back(
-            {.SizeBytes = Size, .BlockBytes = BlockBytes, .WriteMiss = Miss});
+        Configs.push_back({.SizeBytes = Size,
+                           .BlockBytes = BlockBytes,
+                           .WriteMiss = Miss,
+                           .TrackPerBlockStats = PerBlock});
       std::vector<Ref> Stream =
           chainStream(30000, BlockBytes + static_cast<int>(Mix), Mix,
                       /*Footprint=*/512 << 10);
@@ -433,44 +447,108 @@ INSTANTIATE_TEST_SUITE_P(PaperBlockSizes, BatchKernelChain,
 
 // A cache may leave a chain for a batch (a shadow oracle attached, so the
 // lane runs it solo) and rejoin it: every path keeps the store masks, so
-// the inclusion the filter needs holds throughout.
+// the inclusion the filter needs holds throughout, and with per-block
+// statistics every path leaves the per-block arrays complete at the batch
+// boundary.
 TEST(BatchKernelChain, LinksLeaveAndRejoinBetweenBatches) {
   std::vector<Ref> Stream =
       chainStream(40000, /*Seed=*/3, PhaseMix::Mixed, 256 << 10);
-  std::vector<Cache> Scalar, Links;
-  for (uint32_t Size = 1 << 10; Size <= 16 << 10; Size *= 2) {
-    Scalar.emplace_back(CacheConfig{.SizeBytes = Size, .BlockBytes = 32});
-    Links.emplace_back(CacheConfig{.SizeBytes = Size, .BlockBytes = 32});
-  }
-  std::vector<Cache *> Chain;
-  for (Cache &C : Links)
-    Chain.push_back(&C);
-  RefColumns B;
-  BatchIndex Idx;
-  std::vector<ChainRun> Survivors;
-  for (size_t I = 0, Batch = 0; I < Stream.size(); ++Batch) {
-    B.clear();
-    for (size_t K = 0; K != 1000 && I != Stream.size(); ++K, ++I) {
-      B.push_back(Stream[I]);
-      for (Cache &C : Scalar)
-        (void)C.access(Stream[I]);
+  for (bool PerBlock : {false, true}) {
+    SCOPED_TRACE(PerBlock ? "per-block" : "plain");
+    std::vector<Cache> Scalar, Links;
+    for (uint32_t Size = 1 << 10; Size <= 16 << 10; Size *= 2) {
+      const CacheConfig Cfg{.SizeBytes = Size,
+                            .BlockBytes = 32,
+                            .TrackPerBlockStats = PerBlock};
+      Scalar.emplace_back(Cfg);
+      Links.emplace_back(Cfg);
     }
-    if (Batch % 3 == 1) {
-      // The path of a lane's solo caches.
-      Idx.reset(&B);
-      for (Cache *C : Chain)
-        BatchKernel::run(*C, B, Idx);
-    } else if (Batch % 3 == 2) {
-      // The path of a cross-checked cache.
-      for (size_t Row = 0; Row != B.size(); ++Row)
+    std::vector<Cache *> Chain;
+    for (Cache &C : Links)
+      Chain.push_back(&C);
+    RefColumns B;
+    BatchIndex Idx;
+    std::vector<ChainRun> Survivors;
+    std::vector<uint64_t> SetRefs;
+    for (size_t I = 0, Batch = 0; I < Stream.size(); ++Batch) {
+      B.clear();
+      for (size_t K = 0; K != 1000 && I != Stream.size(); ++K, ++I) {
+        B.push_back(Stream[I]);
+        for (Cache &C : Scalar)
+          (void)C.access(Stream[I]);
+      }
+      if (Batch % 3 == 1) {
+        // The path of a lane's solo caches.
+        Idx.reset(&B);
         for (Cache *C : Chain)
-          (void)C->access(B.get(Row));
-    } else {
-      BatchKernel::runChain(Chain, B, Survivors);
+          BatchKernel::run(*C, B, Idx);
+      } else if (Batch % 3 == 2) {
+        // The path of a cross-checked cache.
+        for (size_t Row = 0; Row != B.size(); ++Row)
+          for (Cache *C : Chain)
+            (void)C->access(B.get(Row));
+      } else {
+        BatchKernel::runChain(Chain, B, Survivors, SetRefs);
+      }
+      for (size_t K = 0; K != Links.size(); ++K)
+        expectStateIdentical(Scalar[K], Links[K],
+                             Links[K].config().label() + ", batch " +
+                                 std::to_string(Batch));
+      if (::testing::Test::HasFatalFailure())
+        return;
     }
   }
-  for (size_t K = 0; K != Links.size(); ++K)
-    expectStateIdentical(Scalar[K], Links[K], Links[K].config().label());
+}
+
+// The larger links of a chain never see a run the first link proves to be
+// a no-op, yet it counts toward their BlockRefs. Repeated loads and
+// stores to a few blocks whose every word is stored leave the larger
+// links almost nothing to simulate: their reference counts come from the
+// first link's histogram alone.
+TEST(BatchKernelChain, DroppedRunsStillCountTowardBlockRefs) {
+  constexpr uint32_t BlockBytes = 32, Words = BlockBytes / 4, Blocks = 4;
+  std::vector<Ref> Stream;
+  for (uint32_t Round = 0; Stream.size() < 40000; ++Round)
+    for (uint32_t Block = 0; Block != Blocks; ++Block) {
+      const Address A = Block * BlockBytes + (Round % Words) * 4;
+      const AccessKind K = Round < Words || Round % 3 != 0 ? AccessKind::Store
+                                                           : AccessKind::Load;
+      Stream.push_back({A, K, Round % 50 < 40 ? Phase::Mutator
+                                              : Phase::Collector});
+    }
+
+  std::vector<CacheConfig> Configs;
+  for (uint32_t Size = 1 << 10; Size <= 32 << 10; Size *= 2)
+    Configs.push_back({.SizeBytes = Size,
+                       .BlockBytes = BlockBytes,
+                       .TrackPerBlockStats = true});
+  std::vector<Cache> Scalar(Configs.begin(), Configs.end());
+  for (const Ref &R : Stream)
+    for (Cache &C : Scalar)
+      (void)C.access(R);
+
+  // Any cut into batches gives the same counts.
+  for (size_t BatchRefs : {size_t(61), size_t(997)}) {
+    std::vector<Cache> Links(Configs.begin(), Configs.end());
+    std::vector<Cache *> Chain;
+    for (Cache &C : Links)
+      Chain.push_back(&C);
+    runChainBatched(Chain, Stream, BatchRefs);
+    for (size_t K = 0; K != Links.size(); ++K) {
+      const std::string Where =
+          Configs[K].label() + ", batch " + std::to_string(BatchRefs);
+      EXPECT_EQ(Links[K].perBlockRefs(), Scalar[K].perBlockRefs()) << Where;
+      uint64_t Refs = 0;
+      for (uint64_t N : Links[K].perBlockRefs())
+        Refs += N;
+      EXPECT_EQ(Refs, Stream.size()) << Where;
+      expectStateIdentical(Scalar[K], Links[K], Where);
+      EXPECT_TRUE(Links[K].auditState().ok()) << Where;
+    }
+    // Only the installs and the first store of each word are misses: the
+    // larger links simulated next to nothing.
+    EXPECT_LE(Links.back().totalCounters().allMisses(), Blocks * Words);
+  }
 }
 
 TEST(BatchKernelChain, ChainableScreensOutIneligibleCaches) {
@@ -479,10 +557,10 @@ TEST(BatchKernelChain, ChainableScreensOutIneligibleCaches) {
   EXPECT_TRUE(BatchKernel::chainable(Cache(
       {.SizeBytes = 1 << 10, .BlockBytes = 32,
        .WriteMiss = WriteMissPolicy::FetchOnWrite})));
+  EXPECT_TRUE(BatchKernel::chainable(Cache(
+      {.SizeBytes = 1 << 10, .BlockBytes = 32, .TrackPerBlockStats = true})));
   EXPECT_FALSE(BatchKernel::chainable(
       Cache({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2})));
-  EXPECT_FALSE(BatchKernel::chainable(Cache(
-      {.SizeBytes = 1 << 10, .BlockBytes = 32, .TrackPerBlockStats = true})));
   EXPECT_FALSE(BatchKernel::chainable(
       Cache({.SizeBytes = 1 << 10, .BlockBytes = 32,
              .WriteHit = WriteHitPolicy::WriteThrough})));
@@ -490,7 +568,7 @@ TEST(BatchKernelChain, ChainableScreensOutIneligibleCaches) {
   CrossChecked.enableCrossCheck(1);
   EXPECT_FALSE(BatchKernel::chainable(CrossChecked));
 
-  // One chain per block size and write-miss policy.
+  // One chain per block size, write-miss policy and per-block flag.
   Cache A({.SizeBytes = 1 << 10, .BlockBytes = 32});
   EXPECT_TRUE(BatchKernel::sameChain(
       A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 32})));
@@ -502,6 +580,14 @@ TEST(BatchKernelChain, ChainableScreensOutIneligibleCaches) {
   EXPECT_FALSE(BatchKernel::sameChain(
       A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 32,
                 .CollectorFetchOnWrite = false})));
+  EXPECT_FALSE(BatchKernel::sameChain(
+      A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 32,
+                .TrackPerBlockStats = true})));
+  EXPECT_TRUE(BatchKernel::sameChain(
+      Cache({.SizeBytes = 1 << 10, .BlockBytes = 32,
+             .TrackPerBlockStats = true}),
+      Cache({.SizeBytes = 4 << 10, .BlockBytes = 32,
+             .TrackPerBlockStats = true})));
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -136,6 +137,38 @@ TEST(Options, EnvFallback) {
   Options O = Options::parse(1, const_cast<char **>(Argv));
   EXPECT_EQ(O.getStrictUnsigned("testopt", 0).take(), 99u);
   unsetenv("GCACHE_TESTOPT");
+}
+
+// exitOnUnknown names each unknown flag and GCACHE_* variable, then the
+// usage line, and exits 2. An EnvOnly name is known in the environment
+// only: GCACHE_FAULT passes, --fault does not.
+TEST(OptionsDeath, ExitOnUnknownNamesFlagsAndVariables) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char *Argv[] = {"prog", "--scale=1", "--sacle=2"};
+  Options Typo = Options::parse(3, const_cast<char **>(Argv));
+  EXPECT_EXIT(Typo.exitOnUnknown({"scale"}, "usage: prog [--scale S]"),
+              testing::ExitedWithCode(2),
+              "unknown flag --sacle\n.*usage: prog \\[--scale S\\]");
+  Options Fault = Options::parse(2, const_cast<char **>(Argv));
+  EXPECT_EXIT(
+      {
+        setenv("GCACHE_SCAL", "1", 1);
+        Fault.exitOnUnknown({"scale"}, "usage: prog", {"fault"});
+      },
+      testing::ExitedWithCode(2), "unknown environment variable GCACHE_SCAL");
+  EXPECT_EXIT(
+      {
+        setenv("GCACHE_FAULT", "x:1", 1);
+        setenv("GCACHE_SCALE", "1", 1);
+        Fault.exitOnUnknown({"scale"}, "usage: prog", {"fault"});
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
+  const char *FaultFlag[] = {"prog", "--fault=x:1"};
+  Options FaultOnCommandLine = Options::parse(2, const_cast<char **>(FaultFlag));
+  EXPECT_EXIT(FaultOnCommandLine.exitOnUnknown({"scale"}, "usage: prog",
+                                               {"fault"}),
+              testing::ExitedWithCode(2), "unknown flag --fault");
 }
 
 namespace {

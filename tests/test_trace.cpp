@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -313,49 +314,96 @@ TEST(TraceFileV2, ReportsTruncationDistinctlyFromCorruption) {
   std::remove(Path.c_str());
 }
 
+namespace {
+
+/// Writes a sealed trace of \p N loads, one 5-byte record each, to
+/// \p Path and returns its bytes.
+std::vector<uint8_t> writeLoads(const std::string &Path, uint64_t N) {
+  TraceWriter W;
+  EXPECT_TRUE(W.open(Path).ok());
+  for (Address A = 0; A != N * 4; A += 4)
+    W.onRef({0x1000 + A, AccessKind::Load, Phase::Mutator});
+  EXPECT_TRUE(W.close().ok());
+  std::vector<uint8_t> Bytes = readRaw(Path);
+  EXPECT_EQ(Bytes.size(), 16 + N * 5 + 8);
+  return Bytes;
+}
+
+/// Tears \p Good, the sealed trace of \p N loads, to its first \p Len
+/// bytes at \p Path. With no footer at the end, the bytes reserved for it
+/// are record bytes: salvage keeps every whole record before the tear,
+/// and the strict error names the tear by that same count.
+void expectTearNamed(const std::string &Path, const std::vector<uint8_t> &Good,
+                     uint64_t N, size_t Len) {
+  const size_t RecordBytes = std::min<size_t>(Len - 16, N * 5);
+  const uint64_t Whole = RecordBytes / 5;
+  const std::string Want =
+      RecordBytes % 5 != 0
+          ? "ends inside record " + std::to_string(Whole)
+          : "ends before its footer (" + std::to_string(Whole) + " of " +
+                std::to_string(N) + " records present)";
+  writeRaw(Path, std::vector<uint8_t>(Good.begin(), Good.begin() + Len));
+  SCOPED_TRACE(std::to_string(N) + " records cut to " + std::to_string(Len) +
+               " bytes");
+
+  CountingSink Strict;
+  Expected<uint64_t> Refused = TraceReader::replayEx(Path, Strict);
+  ASSERT_FALSE(Refused.ok());
+  EXPECT_EQ(Refused.status().code(), StatusCode::Truncated);
+  EXPECT_NE(Refused.status().message().find(Want), std::string::npos)
+      << Refused.status().message() << " (want: " << Want << ")";
+
+  CountingSink S;
+  ReplayOptions Opts;
+  Opts.Salvage = true;
+  Expected<uint64_t> R = TraceReader::replayEx(Path, S, Opts);
+  ASSERT_TRUE(R.ok()) << R.status().message();
+  EXPECT_EQ(*R, Whole);
+  EXPECT_EQ(S.totalRefs(), Whole) << "salvage delivers exactly the prefix";
+
+  // The suppressed damage is still visible through TraceStream, says
+  // what the strict open said, and the accounting names what the tear
+  // took.
+  TraceStream Stream;
+  ASSERT_TRUE(Stream.open(Path, /*Salvage=*/true).ok());
+  EXPECT_EQ(Stream.damage().code(), StatusCode::Truncated);
+  EXPECT_EQ(Stream.damage().message(), Refused.status().message());
+  EXPECT_EQ(Stream.recordCount(), Whole);
+  EXPECT_EQ(Stream.droppedBytes(), Len - 16 - Whole * 5);
+  EXPECT_EQ(Stream.droppedRecords(), N - Whole);
+}
+
+} // namespace
+
 TEST(TraceFileV2, SalvageReplaysLongestValidPrefix) {
   std::string Path = tempPath("v2_salvage.gct");
-  TraceWriter W;
-  ASSERT_TRUE(W.open(Path).ok());
-  for (Address A = 0; A != 6 * 4; A += 4)
-    W.onRef({0x1000 + A, AccessKind::Load, Phase::Mutator});
-  ASSERT_TRUE(W.close().ok());
-  std::vector<uint8_t> Good = readRaw(Path);
-  ASSERT_EQ(Good.size(), 16u + 6 * 5 + 8);
+  std::vector<uint8_t> Good = writeLoads(Path, 6);
 
-  // Tear the file mid-way through record 5 (index 4), and on the record
-  // boundary after record 5. Either way the last 8 bytes are record bytes,
-  // not a footer, and salvage keeps every whole record before the tear:
-  // 4 and 5 of the 6.
-  struct Tear {
-    size_t Cut;
-    uint64_t Whole;
-  };
-  for (Tear T : {Tear{16 + 4 * 5 + 2, 4}, Tear{16 + 5 * 5, 5}}) {
-    writeRaw(Path, std::vector<uint8_t>(Good.begin(), Good.begin() + T.Cut));
+  // Tear the file at every length from one byte short to the footer and
+  // three records short: inside the footer, on record boundaries and
+  // inside records.
+  for (size_t Cut = 1; Cut <= 8 + 3 * 5; ++Cut)
+    expectTearNamed(Path, Good, 6, Good.size() - Cut);
 
-    CountingSink Strict;
-    Expected<uint64_t> Refused = TraceReader::replayEx(Path, Strict);
-    ASSERT_FALSE(Refused.ok()) << "cut at " << T.Cut;
-    EXPECT_EQ(Refused.status().code(), StatusCode::Truncated)
-        << "cut at " << T.Cut;
-
-    CountingSink S;
-    ReplayOptions Opts;
-    Opts.Salvage = true;
-    Expected<uint64_t> R = TraceReader::replayEx(Path, S, Opts);
-    ASSERT_TRUE(R.ok()) << R.status().message();
-    EXPECT_EQ(*R, T.Whole) << "cut at " << T.Cut;
-    EXPECT_EQ(S.totalRefs(), T.Whole) << "salvage delivers exactly the prefix";
-
-    // The suppressed damage is still visible through TraceStream, and the
-    // accounting names what the tear took.
-    TraceStream Stream;
-    ASSERT_TRUE(Stream.open(Path, /*Salvage=*/true).ok());
-    EXPECT_EQ(Stream.damage().code(), StatusCode::Truncated);
-    EXPECT_EQ(Stream.droppedBytes(), T.Cut - 16 - T.Whole * 5);
-    EXPECT_EQ(Stream.droppedRecords(), 6 - T.Whole);
+  // Files shorter than header and footer together, torn at every length
+  // from the header alone: the walk reaches what is left of the footer.
+  for (uint64_t N : {0, 1}) {
+    const std::vector<uint8_t> Short = writeLoads(Path, N);
+    for (size_t Len = 16; Len != Short.size(); ++Len)
+      expectTearNamed(Path, Short, N, Len);
   }
+
+  // A full-length file whose footer magic is damaged is Corrupt, and its
+  // footer bytes are no records, even when the damaged first byte reads
+  // as an opcode.
+  std::vector<uint8_t> BadFooter = Good;
+  BadFooter[BadFooter.size() - 8] = 0 /*OpLoadMut*/;
+  writeRaw(Path, BadFooter);
+  TraceStream Stream;
+  ASSERT_TRUE(Stream.open(Path, /*Salvage=*/true).ok());
+  EXPECT_EQ(Stream.damage().code(), StatusCode::Corrupt);
+  EXPECT_EQ(Stream.recordCount(), 6u);
+  EXPECT_EQ(Stream.droppedBytes(), 8u);
   std::remove(Path.c_str());
 }
 
