@@ -14,9 +14,12 @@ BlockTracker::BlockTracker(uint32_t BlockBytes, uint32_t CacheBytes,
          "block size must be a power of two");
   assert(CacheBytes % BlockBytes == 0 && "cache not a multiple of blocks");
   BlockShift = std::bit_width(BlockBytes) - 1;
-  NumSlots = CacheBytes / BlockBytes;
+  uint32_t NumSlots = CacheBytes / BlockBytes;
   SlotMask = NumSlots - 1;
+  SlotShift = std::bit_width(SlotMask);
   assert((NumSlots & SlotMask) == 0 && "cache block count must be 2^k");
+  uint32_t StaticBlocks = ((Heap::DynamicBase - 1) >> BlockShift) + 1;
+  StaticPages.resize((StaticBlocks + PageBlocks - 1) >> PageShift);
 }
 
 void BlockTracker::onAlloc(Address Addr, uint32_t Bytes) {
@@ -24,7 +27,7 @@ void BlockTracker::onAlloc(Address Addr, uint32_t Bytes) {
   uint32_t NewFrontier = (EndOff + BlockBytes - 1) >> BlockShift;
   if (NewFrontier > FrontierBlocks) {
     if (LastAllocTime.empty())
-      LastAllocTime.assign(NumSlots, 0);
+      LastAllocTime.assign(SlotMask + 1, 0);
     // Each newly claimed dynamic block is an allocation miss in its cache
     // slot; the gap since the slot's previous allocation miss is one
     // allocation cycle (§7).
@@ -55,13 +58,8 @@ void BlockTracker::onRef(const Ref &R) {
   ++Clock;
   if (R.Addr >= Heap::DynamicBase) {
     uint32_t BlockIdx = (R.Addr - Heap::DynamicBase) >> BlockShift;
-    if (BlockIdx >= Dynamic.size()) {
-      // A reference beyond the recorded frontier (e.g. collector-resized
-      // areas); extend conservatively.
-      Dynamic.resize(BlockIdx + 1);
-      if (BlockIdx + 1 > FrontierBlocks)
-        FrontierBlocks = BlockIdx + 1;
-    }
+    if (BlockIdx >= Dynamic.size())
+      growDynamic(BlockIdx);
     touch(Dynamic[BlockIdx], cacheSlotOf(BlockIdx));
     return;
   }
@@ -69,7 +67,23 @@ void BlockTracker::onRef(const Ref &R) {
       R.Addr < Heap::StackBase + Heap::StackCapacityWords * 4)
     ++StackRefs;
   uint32_t BlockIdx = R.Addr >> BlockShift;
-  touch(Static[BlockIdx], cacheSlotOf(BlockIdx));
+  BlockRecord *Page = StaticPages[BlockIdx >> PageShift].get();
+  if (!Page)
+    Page = newStaticPage(BlockIdx >> PageShift);
+  touch(Page[BlockIdx & (PageBlocks - 1)], cacheSlotOf(BlockIdx));
+}
+
+void BlockTracker::growDynamic(uint32_t BlockIdx) {
+  // A reference beyond the recorded frontier (e.g. collector-resized
+  // areas); extend conservatively.
+  Dynamic.resize(BlockIdx + 1);
+  if (BlockIdx + 1 > FrontierBlocks)
+    FrontierBlocks = BlockIdx + 1;
+}
+
+BlockRecord *BlockTracker::newStaticPage(uint32_t PageIdx) {
+  StaticPages[PageIdx] = std::make_unique<BlockRecord[]>(PageBlocks);
+  return StaticPages[PageIdx].get();
 }
 
 BlockSummary BlockTracker::computeSummary() {
@@ -95,7 +109,7 @@ BlockSummary BlockTracker::computeSummary() {
     if (Rec.RefCount == 0)
       continue;
     ++S.DynamicBlocks;
-    uint32_t BirthCycle = static_cast<uint32_t>(I) / NumSlots + 1;
+    uint32_t BirthCycle = (static_cast<uint32_t>(I) >> SlotShift) + 1;
     bool OneCycle = Rec.CyclesActive == 1 && Rec.LastCycleSeen == BirthCycle;
     if (OneCycle)
       ++S.OneCycleBlocks;
@@ -112,14 +126,23 @@ BlockSummary BlockTracker::computeSummary() {
 
   uint32_t RtBlockFirst = RuntimeVecAddr >> BlockShift;
   uint32_t RtBlockLast = (RuntimeVecAddr + 16 * 4) >> BlockShift;
-  for (const auto &[BlockIdx, Rec] : Static) {
-    ++S.StaticBlocks;
-    if (Rec.RefCount >= BusyThreshold) {
-      ++S.BusyStaticBlocks;
-      S.BusyRefs += Rec.RefCount;
+  for (uint32_t PageIdx = 0; PageIdx != StaticPages.size(); ++PageIdx) {
+    const BlockRecord *Page = StaticPages[PageIdx].get();
+    if (!Page)
+      continue;
+    for (uint32_t I = 0; I != PageBlocks; ++I) {
+      const BlockRecord &Rec = Page[I];
+      if (Rec.RefCount == 0)
+        continue;
+      uint32_t BlockIdx = (PageIdx << PageShift) | I;
+      ++S.StaticBlocks;
+      if (Rec.RefCount >= BusyThreshold) {
+        ++S.BusyStaticBlocks;
+        S.BusyRefs += Rec.RefCount;
+      }
+      if (RuntimeVecAddr && BlockIdx >= RtBlockFirst && BlockIdx <= RtBlockLast)
+        S.RuntimeVectorRefs += Rec.RefCount;
     }
-    if (RuntimeVecAddr && BlockIdx >= RtBlockFirst && BlockIdx <= RtBlockLast)
-      S.RuntimeVectorRefs += Rec.RefCount;
   }
   return S;
 }

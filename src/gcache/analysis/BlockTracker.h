@@ -22,7 +22,9 @@
 ///  - *busy blocks*: blocks receiving at least 1/1000 of all references.
 ///
 /// Blocks below the dynamic area (program data, globals, the stack) are
-/// the paper's static blocks and are tracked in a sparse table.
+/// the paper's static blocks. They are tracked in a table indexed by block
+/// number that covers every address below Heap::DynamicBase, split into
+/// pages of PageBlocks records allocated on first touch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +35,9 @@
 #include "gcache/support/Stats.h"
 #include "gcache/trace/Event.h"
 
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 namespace gcache {
@@ -107,19 +110,27 @@ public:
   const BlockRecord &dynamicRecord(size_t I) const { return Dynamic[I]; }
   size_t numDynamicRecords() const { return Dynamic.size(); }
 
+  /// Static-block records per page of the static table.
+  static constexpr uint32_t PageBlocks = 1024;
+
 private:
+  static constexpr uint32_t PageShift = std::countr_zero(PageBlocks);
+
   uint32_t cacheSlotOf(uint32_t BlockIdx) const { return BlockIdx & SlotMask; }
   /// Current allocation cycle of cache slot \p Slot (see file comment).
   uint32_t currentCycleOf(uint32_t Slot) const {
     if (FrontierBlocks <= Slot)
       return 0;
-    return (FrontierBlocks - 1 - Slot) / NumSlots + 1;
+    return ((FrontierBlocks - 1 - Slot) >> SlotShift) + 1;
   }
   void touch(BlockRecord &Rec, uint32_t Slot);
+  // The rare paths, kept out of line so onRef stays small.
+  [[gnu::noinline]] void growDynamic(uint32_t BlockIdx);
+  [[gnu::noinline]] BlockRecord *newStaticPage(uint32_t PageIdx);
 
   uint32_t BlockBytes;
   uint32_t BlockShift;
-  uint32_t NumSlots;  ///< Cache blocks in the reference cache.
+  uint32_t SlotShift; ///< log2 of the reference cache's block count.
   uint32_t SlotMask;
   Address RuntimeVecAddr;
 
@@ -127,7 +138,9 @@ private:
   uint32_t FrontierBlocks = 0; ///< Dynamic blocks allocated so far.
 
   std::vector<BlockRecord> Dynamic; ///< Indexed by dynamic block number.
-  std::unordered_map<uint32_t, BlockRecord> Static; ///< By block index.
+  /// Static blocks by block number: page BlockIdx >> PageShift, null until
+  /// a block on it is first referenced.
+  std::vector<std::unique_ptr<BlockRecord[]>> StaticPages;
 
   Log2Histogram Lifetimes;
   Log2Histogram DynRefCounts;

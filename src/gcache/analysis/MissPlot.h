@@ -11,6 +11,10 @@
 /// allocation pointer sweeping the cache — and thrashing busy blocks as
 /// horizontal stripes. Rendered as ASCII art (downsampled) or PGM.
 ///
+/// The plot keeps one bit per (column, cache block), column after column
+/// in one array. A column exists for every RefsPerColumn references seen,
+/// the last one possibly partial, whether or not a miss landed in it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GCACHE_ANALYSIS_MISSPLOT_H
@@ -32,8 +36,11 @@ public:
   void onRef(const Ref &R) override;
 
   const Cache &cache() const { return Sim; }
-  uint64_t columns() const { return Columns.size(); }
-  uint64_t refsSeen() const { return RefsSeen; }
+  /// Time columns: ceil(refsSeen() / refsPerColumn()).
+  uint64_t columns() const { return Columns; }
+  uint64_t refsSeen() const {
+    return Columns * RefsPerColumn - ColumnRefsLeft;
+  }
   uint32_t refsPerColumn() const { return RefsPerColumn; }
 
   /// Attaches a shadow oracle to the owned cache (--crosscheck).
@@ -58,14 +65,19 @@ public:
   bool degraded() const { return false; }
 
 private:
-  std::vector<uint8_t> &currentColumn();
+  bool bit(uint64_t Column, uint32_t Block) const {
+    return Bits[Column * WordsPerColumn + Block / 64] >> (Block % 64) & 1;
+  }
 
   Cache Sim;
   uint32_t RefsPerColumn;
   uint32_t NumBlocks;
-  uint64_t RefsSeen = 0;
-  /// One bitset (byte per block for simplicity) per time column.
-  std::vector<std::vector<uint8_t>> Columns;
+  uint32_t WordsPerColumn; ///< ceil(NumBlocks / 64).
+  uint64_t Columns = 0;
+  /// References left before the next column starts (0: start one).
+  uint32_t ColumnRefsLeft = 0;
+  /// One bit per cache block, WordsPerColumn words per time column.
+  std::vector<uint64_t> Bits;
 };
 
 } // namespace gcache

@@ -18,7 +18,11 @@ Cache::~Cache() = default;
 
 Cache::Cache(const CacheConfig &Config) : Config(Config) {
   assert(Config.isValid() && "invalid cache geometry");
+  Shape = (Config.Ways == 1 ? ShapeDirect : 0) |
+          (Config.WriteHit == WriteHitPolicy::WriteBack ? ShapeWriteBack : 0) |
+          (Config.TrackPerBlockStats ? ShapePerBlock : 0);
   SetMask = Config.numSets() - 1;
+  SetShift = std::bit_width(SetMask);
   BlockShift = std::bit_width(Config.BlockBytes) - 1;
   uint32_t Words = Config.wordsPerBlock();
   FullMask = Words == 64 ? ~0ull : ((1ull << Words) - 1);
@@ -45,52 +49,37 @@ void Cache::reset() {
     Shadow->reset();
 }
 
-void Cache::noteBlockStats(uint32_t SetIdx, bool Miss, bool FetchMiss) {
-  if (!Config.TrackPerBlockStats)
-    return;
-  ++BlockRefs[SetIdx];
-  if (Miss)
-    ++BlockMisses[SetIdx];
-  if (FetchMiss)
-    ++BlockFetchMisses[SetIdx];
-}
-
-AccessResult Cache::access(const Ref &R) {
-  AccessResult Got = simulate(R);
-  if (Shadow) {
-    // The oracle must see every reference to stay coherent; CompareEvery
-    // only thins how often the two verdicts are compared.
-    AccessResult Want = Shadow->access(R);
-    ++ShadowRefs;
-    if ((CompareEvery <= 1 || ShadowRefs % CompareEvery == 0) && Want != Got)
-      reportDivergence(R, Want, Got);
-  }
-  return Got;
-}
-
-AccessResult Cache::simulate(const Ref &R) {
+template <bool DirectMapped, bool WriteBack, bool PerBlock>
+[[gnu::always_inline]] inline AccessResult Cache::simulate(const Ref &R) {
   CacheCounters &C = Counts[static_cast<unsigned>(R.ExecPhase)];
-  bool IsStore = R.Kind == AccessKind::Store;
-  if (IsStore)
-    ++C.Stores;
-  else
-    ++C.Loads;
-  if (IsStore && Config.WriteHit == WriteHitPolicy::WriteThrough)
-    ++C.WriteThroughs;
+  const bool IsStore = R.Kind == AccessKind::Store;
+  C.Loads += !IsStore;
+  C.Stores += IsStore;
+  if constexpr (!WriteBack)
+    C.WriteThroughs += IsStore;
 
-  uint32_t BlockIdx = R.Addr >> BlockShift;
-  uint32_t SetIdx = BlockIdx & SetMask;
-  // SetMask+1 is numSets (a power of two), so this divide is a shift.
-  uint32_t Tag = BlockIdx / (SetMask + 1);
-  uint64_t WordBit = 1ull << ((R.Addr & (Config.BlockBytes - 1)) >> 2);
+  const uint32_t BlockIdx = R.Addr >> BlockShift;
+  const uint32_t SetIdx = BlockIdx & SetMask;
+  const uint32_t Tag = BlockIdx >> SetShift;
+  const uint64_t WordBit = 1ull << ((R.Addr & (Config.BlockBytes - 1)) >> 2);
+  // The word a store writes (none for a load).
+  const uint64_t StoreBit = IsStore ? WordBit : 0;
+  if constexpr (PerBlock)
+    ++BlockRefs[SetIdx];
+  auto NoteMiss = [&](bool FetchMiss) {
+    if constexpr (PerBlock) {
+      ++BlockMisses[SetIdx];
+      BlockFetchMisses[SetIdx] += FetchMiss;
+    }
+  };
 
-  Line *Set = setBase(SetIdx);
+  Line *Set = DirectMapped ? &Lines[SetIdx] : setBase(SetIdx);
   Line *Found = nullptr;
   Line *Victim = Set;
   // Only an associative set has a victim to choose; direct-mapped caches
   // leave the clock and their stamps at 0.
   uint64_t Stamp = 0;
-  if (Config.Ways == 1) {
+  if constexpr (DirectMapped) {
     if (Set->ValidMask != 0 && Set->Tag == Tag)
       Found = Set;
   } else {
@@ -109,29 +98,21 @@ AccessResult Cache::simulate(const Ref &R) {
     }
   }
 
-  bool TrackDirty = Config.WriteHit == WriteHitPolicy::WriteBack;
-
   if (Found) {
     Found->LruStamp = Stamp;
-    if (IsStore) {
-      // Stores always complete in one cycle: under write-validate they
-      // validate the word; under fetch-on-write, a hit already has the
-      // block resident.
-      Found->ValidMask |= WordBit;
-      if (TrackDirty)
-        Found->StoreMask |= WordBit;
-      noteBlockStats(SetIdx, /*Miss=*/false, /*FetchMiss=*/false);
+    // Stores always complete in one cycle: under write-validate they
+    // validate the word; under fetch-on-write, a hit already has the
+    // block resident.
+    Found->ValidMask |= StoreBit;
+    if constexpr (WriteBack)
+      Found->StoreMask |= StoreBit;
+    if (Found->ValidMask & WordBit)
       return AccessResult::Hit;
-    }
-    if (Found->ValidMask & WordBit) {
-      noteBlockStats(SetIdx, /*Miss=*/false, /*FetchMiss=*/false);
-      return AccessResult::Hit;
-    }
     // Sub-block read miss: the block is resident but this word was never
     // fetched (write-validate left it invalid). Fetch the whole block.
     Found->ValidMask = FullMask;
     ++C.FetchMisses;
-    noteBlockStats(SetIdx, /*Miss=*/true, /*FetchMiss=*/true);
+    NoteMiss(/*FetchMiss=*/true);
     return AccessResult::FetchMiss;
   }
 
@@ -141,7 +122,7 @@ AccessResult Cache::simulate(const Ref &R) {
     ++C.Writebacks;
   Victim->Tag = Tag;
   Victim->LruStamp = Stamp;
-  Victim->StoreMask = IsStore && TrackDirty ? WordBit : 0;
+  Victim->StoreMask = WriteBack ? StoreBit : 0;
 
   bool FetchOnWrite = Config.WriteMiss == WriteMissPolicy::FetchOnWrite ||
                       (Config.CollectorFetchOnWrite &&
@@ -149,14 +130,45 @@ AccessResult Cache::simulate(const Ref &R) {
   if (IsStore && !FetchOnWrite) {
     Victim->ValidMask = WordBit;
     ++C.NoFetchMisses;
-    noteBlockStats(SetIdx, /*Miss=*/true, /*FetchMiss=*/false);
+    NoteMiss(/*FetchMiss=*/false);
     return AccessResult::NoFetchWriteMiss;
   }
 
   Victim->ValidMask = FullMask;
   ++C.FetchMisses;
-  noteBlockStats(SetIdx, /*Miss=*/true, /*FetchMiss=*/true);
+  NoteMiss(/*FetchMiss=*/true);
   return AccessResult::FetchMiss;
+}
+
+const Cache::SimulateFn Cache::SimulateByShape[8] = {
+    &Cache::simulate<false, false, false>, &Cache::simulate<true, false, false>,
+    &Cache::simulate<false, true, false>,  &Cache::simulate<true, true, false>,
+    &Cache::simulate<false, false, true>,  &Cache::simulate<true, false, true>,
+    &Cache::simulate<false, true, true>,   &Cache::simulate<true, true, true>};
+
+AccessResult Cache::access(const Ref &R) {
+  // The direct-mapped write-back shapes (the sink-side caches of §7) are
+  // called directly; the others through the table.
+  AccessResult Got;
+  switch (Shape) {
+  case ShapeDirect | ShapeWriteBack:
+    Got = simulate<true, true, false>(R);
+    break;
+  case ShapeDirect | ShapeWriteBack | ShapePerBlock:
+    Got = simulate<true, true, true>(R);
+    break;
+  default:
+    Got = (this->*SimulateByShape[Shape])(R);
+  }
+  if (Shadow) {
+    // The oracle must see every reference to stay coherent; CompareEvery
+    // only thins how often the two verdicts are compared.
+    AccessResult Want = Shadow->access(R);
+    ++ShadowRefs;
+    if ((CompareEvery <= 1 || ShadowRefs % CompareEvery == 0) && Want != Got)
+      reportDivergence(R, Want, Got);
+  }
+  return Got;
 }
 
 CacheCounters Cache::totalCounters() const {

@@ -128,7 +128,7 @@ public:
 
   /// Cache block (set) index a byte address maps to.
   uint32_t setIndexOf(Address Addr) const {
-    return (Addr / Config.BlockBytes) & SetMask;
+    return (Addr >> BlockShift) & SetMask;
   }
 
   /// Appends geometry, line array, counters, and per-block statistics to an
@@ -198,19 +198,30 @@ private:
     bool dirty() const { return StoreMask != 0; }
   };
 
+  /// The one simulation body. The policy tests it would otherwise make on
+  /// every reference are template parameters; each cache picks its
+  /// instantiation once, at construction (Shape).
+  template <bool DirectMapped, bool WriteBack, bool PerBlock>
   AccessResult simulate(const Ref &R);
+  using SimulateFn = AccessResult (Cache::*)(const Ref &);
+  /// Shape bits: which instantiation of simulate a cache takes.
+  static constexpr uint8_t ShapeDirect = 1, ShapeWriteBack = 2,
+                           ShapePerBlock = 4;
+  static const SimulateFn SimulateByShape[8];
+
   Line *setBase(uint32_t SetIdx) { return &Lines[SetIdx * Config.Ways]; }
   const Line *setBase(uint32_t SetIdx) const {
     return &Lines[SetIdx * Config.Ways];
   }
-  void noteBlockStats(uint32_t SetIdx, bool Miss, bool FetchMiss);
   void resyncShadow();
   [[noreturn]] void reportDivergence(const Ref &R, AccessResult Want,
                                      AccessResult Got) const;
   std::string dumpSet(uint32_t SetIdx) const;
 
   CacheConfig Config;
+  uint8_t Shape;
   uint32_t SetMask;
+  uint32_t SetShift; ///< log2(numSets): a block index's tag is above it.
   uint32_t BlockShift;
   uint64_t FullMask;
   uint64_t LruClock = 0;

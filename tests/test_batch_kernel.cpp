@@ -249,6 +249,21 @@ INSTANTIATE_TEST_SUITE_P(
                     .CollectorFetchOnWrite = false},
         CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 256, .Ways = 4,
                     .WriteMiss = WriteMissPolicy::FetchOnWrite,
+                    .TrackPerBlockStats = true},
+        // Direct-mapped write-back without per-block statistics (the miss
+        // plot's cache) and direct-mapped write-through with them, under
+        // both write-miss policies: with these, every instantiation of
+        // Cache::simulate is in the matrix.
+        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 64},
+        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 32,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite},
+        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 32,
+                    .WriteHit = WriteHitPolicy::WriteThrough,
+                    .TrackPerBlockStats = true},
+        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
+                    .WriteHit = WriteHitPolicy::WriteThrough,
+                    .CollectorFetchOnWrite = false,
                     .TrackPerBlockStats = true}));
 
 //===----------------------------------------------------------------------===//

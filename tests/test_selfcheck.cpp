@@ -95,6 +95,22 @@ INSTANTIATE_TEST_SUITE_P(
                     .BlockBytes = 32,
                     .Ways = 2,
                     .CollectorFetchOnWrite = false,
+                    .TrackPerBlockStats = true},
+        // Direct-mapped write-back without per-block statistics under
+        // fetch-on-write, and direct-mapped write-through with them under
+        // both write-miss policies.
+        CacheConfig{.SizeBytes = 2 << 10,
+                    .BlockBytes = 64,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite},
+        CacheConfig{.SizeBytes = 2 << 10,
+                    .BlockBytes = 32,
+                    .WriteHit = WriteHitPolicy::WriteThrough,
+                    .TrackPerBlockStats = true},
+        CacheConfig{.SizeBytes = 4 << 10,
+                    .BlockBytes = 16,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
+                    .WriteHit = WriteHitPolicy::WriteThrough,
+                    .CollectorFetchOnWrite = false,
                     .TrackPerBlockStats = true}));
 
 TEST(SelfCheck, SampledCrossCheckOnWarmCache) {
