@@ -52,10 +52,14 @@
 /// Unknown flags and malformed values (--threads=abc, --scale=1x,
 /// --fault=bogus, --deadline=-1) are hard errors: the binary prints a
 /// diagnostic and exits with status 2 instead of silently running with
-/// defaults. So is a GCACHE_* environment variable that stands for no
-/// flag of the binary (GCACHE_ON_BUDGET, a misspelt GCACHE_SCAL), and
-/// any flag that takes a value given without one (a bare --scale,
-/// --max-refs or --workload), which would otherwise read as "1". Of the
+/// defaults. So are values that would parse into nonsense: a --scale that
+/// is not a positive finite number, a --workload that names none of the
+/// five programs, a boolean (--csv, --audit) other than bare, 1/true or
+/// 0/false, and an empty value (--scale=), which would read as absent.
+/// So is a GCACHE_* environment variable that stands for no flag of the
+/// binary (GCACHE_ON_BUDGET, a misspelt GCACHE_SCAL), and any flag that
+/// takes a value given without one (a bare --scale, --max-refs or
+/// --workload), which would otherwise read as "1". Of the
 /// flags that take a value, only --paranoid and --crosscheck have a bare
 /// meaning.
 ///
@@ -133,14 +137,17 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     Usage += " --" + F;
   A.Opts.exitOnUnknown(Known, Usage);
 
-  A.Scale = flagOrExit(A.Opts.getStrictDouble("scale", 0.3));
+  A.Scale = flagOrExit(A.Opts.getStrictPositiveDouble("scale", 0.3));
   A.Threads = flagOrExit(A.Opts.getStrictUnsigned("threads", 0));
   A.BatchRefs = flagOrExit(A.Opts.getStrictUnsigned("batch", 0));
-  A.Csv = A.Opts.getBool("csv", false);
+  A.Csv = flagOrExit(A.Opts.getStrictBool("csv", false));
 
   // --paranoid is a level: bare (or true) = post-collection heap
   // verification, "phase" = that plus per-step-boundary certification.
-  std::string ParanoidSpec = A.Opts.get("paranoid", "");
+  std::string ParanoidSpec =
+      A.Opts.isBare("paranoid")
+          ? "1"
+          : flagOrExit(A.Opts.getStrict("paranoid", ""));
   if (ParanoidSpec == "phase") {
     A.Paranoid = true;
     A.ParanoidPhase = true;
@@ -155,6 +162,13 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
   }
 
   A.Workload = flagOrExit(A.Opts.getStrict("workload", ""));
+  if (!A.Workload.empty() && !findWorkload(A.Workload)) {
+    std::fprintf(stderr,
+                 "error: --workload must name one of orbit, imps, lp, "
+                 "nbody, gambit; got '%s'\n",
+                 A.Workload.c_str());
+    std::exit(2);
+  }
 
   // A bare --crosscheck compares every reference; --crosscheck=N samples
   // the comparison every N refs.
@@ -162,7 +176,7 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
       A.Opts.isBare("crosscheck")
           ? 1
           : flagOrExit(A.Opts.getStrictUnsigned("crosscheck", 0));
-  A.Audit = A.Opts.getBool("audit", false);
+  A.Audit = flagOrExit(A.Opts.getStrictBool("audit", false));
 
   // --fault falls back to GCACHE_FAULT via the Options env convention;
   // empty (unset) disarms.

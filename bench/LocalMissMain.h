@@ -34,10 +34,6 @@ inline int localMissFigureMain(int Argc, char **Argv, const char *Id,
                   .c_str(),
               A);
   const Workload *W = findWorkload(Name);
-  if (!W) {
-    std::fprintf(stderr, "error: unknown workload %s\n", Name.c_str());
-    return 2;
-  }
 
   CacheConfig Config;
   Config.SizeBytes = CacheBytes;

@@ -26,12 +26,6 @@ int main(int Argc, char **Argv) {
   BenchUnitRunner Runner;
   for (const std::string &Name : Names) {
     const Workload *W = findWorkload(Name);
-    if (!W) {
-      Runner.recordFailure(
-          Name, Status::failf(StatusCode::InvalidArgument,
-                              "unknown workload '%s'", Name.c_str()));
-      continue;
-    }
 
     // One run; the bank holds every (size, ways) combination.
     auto Bank = std::make_unique<CacheBank>();

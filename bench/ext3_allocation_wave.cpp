@@ -27,6 +27,7 @@ namespace {
 class AdjacencySink final : public TraceSink {
 public:
   void onRef(const Ref &) override {}
+  void onRefs(const RefSpan &) override {}
   void onAlloc(Address A, uint32_t Bytes) override {
     if (LastEnd && A == LastEnd)
       ++Adjacent;

@@ -25,10 +25,6 @@ int main(int Argc, char **Argv) {
   benchHeader("Figure 3 (§7)",
               ("cache-miss plot, " + Name + ", 64kb/64b").c_str(), A);
   const Workload *W = findWorkload(Name);
-  if (!W) {
-    std::fprintf(stderr, "error: unknown workload %s\n", Name.c_str());
-    return 2;
-  }
 
   CacheConfig Config;
   Config.SizeBytes = 64 << 10;

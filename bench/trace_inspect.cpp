@@ -59,7 +59,11 @@ int main(int Argc, char **Argv) {
       flagOrExit(A.Opts.getStrict("checkpoint-dir", ""));
   unsigned CheckpointEvery =
       flagOrExit(A.Opts.getStrictUnsigned("checkpoint-every", 0));
-  bool Resume = A.Opts.getBool("resume", false);
+  bool Resume = flagOrExit(A.Opts.getStrictBool("resume", false));
+  bool Salvage = flagOrExit(A.Opts.getStrictBool("salvage", false));
+  bool BatchStats = flagOrExit(A.Opts.getStrictBool("batch-stats", false));
+  bool GcPhases = flagOrExit(A.Opts.getStrictBool("gc-phases", false));
+  bool Replay = flagOrExit(A.Opts.getStrictBool("replay", false));
   if (CheckpointDir.empty() && (Resume || CheckpointEvery)) {
     std::fprintf(stderr, "error: --resume/--checkpoint-every require "
                          "--checkpoint-dir\n");
@@ -75,7 +79,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: --trace=<path> is required\n");
     return 2;
   }
-  bool Salvage = A.Opts.getBool("salvage");
 
   TraceStream Stream;
   if (Status S = Stream.open(TracePath, Salvage); !S.ok()) {
@@ -137,7 +140,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(GcEnds),
               static_cast<unsigned long long>(GcPhaseMarks));
 
-  if (A.Opts.getBool("batch-stats")) {
+  if (BatchStats) {
     size_t Cap = A.BatchRefs ? A.BatchRefs : CacheBank::DefaultBatchRefs;
     if (Status S = Stream.seekTo(StartIndex, StartOffset); !S.ok()) {
       std::fprintf(stderr, "batch-stats: %s\n", S.message().c_str());
@@ -162,7 +165,7 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(B.OtherRecords));
   }
 
-  if (A.Opts.getBool("gc-phases")) {
+  if (GcPhases) {
     if (Status S = Stream.seekTo(StartIndex, StartOffset); !S.ok()) {
       std::fprintf(stderr, "gc-phases: %s\n", S.message().c_str());
       return 1;
@@ -193,7 +196,7 @@ int main(int Argc, char **Argv) {
     std::printf("\n");
   }
 
-  if (!A.Opts.getBool("replay"))
+  if (!Replay)
     return SalvageTruncated ? 4 : 0;
 
   CacheConfig Cfg;

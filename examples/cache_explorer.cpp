@@ -24,7 +24,7 @@ int main(int Argc, char **Argv) {
                      "usage: cache_explorer [--workload W] [--scale S]",
                      /*EnvOnly=*/{"fault"});
   std::string Name = Opts.get("workload", "gambit");
-  Expected<double> ScaleArg = Opts.getStrictDouble("scale", 0.3);
+  Expected<double> ScaleArg = Opts.getStrictPositiveDouble("scale", 0.3);
   if (!ScaleArg.ok()) {
     std::fprintf(stderr, "error: %s\n", ScaleArg.status().message().c_str());
     return 2;

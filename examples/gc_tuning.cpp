@@ -25,7 +25,7 @@ int main(int Argc, char **Argv) {
                      "usage: gc_tuning [--workload W] [--scale S]",
                      /*EnvOnly=*/{"fault"});
   std::string Name = Opts.get("workload", "lp");
-  Expected<double> ScaleArg = Opts.getStrictDouble("scale", 0.4);
+  Expected<double> ScaleArg = Opts.getStrictPositiveDouble("scale", 0.4);
   if (!ScaleArg.ok()) {
     std::fprintf(stderr, "error: %s\n", ScaleArg.status().message().c_str());
     return 2;

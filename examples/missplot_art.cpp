@@ -29,7 +29,7 @@ int main(int Argc, char **Argv) {
                      "generational]",
                      /*EnvOnly=*/{"fault"});
   std::string Name = Opts.get("workload", "nbody");
-  Expected<double> ScaleArg = Opts.getStrictDouble("scale", 0.15);
+  Expected<double> ScaleArg = Opts.getStrictPositiveDouble("scale", 0.15);
   Expected<unsigned> CacheKbArg = Opts.getStrictUnsigned("cache-kb", 64);
   Expected<unsigned> BlockArg = Opts.getStrictUnsigned("block", 64);
   for (const Status &S :

@@ -73,6 +73,11 @@ void BlockTracker::onRef(const Ref &R) {
   touch(Page[BlockIdx & (PageBlocks - 1)], cacheSlotOf(BlockIdx));
 }
 
+void BlockTracker::onRefs(const RefSpan &S) {
+  for (size_t I = 0; I != S.size(); ++I)
+    onRef(S[I]);
+}
+
 void BlockTracker::growDynamic(uint32_t BlockIdx) {
   // A reference beyond the recorded frontier (e.g. collector-resized
   // areas); extend conservatively.

@@ -89,6 +89,7 @@ public:
                Address RuntimeVectorAddr = 0);
 
   void onRef(const Ref &R) override;
+  void onRefs(const RefSpan &S) override;
   void onAlloc(Address Addr, uint32_t Bytes) override;
 
   /// Lifetime distribution of *dead-by-end* dynamic blocks, in references.

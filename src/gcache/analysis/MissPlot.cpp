@@ -28,6 +28,11 @@ void MissPlot::onRef(const Ref &R) {
   }
 }
 
+void MissPlot::onRefs(const RefSpan &S) {
+  for (size_t I = 0; I != S.size(); ++I)
+    onRef(S[I]);
+}
+
 bool MissPlot::missedAt(uint64_t Column, uint32_t Block) const {
   if (Column >= Columns || Block >= NumBlocks)
     return false;

@@ -34,6 +34,7 @@ public:
   explicit MissPlot(const CacheConfig &Config, uint32_t RefsPerColumn = 1024);
 
   void onRef(const Ref &R) override;
+  void onRefs(const RefSpan &S) override;
 
   const Cache &cache() const { return Sim; }
   /// Time columns: ceil(refsSeen() / refsPerColumn()).

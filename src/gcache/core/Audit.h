@@ -69,6 +69,10 @@ public:
   void onRef(const Ref &R) override {
     ++Refs[static_cast<unsigned>(R.ExecPhase)][static_cast<unsigned>(R.Kind)];
   }
+  void onRefs(const RefSpan &S) override {
+    for (size_t I = 0; I != S.size(); ++I)
+      onRef(S[I]);
+  }
   void onGcBegin() override { runAudit("gc-begin"); }
   void onGcEnd() override { runAudit("gc-end"); }
 

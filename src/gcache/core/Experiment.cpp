@@ -9,18 +9,6 @@
 
 using namespace gcache;
 
-namespace {
-
-/// Feeds the simulated-reference clock of the process budget so
-/// --max-refs trips at cooperative poll sites. Rides first on the bus:
-/// metering must see a reference before any sink that might poll.
-class BudgetRefMeter final : public TraceSink {
-public:
-  void onRef(const Ref &) override { processBudget().noteRefs(1); }
-};
-
-} // namespace
-
 uint32_t ExperimentOptions::effectiveSemispace() const {
   if (SemispaceBytes)
     return SemispaceBytes;

@@ -91,6 +91,18 @@ struct ExperimentOptions {
   uint32_t effectiveSemispace() const;
 };
 
+/// Feeds the simulated-reference clock of the process budget so
+/// --max-refs trips at cooperative poll sites. Rides first on the bus:
+/// metering must see a reference before any sink that might poll. The
+/// heap flushes its trace before each poll, so the meter is exact there.
+class BudgetRefMeter final : public TraceSink {
+public:
+  void onRef(const Ref &) override { processBudget().noteRefs(1); }
+  void onRefs(const RefSpan &S) override {
+    processBudget().noteRefs(S.size());
+  }
+};
+
 /// Everything measured in one program run.
 struct ProgramRun {
   std::string Name;

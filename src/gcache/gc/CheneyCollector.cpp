@@ -2,8 +2,6 @@
 
 #include "gcache/gc/CheneyCollector.h"
 
-#include "gcache/trace/Sinks.h"
-
 using namespace gcache;
 
 CheneyCollector::CheneyCollector(Heap &H, MutatorContext &Mutator,
@@ -75,8 +73,7 @@ void CheneyCollector::onBeginCycle(GcCycleKind) {
   ++Stats.MajorCollections;
   Stats.Instructions += gccost::Setup;
   H.setPhase(Phase::Collector);
-  if (TraceSink *Bus = H.traceBus())
-    Bus->onGcBegin();
+  H.emitGcBegin();
 
   H.ensureDynamicBacked(ToBase + SemiBytes);
   FreePtr = ToBase;
@@ -165,8 +162,7 @@ void CheneyCollector::finishCycle() {
   H.setDynamicFrontier(FreePtr);
   H.setDynamicLimit(FromBase + SemiBytes);
 
-  if (TraceSink *Bus = H.traceBus())
-    Bus->onGcEnd();
+  H.emitGcEnd();
   H.setPhase(Phase::Mutator);
   Mutator.onPostGc();
   setGcPhase(GcPhase::Idle);

@@ -35,8 +35,7 @@ void Collector::beginCycle(GcCycleKind Kind) {
   onBeginCycle(Kind);
   if (!gcActive())
     return; // Declined (nothing to collect).
-  if (TraceSink *Bus = H.traceBus())
-    Bus->onGcPhase(GcPhase::Begin);
+  H.emitGcPhase(GcPhase::Begin);
   if (PhaseParanoid)
     certifyNowOrThrow("at cycle begin");
 }
@@ -46,8 +45,7 @@ bool Collector::stepCycle() {
     return false;
   // The marker precedes its work: every reference until the next marker
   // belongs to the phase named here.
-  if (TraceSink *Bus = H.traceBus())
-    Bus->onGcPhase(CurPhase);
+  H.emitGcPhase(CurPhase);
   bool More = onCycleStep();
   ++StepIndex;
   ++TotalSteps;
@@ -62,6 +60,7 @@ bool Collector::stepCycle() {
         "injected GC interruption (site gc-step-abort, occurrence %llu)",
         static_cast<unsigned long long>(
             Fi.occurrences(FaultSite::GcStepAbort))));
+  H.flushTrace(); // The --max-refs meter is exact at every poll.
   pollCancellation("gc-step");
   if (!More)
     paranoidPostGcCheck();

@@ -2,8 +2,6 @@
 
 #include "gcache/gc/GenerationalCollector.h"
 
-#include "gcache/trace/Sinks.h"
-
 using namespace gcache;
 
 GenerationalCollector::GenerationalCollector(Heap &H, MutatorContext &Mutator,
@@ -114,8 +112,7 @@ void GenerationalCollector::onBeginCycle(GcCycleKind Kind) {
     ++Stats.MajorCollections;
   Stats.Instructions += gccost::Setup;
   H.setPhase(Phase::Collector);
-  if (TraceSink *Bus = H.traceBus())
-    Bus->onGcBegin();
+  H.emitGcBegin();
 
   if (Kind == GcCycleKind::Full) {
     H.ensureDynamicBacked(OldToBase + Config.OldSemispaceBytes);
@@ -230,8 +227,7 @@ void GenerationalCollector::finishCycle() {
   RememberedSet.clear();
   H.setDynamicFrontier(Heap::DynamicBase);
   H.setDynamicLimit(Heap::DynamicBase + Config.NurseryBytes);
-  if (TraceSink *Bus = H.traceBus())
-    Bus->onGcEnd();
+  H.emitGcEnd();
   H.setPhase(Phase::Mutator);
   Mutator.onPostGc();
   setGcPhase(GcPhase::Idle);

@@ -2,8 +2,6 @@
 
 #include "gcache/gc/MarkSweepCollector.h"
 
-#include "gcache/trace/Sinks.h"
-
 #include <algorithm>
 
 using namespace gcache;
@@ -260,8 +258,7 @@ void MarkSweepCollector::onBeginCycle(GcCycleKind) {
   ++Stats.MajorCollections;
   Stats.Instructions += gccost::Setup;
   H.setPhase(Phase::Collector);
-  if (TraceSink *Bus = H.traceBus())
-    Bus->onGcBegin();
+  H.emitGcBegin();
 
   std::fill(MarkBits.begin(), MarkBits.end(), 0);
   MarkStack.clear();
@@ -279,8 +276,7 @@ void MarkSweepCollector::onBeginCycle(GcCycleKind) {
 }
 
 void MarkSweepCollector::finishCycle() {
-  if (TraceSink *Bus = H.traceBus())
-    Bus->onGcEnd();
+  H.emitGcEnd();
   H.setPhase(Phase::Mutator);
   Mutator.onPostGc();
   setGcPhase(GcPhase::Idle);

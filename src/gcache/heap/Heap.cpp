@@ -2,8 +2,6 @@
 
 #include "gcache/heap/Heap.h"
 
-#include "gcache/trace/Sinks.h"
-
 #include <cassert>
 
 using namespace gcache;
@@ -12,38 +10,34 @@ Heap::Heap(TraceSink *Bus) : Bus(Bus) {
   StackWords.assign(StackCapacityWords, 0);
 }
 
-uint32_t *Heap::slotFor(Address A) {
-  assert((A & 3) == 0 && "word access must be aligned");
-  if (A >= DynamicBase) {
-    size_t Idx = (A - DynamicBase) >> 2;
-    assert(Idx < DynamicWords.size() && "dynamic access out of bounds");
-    return &DynamicWords[Idx];
-  }
-  if (A >= StackBase) {
-    size_t Idx = (A - StackBase) >> 2;
-    assert(Idx < StackWords.size() && "stack access out of bounds");
-    return &StackWords[Idx];
-  }
-  assert(A >= StaticBase && "access below the static area");
-  size_t Idx = (A - StaticBase) >> 2;
-  assert(Idx < StaticWords.size() && "static access out of bounds");
-  return &StaticWords[Idx];
+void Heap::deliverTrace() {
+  RefSpan Span{PendingAddr.data(), PendingKind.data(), PendingPhase.data(),
+               PendingRefs};
+  // Emptied first: if a sink throws, a later flush must not hand the same
+  // references to the sinks that already took them.
+  PendingRefs = 0;
+  Bus->onRefs(Span);
 }
 
-const uint32_t *Heap::slotFor(Address A) const {
-  return const_cast<Heap *>(this)->slotFor(A);
+void Heap::emitGcBegin() {
+  if (!Bus)
+    return;
+  flushTrace();
+  Bus->onGcBegin();
 }
 
-uint32_t Heap::load(Address A) {
-  if (TracingEnabled && Bus)
-    Bus->onRef({A, AccessKind::Load, CurrentPhase});
-  return *slotFor(A);
+void Heap::emitGcEnd() {
+  if (!Bus)
+    return;
+  flushTrace();
+  Bus->onGcEnd();
 }
 
-void Heap::store(Address A, uint32_t V) {
-  if (TracingEnabled && Bus)
-    Bus->onRef({A, AccessKind::Store, CurrentPhase});
-  *slotFor(A) = V;
+void Heap::emitGcPhase(GcPhase P) {
+  if (!Bus)
+    return;
+  flushTrace();
+  Bus->onGcPhase(P);
 }
 
 uint32_t Heap::peek(Address A) const { return *slotFor(A); }
@@ -66,15 +60,20 @@ Address Heap::allocDynamicRaw(uint32_t Words) {
          "allocation past the semispace limit; collector should have run");
   ensureDynamicBacked(DynFrontier);
   DynBytesAllocated += static_cast<uint64_t>(Words) * 4;
-  if (TracingEnabled && Bus)
-    Bus->onAlloc(A, Words * 4);
+  emitAlloc(A, Words * 4);
   return A;
 }
 
 void Heap::recordAllocationEvent(Address A, uint32_t Words) {
   DynBytesAllocated += static_cast<uint64_t>(Words) * 4;
-  if (TracingEnabled && Bus)
-    Bus->onAlloc(A, Words * 4);
+  emitAlloc(A, Words * 4);
+}
+
+void Heap::emitAlloc(Address A, uint32_t Bytes) {
+  if (!TracingEnabled || !Bus)
+    return;
+  flushTrace();
+  Bus->onAlloc(A, Bytes);
 }
 
 void Heap::setDynamicFrontier(Address A) {

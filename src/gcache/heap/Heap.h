@@ -10,6 +10,16 @@
 /// emits one Ref event — this is the reproduction's stand-in for the
 /// paper's instruction-level MIPS emulator.
 ///
+/// The heap is also the producer of the live trace. A traced load or store
+/// is an inline append to a fixed-capacity columnar buffer, which reaches
+/// the bus as one RefSpan (TraceSink::onRefs). The buffer is delivered
+/// before every non-reference event the heap emits (allocation, GC begin,
+/// GC end, GC phase marker), whenever tracing is toggled or the bus
+/// changes, when it fills, and at flushTrace(), which the VM's and the
+/// collectors' cooperative poll sites call. Sinks thus see the exact
+/// serial order of events (trace/Event.h states the contract); code that
+/// reads a sink straight after raw heap accesses calls flushTrace() first.
+///
 /// The layout mirrors §7's block taxonomy:
 ///   - a *static* area holding the program itself: interned symbols,
 ///     quoted constants, global value cells, top-level closures, and the
@@ -28,6 +38,8 @@
 #include "gcache/heap/Value.h"
 #include "gcache/trace/Event.h"
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -56,15 +68,25 @@ public:
   static constexpr Address DynamicBase = 0x10000000 + 0x20000 + 21 * 64;
   static constexpr uint32_t StackCapacityWords = 1u << 20; // 4 MB of stack.
 
-  /// \p Bus receives one event per access; may be null (untraced heap).
+  /// References buffered before the heap delivers them as one span.
+  static constexpr size_t TraceBufferRefs = 4096;
+
+  /// \p Bus receives the trace (references in spans); may be null
+  /// (untraced heap).
   explicit Heap(TraceSink *Bus = nullptr);
 
   //===--- Traced accesses (the instruction-level emulator) --------------===//
 
   /// Loads the word at \p A, emitting a load event.
-  uint32_t load(Address A);
+  uint32_t load(Address A) {
+    traceRef(A, AccessKind::Load);
+    return *slotFor(A);
+  }
   /// Stores \p V at \p A, emitting a store event.
-  void store(Address A, uint32_t V);
+  void store(Address A, uint32_t V) {
+    traceRef(A, AccessKind::Store);
+    *slotFor(A) = V;
+  }
 
   Value loadValue(Address A) { return {load(A)}; }
   void storeValue(Address A, Value V) { store(A, V.Bits); }
@@ -116,19 +138,71 @@ public:
 
   //===--- Tracing control ------------------------------------------------===//
 
-  void setTraceBus(TraceSink *B) { Bus = B; }
-  TraceSink *traceBus() const { return Bus; }
-  void setTracing(bool On) { TracingEnabled = On; }
+  /// Delivers the buffered references to the old bus, then switches.
+  void setTraceBus(TraceSink *B) {
+    flushTrace();
+    Bus = B;
+  }
+  /// Delivers the buffered references, then turns tracing on or off.
+  void setTracing(bool On) {
+    flushTrace();
+    TracingEnabled = On;
+  }
   bool tracing() const { return TracingEnabled; }
+  /// Tags the references emitted from now on; buffered ones keep theirs.
   void setPhase(Phase P) { CurrentPhase = P; }
   Phase phase() const { return CurrentPhase; }
+
+  /// Delivers every buffered reference to the bus as one span.
+  void flushTrace() {
+    if (PendingRefs)
+      deliverTrace();
+  }
+
+  /// Collection events for the bus, each after the buffered references.
+  /// They reach the bus whenever one is set, traced run or not.
+  void emitGcBegin();
+  void emitGcEnd();
+  void emitGcPhase(GcPhase P);
 
   /// Total dynamic bytes ever allocated (the paper's "Alloc" column).
   uint64_t dynamicBytesAllocated() const { return DynBytesAllocated; }
 
 private:
-  uint32_t *slotFor(Address A);
-  const uint32_t *slotFor(Address A) const;
+  uint32_t *slotFor(Address A) {
+    assert((A & 3) == 0 && "word access must be aligned");
+    if (A >= DynamicBase) {
+      size_t Idx = (A - DynamicBase) >> 2;
+      assert(Idx < DynamicWords.size() && "dynamic access out of bounds");
+      return &DynamicWords[Idx];
+    }
+    if (A >= StackBase) {
+      size_t Idx = (A - StackBase) >> 2;
+      assert(Idx < StackWords.size() && "stack access out of bounds");
+      return &StackWords[Idx];
+    }
+    assert(A >= StaticBase && "access below the static area");
+    size_t Idx = (A - StaticBase) >> 2;
+    assert(Idx < StaticWords.size() && "static access out of bounds");
+    return &StaticWords[Idx];
+  }
+  const uint32_t *slotFor(Address A) const {
+    return const_cast<Heap *>(this)->slotFor(A);
+  }
+
+  void traceRef(Address A, AccessKind K) {
+    if (!TracingEnabled || !Bus)
+      return;
+    PendingAddr[PendingRefs] = A;
+    PendingKind[PendingRefs] = static_cast<uint8_t>(K);
+    PendingPhase[PendingRefs] = static_cast<uint8_t>(CurrentPhase);
+    if (++PendingRefs == TraceBufferRefs)
+      deliverTrace();
+  }
+  /// Hands the buffer to the bus as one span and empties it.
+  [[gnu::noinline]] void deliverTrace();
+  /// The allocation event of a traced run, after the buffered references.
+  void emitAlloc(Address A, uint32_t Bytes);
 
   std::vector<uint32_t> StaticWords;
   std::vector<uint32_t> StackWords;
@@ -142,6 +216,12 @@ private:
   TraceSink *Bus = nullptr;
   bool TracingEnabled = true;
   Phase CurrentPhase = Phase::Mutator;
+
+  /// The trace buffer: references emitted but not yet delivered.
+  size_t PendingRefs = 0;
+  std::array<Address, TraceBufferRefs> PendingAddr{};
+  std::array<uint8_t, TraceBufferRefs> PendingKind{};
+  std::array<uint8_t, TraceBufferRefs> PendingPhase{};
 };
 
 } // namespace gcache

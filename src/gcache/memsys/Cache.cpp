@@ -146,6 +146,31 @@ const Cache::SimulateFn Cache::SimulateByShape[8] = {
     &Cache::simulate<false, false, true>,  &Cache::simulate<true, false, true>,
     &Cache::simulate<false, true, true>,   &Cache::simulate<true, true, true>};
 
+template <bool DirectMapped, bool WriteBack, bool PerBlock>
+void Cache::simulateSpan(const RefSpan &S) {
+  for (size_t I = 0; I != S.size(); ++I)
+    (void)simulate<DirectMapped, WriteBack, PerBlock>(S[I]);
+}
+
+const Cache::SimulateSpanFn Cache::SimulateSpanByShape[8] = {
+    &Cache::simulateSpan<false, false, false>,
+    &Cache::simulateSpan<true, false, false>,
+    &Cache::simulateSpan<false, true, false>,
+    &Cache::simulateSpan<true, true, false>,
+    &Cache::simulateSpan<false, false, true>,
+    &Cache::simulateSpan<true, false, true>,
+    &Cache::simulateSpan<false, true, true>,
+    &Cache::simulateSpan<true, true, true>};
+
+void Cache::onRefs(const RefSpan &S) {
+  if (Shadow) {
+    for (size_t I = 0; I != S.size(); ++I)
+      (void)access(S[I]);
+    return;
+  }
+  (this->*SimulateSpanByShape[Shape])(S);
+}
+
 AccessResult Cache::access(const Ref &R) {
   // The direct-mapped write-back shapes (the sink-side caches of §7) are
   // called directly; the others through the table.

@@ -104,6 +104,10 @@ public:
 
   /// TraceSink entry point: simulate and discard the outcome.
   void onRef(const Ref &R) override { (void)access(R); }
+  /// Simulates a span through the cache's simulate instantiation, picked
+  /// once per span; with a shadow oracle, each reference goes through
+  /// access.
+  void onRefs(const RefSpan &S) override;
 
   /// Resets contents and statistics to the post-construction state.
   void reset();
@@ -204,10 +208,15 @@ private:
   template <bool DirectMapped, bool WriteBack, bool PerBlock>
   AccessResult simulate(const Ref &R);
   using SimulateFn = AccessResult (Cache::*)(const Ref &);
+  /// One loop of simulate over a span.
+  template <bool DirectMapped, bool WriteBack, bool PerBlock>
+  void simulateSpan(const RefSpan &S);
+  using SimulateSpanFn = void (Cache::*)(const RefSpan &);
   /// Shape bits: which instantiation of simulate a cache takes.
   static constexpr uint8_t ShapeDirect = 1, ShapeWriteBack = 2,
                            ShapePerBlock = 4;
   static const SimulateFn SimulateByShape[8];
+  static const SimulateSpanFn SimulateSpanByShape[8];
 
   Line *setBase(uint32_t SetIdx) { return &Lines[SetIdx * Config.Ways]; }
   const Line *setBase(uint32_t SetIdx) const {

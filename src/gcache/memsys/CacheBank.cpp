@@ -4,6 +4,8 @@
 
 #include "gcache/support/Snapshot.h"
 
+#include <algorithm>
+
 using namespace gcache;
 
 CacheBank::~CacheBank() {
@@ -88,6 +90,16 @@ void CacheBank::rebuild() {
   Lanes = buildLanes(Caches, ThreadsWanted);
   if (ThreadsWanted && !Lanes.empty())
     Pool = std::make_unique<ShardPool>(Lanes, ThreadsWanted);
+}
+
+void CacheBank::onRefs(const RefSpan &S) {
+  for (size_t Done = 0; Done != S.size();) {
+    size_t Take = std::min(S.size() - Done, BatchRefs - Pending.size());
+    Pending.append(S.subspan(Done, Take));
+    Done += Take;
+    if (Pending.size() >= BatchRefs)
+      publish();
+  }
 }
 
 void CacheBank::publish() const {

@@ -14,8 +14,11 @@
 /// stream (program and collector behaviour are cache-independent).
 ///
 /// The bank has one execution path. References accumulate into fixed-size
-/// columnar batches, and the batch kernel simulates each batch lane by
-/// lane (memsys/ShardPool.h): a lane holds the caches of one block size.
+/// columnar batches: onRefs appends each span the heap delivers with one
+/// bulk copy per column (onRef appends one reference), and a batch is
+/// published the moment it holds BatchRefs references, wherever the spans
+/// happen to end. The batch kernel simulates each batch lane by lane
+/// (memsys/ShardPool.h): a lane holds the caches of one block size.
 /// Its direct-mapped write-back caches, with or without per-block
 /// statistics, form inclusion chains, smallest first, in which a larger
 /// cache skips the references a smaller one proves are no-ops for it (the
@@ -109,6 +112,7 @@ public:
     if (Pending.size() >= BatchRefs)
       publish();
   }
+  void onRefs(const RefSpan &S) override;
 
   /// Phase boundaries flush, so every reader at a collection's start or
   /// end (the §6 accounting, the auditor) sees the serial state.

@@ -55,6 +55,10 @@ public:
   MultiLevelCache(const CacheConfig &L1Config, const CacheConfig &L2Config);
 
   void onRef(const Ref &R) override { (void)access(R); }
+  void onRefs(const RefSpan &S) override {
+    for (size_t I = 0; I != S.size(); ++I)
+      onRef(S[I]);
+  }
 
   /// Simulates one reference through both levels; returns the deepest
   /// level that missed: 0 = L1 hit, 1 = filled from L2, 2 = memory.

@@ -3,6 +3,7 @@
 #include "gcache/support/Options.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,13 +60,6 @@ std::string Options::get(const std::string &Name,
   return Default;
 }
 
-bool Options::getBool(const std::string &Name, bool Default) const {
-  std::string V = get(Name, "");
-  if (V.empty())
-    return Default;
-  return V != "0" && V != "false" && V != "no";
-}
-
 bool Options::has(const std::string &Name) const {
   return !get(Name, "").empty();
 }
@@ -117,9 +111,14 @@ void Options::exitOnUnknown(const std::vector<std::string> &Known,
   std::exit(2);
 }
 
+bool Options::givenEmpty(const std::string &Name) const {
+  auto It = Values.find(Name);
+  return It != Values.end() && It->second.empty();
+}
+
 Expected<std::string> Options::getStrict(const std::string &Name,
                                          const std::string &Default) const {
-  if (isBare(Name))
+  if (isBare(Name) || givenEmpty(Name))
     return Status::failf(StatusCode::InvalidArgument, "--%s needs a value",
                          Name.c_str());
   return get(Name, Default);
@@ -160,4 +159,28 @@ Expected<double> Options::getStrictDouble(const std::string &Name,
                          "--%s expects a number, got '%s'", Name.c_str(),
                          V.c_str());
   return Parsed;
+}
+
+Expected<double> Options::getStrictPositiveDouble(const std::string &Name,
+                                                  double Default) const {
+  Expected<double> V = getStrictDouble(Name, Default);
+  if (V && !(*V > 0 && std::isfinite(*V)))
+    return Status::failf(StatusCode::InvalidArgument,
+                         "--%s expects a positive finite number, got '%s'",
+                         Name.c_str(), get(Name, "").c_str());
+  return V;
+}
+
+Expected<bool> Options::getStrictBool(const std::string &Name,
+                                      bool Default) const {
+  std::string V = get(Name, "");
+  if (V.empty() && !givenEmpty(Name))
+    return Default;
+  if (V == "1" || V == "true")
+    return true;
+  if (V == "0" || V == "false")
+    return false;
+  return Status::failf(StatusCode::InvalidArgument,
+                       "--%s takes no value, 1/true or 0/false, got '%s'",
+                       Name.c_str(), V.c_str());
 }

@@ -56,7 +56,6 @@ public:
   /// \p Default. A bare flag reads as "1".
   std::string get(const std::string &Name, const std::string &Default) const;
 
-  bool getBool(const std::string &Name, bool Default = false) const;
   bool has(const std::string &Name) const;
   /// True if \p Name was given on the command line with no value (stored
   /// as "1").
@@ -67,9 +66,11 @@ public:
   //===--- Strict accessors ------------------------------------------------===//
   // Every flag that takes a value is read through these. A bare flag is
   // InvalidArgument ("--X needs a value"): get() would read it as "1", a
-  // batch of one reference or a checkpoint directory named "1". Numeric
-  // values must parse in full. A flag whose bare form means something (a
-  // boolean, --paranoid, --crosscheck) checks isBare() or reads get().
+  // batch of one reference or a checkpoint directory named "1". So is an
+  // empty value (--scale=), which get() reads as absent. Numeric
+  // values must parse in full. A flag whose bare form means something
+  // (--paranoid, --crosscheck) checks isBare() or reads get(); a boolean
+  // reads getStrictBool().
 
   /// The flag (or env) value; InvalidArgument if the flag is bare.
   Expected<std::string> getStrict(const std::string &Name,
@@ -85,7 +86,21 @@ public:
   Expected<double> getStrictDouble(const std::string &Name,
                                    double Default) const;
 
+  /// As getStrictDouble, but the value must also be positive and finite
+  /// (a scale of 0, -1 or inf would run and print nonsense).
+  Expected<double> getStrictPositiveDouble(const std::string &Name,
+                                           double Default) const;
+
+  /// A boolean flag (or env): absent reads \p Default; bare, "1" or
+  /// "true" read true; "0" or "false" read false. Anything else, empty
+  /// included, is InvalidArgument, so --csv=maybe is refused, not read as
+  /// true.
+  Expected<bool> getStrictBool(const std::string &Name, bool Default) const;
+
 private:
+  /// True if \p Name was given on the command line as "--name=".
+  bool givenEmpty(const std::string &Name) const;
+
   std::map<std::string, std::string> Values;
   std::set<std::string> Bare;
 };

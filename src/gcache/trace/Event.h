@@ -12,6 +12,15 @@
 /// can separate M_gc from M_prog. Allocation events carry the advancing
 /// allocation frontier that defines the paper's allocation cycles.
 ///
+/// Delivery contract of a live run: the heap buffers its references and
+/// hands them to the bus in spans (TraceSink::onRefs). A sink sees each
+/// reference, in program order, no later than the first of: the next
+/// allocation event, GC begin, GC end or GC phase marker, cooperative poll
+/// site (vm-step, gc-step), tracing toggle or bus change, full buffer, or
+/// Heap::flushTrace(). Every non-reference event therefore reaches a sink
+/// after every reference emitted before it, exactly as in the stream.
+/// Trace-file replay still delivers one reference at a time (onRef).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GCACHE_TRACE_EVENT_H
@@ -59,6 +68,30 @@ constexpr unsigned NumGcPhases = 6;
 /// Stable display name of \p P ("idle", "root-scan", ...).
 const char *gcPhaseName(GcPhase P);
 
+/// A borrowed run of references in columnar form: the address, kind and
+/// phase columns of Size references, valid only for the duration of the
+/// call that receives it. Kind and PhaseTag hold the numeric values of
+/// AccessKind and Phase, as in RefColumns.
+struct RefSpan {
+  const Address *Addr = nullptr;
+  const uint8_t *Kind = nullptr;
+  const uint8_t *PhaseTag = nullptr;
+  size_t Size = 0;
+
+  size_t size() const { return Size; }
+
+  /// Reassembles row \p I as a Ref.
+  Ref operator[](size_t I) const {
+    return {Addr[I], static_cast<AccessKind>(Kind[I]),
+            static_cast<Phase>(PhaseTag[I])};
+  }
+
+  /// The \p N references starting at \p Off.
+  RefSpan subspan(size_t Off, size_t N) const {
+    return {Addr + Off, Kind + Off, PhaseTag + Off, N};
+  }
+};
+
 /// A batch of references in structure-of-arrays (columnar) form: the
 /// addresses, access kinds, and phase tags live in three separate
 /// contiguous columns instead of an array of Ref structs. This is the unit
@@ -98,6 +131,13 @@ struct RefColumns {
     PhaseTag.push_back(static_cast<uint8_t>(R.ExecPhase));
   }
 
+  /// Appends every reference of \p S (one bulk copy per column).
+  void append(const RefSpan &S) {
+    Addr.insert(Addr.end(), S.Addr, S.Addr + S.Size);
+    Kind.insert(Kind.end(), S.Kind, S.Kind + S.Size);
+    PhaseTag.insert(PhaseTag.end(), S.PhaseTag, S.PhaseTag + S.Size);
+  }
+
   /// Reassembles row \p I as a Ref (the scalar fallback paths use this).
   Ref get(size_t I) const {
     return {Addr[I], static_cast<AccessKind>(Kind[I]),
@@ -105,14 +145,23 @@ struct RefColumns {
   }
 };
 
-/// Receives the reference stream of one program run. The hot entry point
-/// is onRef; the remaining hooks have empty defaults.
+/// Receives the reference stream of one program run. The hot entry points
+/// are onRef and onRefs; the remaining hooks have empty defaults.
 class TraceSink {
 public:
   virtual ~TraceSink();
 
-  /// Called once per simulated data reference, in program order.
+  /// Called once per simulated data reference, in program order, by
+  /// trace-file replay and by the default onRefs.
   virtual void onRef(const Ref &R) = 0;
+
+  /// Called with the next run of references of a live run (see the
+  /// delivery contract above). The default calls onRef per reference; a
+  /// sink on a live bus overrides it with one loop over its onRef body.
+  virtual void onRefs(const RefSpan &S) {
+    for (size_t I = 0; I != S.size(); ++I)
+      onRef(S[I]);
+  }
 
   /// Called when \p Bytes of fresh storage are allocated at \p Addr in the
   /// dynamic area (before its initializing stores are emitted).

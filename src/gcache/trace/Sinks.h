@@ -11,6 +11,12 @@
 /// pass), a CountingSink producing the load/store/phase totals of the §3
 /// program table, and a CallbackSink for tests.
 ///
+/// A live run's references reach the bus in spans from the heap (see the
+/// delivery contract in trace/Event.h). The bus forwards each span whole
+/// to every sink in order, so each sink takes a span in one call and one
+/// loop; CountingSink tallies it. CallbackSink keeps the per-reference
+/// default.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GCACHE_TRACE_SINKS_H
@@ -33,6 +39,10 @@ public:
   void onRef(const Ref &R) override {
     for (TraceSink *S : Sinks)
       S->onRef(R);
+  }
+  void onRefs(const RefSpan &Span) override {
+    for (TraceSink *S : Sinks)
+      S->onRefs(Span);
   }
   void onAlloc(Address Addr, uint32_t Bytes) override {
     for (TraceSink *S : Sinks)
@@ -61,6 +71,10 @@ class CountingSink final : public TraceSink {
 public:
   void onRef(const Ref &R) override {
     ++Counts[static_cast<unsigned>(R.ExecPhase)][static_cast<unsigned>(R.Kind)];
+  }
+  void onRefs(const RefSpan &S) override {
+    for (size_t I = 0; I != S.size(); ++I)
+      onRef(S[I]);
   }
   void onAlloc(Address, uint32_t Bytes) override { AllocBytes += Bytes; }
   void onGcBegin() override { ++Collections; }

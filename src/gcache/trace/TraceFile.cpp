@@ -124,6 +124,11 @@ void TraceWriter::onRef(const Ref &R) {
   emit(Op, R.Addr, 0, /*HasB=*/false);
 }
 
+void TraceWriter::onRefs(const RefSpan &S) {
+  for (size_t I = 0; I != S.size(); ++I)
+    onRef(S[I]);
+}
+
 void TraceWriter::onAlloc(Address Addr, uint32_t Bytes) {
   emit(OpAlloc, Addr, Bytes, /*HasB=*/true);
 }

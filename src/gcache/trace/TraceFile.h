@@ -97,6 +97,9 @@ public:
   const Status &status() const { return StreamStatus; }
 
   void onRef(const Ref &R) override;
+  /// One record per reference, so the trace-write fault site still
+  /// counts records.
+  void onRefs(const RefSpan &S) override;
   void onAlloc(Address Addr, uint32_t Bytes) override;
   void onGcBegin() override;
   void onGcEnd() override;

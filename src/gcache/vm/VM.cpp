@@ -472,9 +472,12 @@ Value VM::applyProcedure(uint32_t Argc) {
     step();
     // Cooperative cancellation: a bytecode boundary is a safe point (no
     // half-dispatched reference anywhere), and every few thousand
-    // bytecodes is far below a millisecond of drain latency.
-    if ((++CancelPollTick & 0x3fff) == 0)
+    // bytecodes is far below a millisecond of drain latency. The trace is
+    // flushed first, so the --max-refs meter is exact at the poll.
+    if ((++CancelPollTick & 0x3fff) == 0) {
+      H.flushTrace();
       pollCancellation("vm-step");
+    }
   }
   return pop();
 }

@@ -278,10 +278,10 @@ TEST(BudgetFlags, EnvFallbackAndFlagPrecedence) {
 namespace {
 
 /// Parses \p Flags as a bench binary's command line.
-void parseFlags(std::vector<const char *> Flags) {
+BenchArgs parseFlags(std::vector<const char *> Flags) {
   Flags.insert(Flags.begin(), "bench");
-  parseBenchArgs(static_cast<int>(Flags.size()),
-                 const_cast<char **>(Flags.data()));
+  return parseBenchArgs(static_cast<int>(Flags.size()),
+                        const_cast<char **>(Flags.data()));
 }
 
 } // namespace
@@ -357,6 +357,48 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnUnknownEnvVariables) {
         const char *Argv[] = {"bench"};
         BenchArgs A = parseBenchArgs(1, const_cast<char **>(Argv));
         std::exit(A.Scale == 0.02 ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
+}
+
+// A value that would parse into a silent nonsense run exits 2 naming its
+// flag: a workload that is none of the five programs (an empty table), a
+// scale that is not a positive finite number (a table at scale -1), a
+// boolean other than bare, 1/true or 0/false (--csv=maybe read as true),
+// and an empty value.
+TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnNonsenseValues) {
+  GovernanceReset Guard;
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(parseFlags({"--workload", "nosuch"}),
+              testing::ExitedWithCode(2), "--workload.*nosuch");
+  for (const char *Scale : {"-1", "0", "inf", "nan"})
+    EXPECT_EXIT(parseFlags({"--scale", Scale}), testing::ExitedWithCode(2),
+                "--scale expects a positive finite number")
+        << Scale;
+  EXPECT_EXIT(parseFlags({"--csv=maybe"}), testing::ExitedWithCode(2),
+              "--csv takes no value, 1/true or 0/false, got 'maybe'");
+  EXPECT_EXIT(parseFlags({"--audit=yes"}), testing::ExitedWithCode(2),
+              "--audit takes no value");
+  EXPECT_EXIT(parseFlags({"--csv="}), testing::ExitedWithCode(2),
+              "--csv takes no value");
+  // An empty value would read as the flag's absence: the default scale,
+  // all five programs.
+  for (std::string Flag :
+       {"--scale=", "--workload=", "--max-refs=", "--paranoid="})
+    EXPECT_EXIT(parseFlags({Flag.c_str()}), testing::ExitedWithCode(2),
+                Flag.substr(0, Flag.size() - 1) + " needs a value")
+        << Flag;
+  EXPECT_EXIT(
+      {
+        setenv("GCACHE_SCALE", "-0.5", 1);
+        parseFlags({});
+      },
+      testing::ExitedWithCode(2), "--scale");
+  EXPECT_EXIT(
+      {
+        BenchArgs A = parseFlags(
+            {"--workload=lp", "--scale=0.02", "--csv=false", "--audit=1"});
+        std::exit(A.Workload == "lp" && !A.Csv && A.Audit ? 0 : 1);
       },
       testing::ExitedWithCode(0), "");
 }
@@ -564,6 +606,106 @@ TEST(BudgetDrain, BudgetProbeDrainsToPartialMem) {
   EXPECT_NE(Run.OutcomeNote.find("mem-budget"), std::string::npos)
       << Run.OutcomeNote;
   EXPECT_LT(Run.Coverage, 1.0);
+}
+
+namespace {
+
+/// Runs nbody at scale 0.05 without caches, recording its trace to \p Path.
+ProgramRun tracedNbodyRun(const std::string &Path) {
+  TraceWriter W;
+  EXPECT_TRUE(W.open(Path).ok());
+  ExperimentOptions O;
+  O.Scale = 0.05;
+  O.Grid = CacheGridKind::None;
+  O.ExtraSinks = {&W};
+  ProgramRun Run = runProgram(nbodyWorkload(), O);
+  EXPECT_TRUE(W.close().ok());
+  return Run;
+}
+
+std::vector<TraceRecord> traceRecords(const std::string &Path) {
+  std::vector<TraceRecord> Out;
+  TraceStream S;
+  EXPECT_TRUE(S.open(Path).ok()) << Path;
+  TraceRecord Rec{};
+  while (S.next(Rec))
+    Out.push_back(Rec);
+  return Out;
+}
+
+/// Compares the fields valid for the records' kind.
+bool sameRecord(const TraceRecord &A, const TraceRecord &B) {
+  if (A.Op != B.Op)
+    return false;
+  switch (A.Op) {
+  case TraceRecord::Kind::Ref:
+    return A.R.Addr == B.R.Addr && A.R.Kind == B.R.Kind &&
+           A.R.ExecPhase == B.R.ExecPhase;
+  case TraceRecord::Kind::Alloc:
+    return A.AllocAddr == B.AllocAddr && A.AllocBytes == B.AllocBytes;
+  case TraceRecord::Kind::GcPhase:
+    return A.PhaseMark == B.PhaseMark;
+  default:
+    return true;
+  }
+}
+
+} // namespace
+
+// The heap delivers its buffered references before each poll, so the
+// reference meter is exact when a --max-refs trip drains the run: every
+// reference counted is one the run's sinks received, and the drained trace
+// is a record prefix of the full run's.
+TEST(BudgetDrain, RefBudgetDrainIsAnExactTracePrefix) {
+  GovernanceReset Guard;
+  std::string Dir = ::testing::TempDir();
+  ProgramRun Clean = tracedNbodyRun(Dir + "/drain_full.gct");
+  ASSERT_FALSE(Clean.partial());
+
+  BudgetSpec Spec;
+  Spec.MaxRefs = Clean.TotalRefs / 3;
+  processBudget().configure(Spec);
+  ProgramRun Drained = tracedNbodyRun(Dir + "/drain_part.gct");
+  ASSERT_TRUE(Drained.partial());
+  EXPECT_EQ(processBudget().refsSeen(), Drained.TotalRefs);
+  EXPECT_GE(Drained.TotalRefs, Spec.MaxRefs);
+  EXPECT_LT(Drained.TotalRefs, Clean.TotalRefs);
+
+  std::vector<TraceRecord> Full = traceRecords(Dir + "/drain_full.gct");
+  std::vector<TraceRecord> Part = traceRecords(Dir + "/drain_part.gct");
+  ASSERT_LT(Part.size(), Full.size());
+  uint64_t PartRefs = 0;
+  for (size_t I = 0; I != Part.size(); ++I) {
+    ASSERT_TRUE(sameRecord(Part[I], Full[I])) << "record " << I;
+    PartRefs += Part[I].Op == TraceRecord::Kind::Ref;
+  }
+  EXPECT_EQ(PartRefs, Drained.TotalRefs);
+}
+
+// A reference budget trips at the first poll whose count reaches it. Set
+// to exactly the references a run drained by an injected trip at its Nth
+// poll, the budget drains the run at that same poll, with the same count;
+// a meter that lagged the heap's buffer would read short there and trip a
+// poll later.
+TEST(BudgetDrain, RefBudgetTripsAtTheFirstPollThatReachesIt) {
+  ExperimentOptions O;
+  O.Scale = 0.05;
+  O.Grid = CacheGridKind::None;
+  for (uint64_t Nth : {2, 3, 5}) {
+    GovernanceReset Guard;
+    faultInjector().arm({FaultSite::WatchdogTrip, Nth, 0});
+    ProgramRun AtPoll = runProgram(nbodyWorkload(), O);
+    ASSERT_TRUE(AtPoll.partial()) << Nth;
+    faultInjector().disarm();
+
+    BudgetSpec Spec;
+    Spec.MaxRefs = AtPoll.TotalRefs;
+    processBudget().configure(Spec);
+    ProgramRun ByBudget = runProgram(nbodyWorkload(), O);
+    ASSERT_TRUE(ByBudget.partial()) << Nth;
+    EXPECT_EQ(ByBudget.TotalRefs, AtPoll.TotalRefs) << "poll " << Nth;
+    EXPECT_EQ(processBudget().refsSeen(), ByBudget.TotalRefs) << Nth;
+  }
 }
 
 //===----------------------------------------------------------------------===//

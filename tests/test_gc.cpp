@@ -152,6 +152,7 @@ TEST(Cheney, CollectorRefsArePhaseTagged) {
   CheneyCollector GC(H, M, 64 * 1024);
   Value L = buildList(H, GC, 50);
   M.HostRoots.push_back(&L);
+  H.flushTrace();
   uint64_t MutRefs = Counts.mutatorRefs();
   GC.collect();
   EXPECT_EQ(Counts.mutatorRefs(), MutRefs)

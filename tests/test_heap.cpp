@@ -107,6 +107,7 @@ TEST(Heap, LoadStoreTraced) {
   Address A = H.allocDynamicRaw(2);
   H.store(A, 42);
   EXPECT_EQ(H.load(A), 42u);
+  H.flushTrace();
   EXPECT_EQ(Counts.loads(Phase::Mutator), 1u);
   EXPECT_EQ(Counts.stores(Phase::Mutator), 1u);
 }
@@ -127,6 +128,7 @@ TEST(Heap, PhaseTagging) {
   Address A = H.allocDynamicRaw(1);
   H.setPhase(Phase::Collector);
   H.store(A, 7);
+  H.flushTrace();
   EXPECT_EQ(Counts.stores(Phase::Collector), 1u);
   EXPECT_EQ(Counts.stores(Phase::Mutator), 0u);
 }

@@ -126,9 +126,26 @@ TEST(Options, ParsesForms) {
   const char *Argv[] = {"prog", "--scale", "0.5", "--csv", "--name=value"};
   Options O = Options::parse(5, const_cast<char **>(Argv));
   EXPECT_DOUBLE_EQ(O.getStrictDouble("scale", 1.0).take(), 0.5);
-  EXPECT_TRUE(O.getBool("csv"));
+  EXPECT_TRUE(O.getStrictBool("csv", false).take());
   EXPECT_EQ(O.get("name", ""), "value");
   EXPECT_EQ(O.getStrictUnsigned("missing", 7).take(), 7u);
+}
+
+TEST(Options, StrictBoolTakesOnlyBooleanValues) {
+  const char *Argv[] = {"prog", "--a", "--b=0", "--c=true", "--d=maybe",
+                        "--e=no"};
+  Options O = Options::parse(6, const_cast<char **>(Argv));
+  EXPECT_TRUE(O.getStrictBool("a", false).take());
+  EXPECT_FALSE(O.getStrictBool("b", true).take());
+  EXPECT_TRUE(O.getStrictBool("c", false).take());
+  EXPECT_TRUE(O.getStrictBool("missing", true).take());
+  for (const char *Bad : {"d", "e"}) {
+    Expected<bool> V = O.getStrictBool(Bad, false);
+    ASSERT_FALSE(V.ok()) << Bad;
+    EXPECT_EQ(V.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(V.status().message().find(std::string("--") + Bad),
+              std::string::npos);
+  }
 }
 
 TEST(Options, EnvFallback) {
