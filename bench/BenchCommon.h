@@ -27,14 +27,16 @@
 ///                every step boundary of every collection cycle
 ///                (heap/GcCertifier.h; still peek-only)
 ///   --crosscheck[=N] run a shadow oracle cache in lockstep with every
-///                simulated cache, comparing hit classes every N refs
-///                (bare flag = every ref) and deep-comparing contents at
-///                GC boundaries; divergence fails the unit with a
+///                simulated cache, the bank's and those a binary feeds
+///                itself, comparing hit classes every N refs (bare flag =
+///                every ref) and deep-comparing contents at GC boundaries
+///                and end of run; divergence fails the unit with a
 ///                structured report (memsys/OracleCache.h)
 ///   --audit      check conservation laws (refs delivered == refs
 ///                counted everywhere, per-block sums == global counters,
 ///                write-policy laws) at every GC boundary and at end of
-///                run (core/Audit.h)
+///                run (core/Audit.h), and each cache a binary feeds
+///                itself at end of run
 ///   --deadline S wall-clock budget for the whole run, fractional seconds
 ///                ok (GCACHE_DEADLINE env); on expiry the current unit
 ///                drains and the run reports partial results (exit 3)

@@ -37,6 +37,10 @@ int main(int Argc, char **Argv) {
         C.Ways = Way;
         Bank->addConfig(C);
       }
+    // The bank rides as an extra sink, outside runProgram's own bank, so
+    // the validation flags are applied to it directly.
+    if (A.CrossCheckEvery)
+      Bank->enableCrossCheck(A.CrossCheckEvery);
 
     ExperimentOptions Opts = baseExperimentOptions(A);
     Opts.Grid = CacheGridKind::None;
@@ -46,6 +50,23 @@ int main(int Argc, char **Argv) {
     if (!R.ok())
       continue;
     ProgramRun Run = R.take();
+
+    if (A.CrossCheckEvery || A.Audit) {
+      // Simulating the bank's last batch compares its references with the
+      // oracles, and the flush deep-compares every cache; either throws.
+      Status V;
+      try {
+        Bank->flush();
+        if (A.Audit)
+          V = Bank->auditAll();
+      } catch (const StatusError &E) {
+        V = E.status();
+      }
+      if (!V.ok()) {
+        Runner.recordFailure(W->Name + " validation", V);
+        continue;
+      }
+    }
 
     std::printf("\n--- %s: O_cache (slow processor) by associativity ---\n",
                 W->Name.c_str());

@@ -44,14 +44,26 @@ int main(int Argc, char **Argv) {
     bool AllSeedsRan = true;
     for (int S = 0; S != Seeds; ++S) {
       Cache Sim({.SizeBytes = 64 << 10, .BlockBytes = 64});
+      // The cache rides as an extra sink, outside any bank, so the
+      // validation flags are applied to it directly.
+      if (A.CrossCheckEvery)
+        Sim.enableCrossCheck(A.CrossCheckEvery);
       ExperimentOptions O = baseExperimentOptions(A);
       O.Grid = CacheGridKind::None;
       O.LayoutSeed = S == 0 ? 0 : static_cast<uint64_t>(S) * 7919;
       O.ExtraSinks = {&Sim};
       std::printf("running %s (layout seed %d)...\n", W->Name.c_str(), S);
-      Expected<ProgramRun> R = Runner.run(
-          W->Name + " (seed " + std::to_string(S) + ")", *W, O);
+      const std::string Unit = W->Name + " (seed " + std::to_string(S) + ")";
+      Expected<ProgramRun> R = Runner.run(Unit, *W, O);
       if (!R.ok()) {
+        AllSeedsRan = false;
+        break;
+      }
+      Status V = Sim.crossCheckNow();
+      if (V.ok() && A.Audit)
+        V = Sim.auditState();
+      if (!V.ok()) {
+        Runner.recordFailure(Unit + " validation", V);
         AllSeedsRan = false;
         break;
       }

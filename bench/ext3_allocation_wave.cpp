@@ -69,17 +69,28 @@ int main(int Argc, char **Argv) {
     for (GcKind Kind : {GcKind::Cheney, GcKind::MarkSweep}) {
       AdjacencySink Adjacency;
       Cache Sim({.SizeBytes = 64 << 10, .BlockBytes = 64});
+      // The cache rides as an extra sink, outside any bank, so the
+      // validation flags are applied to it directly.
+      if (A.CrossCheckEvery)
+        Sim.enableCrossCheck(A.CrossCheckEvery);
       ExperimentOptions O = Ctrl;
       O.Gc = Kind;
       O.SemispaceBytes = Semi; // mark-sweep heap = 2x this: same budget
       O.ExtraSinks = {&Adjacency, &Sim};
       const char *Name = Kind == GcKind::Cheney ? "cheney" : "marksweep";
       std::printf("running %s (%s)...\n", W->Name.c_str(), Name);
-      Expected<ProgramRun> R =
-          Runner.run(W->Name + " (" + Name + ")", *W, O);
+      const std::string Unit = W->Name + " (" + Name + ")";
+      Expected<ProgramRun> R = Runner.run(Unit, *W, O);
       if (!R.ok())
         continue;
       ProgramRun Run = R.take();
+      Status V = Sim.crossCheckNow();
+      if (V.ok() && A.Audit)
+        V = Sim.auditState();
+      if (!V.ok()) {
+        Runner.recordFailure(Unit + " validation", V);
+        continue;
+      }
 
       uint64_t MutMisses = Sim.counters(Phase::Mutator).FetchMisses;
       uint64_t GcMisses = Sim.counters(Phase::Collector).FetchMisses;

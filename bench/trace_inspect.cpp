@@ -10,10 +10,6 @@
 // Flags (besides the shared bench flags):
 //   --trace=<path>      trace file to inspect (required)
 //   --salvage           replay/summarize the valid prefix of a damaged file
-//   --batch-stats       report how the reference stream divides into
-//                       columnar batches (--batch sets the capacity):
-//                       batch-size distribution and per-phase/per-kind
-//                       column occupancy
 //   --gc-phases         report per-trace GC phase statistics: cycle and
 //                       step counts, and how collector references
 //                       distribute over the stepped phases (collector
@@ -50,7 +46,7 @@ using namespace gcache;
 
 int main(int Argc, char **Argv) {
   BenchArgs A = parseBenchArgs(Argc, Argv,
-                               {"trace", "salvage", "batch-stats", "gc-phases",
+                               {"trace", "salvage", "gc-phases",
                                 "replay", "cache-size", "block-size",
                                 "stop-after", "checkpoint-dir",
                                 "checkpoint-every", "resume"});
@@ -61,7 +57,6 @@ int main(int Argc, char **Argv) {
       flagOrExit(A.Opts.getStrictUnsigned("checkpoint-every", 0));
   bool Resume = flagOrExit(A.Opts.getStrictBool("resume", false));
   bool Salvage = flagOrExit(A.Opts.getStrictBool("salvage", false));
-  bool BatchStats = flagOrExit(A.Opts.getStrictBool("batch-stats", false));
   bool GcPhases = flagOrExit(A.Opts.getStrictBool("gc-phases", false));
   bool Replay = flagOrExit(A.Opts.getStrictBool("replay", false));
   if (CheckpointDir.empty() && (Resume || CheckpointEvery)) {
@@ -139,31 +134,6 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(GcBegins),
               static_cast<unsigned long long>(GcEnds),
               static_cast<unsigned long long>(GcPhaseMarks));
-
-  if (BatchStats) {
-    size_t Cap = A.BatchRefs ? A.BatchRefs : CacheBank::DefaultBatchRefs;
-    if (Status S = Stream.seekTo(StartIndex, StartOffset); !S.ok()) {
-      std::fprintf(stderr, "batch-stats: %s\n", S.message().c_str());
-      return 1;
-    }
-    TraceBatchStats B = collectTraceBatchStats(Stream, Cap);
-    std::printf("batch-stats (capacity %zu refs):\n", Cap);
-    std::printf("  %llu batches (%llu cut by capacity), sizes min %llu / "
-                "mean %.1f / max %llu\n",
-                static_cast<unsigned long long>(B.Batches),
-                static_cast<unsigned long long>(B.FullBatches),
-                static_cast<unsigned long long>(B.MinBatch), B.meanBatch(),
-                static_cast<unsigned long long>(B.MaxBatch));
-    std::printf("  column occupancy: %llu refs — %.1f%% mutator / %.1f%% "
-                "collector, %.1f%% loads / %.1f%% stores\n",
-                static_cast<unsigned long long>(B.Refs),
-                B.Refs ? 100.0 * B.MutatorRefs / B.Refs : 0.0,
-                B.Refs ? 100.0 * B.CollectorRefs / B.Refs : 0.0,
-                B.Refs ? 100.0 * B.Loads / B.Refs : 0.0,
-                B.Refs ? 100.0 * B.Stores / B.Refs : 0.0);
-    std::printf("  %llu non-reference records interleave the batches\n",
-                static_cast<unsigned long long>(B.OtherRecords));
-  }
 
   if (GcPhases) {
     if (Status S = Stream.seekTo(StartIndex, StartOffset); !S.ok()) {

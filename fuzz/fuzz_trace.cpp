@@ -12,17 +12,16 @@
 //  - every salvaged stream replays cleanly into a cross-checked cache
 //    (the oracle and the invariant audit both stay green), and its
 //    salvage accounting (droppedBytes/droppedRecords) is consistent;
-//  - the batched decode path (TraceStream::nextRefBatch) yields columns
-//    that always pass BatchKernel::validate, and replaying them through
-//    the batch kernel ends with counters identical to the scalar replay —
-//    for any input and any batch capacity.
+//  - replaying the stream into a CacheBank, whose batches run an
+//    inclusion chain and an associative cache through the batch kernels,
+//    ends with counters identical to standalone caches fed through
+//    Cache::access — for any input and any batch size.
 //
 //===----------------------------------------------------------------------===//
 
 #include "FuzzCheck.h"
 
-#include "gcache/memsys/BatchKernel.h"
-#include "gcache/memsys/Cache.h"
+#include "gcache/memsys/CacheBank.h"
 #include "gcache/trace/TraceFile.h"
 
 #include <cstdint>
@@ -44,9 +43,8 @@ bool sameCounters(const Cache &A, const Cache &B, Phase P) {
 }
 
 /// Replays every record of \p S into a tiny cross-checked cache and
-/// checks the model invariants afterwards. Returns the cache so the
-/// batched replay can be differenced against it.
-Cache replayChecked(TraceStream &S) {
+/// checks the model invariants afterwards.
+void replayChecked(TraceStream &S) {
   Cache C(FuzzCacheConfig);
   C.enableCrossCheck(1);
   TraceRecord Rec;
@@ -61,42 +59,37 @@ Cache replayChecked(TraceStream &S) {
              "oracle must agree with the cache after any valid trace");
   FUZZ_CHECK(C.auditState().ok(),
              "cache invariants must hold after any valid trace");
-  return C;
 }
 
-/// Replays \p S through the columnar path — nextRefBatch runs fed to
-/// BatchKernel::run, markers dispatched scalar — and checks the result
-/// against the scalar replay's cache.
-void replayBatchedChecked(TraceStream &S, size_t BatchCap,
-                          const Cache &Scalar) {
-  Cache C(FuzzCacheConfig);
-  RefColumns B;
-  BatchIndex Idx;
-  TraceRecord Rec;
-  for (;;) {
-    B.clear();
-    size_t N = S.nextRefBatch(B, BatchCap);
-    if (N != 0) {
-      FUZZ_CHECK(BatchKernel::validate(B).ok(),
-                 "trace-decoded columns must always validate");
-      Idx.reset(&B);
-      BatchKernel::run(C, B, Idx);
-    }
-    if (N == BatchCap)
-      continue;
-    if (!S.next(Rec))
-      break;
-    FUZZ_CHECK(Rec.Op != TraceRecord::Kind::Ref,
-               "nextRefBatch must consume every run of refs completely");
-    Rec.dispatch(C);
+/// Replays \p S into a bank publishing batches of \p BatchRefs: a
+/// two-link direct-mapped chain and a 2-way cache, so both batch kernels
+/// run. Each bank cache must end with the counters of a standalone cache
+/// fed the same references through Cache::access.
+void replayBankChecked(TraceStream &S, size_t BatchRefs) {
+  const CacheConfig Configs[] = {
+      FuzzCacheConfig,
+      {.SizeBytes = 2 << 10, .BlockBytes = 32},
+      {.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2}};
+  CacheBank Bank;
+  std::vector<Cache> Scalar;
+  for (const CacheConfig &C : Configs) {
+    Bank.addConfig(C);
+    Scalar.emplace_back(C);
   }
-  FUZZ_CHECK(S.recordIndex() == S.recordCount(),
-             "batched decode must reach the exact end of the stream");
-  FUZZ_CHECK(sameCounters(Scalar, C, Phase::Mutator) &&
-                 sameCounters(Scalar, C, Phase::Collector),
-             "batch kernel must match the scalar replay on any valid trace");
-  FUZZ_CHECK(C.auditState().ok(),
-             "cache invariants must hold after any batched replay");
+  Bank.setThreads(0, BatchRefs);
+  TraceRecord Rec;
+  while (S.next(Rec)) {
+    Rec.dispatch(Bank);
+    if (Rec.Op == TraceRecord::Kind::Ref)
+      for (Cache &C : Scalar)
+        (void)C.access(Rec.R);
+  }
+  for (size_t I = 0; I != Scalar.size(); ++I)
+    FUZZ_CHECK(sameCounters(Scalar[I], Bank.cache(I), Phase::Mutator) &&
+                   sameCounters(Scalar[I], Bank.cache(I), Phase::Collector),
+               "the bank must match Cache::access on any valid trace");
+  FUZZ_CHECK(Bank.auditAll().ok(),
+             "cache and chain invariants must hold after any bank replay");
 }
 
 } // namespace
@@ -127,16 +120,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
       // accounted as larger than the input itself.
       FUZZ_CHECK(Salvaged.droppedBytes() <= Bytes.size(),
                  "cannot drop more bytes than the input holds");
-    Cache Scalar = replayChecked(Salvaged);
+    replayChecked(Salvaged);
 
-    // Batch-kernel differential: the same bytes through the columnar
-    // decode + batch kernel, with an input-derived batch capacity so the
-    // fuzzer explores the segmentation space too.
-    TraceStream Batched;
-    FUZZ_CHECK(Batched.openBuffer(Bytes, /*Salvage=*/true).ok(),
+    // Bank differential: the same bytes through the bank's batch kernels,
+    // with an input-derived batch size so the fuzzer explores the
+    // segmentation space too.
+    TraceStream Banked;
+    FUZZ_CHECK(Banked.openBuffer(Bytes, /*Salvage=*/true).ok(),
                "salvage open must be deterministic");
-    size_t BatchCap = 1 + (Size % 301);
-    replayBatchedChecked(Batched, BatchCap, Scalar);
+    replayBankChecked(Banked, 1 + Size % 301);
   }
   return 0;
 }

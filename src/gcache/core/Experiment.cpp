@@ -22,27 +22,14 @@ ProgramRun gcache::runProgram(const Workload &W,
   Run.Name = W.Name;
 
   auto Bank = std::make_unique<CacheBank>();
-  CacheConfig Prototype;
-  Prototype.WriteMiss = Opts.WriteMiss;
-  switch (Opts.Grid) {
-  case CacheGridKind::PaperGrid:
-    Bank->addPaperGrid(Prototype);
-    break;
-  case CacheGridKind::SizeSweep:
-    Bank->addSizeSweep(Prototype, Opts.SweepBlockBytes);
-    break;
-  case CacheGridKind::None:
-    break;
-  }
-  if (Opts.AlsoOppositePolicy) {
-    CacheConfig Opposite = Prototype;
-    Opposite.WriteMiss = Opts.WriteMiss == WriteMissPolicy::WriteValidate
-                             ? WriteMissPolicy::FetchOnWrite
-                             : WriteMissPolicy::WriteValidate;
+  std::vector<CacheConfig> Prototypes = {CacheConfig()};
+  if (Opts.AlsoOppositePolicy)
+    Prototypes.push_back({.WriteMiss = WriteMissPolicy::FetchOnWrite});
+  for (const CacheConfig &Prototype : Prototypes) {
     if (Opts.Grid == CacheGridKind::PaperGrid)
-      Bank->addPaperGrid(Opposite);
+      Bank->addPaperGrid(Prototype);
     else if (Opts.Grid == CacheGridKind::SizeSweep)
-      Bank->addSizeSweep(Opposite, Opts.SweepBlockBytes);
+      Bank->addSizeSweep(Prototype, 64);
   }
   if (Opts.CrossCheckEvery)
     Bank->enableCrossCheck(Opts.CrossCheckEvery);

@@ -40,7 +40,7 @@ namespace gcache {
 /// Which cache configurations a run simulates.
 enum class CacheGridKind : uint8_t {
   PaperGrid, ///< All §4 sizes x all block sizes (the §5 control figure).
-  SizeSweep, ///< All sizes at one block size (the §6 figure uses 64 B).
+  SizeSweep, ///< All sizes at 64 B blocks (the block size of the §6 figure).
   None,      ///< No caches (behaviour-analysis-only runs).
 };
 
@@ -51,11 +51,10 @@ struct ExperimentOptions {
   /// 0 = scale the paper's 16 MB semispaces with Scale (min 2 MB).
   uint32_t SemispaceBytes = 0;
   GenerationalConfig Generational{512 * 1024, 0 /* set from semispace */};
+  /// The grid is write-validate (memsys/CacheConfig.h).
   CacheGridKind Grid = CacheGridKind::PaperGrid;
-  uint32_t SweepBlockBytes = 64;
-  WriteMissPolicy WriteMiss = WriteMissPolicy::WriteValidate;
-  /// Also simulate every grid config under the opposite write-miss policy
-  /// (one pass feeds both, for the §5 write-policy comparison).
+  /// Also simulate every grid config under fetch-on-write (one pass feeds
+  /// both, for the §5 write-policy comparison).
   bool AlsoOppositePolicy = false;
   /// Additional sinks to attach to the trace bus (analysis).
   std::vector<TraceSink *> ExtraSinks;

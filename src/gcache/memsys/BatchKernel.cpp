@@ -117,10 +117,10 @@ Status BatchKernel::validate(const RefColumns &Batch) {
   return Status();
 }
 
-/// The batch inner loop, specialized on the two properties that change
-/// its shape (set scan and per-block bookkeeping). Policy flags only
-/// select among counter increments, so they stay hoisted locals — the
-/// branch predictor treats loop-invariant booleans as free.
+/// The batch inner loop of an associative cache, specialized on per-block
+/// bookkeeping and on whether the batch mixes phases. The write-miss
+/// policy only selects among counter increments, so it stays a hoisted
+/// local — the branch predictor treats loop-invariant booleans as free.
 ///
 /// The loop walks the batch run by run (BlockColumns::RunPacked), not
 /// reference by reference: one same-block run needs one set scan and one
@@ -136,7 +136,7 @@ Status BatchKernel::validate(const RefColumns &Batch) {
 /// run. The bit-identity tests pin this loop to the scalar path at every
 /// flush boundary; any change here must be mirrored there (and vice
 /// versa).
-template <bool DirectMapped, bool PerBlock, bool Mixed>
+template <bool PerBlock, bool Mixed>
 void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
                           const BatchIndex::BlockColumns &Cols,
                           const BatchIndex::RefTally &Tally,
@@ -147,14 +147,11 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
   const uint32_t Ways = C.Config.Ways;
   const uint64_t FullMask = C.FullMask;
   const uint32_t OffsetMask = Cols.BlockBytes - 1;
-  const bool WriteThrough = C.Config.WriteHit == WriteHitPolicy::WriteThrough;
-  const bool TrackDirty = C.Config.WriteHit == WriteHitPolicy::WriteBack;
   const bool FetchOnWriteAlways =
       C.Config.WriteMiss == WriteMissPolicy::FetchOnWrite;
-  const bool CollectorFoW = C.Config.CollectorFetchOnWrite;
-  // Single-phase batches resolve the fetch-on-write decision once here.
-  const bool BatchFoW =
-      FetchOnWriteAlways || (CollectorFoW && BatchPhase != 0);
+  // Single-phase batches resolve the fetch-on-write decision once here; a
+  // collector write miss always fetches.
+  const bool BatchFoW = FetchOnWriteAlways || BatchPhase != 0;
 
   Line *Lines = C.Lines.data();
   const uint32_t *RunPacked = Cols.RunPacked.data();
@@ -169,19 +166,16 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
   uint64_t *BlockMisses = PerBlock ? C.BlockMisses.data() : nullptr;
   uint64_t *BlockFetch = PerBlock ? C.BlockFetchMisses.data() : nullptr;
 
-  // Counters accumulate in locals and write back once at the end. Loads,
-  // stores, and (for write-through) store write-throughs are bulk-added
-  // from the batch tally; the loop only counts miss events. A single-
-  // phase batch counts them in three scalar locals — a phase-indexed
-  // counter array in the loop forces the counts through memory, which
-  // costs a third of the whole loop.
+  // Counters accumulate in locals and write back once at the end. Loads
+  // and stores are bulk-added from the batch tally; the loop only counts
+  // miss events. A single-phase batch counts them in three scalar locals —
+  // a phase-indexed counter array in the loop forces the counts through
+  // memory, which costs a third of the whole loop.
   uint64_t Clock = C.LruClock;
   CacheCounters Cnt[2] = {C.Counts[0], C.Counts[1]};
   for (unsigned P = 0; P != 2; ++P) {
     Cnt[P].Loads += Tally.Loads[P];
     Cnt[P].Stores += Tally.Stores[P];
-    if (WriteThrough)
-      Cnt[P].WriteThroughs += Tally.Stores[P];
   }
   [[maybe_unused]] uint64_t FetchL = 0, NoFetchL = 0, WbL = 0;
 
@@ -193,33 +187,53 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
 
   using BC = BatchIndex::BlockColumns;
   size_t I = 0;
-  if constexpr (DirectMapped) {
-    // Direct-mapped: no way scan, no recency stamps, one line probe per
-    // run. The hit/miss branches stay — on real streams they are strongly
-    // biased (sequential stores hit, far-ranging loads miss) and
-    // predicted branches beat the longer dependent chains of a
-    // branch-free formulation.
-    for (size_t R = 0; R != NumRuns; ++R) {
-      {
-        const size_t PR = R + PrefetchRuns;
-        if (PR < NumRuns)
-          __builtin_prefetch(Lines + (RunBlockIdx[PR] & SetMask));
+  for (size_t R = 0; R != NumRuns; ++R) {
+    {
+      const size_t PR = R + PrefetchRuns;
+      if (PR < NumRuns)
+        __builtin_prefetch(
+            Lines + static_cast<size_t>(RunBlockIdx[PR] & SetMask) * Ways);
+    }
+    const uint32_t Packed = RunPacked[R];
+    const uint32_t Len = Packed & BC::RunLenMask;
+    const uint32_t BI = RunBlockIdx[R];
+    const uint32_t SetIdx = BI & SetMask;
+    const uint32_t Tag = BI >> SetShift;
+
+    // One set scan per run: every reference after the first is
+    // guaranteed to find the block resident (ValidMask never drops to
+    // 0 between the install and the end of the run).
+    Line *Set = Lines + static_cast<size_t>(SetIdx) * Ways;
+    Line *Found = nullptr;
+    Line *Victim = Set;
+    for (uint32_t W = 0; W != Ways; ++W) {
+      Line &Way = Set[W];
+      if (Way.ValidMask != 0 && Way.Tag == Tag) {
+        Found = &Way;
+        break;
       }
-      const uint32_t Packed = RunPacked[R];
-      const uint32_t Len = Packed & BC::RunLenMask;
-      const uint32_t BI = RunBlockIdx[R];
-      const uint32_t SetIdx = BI & SetMask;
-      const uint32_t Tag = BI >> SetShift;
-      Line *L = Lines + SetIdx;
+      if (Way.ValidMask == 0) {
+        Victim = &Way; // Prefer an empty way (last one scanned wins).
+      } else if (Victim->ValidMask != 0 && Way.LruStamp < Victim->LruStamp) {
+        Victim = &Way;
+      }
+    }
+    const bool Resident = Found != nullptr;
+    Line *L = Found ? Found : Victim;
+
+    // First reference of the run: the only one that can block-miss.
+    // Its decomposition lives in the run-indexed columns, so store-
+    // only runs and singleton loads never touch per-reference arrays.
+    {
       const uint64_t WB = FirstWordBit[R];
       const unsigned P =
           Mixed ? ((Packed & BC::RunFirstCollector) ? 1 : 0) : BatchPhase;
       const bool IsStore = (Packed & BC::RunFirstIsStore) != 0;
-      if (L->ValidMask != 0 && L->Tag == Tag) {
+      ++Clock;
+      if (Resident) {
         if (IsStore) {
           L->ValidMask |= WB;
-          if (TrackDirty)
-            L->StoreMask |= WB;
+          L->StoreMask |= WB;
         } else if (!(L->ValidMask & WB)) {
           // Sub-block read miss: resident block, never-fetched word.
           L->ValidMask = FullMask;
@@ -233,7 +247,7 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
           }
         }
       } else {
-        // Block miss: evict the line (writing back if dirty), install.
+        // Block miss: evict the victim (writeback if dirty), install.
         if (L->dirty()) {
           if constexpr (Mixed)
             ++Cnt[P].Writebacks;
@@ -241,14 +255,11 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
             ++WbL;
         }
         L->Tag = Tag;
-        L->StoreMask = 0;
+        L->StoreMask = IsStore ? WB : 0;
         const bool FetchOnWrite =
-            Mixed ? (FetchOnWriteAlways || (CollectorFoW && P != 0))
-                  : BatchFoW;
+            Mixed ? (FetchOnWriteAlways || P != 0) : BatchFoW;
         if (IsStore && !FetchOnWrite) {
           L->ValidMask = WB;
-          if (TrackDirty)
-            L->StoreMask = WB;
           if constexpr (Mixed)
             ++Cnt[P].NoFetchMisses;
           else
@@ -257,8 +268,6 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
             ++BlockMisses[SetIdx];
         } else {
           L->ValidMask = FullMask;
-          if (IsStore && TrackDirty)
-            L->StoreMask = WB;
           if constexpr (Mixed)
             ++Cnt[P].FetchMisses;
           else
@@ -269,138 +278,33 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
           }
         }
       }
-      ++I;
-
-      if (const uint32_t Rest = Len - 1) {
-        if (!(Packed & BC::RunHasTailLoad)) {
-          // Store-only tail: stores to a resident block just OR their
-          // word bits into the valid and store masks, so the whole tail
-          // is a few register ops (the counters came from the tally).
-          L->ValidMask |= StoreMask[R];
-          if (TrackDirty)
-            L->StoreMask |= StoreMask[R];
-          I += Rest;
-        } else {
-          // The tail holds loads, whose sub-block validity depends on
-          // the exact interleaving: walk it with state in registers.
-          uint64_t VM = L->ValidMask;
-          uint64_t SM = L->StoreMask;
-          for (const size_t End = I + Rest; I != End; ++I) {
-            const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
-            if (Kind[I] & 1) {
-              VM |= Bit;
-              if (TrackDirty)
-                SM |= Bit;
-            } else if (!(VM & Bit)) {
-              VM = FullMask;
-              if constexpr (Mixed)
-                ++Cnt[PhaseTag[I] & 1].FetchMisses;
-              else
-                ++FetchL;
-              if constexpr (PerBlock) {
-                ++BlockMisses[SetIdx];
-                ++BlockFetch[SetIdx];
-              }
-            }
-          }
-          L->ValidMask = VM;
-          L->StoreMask = SM;
-        }
-      }
-      if constexpr (PerBlock)
-        BlockRefs[SetIdx] += Len;
     }
-  } else {
-    for (size_t R = 0; R != NumRuns; ++R) {
-      {
-        const size_t PR = R + PrefetchRuns;
-        if (PR < NumRuns)
-          __builtin_prefetch(
-              Lines + static_cast<size_t>(RunBlockIdx[PR] & SetMask) * Ways);
-      }
-      const uint32_t Packed = RunPacked[R];
-      const uint32_t Len = Packed & BC::RunLenMask;
-      const uint32_t BI = RunBlockIdx[R];
-      const uint32_t SetIdx = BI & SetMask;
-      const uint32_t Tag = BI >> SetShift;
+    ++I;
 
-      // One set scan per run: every reference after the first is
-      // guaranteed to find the block resident (ValidMask never drops to
-      // 0 between the install and the end of the run).
-      Line *Set = Lines + static_cast<size_t>(SetIdx) * Ways;
-      Line *Found = nullptr;
-      Line *Victim = Set;
-      for (uint32_t W = 0; W != Ways; ++W) {
-        Line &Way = Set[W];
-        if (Way.ValidMask != 0 && Way.Tag == Tag) {
-          Found = &Way;
-          break;
-        }
-        if (Way.ValidMask == 0) {
-          Victim = &Way; // Prefer an empty way (last one scanned wins).
-        } else if (Victim->ValidMask != 0 &&
-                   Way.LruStamp < Victim->LruStamp) {
-          Victim = &Way;
-        }
-      }
-      const bool Resident = Found != nullptr;
-      Line *L = Found ? Found : Victim;
-
-      // First reference of the run: the only one that can block-miss.
-      // Its decomposition lives in the run-indexed columns, so store-
-      // only runs and singleton loads never touch per-reference arrays.
-      {
-        const uint64_t WB = FirstWordBit[R];
-        const unsigned P =
-            Mixed ? ((Packed & BC::RunFirstCollector) ? 1 : 0) : BatchPhase;
-        const bool IsStore = (Packed & BC::RunFirstIsStore) != 0;
-        ++Clock;
-        if (Resident) {
-          if (IsStore) {
-            L->ValidMask |= WB;
-            if (TrackDirty)
-              L->StoreMask |= WB;
-          } else if (!(L->ValidMask & WB)) {
-            // Sub-block read miss: resident block, never-fetched word.
-            L->ValidMask = FullMask;
+    if (const uint32_t Rest = Len - 1) {
+      if (!(Packed & BC::RunHasTailLoad)) {
+        // Store-only tail: stores to a resident block just OR their
+        // word bits into the valid and store masks, so the whole tail
+        // is a few register ops (the counters came from the tally).
+        L->ValidMask |= StoreMask[R];
+        L->StoreMask |= StoreMask[R];
+        Clock += Rest;
+        I += Rest;
+      } else {
+        // The tail holds loads, whose sub-block validity depends on
+        // the exact interleaving: walk it with state in registers.
+        uint64_t VM = L->ValidMask;
+        uint64_t SM = L->StoreMask;
+        for (const size_t End = I + Rest; I != End; ++I) {
+          ++Clock;
+          const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
+          if (Kind[I] & 1) {
+            VM |= Bit;
+            SM |= Bit;
+          } else if (!(VM & Bit)) {
+            VM = FullMask;
             if constexpr (Mixed)
-              ++Cnt[P].FetchMisses;
-            else
-              ++FetchL;
-            if constexpr (PerBlock) {
-              ++BlockMisses[SetIdx];
-              ++BlockFetch[SetIdx];
-            }
-          }
-        } else {
-          // Block miss: evict the victim (writeback if dirty), install.
-          if (L->dirty()) {
-            if constexpr (Mixed)
-              ++Cnt[P].Writebacks;
-            else
-              ++WbL;
-          }
-          L->Tag = Tag;
-          L->StoreMask = 0;
-          const bool FetchOnWrite =
-              Mixed ? (FetchOnWriteAlways || (CollectorFoW && P != 0))
-                    : BatchFoW;
-          if (IsStore && !FetchOnWrite) {
-            L->ValidMask = WB;
-            if (TrackDirty)
-              L->StoreMask = WB;
-            if constexpr (Mixed)
-              ++Cnt[P].NoFetchMisses;
-            else
-              ++NoFetchL;
-            if constexpr (PerBlock)
-              ++BlockMisses[SetIdx];
-          } else {
-            L->ValidMask = FullMask;
-            if (IsStore && TrackDirty)
-              L->StoreMask = WB;
-            if constexpr (Mixed)
-              ++Cnt[P].FetchMisses;
+              ++Cnt[PhaseTag[I] & 1].FetchMisses;
             else
               ++FetchL;
             if constexpr (PerBlock) {
@@ -409,53 +313,15 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
             }
           }
         }
+        L->ValidMask = VM;
+        L->StoreMask = SM;
       }
-      ++I;
-
-      if (const uint32_t Rest = Len - 1) {
-        if (!(Packed & BC::RunHasTailLoad)) {
-          // Store-only tail: stores to a resident block just OR their
-          // word bits into the valid and store masks, so the whole tail
-          // is a few register ops (the counters came from the tally).
-          L->ValidMask |= StoreMask[R];
-          if (TrackDirty)
-            L->StoreMask |= StoreMask[R];
-          Clock += Rest;
-          I += Rest;
-        } else {
-          // The tail holds loads, whose sub-block validity depends on
-          // the exact interleaving: walk it with state in registers.
-          uint64_t VM = L->ValidMask;
-          uint64_t SM = L->StoreMask;
-          for (const size_t End = I + Rest; I != End; ++I) {
-            ++Clock;
-            const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
-            if (Kind[I] & 1) {
-              VM |= Bit;
-              if (TrackDirty)
-                SM |= Bit;
-            } else if (!(VM & Bit)) {
-              VM = FullMask;
-              if constexpr (Mixed)
-                ++Cnt[PhaseTag[I] & 1].FetchMisses;
-              else
-                ++FetchL;
-              if constexpr (PerBlock) {
-                ++BlockMisses[SetIdx];
-                ++BlockFetch[SetIdx];
-              }
-            }
-          }
-          L->ValidMask = VM;
-          L->StoreMask = SM;
-        }
-      }
-      // The scalar path stamps every access; only the final stamp of
-      // the run (== the clock at its last reference) is observable.
-      L->LruStamp = Clock;
-      if constexpr (PerBlock)
-        BlockRefs[SetIdx] += Len;
     }
+    // The scalar path stamps every access; only the final stamp of
+    // the run (== the clock at its last reference) is observable.
+    L->LruStamp = Clock;
+    if constexpr (PerBlock)
+      BlockRefs[SetIdx] += Len;
   }
 
   C.LruClock = Clock;
@@ -480,11 +346,11 @@ void BatchKernel::run(Cache &C, const RefColumns &Batch, BatchIndex &Index) {
       (void)C.access(Batch.get(I));
     return;
   }
+  assert(C.config().Ways > 1 &&
+         "a direct-mapped cache without a shadow oracle is a chain link");
   const BatchIndex::BlockColumns &Cols =
       Index.columnsFor(C.config().BlockBytes);
   const BatchIndex::RefTally &Tally = Index.tally();
-  const bool DirectMapped = C.config().Ways == 1;
-  const bool PerBlock = C.config().TrackPerBlockStats;
   // CacheBank flushes at GC phase boundaries, so nearly every batch is
   // single-phase: pick the specialization that keeps its event counters
   // in registers and resolves fetch-on-write once per batch.
@@ -492,21 +358,12 @@ void BatchKernel::run(Cache &C, const RefColumns &Batch, BatchIndex &Index) {
   const bool AllMutator = Tally.Loads[1] + Tally.Stores[1] == 0;
   const bool Mixed = !AllCollector && !AllMutator;
   const unsigned BatchPhase = AllCollector ? 1 : 0;
-  if (DirectMapped) {
-    if (PerBlock)
-      Mixed ? runLoop<true, true, true>(C, Batch, Cols, Tally, BatchPhase)
-            : runLoop<true, true, false>(C, Batch, Cols, Tally, BatchPhase);
-    else
-      Mixed ? runLoop<true, false, true>(C, Batch, Cols, Tally, BatchPhase)
-            : runLoop<true, false, false>(C, Batch, Cols, Tally, BatchPhase);
-  } else {
-    if (PerBlock)
-      Mixed ? runLoop<false, true, true>(C, Batch, Cols, Tally, BatchPhase)
-            : runLoop<false, true, false>(C, Batch, Cols, Tally, BatchPhase);
-    else
-      Mixed ? runLoop<false, false, true>(C, Batch, Cols, Tally, BatchPhase)
-            : runLoop<false, false, false>(C, Batch, Cols, Tally, BatchPhase);
-  }
+  if (C.config().TrackPerBlockStats)
+    Mixed ? runLoop<true, true>(C, Batch, Cols, Tally, BatchPhase)
+          : runLoop<true, false>(C, Batch, Cols, Tally, BatchPhase);
+  else
+    Mixed ? runLoop<false, true>(C, Batch, Cols, Tally, BatchPhase)
+          : runLoop<false, false>(C, Batch, Cols, Tally, BatchPhase);
 }
 
 //===----------------------------------------------------------------------===//
@@ -514,15 +371,12 @@ void BatchKernel::run(Cache &C, const RefColumns &Batch, BatchIndex &Index) {
 //===----------------------------------------------------------------------===//
 
 bool BatchKernel::chainable(const Cache &C) {
-  const CacheConfig &Cfg = C.config();
-  return Cfg.Ways == 1 && Cfg.WriteHit == WriteHitPolicy::WriteBack &&
-         !C.crossCheckEnabled();
+  return C.config().Ways == 1 && !C.crossCheckEnabled();
 }
 
 bool BatchKernel::sameChain(const Cache &A, const Cache &B) {
   const CacheConfig &X = A.config(), &Y = B.config();
   return X.BlockBytes == Y.BlockBytes && X.WriteMiss == Y.WriteMiss &&
-         X.CollectorFetchOnWrite == Y.CollectorFetchOnWrite &&
          X.TrackPerBlockStats == Y.TrackPerBlockStats;
 }
 
@@ -553,8 +407,7 @@ void BatchKernel::runChain(std::span<Cache *const> Links,
     const void *Switch = std::memchr(PhaseTag + Begin, P ^ 1, N - Begin);
     const size_t End =
         Switch ? static_cast<const uint8_t *>(Switch) - PhaseTag : N;
-    const bool FoW = Cfg.WriteMiss == WriteMissPolicy::FetchOnWrite ||
-                     (Cfg.CollectorFetchOnWrite && P != 0);
+    const bool FoW = Cfg.WriteMiss == WriteMissPolicy::FetchOnWrite || P != 0;
     ChainRun *Runs = Survivors.data();
     if (PerBlock)
       FoW ? runSegment<true, true>(Links, Batch, Begin, End, P, Runs, Refs)
@@ -740,10 +593,10 @@ size_t BatchKernel::firstLink(Cache &C, const RefColumns &Batch,
   return NumOut;
 }
 
-/// A larger link: the same transitions run by run, as the solo
-/// direct-mapped loop makes them. A run is dropped, before it touches the
-/// line, when its block is resident with every word it touches in the
-/// store mask: by inclusion that holds in every larger link too.
+/// A larger link: the same transitions as Cache::simulate, made run by
+/// run. A run is dropped, before it touches the line, when its block is
+/// resident with every word it touches in the store mask: by inclusion
+/// that holds in every larger link too.
 template <bool FetchOnWrite, bool Emit, bool PerBlock>
 size_t BatchKernel::nextLink(Cache &C, const RefColumns &Batch,
                              ChainRun *Runs, size_t NumRuns, unsigned P) {

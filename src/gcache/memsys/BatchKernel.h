@@ -8,17 +8,17 @@
 /// The hot path of the cache bank. Two kernels take a whole columnar
 /// batch (trace/Event.h RefColumns):
 ///
-///  - runChain simulates an inclusion chain: the direct-mapped write-back
-///    caches of one block size and policy, smallest first, with or
+///  - runChain simulates an inclusion chain: the direct-mapped caches of
+///    one block size and write-miss policy, smallest first, with or
 ///    without per-block statistics. The smallest link sees every
 ///    reference; each larger link sees only the same-block runs the link
 ///    before it could not prove to be no-ops. This is the path of the
 ///    paper grid and of every size sweep.
-///  - run simulates one cache in a tight, branch-light loop: policy flags
-///    are hoisted, counters live in locals, the direct-mapped case skips
-///    the way scan, and the address decomposition is precomputed once per
-///    batch in a BatchIndex shared by every solo cache with that block
-///    size. Associative, write-through and cross-checked caches take it.
+///  - run simulates one associative cache in a tight, branch-light loop:
+///    the write-miss policy is hoisted, counters live in locals, and the
+///    address decomposition is precomputed once per batch in a BatchIndex
+///    shared by every solo cache with that block size. A cross-checked
+///    cache, direct-mapped or not, takes run's scalar fallback.
 ///
 /// Correctness contract: both are *bit-identical* to feeding the same
 /// references through Cache::access one at a time — same counters, same
@@ -26,10 +26,10 @@
 /// clock, same per-block statistics. Batch segmentation is unobservable:
 /// any way of cutting a stream into batches produces the same final
 /// state, so checkpoint cuts and cancellation drains at batch boundaries
-/// stay bit-exact, and a cache may move between a chain and a solo run
-/// from one batch to the next. tests/test_batch_kernel.cpp holds the
+/// stay bit-exact, and a cache may move between a chain and the scalar
+/// path from one batch to the next. tests/test_batch_kernel.cpp holds the
 /// differential proof against both Cache::access and OracleCache across
-/// the write-policy x associativity x block-size matrix and over chains.
+/// the write-miss x associativity x block-size matrix and over chains.
 ///
 /// With a shadow oracle attached (Cache::enableCrossCheck), run feeds
 /// that cache through Cache::access so the oracle sees every reference in
@@ -164,16 +164,16 @@ public:
   /// been reset() to \p Batch (it caches the shared address columns).
   /// With a shadow oracle attached to \p C this falls back to the scalar
   /// path, so a hit-class divergence throws StatusError(Divergence) from
-  /// inside the batch exactly as it would per-reference.
+  /// inside the batch exactly as it would per-reference. Otherwise \p C
+  /// must be associative: a direct-mapped cache is a chain link.
   static void run(Cache &C, const RefColumns &Batch, BatchIndex &Index);
 
-  /// True when \p C can be a link of a chain: direct-mapped, write-back,
-  /// no shadow oracle attached.
+  /// True when \p C can be a link of a chain: direct-mapped, no shadow
+  /// oracle attached.
   static bool chainable(const Cache &C);
 
   /// True when chainable caches \p A and \p B may share one chain: the
-  /// same block size, write-miss policy, collector fetch-on-write and
-  /// per-block statistics flag.
+  /// same block size, write-miss policy and per-block statistics flag.
   static bool sameChain(const Cache &A, const Cache &B);
 
   /// Simulates \p Batch against an inclusion chain: \p Links are
@@ -222,13 +222,13 @@ private:
   /// measured fastest (1 K to whole 256 K batches were tried).
   static constexpr size_t ChainChunkRefs = 8 * 1024;
 
-  /// \p Mixed selects the phase handling: a batch whose tally shows
-  /// references of both phases pays for per-reference phase-indexed
-  /// counters; a single-phase batch (the overwhelmingly common case —
-  /// CacheBank flushes at GC boundaries) keeps its event counters in
-  /// scalar locals and folds them into Counts[BatchPhase] once at the
-  /// end. BatchPhase is ignored when Mixed.
-  template <bool DirectMapped, bool PerBlock, bool Mixed>
+  /// run's loop over an associative cache. \p Mixed selects the phase
+  /// handling: a batch whose tally shows references of both phases pays
+  /// for per-reference phase-indexed counters; a single-phase batch (the
+  /// overwhelmingly common case — CacheBank flushes at GC boundaries)
+  /// keeps its event counters in scalar locals and folds them into
+  /// Counts[BatchPhase] once at the end. BatchPhase is ignored when Mixed.
+  template <bool PerBlock, bool Mixed>
   static void runLoop(Cache &C, const RefColumns &Batch,
                       const BatchIndex::BlockColumns &Cols,
                       const BatchIndex::RefTally &Tally, unsigned BatchPhase);

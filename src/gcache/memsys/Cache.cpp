@@ -19,7 +19,6 @@ Cache::~Cache() = default;
 Cache::Cache(const CacheConfig &Config) : Config(Config) {
   assert(Config.isValid() && "invalid cache geometry");
   Shape = (Config.Ways == 1 ? ShapeDirect : 0) |
-          (Config.WriteHit == WriteHitPolicy::WriteBack ? ShapeWriteBack : 0) |
           (Config.TrackPerBlockStats ? ShapePerBlock : 0);
   SetMask = Config.numSets() - 1;
   SetShift = std::bit_width(SetMask);
@@ -49,14 +48,12 @@ void Cache::reset() {
     Shadow->reset();
 }
 
-template <bool DirectMapped, bool WriteBack, bool PerBlock>
+template <bool DirectMapped, bool PerBlock>
 [[gnu::always_inline]] inline AccessResult Cache::simulate(const Ref &R) {
   CacheCounters &C = Counts[static_cast<unsigned>(R.ExecPhase)];
   const bool IsStore = R.Kind == AccessKind::Store;
   C.Loads += !IsStore;
   C.Stores += IsStore;
-  if constexpr (!WriteBack)
-    C.WriteThroughs += IsStore;
 
   const uint32_t BlockIdx = R.Addr >> BlockShift;
   const uint32_t SetIdx = BlockIdx & SetMask;
@@ -104,8 +101,7 @@ template <bool DirectMapped, bool WriteBack, bool PerBlock>
     // validate the word; under fetch-on-write, a hit already has the
     // block resident.
     Found->ValidMask |= StoreBit;
-    if constexpr (WriteBack)
-      Found->StoreMask |= StoreBit;
+    Found->StoreMask |= StoreBit;
     if (Found->ValidMask & WordBit)
       return AccessResult::Hit;
     // Sub-block read miss: the block is resident but this word was never
@@ -122,11 +118,11 @@ template <bool DirectMapped, bool WriteBack, bool PerBlock>
     ++C.Writebacks;
   Victim->Tag = Tag;
   Victim->LruStamp = Stamp;
-  Victim->StoreMask = WriteBack ? StoreBit : 0;
+  Victim->StoreMask = StoreBit;
 
+  // A collector write miss always fetches (memsys/CacheConfig.h).
   bool FetchOnWrite = Config.WriteMiss == WriteMissPolicy::FetchOnWrite ||
-                      (Config.CollectorFetchOnWrite &&
-                       R.ExecPhase == Phase::Collector);
+                      R.ExecPhase == Phase::Collector;
   if (IsStore && !FetchOnWrite) {
     Victim->ValidMask = WordBit;
     ++C.NoFetchMisses;
@@ -140,27 +136,19 @@ template <bool DirectMapped, bool WriteBack, bool PerBlock>
   return AccessResult::FetchMiss;
 }
 
-const Cache::SimulateFn Cache::SimulateByShape[8] = {
-    &Cache::simulate<false, false, false>, &Cache::simulate<true, false, false>,
-    &Cache::simulate<false, true, false>,  &Cache::simulate<true, true, false>,
-    &Cache::simulate<false, false, true>,  &Cache::simulate<true, false, true>,
-    &Cache::simulate<false, true, true>,   &Cache::simulate<true, true, true>};
+const Cache::SimulateFn Cache::SimulateByShape[4] = {
+    &Cache::simulate<false, false>, &Cache::simulate<true, false>,
+    &Cache::simulate<false, true>, &Cache::simulate<true, true>};
 
-template <bool DirectMapped, bool WriteBack, bool PerBlock>
+template <bool DirectMapped, bool PerBlock>
 void Cache::simulateSpan(const RefSpan &S) {
   for (size_t I = 0; I != S.size(); ++I)
-    (void)simulate<DirectMapped, WriteBack, PerBlock>(S[I]);
+    (void)simulate<DirectMapped, PerBlock>(S[I]);
 }
 
-const Cache::SimulateSpanFn Cache::SimulateSpanByShape[8] = {
-    &Cache::simulateSpan<false, false, false>,
-    &Cache::simulateSpan<true, false, false>,
-    &Cache::simulateSpan<false, true, false>,
-    &Cache::simulateSpan<true, true, false>,
-    &Cache::simulateSpan<false, false, true>,
-    &Cache::simulateSpan<true, false, true>,
-    &Cache::simulateSpan<false, true, true>,
-    &Cache::simulateSpan<true, true, true>};
+const Cache::SimulateSpanFn Cache::SimulateSpanByShape[4] = {
+    &Cache::simulateSpan<false, false>, &Cache::simulateSpan<true, false>,
+    &Cache::simulateSpan<false, true>, &Cache::simulateSpan<true, true>};
 
 void Cache::onRefs(const RefSpan &S) {
   if (Shadow) {
@@ -172,15 +160,15 @@ void Cache::onRefs(const RefSpan &S) {
 }
 
 AccessResult Cache::access(const Ref &R) {
-  // The direct-mapped write-back shapes (the sink-side caches of §7) are
-  // called directly; the others through the table.
+  // The direct-mapped shapes (the sink-side caches of §7) are called
+  // directly; the associative ones through the table.
   AccessResult Got;
   switch (Shape) {
-  case ShapeDirect | ShapeWriteBack:
-    Got = simulate<true, true, false>(R);
+  case ShapeDirect:
+    Got = simulate<true, false>(R);
     break;
-  case ShapeDirect | ShapeWriteBack | ShapePerBlock:
-    Got = simulate<true, true, true>(R);
+  case ShapeDirect | ShapePerBlock:
+    Got = simulate<true, true>(R);
     break;
   default:
     Got = (this->*SimulateByShape[Shape])(R);
@@ -227,6 +215,10 @@ static void loadCounters(SnapshotCursor &C, CacheCounters &Out) {
 /// replaced the u8 dirty flag with the u64 store mask and writes stamps
 /// only for associative caches.
 static constexpr uint32_t CacheStateVersion3 = 0x65766133; // "3av e"
+/// The image's write-hit and collector-policy bytes. Both policies are
+/// fixed (write-back; a collector write miss fetches), so an image holding
+/// any other value is refused.
+static constexpr uint8_t WriteBackByte = 0, CollectorFetchesByte = 1;
 
 void Cache::saveState(SnapshotWriter &W) const {
   W.putU32(CacheStateVersion3);
@@ -236,8 +228,8 @@ void Cache::saveState(SnapshotWriter &W) const {
   W.putU32(Config.BlockBytes);
   W.putU32(Config.Ways);
   W.putU8(static_cast<uint8_t>(Config.WriteMiss));
-  W.putU8(static_cast<uint8_t>(Config.WriteHit));
-  W.putU8(Config.CollectorFetchOnWrite ? 1 : 0);
+  W.putU8(WriteBackByte);
+  W.putU8(CollectorFetchesByte);
   W.putU8(Config.TrackPerBlockStats ? 1 : 0);
 
   W.putU64(LruClock);
@@ -279,15 +271,21 @@ void Cache::loadState(SnapshotCursor &C) {
   uint32_t Ways = C.getU32();
   uint8_t WriteMiss = C.getU8();
   uint8_t WriteHit = C.getU8();
-  uint8_t FoW = C.getU8();
+  uint8_t Collector = C.getU8();
   uint8_t PerBlock = C.getU8();
   if (!C.ok())
     return;
+  if (WriteHit != WriteBackByte || Collector != CollectorFetchesByte) {
+    C.fail(Status::failf(StatusCode::Corrupt,
+                         "cache snapshot has write-hit policy byte %u and "
+                         "collector policy byte %u (expected %u and %u)",
+                         WriteHit, Collector, WriteBackByte,
+                         CollectorFetchesByte));
+    return;
+  }
   if (SizeBytes != Config.SizeBytes || BlockBytes != Config.BlockBytes ||
       Ways != Config.Ways ||
       WriteMiss != static_cast<uint8_t>(Config.WriteMiss) ||
-      WriteHit != static_cast<uint8_t>(Config.WriteHit) ||
-      (FoW != 0) != Config.CollectorFetchOnWrite ||
       (PerBlock != 0) != Config.TrackPerBlockStats) {
     C.fail(Status::failf(StatusCode::Corrupt,
                          "cache snapshot geometry (%u B, %u B blocks, "
@@ -442,7 +440,6 @@ Status Cache::crossCheckNow() const {
         {"fetch-misses", A.FetchMisses, B.FetchMisses},
         {"no-fetch-misses", A.NoFetchMisses, B.NoFetchMisses},
         {"writebacks", A.Writebacks, B.Writebacks},
-        {"write-throughs", A.WriteThroughs, B.WriteThroughs},
     };
     for (const auto &F : Fields)
       if (F.Got != F.Want)
@@ -491,8 +488,7 @@ Status Cache::auditState() const {
     const Line *Set = setBase(SetIdx);
     for (uint32_t W = 0; W != Config.Ways; ++W) {
       const Line &L = Set[W];
-      // The chain filter's premise: every stored word is valid, and only
-      // write-back lines record stores.
+      // The chain filter's premise: every stored word is valid.
       if (L.StoreMask & ~L.ValidMask)
         return Status::failf(StatusCode::AuditFailure,
                             "%s: set %u way %u store mask 0x%llx is not "
@@ -500,12 +496,6 @@ Status Cache::auditState() const {
                             Label.c_str(), SetIdx, W,
                             static_cast<unsigned long long>(L.StoreMask),
                             static_cast<unsigned long long>(L.ValidMask));
-      if (L.StoreMask && Config.WriteHit == WriteHitPolicy::WriteThrough)
-        return Status::failf(StatusCode::AuditFailure,
-                            "%s: set %u way %u of a write-through cache "
-                            "holds store mask 0x%llx",
-                            Label.c_str(), SetIdx, W,
-                            static_cast<unsigned long long>(L.StoreMask));
       if (L.ValidMask == 0)
         continue;
       if (L.ValidMask & ~FullMask)
@@ -549,28 +539,13 @@ Status Cache::auditState() const {
                           Label.c_str(), Name,
                           static_cast<unsigned long long>(C.allMisses()),
                           static_cast<unsigned long long>(C.refs()));
-    if (Config.WriteHit == WriteHitPolicy::WriteThrough) {
-      if (C.Writebacks != 0)
-        return Status::failf(StatusCode::AuditFailure,
-                            "%s: write-through cache recorded %llu %s "
-                            "writebacks",
-                            Label.c_str(),
-                            static_cast<unsigned long long>(C.Writebacks),
-                            Name);
-      if (C.WriteThroughs != C.Stores)
-        return Status::failf(StatusCode::AuditFailure,
-                            "%s: %s write-throughs (%llu) != stores (%llu)",
-                            Label.c_str(), Name,
-                            static_cast<unsigned long long>(C.WriteThroughs),
-                            static_cast<unsigned long long>(C.Stores));
-    } else if (C.WriteThroughs != 0) {
+    if (C.WriteThroughs != 0)
       return Status::failf(StatusCode::AuditFailure,
                           "%s: write-back cache recorded %llu %s "
                           "write-throughs",
                           Label.c_str(),
                           static_cast<unsigned long long>(C.WriteThroughs),
                           Name);
-    }
   }
   if (Config.WriteMiss == WriteMissPolicy::FetchOnWrite &&
       totalCounters().NoFetchMisses != 0)
@@ -580,8 +555,7 @@ Status Cache::auditState() const {
                         Label.c_str(),
                         static_cast<unsigned long long>(
                             totalCounters().NoFetchMisses));
-  if (Config.CollectorFetchOnWrite &&
-      Counts[static_cast<unsigned>(Phase::Collector)].NoFetchMisses != 0)
+  if (Counts[static_cast<unsigned>(Phase::Collector)].NoFetchMisses != 0)
     return Status::failf(StatusCode::AuditFailure,
                         "%s: collector writes fetch-on-write, yet %llu "
                         "collector no-fetch misses were recorded",

@@ -20,17 +20,18 @@
 /// do not stall); the §7 miss plots count both, while O_cache charges only
 /// the former, following §5.
 ///
-/// A line holds its tag, the valid mask, and the store mask: the words
-/// stored since the block was installed, so a write-back line is dirty
-/// iff that mask is nonzero. Direct-mapped caches of one block size nest
-/// (a block resident in a smaller one is resident in every larger one),
-/// and their store masks nest with them; the bank's inclusion chains use
-/// that to skip references a smaller cache proves change nothing in a
-/// larger one (memsys/BatchKernel.h). A skipped reference is still
-/// counted in the larger cache's per-block statistics: a chain folds the
-/// per-set reference counts of each batch into every link. Only
-/// associative caches keep LRU stamps and a clock; no direct-mapped
-/// victim choice reads them.
+/// Every cache is write-back, and a collector write miss always fetches
+/// (memsys/CacheConfig.h). A line holds its tag, the valid mask, and the
+/// store mask: the words stored since the block was installed, so a line
+/// is dirty iff that mask is nonzero. Direct-mapped caches of one block
+/// size nest (a block resident in a smaller one is resident in every
+/// larger one), and their store masks nest with them; the bank's
+/// inclusion chains use that to skip references a smaller cache proves
+/// change nothing in a larger one (memsys/BatchKernel.h). A skipped
+/// reference is still counted in the larger cache's per-block
+/// statistics: a chain folds the per-set reference counts of each batch
+/// into every link. Only associative caches keep LRU stamps and a clock;
+/// no direct-mapped victim choice reads them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,8 +64,9 @@ struct CacheCounters {
   uint64_t Stores = 0;
   uint64_t FetchMisses = 0;   ///< Penalty-bearing misses (reads + FoW writes).
   uint64_t NoFetchMisses = 0; ///< Write-validate write misses (allocations).
-  uint64_t Writebacks = 0;    ///< Dirty evictions (write-back caches).
-  uint64_t WriteThroughs = 0; ///< Stores sent to memory (write-through).
+  uint64_t Writebacks = 0;    ///< Dirty evictions.
+  /// Always 0 (every cache is write-back); the benchmark's digest reads it.
+  uint64_t WriteThroughs = 0;
 
   uint64_t refs() const { return Loads + Stores; }
   uint64_t allMisses() const { return FetchMisses + NoFetchMisses; }
@@ -164,11 +166,10 @@ public:
 
   /// Internal-consistency audit: LRU stamps unique and bounded by the
   /// clock, valid masks within the block's words, store masks within the
-  /// valid masks (and empty under write-through), per-block statistics
-  /// summing to the global counters, and the write-policy conservation
-  /// laws (write-through stores all written through, write-validate
-  /// no-fetch misses only where the policy allows them). Returns
-  /// AuditFailure describing the first violated law.
+  /// valid masks, per-block statistics summing to the global counters,
+  /// and the write-policy conservation laws (no write-throughs, and
+  /// no-fetch misses only in the mutator phase of a write-validate
+  /// cache). Returns AuditFailure describing the first violated law.
   Status auditState() const;
 
   /// The inclusion law of an inclusion chain (BatchKernel::runChain), with
@@ -186,8 +187,7 @@ private:
   struct Line {
     uint32_t Tag = 0;
     uint64_t ValidMask = 0; ///< Bit per word; 0 means the line is empty.
-    /// Bit per word stored since the block was installed. Kept by
-    /// write-back caches only (write-through leaves it 0), so the line is
+    /// Bit per word stored since the block was installed, so the line is
     /// dirty iff it is nonzero; always a subset of ValidMask. A smaller
     /// cache's mask is a subset of a larger one's for the same block,
     /// which is what lets a chain skip no-op runs (BatchKernel::runChain).
@@ -205,18 +205,17 @@ private:
   /// The one simulation body. The policy tests it would otherwise make on
   /// every reference are template parameters; each cache picks its
   /// instantiation once, at construction (Shape).
-  template <bool DirectMapped, bool WriteBack, bool PerBlock>
+  template <bool DirectMapped, bool PerBlock>
   AccessResult simulate(const Ref &R);
   using SimulateFn = AccessResult (Cache::*)(const Ref &);
   /// One loop of simulate over a span.
-  template <bool DirectMapped, bool WriteBack, bool PerBlock>
+  template <bool DirectMapped, bool PerBlock>
   void simulateSpan(const RefSpan &S);
   using SimulateSpanFn = void (Cache::*)(const RefSpan &);
   /// Shape bits: which instantiation of simulate a cache takes.
-  static constexpr uint8_t ShapeDirect = 1, ShapeWriteBack = 2,
-                           ShapePerBlock = 4;
-  static const SimulateFn SimulateByShape[8];
-  static const SimulateSpanFn SimulateSpanByShape[8];
+  static constexpr uint8_t ShapeDirect = 1, ShapePerBlock = 2;
+  static const SimulateFn SimulateByShape[4];
+  static const SimulateSpanFn SimulateSpanByShape[4];
 
   Line *setBase(uint32_t SetIdx) { return &Lines[SetIdx * Config.Ways]; }
   const Line *setBase(uint32_t SetIdx) const {

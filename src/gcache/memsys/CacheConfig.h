@@ -9,7 +9,14 @@
 /// virtually-indexed caches from 32 KB to 4 MB, block (= fetch) sizes from
 /// 16 to 256 bytes, direct-mapped by default (generalized to N-way LRU for
 /// the associativity ablation), with write-validate or fetch-on-write
-/// write-miss policies and write-back or write-through write-hit policies.
+/// write-miss policies.
+///
+/// Two policies are fixed properties of the model, not options. Every
+/// cache is write-back: a store marks its block dirty, and memory is
+/// written only when a dirty block is evicted. And a write miss while the
+/// collector runs always fetches, whatever the write-miss policy, because
+/// the paper's simulator charges fetch-on-write during collection (§6
+/// footnote: "this graph slightly over-reports collection overheads").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,14 +30,11 @@
 
 namespace gcache {
 
-/// What happens on a write miss (§4). WriteValidate allocates the block
-/// without fetching and validates only the written word (sub-block size of
-/// one word); FetchOnWrite fetches the whole memory block first.
+/// What happens on a mutator write miss (§4). WriteValidate allocates the
+/// block without fetching and validates only the written word (sub-block
+/// size of one word); FetchOnWrite fetches the whole memory block first.
+/// A collector write miss fetches under either policy.
 enum class WriteMissPolicy : uint8_t { WriteValidate, FetchOnWrite };
-
-/// What happens on a write hit. WriteBack marks the block dirty and writes
-/// memory only on eviction; WriteThrough sends every store to memory.
-enum class WriteHitPolicy : uint8_t { WriteBack, WriteThrough };
 
 /// Static description of one simulated data cache.
 struct CacheConfig {
@@ -38,11 +42,6 @@ struct CacheConfig {
   uint32_t BlockBytes = 64;
   uint32_t Ways = 1; // 1 = direct-mapped, the paper's focus.
   WriteMissPolicy WriteMiss = WriteMissPolicy::WriteValidate;
-  WriteHitPolicy WriteHit = WriteHitPolicy::WriteBack;
-  /// The paper's simulator charges fetch-on-write while the collector runs
-  /// (§6 footnote: "this graph slightly over-reports collection
-  /// overheads"). Kept on by default for fidelity.
-  bool CollectorFetchOnWrite = true;
   /// When true the cache keeps per-cache-block reference and miss counts
   /// (needed for the §7 local-miss-ratio figures; costs memory/time).
   bool TrackPerBlockStats = false;

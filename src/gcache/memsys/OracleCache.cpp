@@ -51,8 +51,6 @@ AccessResult OracleCache::access(const Ref &R) {
     ++C.Stores;
   else
     ++C.Loads;
-  if (IsStore && Config.WriteHit == WriteHitPolicy::WriteThrough)
-    ++C.WriteThroughs;
 
   // Plain arithmetic, no shifts: the block number, its set, its tag, and
   // which word of the block is touched.
@@ -65,7 +63,6 @@ AccessResult OracleCache::access(const Ref &R) {
       WordsPerBlock == 64 ? ~uint64_t(0) : (uint64_t(1) << WordsPerBlock) - 1;
 
   std::vector<LineState> &S = Sets[SetIdx];
-  bool TrackDirty = Config.WriteHit == WriteHitPolicy::WriteBack;
 
   // Look the block up; on a hit, move it to the most-recently-used end.
   for (size_t I = 0; I != S.size(); ++I) {
@@ -75,8 +72,7 @@ AccessResult OracleCache::access(const Ref &R) {
     S.erase(S.begin() + I);
     if (IsStore) {
       L.ValidMask |= WordBit;
-      if (TrackDirty)
-        L.Dirty = true;
+      L.Dirty = true; // write-back: memory is written at eviction
       S.push_back(L);
       return AccessResult::Hit;
     }
@@ -99,20 +95,19 @@ AccessResult OracleCache::access(const Ref &R) {
     S.erase(S.begin());
   }
 
+  // The collector's write misses always fetch (§6 footnote).
   bool FetchOnWrite = Config.WriteMiss == WriteMissPolicy::FetchOnWrite ||
-                      (Config.CollectorFetchOnWrite &&
-                       R.ExecPhase == Phase::Collector);
+                      R.ExecPhase == Phase::Collector;
   LineState L;
   L.Tag = Tag;
+  L.Dirty = IsStore;
   if (IsStore && !FetchOnWrite) {
     L.ValidMask = WordBit;
-    L.Dirty = TrackDirty;
     S.push_back(L);
     ++C.NoFetchMisses;
     return AccessResult::NoFetchWriteMiss;
   }
   L.ValidMask = FullMask;
-  L.Dirty = IsStore && TrackDirty;
   S.push_back(L);
   ++C.FetchMisses;
   return AccessResult::FetchMiss;

@@ -13,16 +13,18 @@ void Lane::run(const RefColumns &Batch) {
   Index.reset(&Batch);
   for (const std::vector<Cache *> &Chain : Chains) {
     // Rechecked per batch: a link may gain a shadow oracle after
-    // buildLanes. The chain then runs solo for the batch; every path keeps
-    // the store masks, so the inclusion the chain relies on still holds
-    // when it rejoins.
+    // buildLanes (through CacheBank::cache). Every link then takes the
+    // scalar path for the batch; it keeps the store masks, so the
+    // inclusion the chain relies on still holds when it rejoins.
     if (std::all_of(Chain.begin(), Chain.end(), [](const Cache *C) {
           return BatchKernel::chainable(*C);
         })) {
       BatchKernel::runChain(Chain, Batch, Survivors, SetRefs);
     } else {
+      const RefSpan All{Batch.Addr.data(), Batch.Kind.data(),
+                        Batch.PhaseTag.data(), Batch.size()};
       for (Cache *C : Chain)
-        BatchKernel::run(*C, Batch, Index);
+        C->onRefs(All);
     }
   }
   for (Cache *C : Solos)

@@ -6,14 +6,14 @@
 ///
 /// \file
 /// The execution machinery behind CacheBank's single batched path. A
-/// *lane* holds caches of one block size. Its direct-mapped write-back
-/// caches form inclusion *chains*, one per write-miss policy and
-/// per-block statistics flag, smallest first (BatchKernel::runChain): a
-/// larger cache only simulates the runs a smaller one cannot prove to be
-/// no-ops, and per-block reference counts reach it through a histogram the
-/// first link fills. Every other cache of the lane (associative,
-/// write-through, cross-checked) runs solo through BatchKernel::run on the
-/// lane's shared BatchIndex. While a bank has more workers than lanes, a
+/// *lane* holds caches of one block size. Its direct-mapped caches form
+/// inclusion *chains*, one per write-miss policy and per-block statistics
+/// flag, smallest first (BatchKernel::runChain): a larger cache only
+/// simulates the runs a smaller one cannot prove to be no-ops, and
+/// per-block reference counts reach it through a histogram the first link
+/// fills. Every other cache of the lane (associative or cross-checked)
+/// runs solo through BatchKernel::run on the lane's shared BatchIndex.
+/// While a bank has more workers than lanes, a
 /// chain is split at its midpoint, and each half is a chain of its own in
 /// a lane of its own.
 ///

@@ -236,8 +236,10 @@ size_t recordLen(uint8_t Op) {
 
 /// Decodes one whole record at \p P (length already validated against
 /// recordLen) — the single decode truth shared by the whole-file and the
-/// incremental readers.
+/// incremental readers. Every field of \p Rec is reset, so a record reused
+/// across calls keeps nothing of the one before.
 void decodeRecordAt(const uint8_t *P, TraceRecord &Rec) {
+  Rec = TraceRecord();
   uint32_t A = get32(P + 1);
   switch (P[0]) {
   case OpLoadMut:
@@ -428,54 +430,6 @@ bool TraceStream::next(TraceRecord &Rec) {
   Pos += Len;
   ++Index;
   return true;
-}
-
-size_t TraceStream::nextRefBatch(RefColumns &Out, size_t MaxRefs) {
-  size_t Appended = 0;
-  const uint8_t *D = Data.data();
-  while ((MaxRefs == 0 || Appended < MaxRefs) && Pos < RecordsEnd) {
-    const uint8_t Op = D[Pos];
-    if (Op > OpStoreGc) // Allocation or GC marker ends the run.
-      break;
-    Out.Addr.push_back(get32(D + Pos + 1));
-    Out.Kind.push_back(Op & 1);      // Load/Store is the opcode's low bit.
-    Out.PhaseTag.push_back(Op >> 1); // Mutator/Collector is the next bit.
-    Pos += 5;
-    ++Index;
-    ++Appended;
-  }
-  return Appended;
-}
-
-TraceBatchStats gcache::collectTraceBatchStats(TraceStream &S,
-                                               size_t BatchRefs) {
-  TraceBatchStats St;
-  RefColumns Batch;
-  TraceRecord Rec;
-  for (;;) {
-    Batch.clear();
-    size_t N = S.nextRefBatch(Batch, BatchRefs);
-    if (N) {
-      ++St.Batches;
-      if (BatchRefs && N == BatchRefs)
-        ++St.FullBatches;
-      St.Refs += N;
-      St.MinBatch = St.Batches == 1 ? N : std::min<uint64_t>(St.MinBatch, N);
-      St.MaxBatch = std::max<uint64_t>(St.MaxBatch, N);
-      for (uint8_t K : Batch.Kind)
-        St.Stores += K;
-      for (uint8_t P : Batch.PhaseTag)
-        St.CollectorRefs += P;
-    }
-    if (BatchRefs && N == BatchRefs)
-      continue; // Cut by capacity; the run may continue in the next batch.
-    if (!S.next(Rec))
-      break;
-    ++St.OtherRecords; // nextRefBatch stopped short, so this is not a Ref.
-  }
-  St.Loads = St.Refs - St.Stores;
-  St.MutatorRefs = St.Refs - St.CollectorRefs;
-  return St;
 }
 
 TracePhaseStats gcache::collectTracePhaseStats(TraceStream &S) {

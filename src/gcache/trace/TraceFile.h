@@ -130,7 +130,7 @@ private:
 struct TraceRecord {
   enum class Kind : uint8_t { Ref, Alloc, GcBegin, GcEnd, GcPhase };
   Kind Op = Kind::Ref;
-  Ref R;                   ///< Valid for Kind::Ref.
+  Ref R{};                 ///< Valid for Kind::Ref.
   Address AllocAddr = 0;   ///< Valid for Kind::Alloc.
   uint32_t AllocBytes = 0; ///< Valid for Kind::Alloc.
   GcPhase PhaseMark = GcPhase::Idle; ///< Valid for Kind::GcPhase.
@@ -166,18 +166,6 @@ public:
 
   /// Decodes the next record; false at end of stream.
   bool next(TraceRecord &Rec);
-
-  /// Batched decode: appends up to \p MaxRefs consecutive data-reference
-  /// records to \p Out's columns and returns how many were appended. Stops
-  /// early — without consuming anything further — at the first non-Ref
-  /// record (allocation or GC marker, which the caller replays via next()
-  /// so event order is preserved) or at end of stream. Decoding is
-  /// columnar all the way down: the opcode's low bit is the AccessKind and
-  /// its next bit the Phase, so a run of references becomes three column
-  /// appends per record with no intermediate TraceRecord. recordIndex()
-  /// and byteOffset() advance exactly as if next() had been called per
-  /// record, so checkpoint resume points are unaffected.
-  size_t nextRefBatch(RefColumns &Out, size_t MaxRefs);
 
   /// Records decoded so far / the byte position of the next record.
   uint64_t recordIndex() const { return Index; }
@@ -218,33 +206,6 @@ private:
   uint64_t Declared = 0; ///< Header's record count.
   Status Damage;
 };
-
-/// Summary of how a trace's reference stream divides into columnar
-/// batches of a given capacity (trace_inspect --batch-stats). A batch is
-/// a maximal run of consecutive data-reference records, split at the
-/// capacity: allocation records and GC markers end the run, mirroring the
-/// flush points of batched replay.
-struct TraceBatchStats {
-  uint64_t Refs = 0;          ///< Data-reference records.
-  uint64_t OtherRecords = 0;  ///< Allocations and GC markers.
-  uint64_t Batches = 0;       ///< Non-empty batches produced.
-  uint64_t FullBatches = 0;   ///< Batches cut by the capacity, not a marker.
-  uint64_t MinBatch = 0;      ///< Smallest batch (0 when no batches).
-  uint64_t MaxBatch = 0;      ///< Largest batch.
-  /// Per-phase / per-kind column occupancy over all batched references.
-  uint64_t MutatorRefs = 0;
-  uint64_t CollectorRefs = 0;
-  uint64_t Loads = 0;
-  uint64_t Stores = 0;
-
-  double meanBatch() const {
-    return Batches ? static_cast<double>(Refs) / Batches : 0.0;
-  }
-};
-
-/// Scans \p S from its current position to the end, batching with
-/// capacity \p BatchRefs (0 means unlimited runs).
-TraceBatchStats collectTraceBatchStats(TraceStream &S, size_t BatchRefs);
 
 /// Per-trace GC phase statistics (trace_inspect --gc-phases): how many
 /// cycles and bounded steps the trace's collections took, and how its

@@ -10,7 +10,7 @@
 // The harness replays randomized and recorded reference streams through
 // three models simultaneously — scalar Cache::access, the batch kernel,
 // and OracleCache — and asserts identical counters and LRU state at
-// every flush boundary, across the write-policy x associativity x
+// every flush boundary, across the write-miss x associativity x
 // block-size matrix. On top of that:
 //
 //  - batch segmentation invariance (any cut of the same stream agrees);
@@ -22,15 +22,13 @@
 //    larger links never see;
 //  - CacheBank equivalence with standalone caches fed one reference at
 //    a time, inline and on lane workers (including more workers than
-//    block sizes), with --crosscheck and --audit semantics;
+//    block sizes), with --crosscheck and --audit semantics, and with a
+//    shadow oracle attached to one link of a chain mid-stream;
 //  - mutated-batch properties: a corrupt columnar batch is rejected by
 //    validate(), and any batch that validates processes identically to
 //    the scalar path — never a silent divergence;
 //  - checkpoint/resume kills at every batch flush boundary, resumed
-//    inline or threaded, finishing bit-identical to a clean replay;
-//  - the batched trace reader (TraceStream::nextRefBatch) decodes the
-//    exact record stream, and collectTraceBatchStats (the engine of
-//    trace_inspect --batch-stats) reports the true batch distribution.
+//    inline or threaded, finishing bit-identical to a clean replay.
 //
 //===----------------------------------------------------------------------===//
 
@@ -217,53 +215,30 @@ TEST_P(BatchKernelMatrix, ScalarBatchOracleBitIdentical) {
   EXPECT_TRUE(Batch.auditState().ok());
 }
 
+// BatchKernel::run takes associative caches (a direct-mapped one is a
+// chain link; BatchKernelChain covers those): both write-miss policies,
+// 2 and 4 ways, with and without per-block statistics, and every paper
+// block size but 128 bytes.
 INSTANTIATE_TEST_SUITE_P(
     PolicyMatrix, BatchKernelMatrix,
     ::testing::Values(
-        // Write-validate, write-back, across associativity and block size.
-        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16,
-                    .TrackPerBlockStats = true},
-        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16, .Ways = 2,
-                    .CollectorFetchOnWrite = false},
+        // Write-validate.
+        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16, .Ways = 2},
         CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 64, .Ways = 4,
                     .TrackPerBlockStats = true},
-        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 256,
-                    .CollectorFetchOnWrite = false,
-                    .TrackPerBlockStats = true},
-        // Write-through hits.
-        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 64,
-                    .WriteHit = WriteHitPolicy::WriteThrough},
         CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 64, .Ways = 2,
-                    .WriteHit = WriteHitPolicy::WriteThrough,
-                    .CollectorFetchOnWrite = false,
                     .TrackPerBlockStats = true},
+        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 32, .Ways = 4},
         // Fetch-on-write misses.
         CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 256, .Ways = 2,
                     .WriteMiss = WriteMissPolicy::FetchOnWrite},
         CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16, .Ways = 4,
-                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
-                    .WriteHit = WriteHitPolicy::WriteThrough},
-        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 32,
-                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
-                    .WriteHit = WriteHitPolicy::WriteThrough,
-                    .CollectorFetchOnWrite = false},
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite},
         CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 256, .Ways = 4,
                     .WriteMiss = WriteMissPolicy::FetchOnWrite,
                     .TrackPerBlockStats = true},
-        // Direct-mapped write-back without per-block statistics (the miss
-        // plot's cache) and direct-mapped write-through with them, under
-        // both write-miss policies: with these, every instantiation of
-        // Cache::simulate is in the matrix.
-        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 64},
-        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 32,
-                    .WriteMiss = WriteMissPolicy::FetchOnWrite},
-        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 32,
-                    .WriteHit = WriteHitPolicy::WriteThrough,
-                    .TrackPerBlockStats = true},
-        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16,
+        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 32, .Ways = 2,
                     .WriteMiss = WriteMissPolicy::FetchOnWrite,
-                    .WriteHit = WriteHitPolicy::WriteThrough,
-                    .CollectorFetchOnWrite = false,
                     .TrackPerBlockStats = true}));
 
 //===----------------------------------------------------------------------===//
@@ -289,7 +264,7 @@ TEST(BatchKernel, SegmentationIsUnobservable) {
 }
 
 TEST(BatchKernel, EmptyBatchIsANoOp) {
-  Cache C({.SizeBytes = 1 << 10, .BlockBytes = 32});
+  Cache C({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2});
   std::vector<Ref> Warm = randomStream(500);
   runBatched(C, Warm, 100);
   uint64_t Clock = CacheTestPeer::lruClockOf(C);
@@ -460,11 +435,11 @@ TEST_P(BatchKernelChain, EveryLinkMatchesScalarAndOracle) {
 INSTANTIATE_TEST_SUITE_P(PaperBlockSizes, BatchKernelChain,
                          ::testing::ValuesIn(paperBlockSizes()));
 
-// A cache may leave a chain for a batch (a shadow oracle attached, so the
-// lane runs it solo) and rejoin it: every path keeps the store masks, so
-// the inclusion the filter needs holds throughout, and with per-block
-// statistics every path leaves the per-block arrays complete at the batch
-// boundary.
+// A cache may leave a chain for a batch (a shadow oracle attached to one
+// of its links, so the lane feeds every link through Cache::onRefs) and
+// rejoin it: every path keeps the store masks, so the inclusion the
+// filter needs holds throughout, and with per-block statistics every path
+// leaves the per-block arrays complete at the batch boundary.
 TEST(BatchKernelChain, LinksLeaveAndRejoinBetweenBatches) {
   std::vector<Ref> Stream =
       chainStream(40000, /*Seed=*/3, PhaseMix::Mixed, 256 << 10);
@@ -482,7 +457,6 @@ TEST(BatchKernelChain, LinksLeaveAndRejoinBetweenBatches) {
     for (Cache &C : Links)
       Chain.push_back(&C);
     RefColumns B;
-    BatchIndex Idx;
     std::vector<ChainRun> Survivors;
     std::vector<uint64_t> SetRefs;
     for (size_t I = 0, Batch = 0; I < Stream.size(); ++Batch) {
@@ -493,10 +467,11 @@ TEST(BatchKernelChain, LinksLeaveAndRejoinBetweenBatches) {
           (void)C.access(Stream[I]);
       }
       if (Batch % 3 == 1) {
-        // The path of a lane's solo caches.
-        Idx.reset(&B);
+        // The path of a chain one of whose links is cross-checked.
+        const RefSpan All{B.Addr.data(), B.Kind.data(), B.PhaseTag.data(),
+                          B.size()};
         for (Cache *C : Chain)
-          BatchKernel::run(*C, B, Idx);
+          C->onRefs(All);
       } else if (Batch % 3 == 2) {
         // The path of a cross-checked cache.
         for (size_t Row = 0; Row != B.size(); ++Row)
@@ -577,8 +552,8 @@ TEST(BatchKernelChain, ChainableScreensOutIneligibleCaches) {
   EXPECT_FALSE(BatchKernel::chainable(
       Cache({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2})));
   EXPECT_FALSE(BatchKernel::chainable(
-      Cache({.SizeBytes = 1 << 10, .BlockBytes = 32,
-             .WriteHit = WriteHitPolicy::WriteThrough})));
+      Cache({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 4,
+             .WriteMiss = WriteMissPolicy::FetchOnWrite})));
   Cache CrossChecked({.SizeBytes = 1 << 10, .BlockBytes = 32});
   CrossChecked.enableCrossCheck(1);
   EXPECT_FALSE(BatchKernel::chainable(CrossChecked));
@@ -592,9 +567,6 @@ TEST(BatchKernelChain, ChainableScreensOutIneligibleCaches) {
   EXPECT_FALSE(BatchKernel::sameChain(
       A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 32,
                 .WriteMiss = WriteMissPolicy::FetchOnWrite})));
-  EXPECT_FALSE(BatchKernel::sameChain(
-      A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 32,
-                .CollectorFetchOnWrite = false})));
   EXPECT_FALSE(BatchKernel::sameChain(
       A, Cache({.SizeBytes = 4 << 10, .BlockBytes = 32,
                 .TrackPerBlockStats = true})));
@@ -803,9 +775,8 @@ void addMixedBank(CacheBank &Bank) {
   Bank.addConfig({.SizeBytes = 16 << 10, .BlockBytes = 32,
                   .TrackPerBlockStats = true});
   Bank.addConfig({.SizeBytes = 8 << 10, .BlockBytes = 64, .Ways = 2});
-  Bank.addConfig({.SizeBytes = 4 << 10, .BlockBytes = 16,
-                  .WriteMiss = WriteMissPolicy::FetchOnWrite,
-                  .WriteHit = WriteHitPolicy::WriteThrough});
+  Bank.addConfig({.SizeBytes = 4 << 10, .BlockBytes = 16, .Ways = 4,
+                  .WriteMiss = WriteMissPolicy::FetchOnWrite});
   Bank.addConfig({.SizeBytes = 64 << 10, .BlockBytes = 64});
 }
 
@@ -924,6 +895,31 @@ TEST(BatchCrossCheck, CleanStreamPassesWithOraclesAttached) {
   // The cross-checked batch path must also still count correctly: compare
   // against standalone caches fed one reference at a time.
   expectBankMatches(referenceCaches(Bank, Stream), Bank, "");
+}
+
+// CacheBank::cache hands out the cache itself, so a link of a chain can
+// gain a shadow oracle after the bank built its lanes. The lane then feeds
+// every link of that chain through Cache::onRefs, and every cache still
+// ends as standalone caches fed one reference at a time do.
+TEST(BatchCrossCheck, OracleAttachedToAChainLinkMidStream) {
+  std::vector<Ref> Stream =
+      chainStream(40000, /*Seed=*/9, PhaseMix::Mixed, 256 << 10);
+  for (unsigned Threads : {0u, 2u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    CacheBank Bank;
+    Bank.addSizeSweep(CacheConfig{}, 32);
+    Bank.addConfig({.SizeBytes = 8 << 10, .BlockBytes = 32, .Ways = 2});
+    Bank.setThreads(Threads, /*BatchRefs=*/1000);
+    const size_t Half = Stream.size() / 2 + 123;
+    for (size_t I = 0; I != Half; ++I)
+      Bank.onRef(Stream[I]);
+    Bank.cache(2).enableCrossCheck(1);
+    for (size_t I = Half; I != Stream.size(); ++I)
+      Bank.onRef(Stream[I]);
+    Bank.flush(); // deep-compares the shadowed link with its oracle
+    expectBankMatches(referenceCaches(Bank, Stream), Bank, "");
+    EXPECT_TRUE(Bank.auditAll().ok());
+  }
 }
 
 TEST(BatchCrossCheck, CorruptedStateStillFiresInsideABatch) {
@@ -1150,119 +1146,6 @@ TEST(BatchCheckpoint, CrossModeKillAndResumeAreBitIdentical) {
                 CleanBank, CleanCounts);
   killAndResume(Mid, BatchRefs, /*KillThreads=*/3, /*ResumeThreads=*/0,
                 CleanBank, CleanCounts);
-}
-
-//===----------------------------------------------------------------------===//
-// The batched trace reader and the --batch-stats engine
-//===----------------------------------------------------------------------===//
-
-
-TEST(BatchedReader, NextRefBatchDecodesTheExactRecordStream) {
-  std::string Path = makeSyntheticTrace("batch_reader", 5000);
-
-  // Ground truth: per-record decode.
-  std::vector<Ref> WantRefs;
-  std::vector<TraceRecord::Kind> WantOps;
-  {
-    TraceStream S;
-    ASSERT_TRUE(S.open(Path).ok());
-    TraceRecord Rec;
-    while (S.next(Rec)) {
-      WantOps.push_back(Rec.Op);
-      if (Rec.Op == TraceRecord::Kind::Ref)
-        WantRefs.push_back(Rec.R);
-    }
-  }
-
-  // Batched decode: runs of refs via nextRefBatch, markers via next().
-  TraceStream S;
-  ASSERT_TRUE(S.open(Path).ok());
-  std::vector<Ref> GotRefs;
-  uint64_t Others = 0;
-  RefColumns B;
-  TraceRecord Rec;
-  for (;;) {
-    B.clear();
-    size_t N = S.nextRefBatch(B, 257);
-    EXPECT_TRUE(BatchKernel::validate(B).ok());
-    for (size_t I = 0; I != N; ++I)
-      GotRefs.push_back(B.get(I));
-    if (N == 257)
-      continue;
-    if (!S.next(Rec))
-      break;
-    EXPECT_NE(Rec.Op, TraceRecord::Kind::Ref)
-        << "nextRefBatch must consume every run of refs completely";
-    ++Others;
-  }
-  ASSERT_EQ(WantRefs.size(), GotRefs.size());
-  for (size_t I = 0; I != WantRefs.size(); ++I) {
-    ASSERT_EQ(WantRefs[I].Addr, GotRefs[I].Addr) << "ref " << I;
-    ASSERT_EQ(WantRefs[I].Kind, GotRefs[I].Kind) << "ref " << I;
-    ASSERT_EQ(WantRefs[I].ExecPhase, GotRefs[I].ExecPhase) << "ref " << I;
-  }
-  EXPECT_EQ(Others, WantOps.size() - WantRefs.size());
-  EXPECT_EQ(S.recordIndex(), WantOps.size());
-  std::remove(Path.c_str());
-}
-
-TEST(BatchedReader, BatchStatsMatchAManualScan) {
-  std::string Path = makeSyntheticTrace("batch_stats", 4000);
-  const size_t Cap = 300;
-
-  // Manual segmentation from the per-record stream.
-  TraceBatchStats Want;
-  {
-    TraceStream S;
-    ASSERT_TRUE(S.open(Path).ok());
-    TraceRecord Rec;
-    uint64_t Run = 0;
-    auto CloseBatch = [&](bool CutByCap) {
-      if (Run == 0)
-        return;
-      ++Want.Batches;
-      if (CutByCap)
-        ++Want.FullBatches;
-      Want.MinBatch =
-          Want.Batches == 1 ? Run : std::min<uint64_t>(Want.MinBatch, Run);
-      Want.MaxBatch = std::max<uint64_t>(Want.MaxBatch, Run);
-      Run = 0;
-    };
-    while (S.next(Rec)) {
-      if (Rec.Op == TraceRecord::Kind::Ref) {
-        ++Want.Refs;
-        if (Rec.R.ExecPhase == Phase::Collector)
-          ++Want.CollectorRefs;
-        if (Rec.R.Kind == AccessKind::Store)
-          ++Want.Stores;
-        if (++Run == Cap)
-          CloseBatch(/*CutByCap=*/true);
-      } else {
-        ++Want.OtherRecords;
-        CloseBatch(/*CutByCap=*/false);
-      }
-    }
-    CloseBatch(false);
-    Want.Loads = Want.Refs - Want.Stores;
-    Want.MutatorRefs = Want.Refs - Want.CollectorRefs;
-  }
-
-  TraceStream S;
-  ASSERT_TRUE(S.open(Path).ok());
-  TraceBatchStats Got = collectTraceBatchStats(S, Cap);
-  EXPECT_EQ(Want.Refs, Got.Refs);
-  EXPECT_EQ(Want.OtherRecords, Got.OtherRecords);
-  EXPECT_EQ(Want.Batches, Got.Batches);
-  EXPECT_EQ(Want.FullBatches, Got.FullBatches);
-  EXPECT_EQ(Want.MinBatch, Got.MinBatch);
-  EXPECT_EQ(Want.MaxBatch, Got.MaxBatch);
-  EXPECT_EQ(Want.MutatorRefs, Got.MutatorRefs);
-  EXPECT_EQ(Want.CollectorRefs, Got.CollectorRefs);
-  EXPECT_EQ(Want.Loads, Got.Loads);
-  EXPECT_EQ(Want.Stores, Got.Stores);
-  EXPECT_GT(Got.Batches, 0u);
-  EXPECT_GT(Got.OtherRecords, 0u);
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

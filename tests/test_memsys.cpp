@@ -140,20 +140,13 @@ TEST(Cache, FetchOnWriteFetchesOnWriteMiss) {
 TEST(Cache, CollectorPhaseForcedFetchOnWrite) {
   // Paper §6 footnote: the simulator charges fetch-on-write while the
   // collector runs.
-  CacheConfig Config{.SizeBytes = 1024, .BlockBytes = 64};
-  Config.CollectorFetchOnWrite = true;
-  Cache C(Config);
+  Cache C({.SizeBytes = 1024, .BlockBytes = 64});
   EXPECT_EQ(C.access(store(0x2000, Phase::Collector)),
             AccessResult::FetchMiss);
-  C.reset();
-  Config.CollectorFetchOnWrite = false;
-  Cache D(Config);
-  EXPECT_EQ(D.access(store(0x2000, Phase::Collector)),
-            AccessResult::NoFetchWriteMiss);
 }
 
 //===----------------------------------------------------------------------===//
-// Writebacks and write-through
+// Writebacks
 //===----------------------------------------------------------------------===//
 
 TEST(Cache, DirtyEvictionCountsWriteback) {
@@ -168,17 +161,6 @@ TEST(Cache, CleanEvictionNoWriteback) {
   (void)C.access(load(0x1000));
   (void)C.access(load(0x1400));
   EXPECT_EQ(C.totalCounters().Writebacks, 0u);
-}
-
-TEST(Cache, WriteThroughCountsStores) {
-  CacheConfig Config{.SizeBytes = 1024, .BlockBytes = 64};
-  Config.WriteHit = WriteHitPolicy::WriteThrough;
-  Cache C(Config);
-  (void)C.access(store(0x1000));
-  (void)C.access(store(0x1000));
-  (void)C.access(load(0x1400));
-  EXPECT_EQ(C.totalCounters().WriteThroughs, 2u);
-  EXPECT_EQ(C.totalCounters().Writebacks, 0u) << "write-through never dirty";
 }
 
 //===----------------------------------------------------------------------===//

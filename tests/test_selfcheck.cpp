@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -88,29 +89,22 @@ INSTANTIATE_TEST_SUITE_P(
                     .BlockBytes = 32,
                     .Ways = 2,
                     .WriteMiss = WriteMissPolicy::FetchOnWrite},
-        CacheConfig{.SizeBytes = 2 << 10,
-                    .BlockBytes = 32,
-                    .WriteHit = WriteHitPolicy::WriteThrough},
+        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 32},
         CacheConfig{.SizeBytes = 4 << 10,
                     .BlockBytes = 32,
                     .Ways = 2,
-                    .CollectorFetchOnWrite = false,
                     .TrackPerBlockStats = true},
-        // Direct-mapped write-back without per-block statistics under
-        // fetch-on-write, and direct-mapped write-through with them under
-        // both write-miss policies.
+        // Direct-mapped without per-block statistics under fetch-on-write,
+        // and with them under both write-miss policies.
         CacheConfig{.SizeBytes = 2 << 10,
                     .BlockBytes = 64,
                     .WriteMiss = WriteMissPolicy::FetchOnWrite},
         CacheConfig{.SizeBytes = 2 << 10,
                     .BlockBytes = 32,
-                    .WriteHit = WriteHitPolicy::WriteThrough,
                     .TrackPerBlockStats = true},
         CacheConfig{.SizeBytes = 4 << 10,
                     .BlockBytes = 16,
                     .WriteMiss = WriteMissPolicy::FetchOnWrite,
-                    .WriteHit = WriteHitPolicy::WriteThrough,
-                    .CollectorFetchOnWrite = false,
                     .TrackPerBlockStats = true}));
 
 TEST(SelfCheck, SampledCrossCheckOnWarmCache) {
@@ -390,6 +384,48 @@ TEST(SelfCheck, V2CacheStateIsRejected) {
   ASSERT_FALSE(S.ok());
   EXPECT_EQ(S.code(), StatusCode::Corrupt);
   EXPECT_NE(S.message().find("pre-v3"), std::string::npos) << S.message();
+}
+
+// Every cache is write-back and fetches on a collector write miss, so an
+// image's write-hit and collector-policy bytes are the constants 0 and 1;
+// an image holding any other value is refused.
+TEST(SelfCheck, CacheStateWithOtherPolicyBytesIsRejected) {
+  CacheConfig Cfg{.SizeBytes = 1 << 10, .BlockBytes = 32};
+  Cache C(Cfg);
+  Rng R;
+  for (int I = 0; I != 500; ++I)
+    C.onRef(randomRef(R));
+  SnapshotWriter W;
+  W.beginSection("cache-state");
+  C.saveState(W);
+  // The image's one section ends it and begins with the v3 sentinel.
+  const std::vector<uint8_t> &Image = W.image();
+  const uint8_t Sentinel[] = {0x33, 0x61, 0x76, 0x65};
+  auto At = std::search(Image.begin(), Image.end(), std::begin(Sentinel),
+                        std::end(Sentinel));
+  ASSERT_NE(At, Image.end());
+  const std::vector<uint8_t> Payload(At, Image.end());
+  // The sentinel and the three u32 geometry fields, then the write-miss,
+  // write-hit, collector and per-block bytes.
+  constexpr size_t WriteHitAt = 17, CollectorAt = 18;
+  ASSERT_EQ(Payload[WriteHitAt], 0);
+  ASSERT_EQ(Payload[CollectorAt], 1);
+  auto Load = [&](size_t Offset, uint8_t Value) {
+    std::vector<uint8_t> Bytes = Payload;
+    Bytes[Offset] = Value;
+    SnapshotCursor Cur("cache-state", Bytes.data(), Bytes.size());
+    Cache C2(Cfg);
+    C2.loadState(Cur);
+    return Cur.finish();
+  };
+  EXPECT_TRUE(Load(WriteHitAt, 0).ok());
+  for (auto [Offset, Value] : {std::pair<size_t, uint8_t>{WriteHitAt, 1},
+                               std::pair<size_t, uint8_t>{CollectorAt, 0}}) {
+    Status S = Load(Offset, Value);
+    EXPECT_EQ(S.code(), StatusCode::Corrupt) << S.message();
+    EXPECT_NE(S.message().find("policy byte"), std::string::npos)
+        << S.message();
+  }
 }
 
 //===----------------------------------------------------------------------===//

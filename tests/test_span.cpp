@@ -265,8 +265,8 @@ TEST(SpanSinks, BudgetMeterMatchesPerReference) {
 
 namespace {
 
-/// A bank with chains (direct-mapped write-back, with and without
-/// per-block statistics) and solo caches (associative, write-through).
+/// A bank with chains (direct-mapped, with and without per-block
+/// statistics) and solo caches (4-way, under both write-miss policies).
 void addMixedCaches(CacheBank &Bank) {
   CacheConfig Proto;
   Bank.addSizeSweep(Proto, 32);
@@ -277,12 +277,12 @@ void addMixedCaches(CacheBank &Bank) {
   Assoc.BlockBytes = 64;
   Assoc.Ways = 4;
   Bank.addConfig(Assoc);
-  CacheConfig Through;
-  Through.SizeBytes = 32 << 10;
-  Through.BlockBytes = 16;
-  Through.WriteHit = WriteHitPolicy::WriteThrough;
-  Through.WriteMiss = WriteMissPolicy::FetchOnWrite;
-  Bank.addConfig(Through);
+  CacheConfig FetchOnWrite;
+  FetchOnWrite.SizeBytes = 32 << 10;
+  FetchOnWrite.BlockBytes = 16;
+  FetchOnWrite.Ways = 4;
+  FetchOnWrite.WriteMiss = WriteMissPolicy::FetchOnWrite;
+  Bank.addConfig(FetchOnWrite);
 }
 
 } // namespace
@@ -312,21 +312,21 @@ TEST(SpanSinks, CacheBankMatchesPerReferenceInlineAndThreaded) {
 }
 
 // A cache picks its simulate instantiation once per span; with a shadow
-// oracle it goes through access per reference. All eight shapes.
+// oracle it goes through access per reference. All four shapes, under
+// both write-miss policies.
 TEST(SpanSinks, CacheMatchesPerReferenceInEveryShape) {
   Stream St = randomStream(Seeds[1], StepsPerStream);
   for (uint32_t Ways : {1u, 2u})
-    for (WriteHitPolicy Hit :
-         {WriteHitPolicy::WriteBack, WriteHitPolicy::WriteThrough})
+    for (WriteMissPolicy Miss :
+         {WriteMissPolicy::WriteValidate, WriteMissPolicy::FetchOnWrite})
       for (bool PerBlock : {false, true})
         for (bool Shadow : {false, true}) {
           CacheConfig C;
           C.SizeBytes = 8 << 10;
           C.BlockBytes = 32;
           C.Ways = Ways;
-          C.WriteHit = Hit;
+          C.WriteMiss = Miss;
           C.TrackPerBlockStats = PerBlock;
-          C.CollectorFetchOnWrite = Ways == 2;
           SCOPED_TRACE(C.label() + (PerBlock ? " per-block" : "") +
                        (Shadow ? " shadowed" : ""));
           Cache BySpan(C), ByRef(C);

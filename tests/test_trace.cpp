@@ -558,6 +558,42 @@ TEST(TraceFileChunks, StreamAcrossChunkEdgesMatchesTheFormatSpec) {
   std::remove(Path.c_str());
 }
 
+// One TraceRecord reused across TraceStream::next keeps nothing of the
+// record before it: each decode resets the fields of the other kinds.
+TEST(TraceFile, ReusedRecordKeepsNoFieldOfThePreviousRecord) {
+  std::string Path = tempPath("reused_record.gct");
+  TraceWriter W;
+  ASSERT_TRUE(W.open(Path).ok());
+  W.onRef({0x1234, AccessKind::Store, Phase::Collector});
+  W.onAlloc(0x5678, 24);
+  W.onRef({0x9abc, AccessKind::Load, Phase::Mutator});
+  W.onGcPhase(GcPhase::Trace);
+  W.onGcEnd();
+  ASSERT_TRUE(W.close().ok());
+
+  TraceStream Stream;
+  ASSERT_TRUE(Stream.open(Path).ok());
+  TraceRecord Rec;
+  ASSERT_TRUE(Stream.next(Rec));
+  ASSERT_EQ(Rec.Op, TraceRecord::Kind::Ref);
+  ASSERT_TRUE(Stream.next(Rec));
+  ASSERT_EQ(Rec.Op, TraceRecord::Kind::Alloc);
+  EXPECT_EQ(Rec.R.Addr, 0u);
+  EXPECT_EQ(Rec.R.Kind, AccessKind::Load);
+  EXPECT_EQ(Rec.R.ExecPhase, Phase::Mutator);
+  ASSERT_TRUE(Stream.next(Rec));
+  ASSERT_EQ(Rec.Op, TraceRecord::Kind::Ref);
+  EXPECT_EQ(Rec.AllocAddr, 0u);
+  EXPECT_EQ(Rec.AllocBytes, 0u);
+  ASSERT_TRUE(Stream.next(Rec));
+  ASSERT_EQ(Rec.Op, TraceRecord::Kind::GcPhase);
+  ASSERT_TRUE(Stream.next(Rec));
+  ASSERT_EQ(Rec.Op, TraceRecord::Kind::GcEnd);
+  EXPECT_EQ(Rec.PhaseMark, GcPhase::Idle);
+  EXPECT_EQ(Rec.R.Addr, 0u);
+  std::remove(Path.c_str());
+}
+
 TEST(TraceFile, EmptyTraceRoundTrips) {
   std::string Path = tempPath("empty.gct");
   TraceWriter W;
