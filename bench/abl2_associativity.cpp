@@ -38,9 +38,10 @@ int main(int Argc, char **Argv) {
         Bank->addConfig(C);
       }
     // The bank rides as an extra sink, outside runProgram's own bank, so
-    // the validation flags are applied to it directly.
+    // the thread count and the validation flags are applied to it directly.
     if (A.CrossCheckEvery)
       Bank->enableCrossCheck(A.CrossCheckEvery);
+    Bank->setThreads(A.Threads, A.BatchRefs);
 
     ExperimentOptions Opts = baseExperimentOptions(A);
     Opts.Grid = CacheGridKind::None;
@@ -51,21 +52,20 @@ int main(int Argc, char **Argv) {
       continue;
     ProgramRun Run = R.take();
 
-    if (A.CrossCheckEvery || A.Audit) {
-      // Simulating the bank's last batch compares its references with the
-      // oracles, and the flush deep-compares every cache; either throws.
-      Status V;
-      try {
-        Bank->flush();
-        if (A.Audit)
-          V = Bank->auditAll();
-      } catch (const StatusError &E) {
-        V = E.status();
-      }
-      if (!V.ok()) {
-        Runner.recordFailure(W->Name + " validation", V);
-        continue;
-      }
+    // Draining the workers rethrows a worker's failure. Simulating the
+    // bank's last batch compares its references with the oracles, and the
+    // flush deep-compares every cache; either throws.
+    Status V;
+    try {
+      Bank->setThreads(0);
+      if (A.Audit)
+        V = Bank->auditAll();
+    } catch (const StatusError &E) {
+      V = E.status();
+    }
+    if (!V.ok()) {
+      Runner.recordFailure(W->Name + " validation", V);
+      continue;
     }
 
     std::printf("\n--- %s: O_cache (slow processor) by associativity ---\n",

@@ -75,10 +75,12 @@ int main(int Argc, char **Argv) {
         if (A.Audit && V.ok())
           V = L->auditState();
       }
-      if (A.Audit && V.ok())
-        V = Single1mb.auditState();
-      if (A.Audit && V.ok())
-        V = Single64kb.auditState();
+      for (const Cache *Single : {&Single1mb, &Single64kb}) {
+        if (A.CrossCheckEvery && V.ok())
+          V = Single->crossCheckNow();
+        if (A.Audit && V.ok())
+          V = Single->auditState();
+      }
       if (!V.ok()) {
         Runner.recordFailure(W->Name + " validation", V);
         continue;

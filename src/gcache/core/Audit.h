@@ -69,10 +69,7 @@ public:
   void onRef(const Ref &R) override {
     ++Refs[static_cast<unsigned>(R.ExecPhase)][static_cast<unsigned>(R.Kind)];
   }
-  void onRefs(const RefSpan &S) override {
-    for (size_t I = 0; I != S.size(); ++I)
-      onRef(S[I]);
-  }
+  void onRefs(const RefSpan &S) override { tallyRefs(S, Refs); }
   void onGcBegin() override { runAudit("gc-begin"); }
   void onGcEnd() override { runAudit("gc-end"); }
 

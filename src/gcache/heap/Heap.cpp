@@ -6,7 +6,7 @@
 
 using namespace gcache;
 
-Heap::Heap(TraceSink *Bus) : Bus(Bus) {
+Heap::Heap(TraceSink *Bus) : Bus(Bus), Emitting(Bus != nullptr) {
   StackWords.assign(StackCapacityWords, 0);
 }
 
@@ -40,9 +40,6 @@ void Heap::emitGcPhase(GcPhase P) {
   Bus->onGcPhase(P);
 }
 
-uint32_t Heap::peek(Address A) const { return *slotFor(A); }
-void Heap::poke(Address A, uint32_t V) { *slotFor(A) = V; }
-
 Address Heap::allocStatic(uint32_t Words) {
   assert(Words > 0 && "empty allocation");
   Address A = StaticFrontier;
@@ -70,7 +67,7 @@ void Heap::recordAllocationEvent(Address A, uint32_t Words) {
 }
 
 void Heap::emitAlloc(Address A, uint32_t Bytes) {
-  if (!TracingEnabled || !Bus)
+  if (!Emitting)
     return;
   flushTrace();
   Bus->onAlloc(A, Bytes);

@@ -12,7 +12,10 @@
 ///
 /// The heap is also the producer of the live trace. A traced load or store
 /// is an inline append to a fixed-capacity columnar buffer, which reaches
-/// the bus as one RefSpan (TraceSink::onRefs). The buffer is delivered
+/// the bus as one RefSpan (TraceSink::onRefs). Every access on the VM's hot
+/// path is inline: load/store, the stack-slot forms loadStack/storeStack
+/// (which index the stack directly instead of classifying the address),
+/// and the untraced peek/poke behind every tag check. The buffer is delivered
 /// before every non-reference event the heap emits (allocation, GC begin,
 /// GC end, GC phase marker), whenever tracing is toggled or the bus
 /// changes, when it fills, and at flushTrace(), which the VM's and the
@@ -91,10 +94,21 @@ public:
   Value loadValue(Address A) { return {load(A)}; }
   void storeValue(Address A, Value V) { store(A, V.Bits); }
 
-  //===--- Untraced accesses (verification / test plumbing) --------------===//
+  /// load/storeValue of stackSlotAddr(\p Slot): the same event, without
+  /// classifying the address.
+  Value loadStack(uint32_t Slot) {
+    traceRef(stackSlotAddr(Slot), AccessKind::Load);
+    return {StackWords[Slot]};
+  }
+  void storeStack(uint32_t Slot, Value V) {
+    traceRef(stackSlotAddr(Slot), AccessKind::Store);
+    StackWords[Slot] = V.Bits;
+  }
 
-  uint32_t peek(Address A) const;
-  void poke(Address A, uint32_t V);
+  //===--- Untraced accesses (tag checks, verification, test plumbing) ---===//
+
+  uint32_t peek(Address A) const { return *slotFor(A); }
+  void poke(Address A, uint32_t V) { *slotFor(A) = V; }
 
   //===--- Allocation -----------------------------------------------------===//
 
@@ -142,11 +156,13 @@ public:
   void setTraceBus(TraceSink *B) {
     flushTrace();
     Bus = B;
+    Emitting = TracingEnabled && Bus;
   }
   /// Delivers the buffered references, then turns tracing on or off.
   void setTracing(bool On) {
     flushTrace();
     TracingEnabled = On;
+    Emitting = TracingEnabled && Bus;
   }
   bool tracing() const { return TracingEnabled; }
   /// Tags the references emitted from now on; buffered ones keep theirs.
@@ -191,12 +207,16 @@ private:
   }
 
   void traceRef(Address A, AccessKind K) {
-    if (!TracingEnabled || !Bus)
+    if (!Emitting)
       return;
-    PendingAddr[PendingRefs] = A;
-    PendingKind[PendingRefs] = static_cast<uint8_t>(K);
-    PendingPhase[PendingRefs] = static_cast<uint8_t>(CurrentPhase);
-    if (++PendingRefs == TraceBufferRefs)
+    // Read once: the byte stores below may alias any member.
+    size_t N = PendingRefs;
+    const Phase P = CurrentPhase;
+    PendingAddr[N] = A;
+    PendingKind[N] = static_cast<uint8_t>(K);
+    PendingPhase[N] = static_cast<uint8_t>(P);
+    PendingRefs = ++N;
+    if (N == TraceBufferRefs)
       deliverTrace();
   }
   /// Hands the buffer to the bus as one span and empties it.
@@ -215,6 +235,8 @@ private:
 
   TraceSink *Bus = nullptr;
   bool TracingEnabled = true;
+  /// TracingEnabled && Bus: whether an access appends to the buffer.
+  bool Emitting = false;
   Phase CurrentPhase = Phase::Mutator;
 
   /// The trace buffer: references emitted but not yet delivered.

@@ -54,10 +54,18 @@
 /// reproducibly. Plans come from `GCACHE_FAULT=<spec>` or the bench
 /// binaries' `--fault <spec>`.
 ///
-/// Sites count occurrences even when disarmed (atomically; workers hit
-/// shard-worker concurrently), so a clean run doubles as an occurrence
-/// census: run once, read occurrences(Site), then sweep n over [1, max] —
-/// the OOM-at-every-allocation test in tests/test_fault_injection.cpp.
+/// Sites count occurrences even when disarmed, so a clean run doubles as an
+/// occurrence census: run once, read occurrences(Site), then sweep n over
+/// [1, max] — the OOM-at-every-allocation test in
+/// tests/test_fault_injection.cpp.
+///
+/// Thread contract: only a threaded bank's workers hit a site concurrently
+/// (shard-worker), and that site counts with an atomic read-modify-write.
+/// Every other site is hit by one thread at a time (the mutator's: the VM,
+/// the collectors, trace and snapshot I/O, the cooperative polls) and
+/// counts with a relaxed load and store, so the heap-oom and gc-force
+/// checks on every allocation take no locked instruction. Counts stay
+/// exact under this contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,8 +127,9 @@ struct FaultPlan {
 Expected<FaultPlan> parseFaultSpec(const std::string &Spec);
 
 /// Process-wide injector: at most one armed plan, plus an occurrence
-/// counter per site. shouldFire() is wait-free and thread-safe (bank
-/// workers call it concurrently with the mutator thread).
+/// counter per site. shouldFire() is wait-free; bank workers call it for
+/// shard-worker concurrently with the mutator thread's other sites (see
+/// the thread contract above).
 class FaultInjector {
 public:
   /// Arms \p Plan (replacing any previous plan) and resets all counters.
@@ -144,9 +153,14 @@ public:
   /// targets this site and this is the firing occurrence. The caller then
   /// raises the fault (throw, forced GC, simulated short write).
   bool shouldFire(FaultSite Site) {
-    uint64_t Seen = Counts[static_cast<unsigned>(Site)].fetch_add(
-                        1, std::memory_order_relaxed) +
-                    1;
+    std::atomic<uint64_t> &Count = Counts[static_cast<unsigned>(Site)];
+    uint64_t Seen;
+    if (Site == FaultSite::ShardWorker) {
+      Seen = Count.fetch_add(1, std::memory_order_relaxed) + 1;
+    } else {
+      Seen = Count.load(std::memory_order_relaxed) + 1;
+      Count.store(Seen, std::memory_order_relaxed);
+    }
     if (!Armed.load(std::memory_order_relaxed))
       return false;
     return Site == Plan.Site && Seen == FireIndex;

@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace gcache {
@@ -91,6 +92,47 @@ struct RefSpan {
     return {Addr + Off, Kind + Off, PhaseTag + Off, N};
   }
 };
+
+/// Adds the references of \p S to \p Counts, indexed [phase][kind]. Kinds
+/// and phase tags are 0 or 1, so three byte sums (stores, collector
+/// references, collector stores) give all four counts. The sums take eight
+/// references at a time: a 64-bit word of kind (or phase) bytes is added
+/// lane by lane, and up to 255 words fit in the byte lanes before they are
+/// folded into 64-bit totals, so a span of any length fits. No sum depends
+/// on the previous reference's count, unlike an increment per reference.
+inline void tallyRefs(const RefSpan &S, uint64_t (&Counts)[2][2]) {
+  // The sum of a word's eight byte lanes, each at most 255.
+  auto LaneSum = [](uint64_t X) {
+    X = (X & 0x00ff00ff00ff00ffull) + ((X >> 8) & 0x00ff00ff00ff00ffull);
+    return (X * 0x0001000100010001ull) >> 48;
+  };
+  uint64_t Stores = 0, Collector = 0, CollectorStores = 0;
+  const size_t N = S.size();
+  size_t I = 0;
+  while (N - I >= 8) {
+    uint64_t K = 0, P = 0, KP = 0;
+    for (unsigned W = 0; W != 255 && N - I >= 8; ++W, I += 8) {
+      uint64_t WK, WP;
+      std::memcpy(&WK, S.Kind + I, 8);
+      std::memcpy(&WP, S.PhaseTag + I, 8);
+      K += WK;
+      P += WP;
+      KP += WK & WP;
+    }
+    Stores += LaneSum(K);
+    Collector += LaneSum(P);
+    CollectorStores += LaneSum(KP);
+  }
+  for (; I != N; ++I) {
+    Stores += S.Kind[I];
+    Collector += S.PhaseTag[I];
+    CollectorStores += S.Kind[I] & S.PhaseTag[I];
+  }
+  Counts[1][1] += CollectorStores;
+  Counts[1][0] += Collector - CollectorStores;
+  Counts[0][1] += Stores - CollectorStores;
+  Counts[0][0] += N - Stores - Collector + CollectorStores;
+}
 
 /// A batch of references in structure-of-arrays (columnar) form: the
 /// addresses, access kinds, and phase tags live in three separate

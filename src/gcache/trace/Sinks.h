@@ -14,8 +14,8 @@
 /// A live run's references reach the bus in spans from the heap (see the
 /// delivery contract in trace/Event.h). The bus forwards each span whole
 /// to every sink in order, so each sink takes a span in one call and one
-/// loop; CountingSink tallies it. CallbackSink keeps the per-reference
-/// default.
+/// loop; CountingSink tallies it with tallyRefs. CallbackSink keeps the
+/// per-reference default.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,10 +72,7 @@ public:
   void onRef(const Ref &R) override {
     ++Counts[static_cast<unsigned>(R.ExecPhase)][static_cast<unsigned>(R.Kind)];
   }
-  void onRefs(const RefSpan &S) override {
-    for (size_t I = 0; I != S.size(); ++I)
-      onRef(S[I]);
-  }
+  void onRefs(const RefSpan &S) override { tallyRefs(S, Counts); }
   void onAlloc(Address, uint32_t Bytes) override { AllocBytes += Bytes; }
   void onGcBegin() override { ++Collections; }
 

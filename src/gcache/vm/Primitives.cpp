@@ -701,8 +701,8 @@ Value primTableCount(VM &M, uint32_t Argc) {
 
 Value primApply(VM &M, uint32_t Argc) {
   // (apply f a b ... lst): push f, the leading args, then the spread of
-  // lst, and call. Reading via absolute slots keeps this safe while the
-  // stack grows.
+  // lst, and have the op call f on return. Reading via absolute slots
+  // keeps this safe while the stack grows.
   uint32_t Base = M.sp() - Argc;
   Value F = M.stackValue(Base);
   M.push(F);
@@ -718,7 +718,8 @@ Value primApply(VM &M, uint32_t Argc) {
     L = cdrOf(H, L);
     ++N;
   }
-  return M.applyProcedure(N);
+  M.applyOnReturn(N);
+  return Value::unspecified();
 }
 
 Value primGcCount(VM &M, uint32_t Argc) {

@@ -218,13 +218,13 @@ void VM::enterCall(uint32_t Argc, bool Tail) {
     uint32_t Src = SP - 1 - Argc;
     if (Src != FPx)
       for (uint32_t I = 0; I <= Argc; ++I)
-        H.store(H.stackSlotAddr(FPx + I), H.load(H.stackSlotAddr(Src + I)));
+        H.storeStack(FPx + I, H.loadStack(Src + I));
     SP = FPx + 1 + Argc;
   } else {
     FPx = SP - 1 - Argc;
   }
 
-  Value Callee = H.loadValue(H.stackSlotAddr(FPx));
+  Value Callee = H.loadStack(FPx);
   if (!isClosure(H, Callee))
     vmFatal("call to a non-procedure value: %s",
             valueToString(Callee, /*WriteStyle=*/true).c_str());
@@ -245,13 +245,12 @@ void VM::enterCall(uint32_t Argc, bool Tail) {
     for (uint32_t I = 0; I != Extra; ++I) {
       Address PairA = allocateObject(3);
       Value Rest = pop();
-      Value Arg = H.loadValue(
-          H.stackSlotAddr(FPx + 1 + C.NumRequired + Extra - 1 - I));
+      Value Arg = H.loadStack(FPx + 1 + C.NumRequired + Extra - 1 - I);
       initPair(H, PairA, Arg, Rest);
       push(Value::pointer(PairA));
     }
     Value Rest = pop();
-    H.storeValue(H.stackSlotAddr(FPx + 1 + C.NumRequired), Rest);
+    H.storeStack(FPx + 1 + C.NumRequired, Rest);
     SP = FPx + 1 + C.NumRequired + 1;
   } else if (Argc != C.NumRequired) {
     vmFatal("%s: expected %u arguments, got %u", C.Name.c_str(),
@@ -261,224 +260,259 @@ void VM::enterCall(uint32_t Argc, bool Tail) {
   for (uint32_t I = 0; I != C.NumLocals; ++I)
     push(Value::unspecified());
 
+  // A tail call keeps PrimArgs: an apply's call completes when its tail
+  // callee returns.
   if (Tail)
-    Frames.back() = {CodeId, 0, FPx};
+    Frames.back() = {CodeId, 0, FPx, Frames.back().PrimArgs};
   else
     Frames.push_back({CodeId, 0, FPx});
 }
 
-void VM::step() {
-  Frame &F = Frames.back();
-  const CodeObject &C = *CodeTable[F.CodeId];
-  assert(F.PC < C.Code.size() && "fell off the end of a code object");
-  const Instr &In = C.Code[F.PC++];
-  Instructions += InstructionsPerOpcode;
+void VM::interpret(size_t Base) {
+  for (;;) {
+    // The current frame lives in these locals until an op pushes, pops or
+    // replaces frames: a call, a return, a continuation, or apply. Those
+    // that come back to this frame (calls, call/cc, apply) write PC back
+    // first; after any of them the inner loop ends and the frames are read
+    // afresh.
+    const Frame &Cur = Frames.back();
+    const CodeObject &C = *CodeTable[Cur.CodeId];
+    const Instr *const Code = C.Code.data();
+    const Value *const Consts = C.Consts.data();
+    uint32_t PC = Cur.PC;
+    const uint32_t FP = Cur.FP;
+    bool FramesChanged = false;
+    // Set by a return from a call an apply made: the arguments of the
+    // primitive op that completes now.
+    uint32_t Completes = 0;
+    do {
+      assert(PC < C.Code.size() && "fell off the end of a code object");
+      const Instr &In = Code[PC++];
+      Instructions += InstructionsPerOpcode;
 
-  switch (In.Code) {
-  case Op::Const:
-    push(C.Consts[In.A]);
-    break;
-  case Op::GlobalRef: {
-    Address Sym = C.Consts[In.A].asPointer();
-    Value V = H.loadValue(Sym + SymbolValueSlot);
-    if (V.isImm(Imm::Unbound))
-      vmFatal("unbound variable: %s", symbolName(Sym).c_str());
-    push(V);
-    break;
-  }
-  case Op::GlobalSet:
-  case Op::GlobalDef: {
-    Address Sym = C.Consts[In.A].asPointer();
-    Value V = pop();
-    // Static slots are scanned as roots by every collector; no barrier.
-    H.storeValue(Sym + SymbolValueSlot, V);
-    push(Value::unspecified());
-    break;
-  }
-  case Op::LocalRef:
-    push(H.loadValue(H.stackSlotAddr(F.FP + In.A)));
-    break;
-  case Op::LocalSet: {
-    Value V = pop();
-    H.storeValue(H.stackSlotAddr(F.FP + In.A), V);
-    break;
-  }
-  case Op::FreeRef: {
-    Value Clos = H.loadValue(H.stackSlotAddr(F.FP));
-    push(closureFree(H, Clos, In.A));
-    break;
-  }
-  case Op::MakeClosure: {
-    uint32_t NumFree = In.B;
-    Address A = allocateObject(2 + NumFree); // Captures stay stack-rooted.
-    H.store(A, makeHeader(ObjectTag::Closure, 1 + NumFree));
-    H.storeValue(A + 4, Value::fixnum(static_cast<int32_t>(In.A)));
-    for (uint32_t I = 0; I != NumFree; ++I)
-      H.storeValue(A + 8 + I * 4,
-                   H.loadValue(H.stackSlotAddr(SP - NumFree + I)));
-    SP -= NumFree;
-    push(Value::pointer(A));
-    break;
-  }
-  case Op::MakeCell: {
-    Address A = allocateObject(2); // Initializer stays stack-rooted.
-    Value V = pop();
-    H.store(A, makeHeader(ObjectTag::Cell, 1));
-    H.storeValue(A + 4, V);
-    push(Value::pointer(A));
-    break;
-  }
-  case Op::CellRef: {
-    Value Cell = pop();
-    assert(isObject(H, Cell, ObjectTag::Cell) && "cell-ref of non-cell");
-    push(cellRef(H, Cell));
-    break;
-  }
-  case Op::CellSet: {
-    Value V = pop();
-    Value Cell = pop();
-    assert(isObject(H, Cell, ObjectTag::Cell) && "cell-set of non-cell");
-    mutateStore(Cell.asPointer() + 4, V);
-    push(Value::unspecified());
-    break;
-  }
-  case Op::Jump:
-    F.PC = In.A;
-    break;
-  case Op::JumpIfFalse: {
-    Value V = pop();
-    if (V.isFalse())
-      F.PC = In.A;
-    break;
-  }
-  case Op::Call:
-    enterCall(In.A, /*Tail=*/false);
-    break;
-  case Op::TailCall:
-    enterCall(In.A, /*Tail=*/true);
-    break;
-  case Op::Return: {
-    Value V = pop();
-    SP = F.FP;
-    Frames.pop_back();
-    push(V);
-    break;
-  }
-  case Op::Prim: {
-    const Primitive &P = Prims[In.A];
-    uint32_t Argc = In.B;
-    if (static_cast<int>(Argc) < P.MinArgs ||
-        (P.MaxArgs >= 0 && static_cast<int>(Argc) > P.MaxArgs))
-      vmFatal("%s: bad argument count %u", P.Name.c_str(), Argc);
-    Instructions += P.ExtraCost;
-    Value R = P.Fn(*this, Argc);
-    SP -= Argc;
-    push(R);
-    break;
-  }
-  case Op::PrimSpread: {
-    Value List = pop();
-    uint32_t Argc = 0;
-    while (!List.isNil()) {
-      assert(isPair(H, List) && "prim-spread of a non-list");
-      push(carOf(H, List));
-      List = cdrOf(H, List);
-      ++Argc;
+      switch (In.Code) {
+      case Op::Const:
+        push(Consts[In.A]);
+        break;
+      case Op::GlobalRef: {
+        Address Sym = Consts[In.A].asPointer();
+        Value V = H.loadValue(Sym + SymbolValueSlot);
+        if (V.isImm(Imm::Unbound))
+          vmFatal("unbound variable: %s", symbolName(Sym).c_str());
+        push(V);
+        break;
+      }
+      case Op::GlobalSet:
+      case Op::GlobalDef: {
+        Address Sym = Consts[In.A].asPointer();
+        Value V = pop();
+        // Static slots are scanned as roots by every collector; no barrier.
+        H.storeValue(Sym + SymbolValueSlot, V);
+        push(Value::unspecified());
+        break;
+      }
+      case Op::LocalRef:
+        push(H.loadStack(FP + In.A));
+        break;
+      case Op::LocalSet: {
+        Value V = pop();
+        H.storeStack(FP + In.A, V);
+        break;
+      }
+      case Op::FreeRef: {
+        Value Clos = H.loadStack(FP);
+        push(closureFree(H, Clos, In.A));
+        break;
+      }
+      case Op::MakeClosure: {
+        uint32_t NumFree = In.B;
+        Address A = allocateObject(2 + NumFree); // Captures stay stack-rooted.
+        H.store(A, makeHeader(ObjectTag::Closure, 1 + NumFree));
+        H.storeValue(A + 4, Value::fixnum(static_cast<int32_t>(In.A)));
+        for (uint32_t I = 0; I != NumFree; ++I)
+          H.storeValue(A + 8 + I * 4, H.loadStack(SP - NumFree + I));
+        SP -= NumFree;
+        push(Value::pointer(A));
+        break;
+      }
+      case Op::MakeCell: {
+        Address A = allocateObject(2); // Initializer stays stack-rooted.
+        Value V = pop();
+        H.store(A, makeHeader(ObjectTag::Cell, 1));
+        H.storeValue(A + 4, V);
+        push(Value::pointer(A));
+        break;
+      }
+      case Op::CellRef: {
+        Value Cell = pop();
+        assert(isObject(H, Cell, ObjectTag::Cell) && "cell-ref of non-cell");
+        push(cellRef(H, Cell));
+        break;
+      }
+      case Op::CellSet: {
+        Value V = pop();
+        Value Cell = pop();
+        assert(isObject(H, Cell, ObjectTag::Cell) && "cell-set of non-cell");
+        mutateStore(Cell.asPointer() + 4, V);
+        push(Value::unspecified());
+        break;
+      }
+      case Op::Jump:
+        PC = In.A;
+        break;
+      case Op::JumpIfFalse: {
+        Value V = pop();
+        if (V.isFalse())
+          PC = In.A;
+        break;
+      }
+      case Op::Call:
+      case Op::TailCall:
+        Frames.back().PC = PC;
+        enterCall(In.A, /*Tail=*/In.Code == Op::TailCall);
+        FramesChanged = true;
+        break;
+      case Op::Return: {
+        Value V = pop();
+        SP = FP;
+        Completes = Frames.back().PrimArgs;
+        Frames.pop_back();
+        push(V);
+        FramesChanged = true;
+        break;
+      }
+      case Op::Prim:
+      case Op::PrimSpread: {
+        uint32_t Argc = In.B;
+        if (In.Code == Op::PrimSpread) {
+          Value List = pop();
+          for (Argc = 0; !List.isNil(); ++Argc) {
+            assert(isPair(H, List) && "prim-spread of a non-list");
+            push(carOf(H, List));
+            List = cdrOf(H, List);
+          }
+        }
+        const Primitive &P = Prims[In.A];
+        if (static_cast<int>(Argc) < P.MinArgs ||
+            (P.MaxArgs >= 0 && static_cast<int>(Argc) > P.MaxArgs))
+          vmFatal("%s: bad argument count %u", P.Name.c_str(), Argc);
+        Instructions += P.ExtraCost;
+        Value R = P.Fn(*this, Argc);
+        if (PendingApply) {
+          // apply: the op completes, and takes its bytecode tick, when the
+          // call returns (Completes).
+          uint32_t N = *PendingApply;
+          PendingApply.reset();
+          Frames.back().PC = PC;
+          enterCall(N, /*Tail=*/false);
+          Frames.back().PrimArgs = Argc;
+          FramesChanged = true;
+          continue;
+        }
+        SP -= Argc;
+        push(R);
+        break;
+      }
+      case Op::Pop:
+        assert(SP > 0 && "stack underflow");
+        --SP; // Discards are pointer arithmetic, not memory traffic.
+        break;
+      case Op::CallCC: {
+        // Stack: [.. f]; the continuation excludes f and resumes at this
+        // frame's (already advanced) PC with the passed value on top.
+        Frames.back().PC = PC;
+        uint32_t SnapSP = SP - 1;
+        uint32_t ContId = static_cast<uint32_t>(ContTable.size());
+        ContTable.push_back(Frames);
+
+        if (ContStubCodeId < 0) {
+          CodeObject Stub;
+          Stub.Name = "continuation";
+          Stub.NumRequired = 1;
+          Stub.Code = {{Op::RestoreCont}};
+          ContStubCodeId = static_cast<int32_t>(addCode(std::move(Stub)));
+        }
+
+        // Copy the live stack into a heap vector (traced loads and stores —
+        // continuation capture is real memory traffic, as in T). f stays
+        // rooted on the stack across the allocations.
+        Address VecA = allocateObject(1 + SnapSP);
+        H.store(VecA, makeHeader(ObjectTag::Vector, SnapSP));
+        for (uint32_t I = 0; I != SnapSP; ++I)
+          H.storeValue(VecA + 4 + I * 4, H.loadStack(I));
+
+        push(Value::pointer(VecA)); // Root the copy across the next alloc.
+        Address ClosA = allocateObject(4);
+        Value VecV = pop();
+        H.store(ClosA, makeHeader(ObjectTag::Closure, 3));
+        H.storeValue(ClosA + 4, Value::fixnum(ContStubCodeId));
+        H.storeValue(ClosA + 8, VecV);
+        H.storeValue(ClosA + 12, Value::fixnum(static_cast<int32_t>(ContId)));
+
+        push(Value::pointer(ClosA)); // Stack: [.. f cont]
+        enterCall(1, /*Tail=*/false);
+        FramesChanged = true;
+        break;
+      }
+      case Op::RestoreCont: {
+        // Frame: [cont value]. Restore the captured stack and frames, then
+        // deliver the value to the capture point.
+        Value Clos = H.loadStack(FP);
+        Value Val = H.loadStack(FP + 1);
+        Value Vec = closureFree(H, Clos, 0);
+        uint32_t ContId =
+            static_cast<uint32_t>(closureFree(H, Clos, 1).asFixnum());
+        assert(ContId < ContTable.size() && "dangling continuation id");
+        uint32_t Words = vectorLength(H, Vec);
+        Address VecA = Vec.asPointer();
+        for (uint32_t I = 0; I != Words; ++I)
+          H.storeStack(I, H.loadValue(VecA + 4 + I * 4));
+        SP = Words;
+        Frames = ContTable[ContId]; // Copy: continuations are multi-shot.
+        push(Val);
+        FramesChanged = true;
+        break;
+      }
+      case Op::PushUnspec:
+        push(Value::unspecified());
+        break;
+      case Op::Halt:
+        vmFatal("halt executed");
+      }
+
+      // A bytecode boundary is a safe point (no half-dispatched reference
+      // anywhere) for the cancellation poll.
+      if (tick()) {
+        if (!FramesChanged)
+          Frames.back().PC = PC;
+        poll();
+      }
+    } while (!FramesChanged);
+
+    if (Completes) {
+      // The primitive op that made the call pops its arguments and pushes
+      // the call's result.
+      Value R = pop();
+      SP -= Completes;
+      push(R);
+      if (tick())
+        poll();
     }
-    const Primitive &P = Prims[In.A];
-    if (static_cast<int>(Argc) < P.MinArgs ||
-        (P.MaxArgs >= 0 && static_cast<int>(Argc) > P.MaxArgs))
-      vmFatal("%s: bad argument count %u", P.Name.c_str(), Argc);
-    Instructions += P.ExtraCost;
-    Value R = P.Fn(*this, Argc);
-    SP -= Argc;
-    push(R);
-    break;
+    if (Frames.size() <= Base)
+      return;
   }
-  case Op::Pop:
-    assert(SP > 0 && "stack underflow");
-    --SP; // Discards are pointer arithmetic, not memory traffic.
-    break;
-  case Op::CallCC: {
-    // Stack: [.. f]; the continuation excludes f and resumes at this
-    // frame's (already advanced) PC with the passed value on top.
-    uint32_t SnapSP = SP - 1;
-    uint32_t ContId = static_cast<uint32_t>(ContTable.size());
-    ContTable.push_back(Frames);
+}
 
-    if (ContStubCodeId < 0) {
-      CodeObject Stub;
-      Stub.Name = "continuation";
-      Stub.NumRequired = 1;
-      Stub.Code = {{Op::RestoreCont}};
-      ContStubCodeId = static_cast<int32_t>(addCode(std::move(Stub)));
-    }
-
-    // Copy the live stack into a heap vector (traced loads and stores —
-    // continuation capture is real memory traffic, as in T). f stays
-    // rooted on the stack across the allocations.
-    Address VecA = allocateObject(1 + SnapSP);
-    H.store(VecA, makeHeader(ObjectTag::Vector, SnapSP));
-    for (uint32_t I = 0; I != SnapSP; ++I)
-      H.store(VecA + 4 + I * 4, H.load(H.stackSlotAddr(I)));
-
-    push(Value::pointer(VecA)); // Root the copy across the next alloc.
-    Address ClosA = allocateObject(4);
-    Value VecV = pop();
-    H.store(ClosA, makeHeader(ObjectTag::Closure, 3));
-    H.storeValue(ClosA + 4, Value::fixnum(ContStubCodeId));
-    H.storeValue(ClosA + 8, VecV);
-    H.storeValue(ClosA + 12, Value::fixnum(static_cast<int32_t>(ContId)));
-
-    push(Value::pointer(ClosA)); // Stack: [.. f cont]
-    enterCall(1, /*Tail=*/false);
-    break;
-  }
-  case Op::RestoreCont: {
-    // Frame: [cont value]. Restore the captured stack and frames, then
-    // deliver the value to the capture point.
-    Value Clos = H.loadValue(H.stackSlotAddr(F.FP));
-    Value Val = H.loadValue(H.stackSlotAddr(F.FP + 1));
-    Value Vec = closureFree(H, Clos, 0);
-    uint32_t ContId =
-        static_cast<uint32_t>(closureFree(H, Clos, 1).asFixnum());
-    assert(ContId < ContTable.size() && "dangling continuation id");
-    uint32_t Words = vectorLength(H, Vec);
-    Address VecA = Vec.asPointer();
-    for (uint32_t I = 0; I != Words; ++I)
-      H.store(H.stackSlotAddr(I), H.load(VecA + 4 + I * 4));
-    SP = Words;
-    Frames = ContTable[ContId]; // Copy: continuations are multi-shot.
-    push(Val);
-    break;
-  }
-  case Op::PushUnspec:
-    push(Value::unspecified());
-    break;
-  case Op::Halt:
-    vmFatal("halt executed");
-  }
+void VM::poll() {
+  H.flushTrace();
+  pollCancellation("vm-step");
 }
 
 Value VM::execute(Value Thunk) {
   push(Thunk);
-  return applyProcedure(0);
-}
-
-Value VM::applyProcedure(uint32_t Argc) {
   size_t Base = Frames.size();
-  enterCall(Argc, /*Tail=*/false);
-  while (Frames.size() > Base) {
-    step();
-    // Cooperative cancellation: a bytecode boundary is a safe point (no
-    // half-dispatched reference anywhere), and every few thousand
-    // bytecodes is far below a millisecond of drain latency. The trace is
-    // flushed first, so the --max-refs meter is exact at the poll.
-    if ((++CancelPollTick & 0x3fff) == 0) {
-      H.flushTrace();
-      pollCancellation("vm-step");
-    }
-  }
+  enterCall(0, /*Tail=*/false);
+  interpret(Base);
   return pop();
 }
 

@@ -40,6 +40,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -181,33 +182,32 @@ public:
 
   //===--- Stack access (primitives and tests) -----------------------------===//
 
-  void push(Value V) {
-    H.storeValue(H.stackSlotAddr(SP), V);
-    ++SP;
-  }
+  void push(Value V) { H.storeStack(SP++, V); }
   Value pop() {
     assert(SP > 0 && "value stack underflow");
-    --SP;
-    return H.loadValue(H.stackSlotAddr(SP));
+    return H.loadStack(--SP);
   }
   /// Argument \p I (0-based) of the \p Argc arguments on top of the stack.
   Value primArg(uint32_t I, uint32_t Argc) {
     assert(I < Argc && Argc <= SP && "bad primitive argument access");
-    return H.loadValue(H.stackSlotAddr(SP - Argc + I));
+    return H.loadStack(SP - Argc + I);
   }
   uint32_t sp() const { return SP; }
   /// Reads an absolute stack slot (for primitives that push while still
   /// needing their original arguments; capture Base = sp() - Argc first).
   Value stackValue(uint32_t Slot) {
     assert(Slot < SP && "reading above the stack top");
-    return H.loadValue(H.stackSlotAddr(Slot));
+    return H.loadStack(Slot);
   }
 
-  /// Calls the procedure at stack position SP-1-Argc with the Argc values
-  /// above it (i.e. the stack ends [proc a0 .. a(n-1)]) and returns the
-  /// result; the procedure and arguments are consumed. Reentrant — used
-  /// by the apply primitive.
-  Value applyProcedure(uint32_t Argc);
+  /// For the apply primitive: once the running primitive returns (its
+  /// value is then ignored), calls the procedure at stack position
+  /// SP-1-Argc with the Argc values above it (the stack ends [proc a0 ..
+  /// a(n-1)]). The primitive op completes when that call returns: it pops
+  /// its own arguments and pushes the call's result. The call runs in the
+  /// interpreter loop like any other, so a continuation captured inside it
+  /// holds the op's completion too.
+  void applyOnReturn(uint32_t Argc) { PendingApply = Argc; }
 
   /// Barriered mutation of a heap slot (set-car!, vector-set!, ...).
   void mutateStore(Address Slot, Value V) {
@@ -270,12 +270,13 @@ public:
   Address runtimeVectorAddr() const { return RuntimeVec; }
 
 private:
-  friend class VMExec; // Interpreter loop lives in VM.cpp.
-
   struct Frame {
     uint32_t CodeId;
     uint32_t PC;
     uint32_t FP;
+    /// Arguments of the primitive op whose apply made this call, popped
+    /// when it returns (apply takes at least two); 0 for other calls.
+    uint32_t PrimArgs = 0;
   };
 
   class AllocatorFacade final : public Allocator {
@@ -290,7 +291,15 @@ private:
   };
 
   void enterCall(uint32_t Argc, bool Tail);
-  void step();
+  /// The interpreter loop: runs bytecodes until the frame count drops to
+  /// \p Base.
+  void interpret(size_t Base);
+  /// Counts one completed bytecode; true when the cancellation poll is due
+  /// (every 16384th, far below a millisecond of drain latency).
+  bool tick() { return (++CancelPollTick & 0x3fff) == 0; }
+  /// Cooperative cancellation (support/Budget.h). The trace is flushed
+  /// first, so the --max-refs meter is exact at the poll.
+  void poll();
   void ensureTableFresh(Value Table);
   void rehashTable(Value Table, uint32_t NewBuckets);
 
@@ -316,9 +325,10 @@ private:
   uint64_t Instructions = 0;
   uint64_t ExtraInstructions = 0;
   uint64_t Calls = 0;
-  /// Bytecodes since the interpreter loop last polled the cancel token
-  /// (support/Budget.h); shared across nested applyProcedure frames.
+  /// Bytecodes completed; the cancellation poll runs at every 16384th.
   uint64_t CancelPollTick = 0;
+  /// The call applyOnReturn asked for, if the running primitive is apply.
+  std::optional<uint32_t> PendingApply;
   uint64_t GensymCounter = 0;
   std::string Output;
 

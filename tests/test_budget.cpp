@@ -18,6 +18,7 @@
 #include "gcache/support/Options.h"
 #include "gcache/support/SignalGuard.h"
 #include "gcache/support/Watchdog.h"
+#include "gcache/trace/Sinks.h"
 #include "gcache/trace/TraceFile.h"
 
 #include <gtest/gtest.h>
@@ -705,6 +706,48 @@ TEST(BudgetDrain, RefBudgetTripsAtTheFirstPollThatReachesIt) {
     ASSERT_TRUE(ByBudget.partial()) << Nth;
     EXPECT_EQ(ByBudget.TotalRefs, AtPoll.TotalRefs) << "poll " << Nth;
     EXPECT_EQ(processBudget().refsSeen(), ByBudget.TotalRefs) << Nth;
+  }
+}
+
+// The interpreter polls after every 16,384th bytecode, apply's primitive op
+// counting when the call it made returns. A trip injected at the Nth poll
+// of a program that runs mostly inside apply drains it at fixed
+// references: a poll that moved against the reference stream would move
+// where --max-refs trips.
+TEST(BudgetDrain, PollsInsideApplyFallAtFixedReferences) {
+  const char *Src = "(define (sum . xs)"
+                    "  (if (null? xs) 0 (+ (car xs) (apply sum (cdr xs)))))"
+                    "(define (loop i acc)"
+                    "  (if (= i 0) acc"
+                    "      (loop (- i 1) (+ acc (apply sum (list i 1 2 3))))))"
+                    "(loop 2000 0)";
+  struct Trip {
+    uint64_t Nth, Refs, Instructions;
+    const char *Where;
+  };
+  for (const Trip &T : {Trip{1, 71882, 74718, "vm-step"},
+                        Trip{4, 288565, 299029, "vm-step"},
+                        Trip{9, 367483, 379534, "gc-step"}}) {
+    GovernanceReset Guard;
+    CountingSink Counts;
+    TraceBus Bus;
+    Bus.addSink(&Counts);
+    SchemeSystemConfig C;
+    C.Gc = GcKind::Cheney;
+    C.SemispaceBytes = 192 * 1024;
+    C.Bus = &Bus;
+    SchemeSystem S(C);
+    faultInjector().arm({FaultSite::WatchdogTrip, T.Nth, 0});
+    Status St;
+    try {
+      S.run(Src);
+    } catch (const StatusError &E) {
+      St = E.status();
+    }
+    EXPECT_EQ(St.code(), StatusCode::Cancelled) << T.Nth;
+    EXPECT_NE(St.message().find(T.Where), std::string::npos) << St.message();
+    EXPECT_EQ(Counts.totalRefs(), T.Refs) << "poll " << T.Nth;
+    EXPECT_EQ(S.vm().instructions(), T.Instructions) << "poll " << T.Nth;
   }
 }
 

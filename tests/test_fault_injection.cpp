@@ -653,6 +653,29 @@ TEST_F(FaultInjection, ShardWorkerFailureClearedByResetAll) {
   EXPECT_TRUE(Bank.auditAll().ok());
 }
 
+// shard-worker is the one site hit by several threads at once; its census
+// stays exact: one occurrence per lane batch, with four workers racing.
+TEST_F(FaultInjection, ShardWorkerCensusExactWithFourWorkers) {
+  CacheBank Bank;
+  for (uint32_t BlockBytes : {16u, 32u, 64u, 128u}) { // One lane each.
+    CacheConfig C;
+    C.SizeBytes = 16 << 10;
+    C.BlockBytes = BlockBytes;
+    Bank.addConfig(C);
+  }
+  constexpr size_t BatchRefs = 64, Batches = 5000;
+  Bank.setThreads(4, BatchRefs);
+  ASSERT_EQ(Bank.threads(), 4u);
+
+  faultInjector().resetCounters();
+  Rng R(11);
+  for (size_t I = 0; I != BatchRefs * Batches; ++I)
+    Bank.onRef({0x10000000 + (static_cast<Address>(R.below(1u << 20)) & ~3u),
+                AccessKind::Load, Phase::Mutator});
+  Bank.flush();
+  EXPECT_EQ(faultInjector().occurrences(FaultSite::ShardWorker), 4 * Batches);
+}
+
 //===----------------------------------------------------------------------===//
 // Unit-boundary degradation: tryRunProgram
 //===----------------------------------------------------------------------===//

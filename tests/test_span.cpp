@@ -120,6 +120,32 @@ Stream randomStream(uint64_t Seed, size_t NumSteps) {
   return Out;
 }
 
+/// Appends two spans that per-span tallies get wrong first: one of
+/// collector stores only (every kind and phase byte set), and one of
+/// 100,000 references that opens with 70,000 collector stores, which
+/// overflows any 16-bit accumulator, and any 8-bit lane that takes more
+/// than 255 references before it is folded.
+void addEdgeSpans(Stream &St) {
+  Step AllCollectorStores;
+  AllCollectorStores.Off = St.Refs.size();
+  AllCollectorStores.Len = 300;
+  for (size_t K = 0; K != AllCollectorStores.Len; ++K)
+    St.Refs.push_back({Heap::StackBase + 4 * static_cast<Address>(K),
+                       AccessKind::Store, Phase::Collector});
+  St.Steps.push_back(AllCollectorStores);
+
+  Step Long;
+  Long.Off = St.Refs.size();
+  Long.Len = 100000;
+  for (size_t K = 0; K != Long.Len; ++K)
+    St.Refs.push_back(K < 70000 || K % 10
+                          ? Ref{Heap::DynamicBase, AccessKind::Store,
+                                Phase::Collector}
+                          : Ref{Heap::StaticBase, AccessKind::Load,
+                                Phase::Mutator});
+  St.Steps.push_back(Long);
+}
+
 void deliverEvent(TraceSink &Sink, const Step &S) {
   switch (S.Event) {
   case After::Nothing:
@@ -210,6 +236,7 @@ TEST(SpanSinks, StreamsHaveEveryShapeOfSpan) {
 TEST(SpanSinks, CountingSinkMatchesPerReference) {
   for (uint64_t Seed : Seeds) {
     Stream St = randomStream(Seed, StepsPerStream);
+    addEdgeSpans(St);
     CountingSink BySpan, ByRef;
     feedSpans(BySpan, St);
     feedRefs(ByRef, St);
@@ -228,6 +255,7 @@ TEST(SpanSinks, CountingSinkMatchesPerReference) {
 TEST(SpanSinks, AuditSinkTallyMatchesPerReference) {
   for (uint64_t Seed : Seeds) {
     Stream St = randomStream(Seed, StepsPerStream);
+    addEdgeSpans(St);
     CountingSink ByRef;
     feedRefs(ByRef, St);
     for (Step &S : St.Steps) // Audits fire at GC events; keep them apart.

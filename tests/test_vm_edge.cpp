@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "gcache/trace/Sinks.h"
 #include "gcache/vm/SchemeSystem.h"
 
 #include <gtest/gtest.h>
@@ -38,6 +39,43 @@ std::string evalTiny(const std::string &Src) {
   EXPECT_EQ(None, Cheney) << Src;
   EXPECT_EQ(None, Gen) << Src;
   return None;
+}
+
+/// What one run leaves: its value, the references it traced and the
+/// instructions it was charged.
+struct Trail {
+  std::string Value;
+  uint64_t Refs = 0;
+  uint64_t Instructions = 0;
+};
+
+Trail runCounted(const std::string &Src, GcKind Gc) {
+  CountingSink Counts;
+  TraceBus Bus;
+  Bus.addSink(&Counts);
+  SchemeSystemConfig C;
+  C.Gc = Gc;
+  C.SemispaceBytes = 192 * 1024;
+  C.Bus = &Bus;
+  SchemeSystem S(C);
+  Value V = S.run(Src);
+  return {S.vm().valueToString(V, /*WriteStyle=*/true), Counts.totalRefs(),
+          S.vm().instructions()};
+}
+
+/// Runs \p Src without a collector and under Cheney, expecting \p Value
+/// from both, \p Refs without a collector and \p CheneyRefs under
+/// Cheney, and \p Instructions from both.
+void expectTrail(const std::string &Src, const std::string &Value,
+                 uint64_t Refs, uint64_t CheneyRefs, uint64_t Instructions) {
+  Trail None = runCounted(Src, GcKind::None);
+  EXPECT_EQ(None.Value, Value) << Src;
+  EXPECT_EQ(None.Refs, Refs) << Src;
+  EXPECT_EQ(None.Instructions, Instructions) << Src;
+  Trail Cheney = runCounted(Src, GcKind::Cheney);
+  EXPECT_EQ(Cheney.Value, Value) << Src;
+  EXPECT_EQ(Cheney.Refs, CheneyRefs) << Src;
+  EXPECT_EQ(Cheney.Instructions, Instructions) << Src;
 }
 
 } // namespace
@@ -332,6 +370,92 @@ TEST(VmCallCC, SurvivesCollectionsBetweenCaptureAndInvoke) {
                      "    (if (< r 2) (saved (+ r 1)) (reverse acc))))"),
             "(0 1 2)")
       << "the captured stack copy is heap data and must survive moves";
+}
+
+// apply's primitive op completes, popping its arguments and taking its
+// bytecode tick, when the call it made returns. Every apply below returns
+// normally, so the figures are fixed points of the reference stream: a
+// change to how apply runs must not move them.
+TEST(VmApply, CallsKeepTheirStream) {
+  // Over 100,000 bytecodes, most of them inside apply, so the cancellation
+  // poll falls inside apply's calls too.
+  expectTrail("(define (sum . xs)"
+              "  (if (null? xs) 0 (+ (car xs) (apply sum (cdr xs)))))"
+              "(define (loop i acc)"
+              "  (if (= i 0) acc"
+              "      (loop (- i 1) (+ acc (apply sum (list i 1 2 3))))))"
+              "(loop 2000 0)",
+              "2013000", 626057, 627257, 648421);
+  // Continuations that return normally inside apply.
+  expectTrail("(define (g x) (call/cc (lambda (k) (if (> x 5) (k (* x 2)) x))))"
+              "(apply + (map (lambda (i) (apply g (list i))) (list 1 3 5 7 9)))",
+              "41", 1045, 1045, 1230);
+  // apply in tail position, and apply applied.
+  expectTrail("(define (f . xs) (if (null? xs) 0 (+ (car xs) (apply f (cdr xs)))))"
+              "(define (tailer x) (apply f (list x x x)))"
+              "(list (apply tailer (list 5)) (apply apply (list + (list 1 2 3))))",
+              "(15 6)", 464, 464, 738);
+  // Tail calls inside apply's call: the op completes when the tail callee
+  // returns.
+  expectTrail("(define (g x) (* x 2))"
+              "(define (h x) (g (+ x 1)))"
+              "(define (loop i acc)"
+              "  (if (= i 0) acc"
+              "      (loop (- i 1) (+ acc (apply h (list i))"
+              "                       (apply (lambda (x) (h x)) (list i))"
+              "                       (apply (lambda xs (apply + xs)) (list i 1))))))"
+              "(list (apply h (list 5)) (loop 300 0))",
+              "(12 227250)", 79051, 79051, 80919);
+}
+
+TEST(VmCallCC, ReentryInsideApplyKeepsItsStream) {
+  // The continuation is captured and re-entered inside the procedure apply
+  // called, across a collection. As above, the figures must not move.
+  expectTrail("(apply (lambda (n)"
+              "  (let ((saved #f) (acc '()))"
+              "    (let ((r (call/cc (lambda (k) (set! saved k) n))))"
+              "      (set! acc (cons r acc))"
+              "      (gc-collect!)"
+              "      (if (< r 3) (saved (+ r 1)) (reverse acc)))))"
+              "  (list 0))",
+              "(0 1 2 3)", 560, 5694, 1088);
+}
+
+// A continuation captured outside apply and invoked inside a procedure
+// apply called drops apply's call with the other frames it replaces: the
+// primitive op that called apply never completes, so it neither pops its
+// arguments nor ticks. Completing it would return 20 here (its arguments'
+// slots take the value), or overrun the stack.
+TEST(VmCallCC, EscapeThroughApplyAbandonsIt) {
+  expectTrail("(define (f)"
+              "  (call/cc (lambda (k) (apply (lambda (x) (k x) 99) (list 10)))))"
+              "(+ 1 (f))",
+              "11", 110, 110, 445);
+}
+
+TEST(VmCallCC, SavedContinuationReenteredThroughApply) {
+  // Each re-entry goes through apply, which it abandons.
+  expectTrail("(let ((saved #f) (acc '()))"
+              "  (let ((r (call/cc (lambda (k) (set! saved k) 0))))"
+              "    (set! acc (cons r acc))"
+              "    (if (< r 3) (apply saved (list (+ r 1))) (reverse acc))))",
+              "(0 1 2 3)", 541, 541, 1076);
+}
+
+// A continuation captured inside apply's call holds the primitive op's
+// completion: re-entered after that apply returned, the op pops its
+// arguments again before its caller goes on. Without it the caller sees
+// apply's arguments on the stack (+: not a number: ()).
+TEST(VmCallCC, ReentryAfterApplyReturnedCompletesItsOp) {
+  expectTrail("(define saved #f)"
+              "(define n 0)"
+              "(define (g)"
+              "  (+ 100 (apply (lambda () (call/cc (lambda (k) (set! saved k) 1)))"
+              "                '())))"
+              "(let ((r (g)))"
+              "  (set! n (+ n 1))"
+              "  (if (< n 3) (saved (+ r 10)) (list r n)))",
+              "(321 3)", 274, 274, 683);
 }
 
 TEST(VmEdge, ToplevelLetBindingAssignedFromInnerLambdaIsBoxed) {
