@@ -13,9 +13,9 @@
 //    (the oracle and the invariant audit both stay green), and its
 //    salvage accounting (droppedBytes/droppedRecords) is consistent;
 //  - replaying the stream into a CacheBank, whose batches run an
-//    inclusion chain and an associative cache through the batch kernels,
-//    ends with counters identical to standalone caches fed through
-//    Cache::access — for any input and any batch size.
+//    inclusion chain (BatchKernel::runChain) and an associative cache
+//    (Cache::onRefs), ends with counters identical to standalone caches
+//    fed through Cache::access — for any input and any batch size.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +62,7 @@ void replayChecked(TraceStream &S) {
 }
 
 /// Replays \p S into a bank publishing batches of \p BatchRefs: a
-/// two-link direct-mapped chain and a 2-way cache, so both batch kernels
+/// two-link direct-mapped chain and a 2-way cache, so both batch paths
 /// run. Each bank cache must end with the counters of a standalone cache
 /// fed the same references through Cache::access.
 void replayBankChecked(TraceStream &S, size_t BatchRefs) {
@@ -122,7 +122,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
                  "cannot drop more bytes than the input holds");
     replayChecked(Salvaged);
 
-    // Bank differential: the same bytes through the bank's batch kernels,
+    // Bank differential: the same bytes through the bank's batch paths,
     // with an input-derived batch size so the fuzzer explores the
     // segmentation space too.
     TraceStream Banked;

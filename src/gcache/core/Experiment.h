@@ -63,7 +63,7 @@ struct ExperimentOptions {
   /// Worker threads for the cache bank (0 = serial). Results are
   /// bit-identical across thread counts; see CacheBank::setThreads.
   unsigned Threads = 0;
-  /// References per columnar batch of the bank's batch kernel. 0 selects
+  /// References per columnar batch of the cache bank. 0 selects
   /// the default (CacheBank::DefaultBatchRefs). Counters are
   /// bit-identical for every value.
   size_t BatchRefs = 0;

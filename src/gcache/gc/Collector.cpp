@@ -31,7 +31,6 @@ void Collector::beginCycle(GcCycleKind Kind) {
                  "beginCycle while a '%s' cycle is already active (phase %s)",
                  name().c_str(), gcPhaseName(CurPhase));
   CurKind = Kind;
-  StepIndex = 0;
   onBeginCycle(Kind);
   if (!gcActive())
     return; // Declined (nothing to collect).
@@ -47,7 +46,6 @@ bool Collector::stepCycle() {
   // belongs to the phase named here.
   H.emitGcPhase(CurPhase);
   bool More = onCycleStep();
-  ++StepIndex;
   ++TotalSteps;
   // Boundary order: certify, then the fault site, then the cancellation
   // poll.

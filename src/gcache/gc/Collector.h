@@ -162,8 +162,7 @@ public:
   GcPhase gcPhase() const { return CurPhase; }
   GcCycleKind cycleKind() const { return CurKind; }
 
-  /// Steps taken in the current cycle / across all cycles this run.
-  uint64_t stepIndex() const { return StepIndex; }
+  /// Steps taken across all cycles this run.
   uint64_t totalSteps() const { return TotalSteps; }
 
   /// Work bound per step, in objects/slots/entries (minimum 1). It shapes
@@ -258,7 +257,6 @@ private:
   bool PhaseParanoid = false;
   GcPhase CurPhase = GcPhase::Idle;
   GcCycleKind CurKind = GcCycleKind::Full;
-  uint64_t StepIndex = 0;
   uint64_t TotalSteps = 0;
   uint32_t StepBudget = 256;
 };

@@ -11,365 +11,6 @@
 
 using namespace gcache;
 
-const BatchIndex::BlockColumns &BatchIndex::columnsFor(uint32_t BlockBytes) {
-  assert(Batch && "BatchIndex::reset must point at a batch first");
-  BlockColumns &C = Columns;
-  if (C.BlockBytes == BlockBytes)
-    return C;
-  C.BlockBytes = BlockBytes;
-  const size_t N = Batch->size();
-  assert(N <= BlockColumns::RunLenMask &&
-         "batch too large for the packed run encoding");
-  // Size the buffers for the worst case (every reference its own run)
-  // and write through raw pointers: the builder loop then has no
-  // capacity checks, and the vectors keep their high-water storage so
-  // later batches pay no initialization at all.
-  if (C.RunPacked.size() < N) {
-    C.RunPacked.resize(N);
-    C.RunBlockIdx.resize(N);
-    C.FirstWordBit.resize(N);
-    C.StoreMask.resize(N);
-  }
-  uint32_t *RP = C.RunPacked.data();
-  uint32_t *RB = C.RunBlockIdx.data();
-  uint64_t *FW = C.FirstWordBit.data();
-  uint64_t *SM = C.StoreMask.data();
-  const uint32_t Shift = std::bit_width(BlockBytes) - 1;
-  const uint32_t OffsetMask = BlockBytes - 1;
-  const Address *Addr = Batch->Addr.data();
-  const uint8_t *Kind = Batch->Kind.data();
-  const uint8_t *PhaseTag = Batch->PhaseTag.data();
-  size_t R = static_cast<size_t>(-1); // index of the run being extended
-  uint32_t PrevBI = 0;
-  for (size_t I = 0; I != N; ++I) {
-    const Address A = Addr[I];
-    const uint32_t BI = A >> Shift;
-    const uint64_t WBit = 1ull << ((A & OffsetMask) >> 2);
-    const bool IsStore = (Kind[I] & 1) != 0;
-    if (I != 0 && BI == PrevBI) {
-      // Same block as the previous reference: extend the run. The length
-      // lives in the low 29 bits, so ++ never carries into the flags.
-      ++RP[R];
-      if (IsStore)
-        SM[R] |= WBit;
-      else
-        RP[R] |= BlockColumns::RunHasTailLoad;
-    } else {
-      uint32_t Packed = 1;
-      if (IsStore)
-        Packed |= BlockColumns::RunFirstIsStore;
-      if (PhaseTag[I] & 1)
-        Packed |= BlockColumns::RunFirstCollector;
-      ++R;
-      RP[R] = Packed;
-      RB[R] = BI;
-      FW[R] = WBit;
-      SM[R] = IsStore ? WBit : 0;
-      PrevBI = BI;
-    }
-  }
-  C.NumRuns = R + 1;
-  return C;
-}
-
-const BatchIndex::RefTally &BatchIndex::tally() {
-  assert(Batch && "BatchIndex::reset must point at a batch first");
-  if (TallyValid)
-    return Tally;
-  Tally = RefTally();
-  const size_t N = Batch->size();
-  const uint8_t *Kind = Batch->Kind.data();
-  const uint8_t *PhaseTag = Batch->PhaseTag.data();
-  for (size_t I = 0; I != N; ++I) {
-    const unsigned P = PhaseTag[I] & 1;
-    if (Kind[I] & 1)
-      ++Tally.Stores[P];
-    else
-      ++Tally.Loads[P];
-  }
-  TallyValid = true;
-  return Tally;
-}
-
-Status BatchKernel::validate(const RefColumns &Batch) {
-  if (Batch.Kind.size() != Batch.Addr.size() ||
-      Batch.PhaseTag.size() != Batch.Addr.size())
-    return Status::failf(StatusCode::InvalidArgument,
-                         "ragged columnar batch: %zu addresses, %zu kinds, "
-                         "%zu phase tags",
-                         Batch.Addr.size(), Batch.Kind.size(),
-                         Batch.PhaseTag.size());
-  if (Batch.size() > BatchIndex::BlockColumns::RunLenMask)
-    return Status::failf(StatusCode::InvalidArgument,
-                         "batch of %zu references exceeds the %u-reference "
-                         "limit of the packed run encoding",
-                         Batch.size(), BatchIndex::BlockColumns::RunLenMask);
-  for (size_t I = 0; I != Batch.size(); ++I) {
-    if (Batch.Kind[I] > static_cast<uint8_t>(AccessKind::Store))
-      return Status::failf(StatusCode::InvalidArgument,
-                           "batch row %zu holds invalid access kind %u",
-                           I, Batch.Kind[I]);
-    if (Batch.PhaseTag[I] > static_cast<uint8_t>(Phase::Collector))
-      return Status::failf(StatusCode::InvalidArgument,
-                           "batch row %zu holds invalid phase tag %u",
-                           I, Batch.PhaseTag[I]);
-  }
-  return Status();
-}
-
-/// The batch inner loop of an associative cache, specialized on per-block
-/// bookkeeping and on whether the batch mixes phases. The write-miss
-/// policy only selects among counter increments, so it stays a hoisted
-/// local — the branch predictor treats loop-invariant booleans as free.
-///
-/// The loop walks the batch run by run (BlockColumns::RunPacked), not
-/// reference by reference: one same-block run needs one set scan and one
-/// line write-back no matter how long it is, plain loads/stores were
-/// already counted in bulk from the tally, and a run tail without loads
-/// reduces to a single OR of the precomputed store mask. The per-
-/// reference path survives only for run tails containing loads, whose
-/// sub-block validity is order-sensitive.
-///
-/// Every step is observationally equivalent to Cache::simulate: a run is
-/// a span of accesses to one line, so collapsing its interior writes is
-/// invisible at run boundaries — and nothing can observe the line mid-
-/// run. The bit-identity tests pin this loop to the scalar path at every
-/// flush boundary; any change here must be mirrored there (and vice
-/// versa).
-template <bool PerBlock, bool Mixed>
-void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
-                          const BatchIndex::BlockColumns &Cols,
-                          const BatchIndex::RefTally &Tally,
-                          unsigned BatchPhase) {
-  using Line = Cache::Line;
-  const uint32_t SetMask = C.SetMask;
-  const uint32_t SetShift = std::bit_width(SetMask); // log2(numSets)
-  const uint32_t Ways = C.Config.Ways;
-  const uint64_t FullMask = C.FullMask;
-  const uint32_t OffsetMask = Cols.BlockBytes - 1;
-  const bool FetchOnWriteAlways =
-      C.Config.WriteMiss == WriteMissPolicy::FetchOnWrite;
-  // Single-phase batches resolve the fetch-on-write decision once here; a
-  // collector write miss always fetches.
-  const bool BatchFoW = FetchOnWriteAlways || BatchPhase != 0;
-
-  Line *Lines = C.Lines.data();
-  const uint32_t *RunPacked = Cols.RunPacked.data();
-  const uint32_t *RunBlockIdx = Cols.RunBlockIdx.data();
-  const uint64_t *FirstWordBit = Cols.FirstWordBit.data();
-  const uint64_t *StoreMask = Cols.StoreMask.data();
-  const size_t NumRuns = Cols.NumRuns;
-  const Address *Addr = Batch.Addr.data();
-  const uint8_t *Kind = Batch.Kind.data();
-  [[maybe_unused]] const uint8_t *PhaseTag = Batch.PhaseTag.data();
-  uint64_t *BlockRefs = PerBlock ? C.BlockRefs.data() : nullptr;
-  uint64_t *BlockMisses = PerBlock ? C.BlockMisses.data() : nullptr;
-  uint64_t *BlockFetch = PerBlock ? C.BlockFetchMisses.data() : nullptr;
-
-  // Counters accumulate in locals and write back once at the end. Loads
-  // and stores are bulk-added from the batch tally; the loop only counts
-  // miss events. A single-phase batch counts them in three scalar locals —
-  // a phase-indexed counter array in the loop forces the counts through
-  // memory, which costs a third of the whole loop.
-  uint64_t Clock = C.LruClock;
-  CacheCounters Cnt[2] = {C.Counts[0], C.Counts[1]};
-  for (unsigned P = 0; P != 2; ++P) {
-    Cnt[P].Loads += Tally.Loads[P];
-    Cnt[P].Stores += Tally.Stores[P];
-  }
-  [[maybe_unused]] uint64_t FetchL = 0, NoFetchL = 0, WbL = 0;
-
-  // Runs hit random cache sets, and for large simulated caches the Lines
-  // array outgrows the host L1/L2 — the line lookup would be a dependent
-  // cache miss per run. The whole batch is known up front, so prefetch
-  // the set of a run a fixed distance ahead and overlap those misses.
-  constexpr size_t PrefetchRuns = 16;
-
-  using BC = BatchIndex::BlockColumns;
-  size_t I = 0;
-  for (size_t R = 0; R != NumRuns; ++R) {
-    {
-      const size_t PR = R + PrefetchRuns;
-      if (PR < NumRuns)
-        __builtin_prefetch(
-            Lines + static_cast<size_t>(RunBlockIdx[PR] & SetMask) * Ways);
-    }
-    const uint32_t Packed = RunPacked[R];
-    const uint32_t Len = Packed & BC::RunLenMask;
-    const uint32_t BI = RunBlockIdx[R];
-    const uint32_t SetIdx = BI & SetMask;
-    const uint32_t Tag = BI >> SetShift;
-
-    // One set scan per run: every reference after the first is
-    // guaranteed to find the block resident (ValidMask never drops to
-    // 0 between the install and the end of the run).
-    Line *Set = Lines + static_cast<size_t>(SetIdx) * Ways;
-    Line *Found = nullptr;
-    Line *Victim = Set;
-    for (uint32_t W = 0; W != Ways; ++W) {
-      Line &Way = Set[W];
-      if (Way.ValidMask != 0 && Way.Tag == Tag) {
-        Found = &Way;
-        break;
-      }
-      if (Way.ValidMask == 0) {
-        Victim = &Way; // Prefer an empty way (last one scanned wins).
-      } else if (Victim->ValidMask != 0 && Way.LruStamp < Victim->LruStamp) {
-        Victim = &Way;
-      }
-    }
-    const bool Resident = Found != nullptr;
-    Line *L = Found ? Found : Victim;
-
-    // First reference of the run: the only one that can block-miss.
-    // Its decomposition lives in the run-indexed columns, so store-
-    // only runs and singleton loads never touch per-reference arrays.
-    {
-      const uint64_t WB = FirstWordBit[R];
-      const unsigned P =
-          Mixed ? ((Packed & BC::RunFirstCollector) ? 1 : 0) : BatchPhase;
-      const bool IsStore = (Packed & BC::RunFirstIsStore) != 0;
-      ++Clock;
-      if (Resident) {
-        if (IsStore) {
-          L->ValidMask |= WB;
-          L->StoreMask |= WB;
-        } else if (!(L->ValidMask & WB)) {
-          // Sub-block read miss: resident block, never-fetched word.
-          L->ValidMask = FullMask;
-          if constexpr (Mixed)
-            ++Cnt[P].FetchMisses;
-          else
-            ++FetchL;
-          if constexpr (PerBlock) {
-            ++BlockMisses[SetIdx];
-            ++BlockFetch[SetIdx];
-          }
-        }
-      } else {
-        // Block miss: evict the victim (writeback if dirty), install.
-        if (L->dirty()) {
-          if constexpr (Mixed)
-            ++Cnt[P].Writebacks;
-          else
-            ++WbL;
-        }
-        L->Tag = Tag;
-        L->StoreMask = IsStore ? WB : 0;
-        const bool FetchOnWrite =
-            Mixed ? (FetchOnWriteAlways || P != 0) : BatchFoW;
-        if (IsStore && !FetchOnWrite) {
-          L->ValidMask = WB;
-          if constexpr (Mixed)
-            ++Cnt[P].NoFetchMisses;
-          else
-            ++NoFetchL;
-          if constexpr (PerBlock)
-            ++BlockMisses[SetIdx];
-        } else {
-          L->ValidMask = FullMask;
-          if constexpr (Mixed)
-            ++Cnt[P].FetchMisses;
-          else
-            ++FetchL;
-          if constexpr (PerBlock) {
-            ++BlockMisses[SetIdx];
-            ++BlockFetch[SetIdx];
-          }
-        }
-      }
-    }
-    ++I;
-
-    if (const uint32_t Rest = Len - 1) {
-      if (!(Packed & BC::RunHasTailLoad)) {
-        // Store-only tail: stores to a resident block just OR their
-        // word bits into the valid and store masks, so the whole tail
-        // is a few register ops (the counters came from the tally).
-        L->ValidMask |= StoreMask[R];
-        L->StoreMask |= StoreMask[R];
-        Clock += Rest;
-        I += Rest;
-      } else {
-        // The tail holds loads, whose sub-block validity depends on
-        // the exact interleaving: walk it with state in registers.
-        uint64_t VM = L->ValidMask;
-        uint64_t SM = L->StoreMask;
-        for (const size_t End = I + Rest; I != End; ++I) {
-          ++Clock;
-          const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
-          if (Kind[I] & 1) {
-            VM |= Bit;
-            SM |= Bit;
-          } else if (!(VM & Bit)) {
-            VM = FullMask;
-            if constexpr (Mixed)
-              ++Cnt[PhaseTag[I] & 1].FetchMisses;
-            else
-              ++FetchL;
-            if constexpr (PerBlock) {
-              ++BlockMisses[SetIdx];
-              ++BlockFetch[SetIdx];
-            }
-          }
-        }
-        L->ValidMask = VM;
-        L->StoreMask = SM;
-      }
-    }
-    // The scalar path stamps every access; only the final stamp of
-    // the run (== the clock at its last reference) is observable.
-    L->LruStamp = Clock;
-    if constexpr (PerBlock)
-      BlockRefs[SetIdx] += Len;
-  }
-
-  C.LruClock = Clock;
-  if constexpr (!Mixed) {
-    Cnt[BatchPhase].FetchMisses += FetchL;
-    Cnt[BatchPhase].NoFetchMisses += NoFetchL;
-    Cnt[BatchPhase].Writebacks += WbL;
-  }
-  C.Counts[0] = Cnt[0];
-  C.Counts[1] = Cnt[1];
-}
-
-void BatchKernel::run(Cache &C, const RefColumns &Batch, BatchIndex &Index) {
-  assert(Index.batch() == &Batch && "index was reset to a different batch");
-  if (Batch.empty())
-    return;
-  if (C.crossCheckEnabled()) {
-    // The shadow oracle must observe every reference in lockstep, so a
-    // cross-checked cache takes the scalar path (access drives the oracle
-    // and throws Divergence with the exact offending reference).
-    for (size_t I = 0; I != Batch.size(); ++I)
-      (void)C.access(Batch.get(I));
-    return;
-  }
-  assert(C.config().Ways > 1 &&
-         "a direct-mapped cache without a shadow oracle is a chain link");
-  const BatchIndex::BlockColumns &Cols =
-      Index.columnsFor(C.config().BlockBytes);
-  const BatchIndex::RefTally &Tally = Index.tally();
-  // CacheBank flushes at GC phase boundaries, so nearly every batch is
-  // single-phase: pick the specialization that keeps its event counters
-  // in registers and resolves fetch-on-write once per batch.
-  const bool AllCollector = Tally.Loads[0] + Tally.Stores[0] == 0;
-  const bool AllMutator = Tally.Loads[1] + Tally.Stores[1] == 0;
-  const bool Mixed = !AllCollector && !AllMutator;
-  const unsigned BatchPhase = AllCollector ? 1 : 0;
-  if (C.config().TrackPerBlockStats)
-    Mixed ? runLoop<true, true>(C, Batch, Cols, Tally, BatchPhase)
-          : runLoop<true, false>(C, Batch, Cols, Tally, BatchPhase);
-  else
-    Mixed ? runLoop<false, true>(C, Batch, Cols, Tally, BatchPhase)
-          : runLoop<false, false>(C, Batch, Cols, Tally, BatchPhase);
-}
-
-//===----------------------------------------------------------------------===//
-// Inclusion chains
-//===----------------------------------------------------------------------===//
-
 bool BatchKernel::chainable(const Cache &C) {
   return C.config().Ways == 1 && !C.crossCheckEnabled();
 }
@@ -612,8 +253,9 @@ size_t BatchKernel::nextLink(Cache &C, const RefColumns &Batch,
   uint64_t *const BlockFetch = PerBlock ? C.BlockFetchMisses.data() : nullptr;
   uint64_t Fetch = 0, NoFetch = 0, Wb = 0;
   size_t NumOut = 0;
-  // The larger links' line arrays outgrow the host caches; prefetch the
-  // line of a run a fixed distance ahead (see runLoop).
+  // The larger links' line arrays outgrow the host caches, and runs hit
+  // random sets: prefetch the line of a run a fixed distance ahead, so the
+  // misses overlap.
   constexpr size_t PrefetchRuns = 16;
 
   for (size_t R = 0; R != NumRuns; ++R) {

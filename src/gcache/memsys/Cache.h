@@ -30,8 +30,10 @@
 /// change nothing in a larger one (memsys/BatchKernel.h). A skipped
 /// reference is still counted in the larger cache's per-block
 /// statistics: a chain folds the per-set reference counts of each batch
-/// into every link. Only associative caches keep LRU stamps and a clock;
-/// no direct-mapped victim choice reads them.
+/// into every link. The bank feeds its other caches (associative or
+/// cross-checked) through onRefs, the path every cache outside the bank
+/// takes too. Only associative caches keep LRU stamps and a clock; no
+/// direct-mapped victim choice reads them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,9 +108,10 @@ public:
 
   /// TraceSink entry point: simulate and discard the outcome.
   void onRef(const Ref &R) override { (void)access(R); }
-  /// Simulates a span through the cache's simulate instantiation, picked
-  /// once per span; with a shadow oracle, each reference goes through
-  /// access.
+  /// Simulates a span through the cache's simulateSpan instantiation,
+  /// picked once per span; with a shadow oracle, each reference goes
+  /// through access. This is also how the bank runs an associative or
+  /// cross-checked cache (memsys/ShardPool.h).
   void onRefs(const RefSpan &S) override;
 
   /// Resets contents and statistics to the post-construction state.
@@ -208,9 +211,15 @@ private:
   template <bool DirectMapped, bool PerBlock>
   AccessResult simulate(const Ref &R);
   using SimulateFn = AccessResult (Cache::*)(const Ref &);
-  /// One loop of simulate over a span.
+  /// simulate over a span. A direct-mapped shape calls it per reference;
+  /// an associative shape runs each maximal single-phase segment of the
+  /// span through simulateRuns.
   template <bool DirectMapped, bool PerBlock>
   void simulateSpan(const RefSpan &S);
+  /// An associative shape's loop over rows [Begin, End) of a span, all of
+  /// phase \p P, one same-block run at a time.
+  template <bool PerBlock>
+  void simulateRuns(const RefSpan &S, size_t Begin, size_t End, unsigned P);
   using SimulateSpanFn = void (Cache::*)(const RefSpan &);
   /// Shape bits: which instantiation of simulate a cache takes.
   static constexpr uint8_t ShapeDirect = 1, ShapePerBlock = 2;
@@ -221,6 +230,10 @@ private:
   const Line *setBase(uint32_t SetIdx) const {
     return &Lines[SetIdx * Config.Ways];
   }
+  /// The way of associative set \p SetIdx holding \p Tag, or null. On a
+  /// miss, \p Victim is the way to fill: the last empty way of the set,
+  /// else the one with the least stamp.
+  Line *findWay(uint32_t SetIdx, uint32_t Tag, Line *&Victim);
   void resyncShadow();
   [[noreturn]] void reportDivergence(const Ref &R, AccessResult Want,
                                      AccessResult Got) const;

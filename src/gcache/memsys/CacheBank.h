@@ -17,14 +17,14 @@
 /// columnar batches: onRefs appends each span the heap delivers with one
 /// bulk copy per column (onRef appends one reference), and a batch is
 /// published the moment it holds BatchRefs references, wherever the spans
-/// happen to end. The batch kernel simulates each batch lane by lane
+/// happen to end. Each batch is simulated lane by lane
 /// (memsys/ShardPool.h): a lane holds the caches of one block size.
 /// Its direct-mapped caches, with or without per-block statistics, form
 /// inclusion chains, smallest first, in which a larger cache skips the
 /// references a smaller one proves are no-ops for it (the skipped
 /// references still reach its per-block reference counts); its
-/// associative and cross-checked caches run solo on one shared
-/// decomposition of the batch. Without threads, publishing a batch
+/// associative and cross-checked caches run solo, each taking the whole
+/// batch through Cache::onRefs. Without threads, publishing a batch
 /// runs every lane inline; setThreads(N) hands the lanes to N workers.
 /// Each lane consumes the batches in order, so every counter is
 /// bit-identical at any thread count and batch size
@@ -56,9 +56,9 @@ class SnapshotReader;
 /// or on a pool of lane workers.
 class CacheBank final : public TraceSink {
 public:
-  /// References per published batch: enough to amortize synchronization
-  /// and the per-batch decomposition, few enough that a batch plus each
-  /// lane's decomposed columns stays memory-friendly.
+  /// References per published batch: enough to amortize a threaded
+  /// bank's synchronization, few enough that the batches it holds in
+  /// flight stay memory-friendly.
   static constexpr size_t DefaultBatchRefs = 256 * 1024;
 
   ~CacheBank() override;

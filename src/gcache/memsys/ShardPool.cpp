@@ -10,7 +10,8 @@
 using namespace gcache;
 
 void Lane::run(const RefColumns &Batch) {
-  Index.reset(&Batch);
+  const RefSpan All{Batch.Addr.data(), Batch.Kind.data(),
+                    Batch.PhaseTag.data(), Batch.size()};
   for (const std::vector<Cache *> &Chain : Chains) {
     // Rechecked per batch: a link may gain a shadow oracle after
     // buildLanes (through CacheBank::cache). Every link then takes the
@@ -21,14 +22,12 @@ void Lane::run(const RefColumns &Batch) {
         })) {
       BatchKernel::runChain(Chain, Batch, Survivors, SetRefs);
     } else {
-      const RefSpan All{Batch.Addr.data(), Batch.Kind.data(),
-                        Batch.PhaseTag.data(), Batch.size()};
       for (Cache *C : Chain)
         C->onRefs(All);
     }
   }
   for (Cache *C : Solos)
-    BatchKernel::run(*C, Batch, Index);
+    C->onRefs(All);
 }
 
 std::vector<Lane>

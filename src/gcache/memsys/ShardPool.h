@@ -12,10 +12,10 @@
 /// simulates the runs a smaller one cannot prove to be no-ops, and
 /// per-block reference counts reach it through a histogram the first link
 /// fills. Every other cache of the lane (associative or cross-checked)
-/// runs solo through BatchKernel::run on the lane's shared BatchIndex.
-/// While a bank has more workers than lanes, a
-/// chain is split at its midpoint, and each half is a chain of its own in
-/// a lane of its own.
+/// runs solo: it takes the whole batch through Cache::onRefs, as a cache
+/// outside the bank takes a span. While a bank has more workers than
+/// lanes, a chain is split at its midpoint, and each half is a chain of
+/// its own in a lane of its own.
 ///
 /// A bank without threads runs its lanes inline. A ShardPool runs them on
 /// N interchangeable workers: each batch is queued on every lane, and a
@@ -54,9 +54,8 @@ class Cache;
 struct Lane {
   /// Inclusion chains, each in ascending size (BatchKernel::runChain).
   std::vector<std::vector<Cache *>> Chains;
-  /// Caches that run alone (BatchKernel::run), in bank order.
+  /// Caches that run alone (Cache::onRefs), in bank order.
   std::vector<Cache *> Solos;
-  BatchIndex Index; ///< The solo caches' decomposition of the batch.
   std::vector<ChainRun> Survivors; ///< The chains' run buffer.
   std::vector<uint64_t> SetRefs;   ///< The chains' per-set reference counts.
 

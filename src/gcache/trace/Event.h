@@ -137,16 +137,12 @@ inline void tallyRefs(const RefSpan &S, uint64_t (&Counts)[2][2]) {
 /// A batch of references in structure-of-arrays (columnar) form: the
 /// addresses, access kinds, and phase tags live in three separate
 /// contiguous columns instead of an array of Ref structs. This is the unit
-/// of work of the batch-mode simulator (memsys/BatchKernel.h): a column
-/// scan touches only the bytes the inner loop actually needs, and the
-/// per-batch address decomposition (block index, word bit) can be computed
-/// once per block size and shared across every cache configuration fed
-/// from the same batch.
+/// of work of the cache bank (memsys/CacheBank.h): a column scan touches
+/// only the bytes the inner loop actually needs.
 ///
 /// Invariant: all three columns are the same length. Kind and PhaseTag
-/// hold the numeric values of AccessKind and Phase; columns built by
-/// push_back or by the trace reader only ever contain in-range values, and
-/// untrusted columnar input is screened with validate().
+/// hold the numeric values of AccessKind and Phase, as push_back and
+/// append copy them from references and spans.
 struct RefColumns {
   std::vector<Address> Addr;
   std::vector<uint8_t> Kind;     ///< AccessKind as its underlying value.
@@ -180,7 +176,7 @@ struct RefColumns {
     PhaseTag.insert(PhaseTag.end(), S.PhaseTag, S.PhaseTag + S.Size);
   }
 
-  /// Reassembles row \p I as a Ref (the scalar fallback paths use this).
+  /// Reassembles row \p I as a Ref.
   Ref get(size_t I) const {
     return {Addr[I], static_cast<AccessKind>(Kind[I]),
             static_cast<Phase>(PhaseTag[I])};

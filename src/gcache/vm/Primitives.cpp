@@ -5,7 +5,6 @@
 #include "gcache/vm/VM.h"
 
 #include <cmath>
-#include <cstdio>
 
 using namespace gcache;
 
@@ -632,8 +631,6 @@ Value primDisplay(VM &M, uint32_t Argc) {
   std::string S = M.valueToString(M.primArg(0, Argc), /*WriteStyle=*/false);
   M.chargeInstructions(S.size() / 2 + 1);
   M.appendOutput(S);
-  if (M.EchoOutput)
-    std::fputs(S.c_str(), stderr);
   return Value::unspecified();
 }
 
@@ -641,23 +638,17 @@ Value primWrite(VM &M, uint32_t Argc) {
   std::string S = M.valueToString(M.primArg(0, Argc), /*WriteStyle=*/true);
   M.chargeInstructions(S.size() / 2 + 1);
   M.appendOutput(S);
-  if (M.EchoOutput)
-    std::fputs(S.c_str(), stderr);
   return Value::unspecified();
 }
 
 Value primNewline(VM &M, uint32_t Argc) {
   M.appendOutput("\n");
-  if (M.EchoOutput)
-    std::fputc('\n', stderr);
   return Value::unspecified();
 }
 
 Value primWriteChar(VM &M, uint32_t Argc) {
   char C = static_cast<char>(charArg(M, M.primArg(0, Argc), "write-char"));
   M.appendOutput(std::string(1, C));
-  if (M.EchoOutput)
-    std::fputc(C, stderr);
   return Value::unspecified();
 }
 

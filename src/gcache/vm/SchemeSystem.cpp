@@ -14,7 +14,6 @@ SchemeSystem::SchemeSystem(const SchemeSystemConfig &Config) : Config(Config) {
   TheHeap = std::make_unique<Heap>(Config.Bus);
   TheHeap->setTracing(false); // Enabled only for the measured run.
   TheVM = std::make_unique<VM>(*TheHeap);
-  TheVM->EchoOutput = Config.EchoOutput;
   if (Config.LayoutSeed)
     TheVM->setLayoutSeed(Config.LayoutSeed);
 

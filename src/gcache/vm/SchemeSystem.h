@@ -45,8 +45,6 @@ struct SchemeSystemConfig {
   GenerationalConfig Generational;
   /// Receives the trace of the measured run (may be null).
   TraceSink *Bus = nullptr;
-  /// Echo display output to stderr.
-  bool EchoOutput = false;
   /// Seed for the static-area scatter layout (0 = default layout).
   uint64_t LayoutSeed = 0;
   /// Run verifyHeapRange over the live heap after every collection and at

@@ -177,8 +177,6 @@ public:
   const std::string &output() const { return Output; }
   void clearOutput() { Output.clear(); }
   void appendOutput(const std::string &S) { Output += S; }
-  /// When true, display also echoes to stderr (debugging).
-  bool EchoOutput = false;
 
   //===--- Stack access (primitives and tests) -----------------------------===//
 

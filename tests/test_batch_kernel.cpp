@@ -1,17 +1,19 @@
 //===- test_batch_kernel.cpp - Batch-kernel differential harness ----------===//
 //
-// The bit-identity proof for the columnar batch kernel
-// (memsys/BatchKernel.h). The kernel's contract is that batch-mode
-// simulation is *unobservable*: any stream, cut into batches any way,
-// must leave a cache in exactly the state per-reference Cache::access
-// leaves it in — same counters, same line array (tags, valid masks,
-// store masks, LRU stamps), same clock, same per-block statistics.
+// The bit-identity proof for the bank's two batch paths: inclusion chains
+// (memsys/BatchKernel.h) and the associative span loop of Cache::onRefs,
+// which takes a span one same-block run at a time. Their contract is that
+// batch-mode simulation is *unobservable*: any stream, cut into batches
+// any way, must leave a cache in exactly the state per-reference
+// Cache::access leaves it in — same counters, same line array (tags,
+// valid masks, store masks, LRU stamps), same clock, same per-block
+// statistics.
 //
-// The harness replays randomized and recorded reference streams through
-// three models simultaneously — scalar Cache::access, the batch kernel,
-// and OracleCache — and asserts identical counters and LRU state at
-// every flush boundary, across the write-miss x associativity x
-// block-size matrix. On top of that:
+// The harness replays randomized, allocation-like and recorded reference
+// streams through three models simultaneously — scalar Cache::access,
+// the batch path, and OracleCache — and asserts identical counters and
+// LRU state at every flush boundary, across the write-miss x
+// associativity x block-size matrix. On top of that:
 //
 //  - batch segmentation invariance (any cut of the same stream agrees);
 //  - inclusion chains: every link of 8-size chains at each paper block
@@ -24,9 +26,6 @@
 //    a time, inline and on lane workers (including more workers than
 //    block sizes), with --crosscheck and --audit semantics, and with a
 //    shadow oracle attached to one link of a chain mid-stream;
-//  - mutated-batch properties: a corrupt columnar batch is rejected by
-//    validate(), and any batch that validates processes identically to
-//    the scalar path — never a silent divergence;
 //  - checkpoint/resume kills at every batch flush boundary, resumed
 //    inline or threaded, finishing bit-identical to a clean replay.
 //
@@ -84,19 +83,20 @@ std::vector<Ref> randomStream(size_t N, uint64_t Seed = 0) {
   return Out;
 }
 
-/// Feeds [Begin, End) of \p Refs to \p C through the batch kernel in
-/// batches of \p BatchRefs.
-void runBatched(Cache &C, const std::vector<Ref> &Refs, size_t BatchRefs,
-                size_t Begin = 0, size_t End = SIZE_MAX) {
-  End = std::min(End, Refs.size());
+/// The whole of \p B as a span.
+RefSpan spanOf(const RefColumns &B) {
+  return {B.Addr.data(), B.Kind.data(), B.PhaseTag.data(), B.size()};
+}
+
+/// Feeds \p Refs to \p C through Cache::onRefs in batches of
+/// \p BatchRefs.
+void runBatched(Cache &C, const std::vector<Ref> &Refs, size_t BatchRefs) {
   RefColumns B;
-  BatchIndex Idx;
-  for (size_t I = Begin; I < End;) {
+  for (size_t I = 0; I < Refs.size();) {
     B.clear();
-    for (size_t K = 0; K != BatchRefs && I != End; ++K, ++I)
+    for (size_t K = 0; K != BatchRefs && I != Refs.size(); ++K, ++I)
       B.push_back(Refs[I]);
-    Idx.reset(&B);
-    BatchKernel::run(C, B, Idx);
+    C.onRefs(spanOf(B));
   }
 }
 
@@ -136,7 +136,7 @@ void expectStateIdentical(const Cache &Want, const Cache &Got,
   EXPECT_EQ(Want.perBlockFetchMisses(), Got.perBlockFetchMisses()) << Where;
 }
 
-/// Compares a batch-kernel-driven cache against the independently-driven
+/// Compares a batch-driven cache against the independently-driven
 /// oracle: counters of both phases, and every set's resident lines in LRU
 /// order (the cache's stamp order must equal the oracle's literal list
 /// order).
@@ -175,109 +175,6 @@ void expectMatchesOracle(const Cache &C, const OracleCache &O,
 std::string tempPath(const std::string &Name) {
   return std::string(::testing::TempDir()) + "/" + Name;
 }
-
-//===----------------------------------------------------------------------===//
-// The headline differential: scalar vs batch vs oracle, policy matrix
-//===----------------------------------------------------------------------===//
-
-class BatchKernelMatrix : public ::testing::TestWithParam<CacheConfig> {};
-
-TEST_P(BatchKernelMatrix, ScalarBatchOracleBitIdentical) {
-  const CacheConfig Cfg = GetParam();
-  SCOPED_TRACE(Cfg.label());
-  Cache Scalar(Cfg);
-  Cache Batch(Cfg);
-  OracleCache Oracle(Cfg);
-
-  // A prime batch size, so flush boundaries land at awkward offsets.
-  const size_t BatchRefs = 769;
-  std::vector<Ref> Stream = randomStream(40000);
-
-  RefColumns Cols;
-  BatchIndex Idx;
-  for (size_t I = 0; I < Stream.size();) {
-    Cols.clear();
-    size_t Boundary = std::min(I + BatchRefs, Stream.size());
-    for (; I != Boundary; ++I) {
-      Cols.push_back(Stream[I]);
-      (void)Scalar.access(Stream[I]);
-      (void)Oracle.access(Stream[I]);
-    }
-    Idx.reset(&Cols);
-    BatchKernel::run(Batch, Cols, Idx);
-    // Every flush boundary: the three models must agree exactly.
-    std::string Where = "after " + std::to_string(I) + " refs";
-    expectStateIdentical(Scalar, Batch, Where);
-    expectMatchesOracle(Batch, Oracle, Where);
-    if (::testing::Test::HasFatalFailure())
-      return;
-  }
-  EXPECT_TRUE(Batch.auditState().ok());
-}
-
-// BatchKernel::run takes associative caches (a direct-mapped one is a
-// chain link; BatchKernelChain covers those): both write-miss policies,
-// 2 and 4 ways, with and without per-block statistics, and every paper
-// block size but 128 bytes.
-INSTANTIATE_TEST_SUITE_P(
-    PolicyMatrix, BatchKernelMatrix,
-    ::testing::Values(
-        // Write-validate.
-        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16, .Ways = 2},
-        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 64, .Ways = 4,
-                    .TrackPerBlockStats = true},
-        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 64, .Ways = 2,
-                    .TrackPerBlockStats = true},
-        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 32, .Ways = 4},
-        // Fetch-on-write misses.
-        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 256, .Ways = 2,
-                    .WriteMiss = WriteMissPolicy::FetchOnWrite},
-        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16, .Ways = 4,
-                    .WriteMiss = WriteMissPolicy::FetchOnWrite},
-        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 256, .Ways = 4,
-                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
-                    .TrackPerBlockStats = true},
-        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 32, .Ways = 2,
-                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
-                    .TrackPerBlockStats = true}));
-
-//===----------------------------------------------------------------------===//
-// Batch segmentation invariance
-//===----------------------------------------------------------------------===//
-
-TEST(BatchKernel, SegmentationIsUnobservable) {
-  CacheConfig Cfg{.SizeBytes = 2 << 10, .BlockBytes = 32, .Ways = 2,
-                  .TrackPerBlockStats = true};
-  std::vector<Ref> Stream = randomStream(20000, /*Seed=*/17);
-
-  Cache Scalar(Cfg);
-  for (const Ref &R : Stream)
-    (void)Scalar.access(R);
-
-  for (size_t BatchRefs : {size_t(1), size_t(7), size_t(64), size_t(1000),
-                           Stream.size()}) {
-    Cache Batch(Cfg);
-    runBatched(Batch, Stream, BatchRefs);
-    expectStateIdentical(Scalar, Batch,
-                         "batch size " + std::to_string(BatchRefs));
-  }
-}
-
-TEST(BatchKernel, EmptyBatchIsANoOp) {
-  Cache C({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2});
-  std::vector<Ref> Warm = randomStream(500);
-  runBatched(C, Warm, 100);
-  uint64_t Clock = CacheTestPeer::lruClockOf(C);
-  RefColumns Empty;
-  BatchIndex Idx;
-  Idx.reset(&Empty);
-  BatchKernel::run(C, Empty, Idx);
-  EXPECT_EQ(CacheTestPeer::lruClockOf(C), Clock);
-}
-
-//===----------------------------------------------------------------------===//
-// Inclusion chains (runChain)
-//===----------------------------------------------------------------------===//
 
 enum class PhaseMix { Mutator, Collector, Mixed };
 
@@ -334,6 +231,111 @@ std::vector<Ref> chainStream(size_t N, uint64_t Seed, PhaseMix Mix,
   }
   return Out;
 }
+
+//===----------------------------------------------------------------------===//
+// The headline differential: scalar vs batch vs oracle, policy matrix
+//===----------------------------------------------------------------------===//
+
+class BatchKernelMatrix : public ::testing::TestWithParam<CacheConfig> {};
+
+TEST_P(BatchKernelMatrix, ScalarBatchOracleBitIdentical) {
+  const CacheConfig Cfg = GetParam();
+  // randomStream almost never repeats a block. chainStream's allocation
+  // bursts and re-reads make long same-block runs, loads of unwritten
+  // words inside a run, and phase flips inside a run.
+  const std::pair<const char *, std::vector<Ref>> Streams[] = {
+      {"random", randomStream(40000)},
+      {"chain", chainStream(40000, /*Seed=*/7, PhaseMix::Mixed,
+                            /*Footprint=*/64 << 10)}};
+  for (const auto &[Name, Stream] : Streams) {
+    SCOPED_TRACE(Cfg.label() + ", " + Name + " stream");
+    Cache Scalar(Cfg);
+    Cache Batch(Cfg);
+    OracleCache Oracle(Cfg);
+
+    // A prime batch size, so flush boundaries land at awkward offsets.
+    const size_t BatchRefs = 769;
+    RefColumns Cols;
+    for (size_t I = 0; I < Stream.size();) {
+      Cols.clear();
+      size_t Boundary = std::min(I + BatchRefs, Stream.size());
+      for (; I != Boundary; ++I) {
+        Cols.push_back(Stream[I]);
+        (void)Scalar.access(Stream[I]);
+        (void)Oracle.access(Stream[I]);
+      }
+      Batch.onRefs(spanOf(Cols));
+      // Every flush boundary: the three models must agree exactly.
+      std::string Where = "after " + std::to_string(I) + " refs";
+      expectStateIdentical(Scalar, Batch, Where);
+      expectMatchesOracle(Batch, Oracle, Where);
+      if (::testing::Test::HasFatalFailure())
+        return;
+    }
+    EXPECT_TRUE(Batch.auditState().ok());
+  }
+}
+
+// The bank runs associative caches through Cache::onRefs (a direct-mapped
+// one is a chain link; BatchKernelChain covers those): both write-miss
+// policies, 2 and 4 ways, with and without per-block statistics, and
+// every paper block size but 128 bytes.
+INSTANTIATE_TEST_SUITE_P(
+    PolicyMatrix, BatchKernelMatrix,
+    ::testing::Values(
+        // Write-validate.
+        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16, .Ways = 2},
+        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 64, .Ways = 4,
+                    .TrackPerBlockStats = true},
+        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 64, .Ways = 2,
+                    .TrackPerBlockStats = true},
+        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 32, .Ways = 4},
+        // Fetch-on-write misses.
+        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 256, .Ways = 2,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite},
+        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16, .Ways = 4,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite},
+        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 256, .Ways = 4,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
+                    .TrackPerBlockStats = true},
+        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 32, .Ways = 2,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
+                    .TrackPerBlockStats = true}));
+
+//===----------------------------------------------------------------------===//
+// Batch segmentation invariance
+//===----------------------------------------------------------------------===//
+
+TEST(BatchKernel, SegmentationIsUnobservable) {
+  CacheConfig Cfg{.SizeBytes = 2 << 10, .BlockBytes = 32, .Ways = 2,
+                  .TrackPerBlockStats = true};
+  std::vector<Ref> Stream = randomStream(20000, /*Seed=*/17);
+
+  Cache Scalar(Cfg);
+  for (const Ref &R : Stream)
+    (void)Scalar.access(R);
+
+  for (size_t BatchRefs : {size_t(1), size_t(7), size_t(64), size_t(1000),
+                           Stream.size()}) {
+    Cache Batch(Cfg);
+    runBatched(Batch, Stream, BatchRefs);
+    expectStateIdentical(Scalar, Batch,
+                         "batch size " + std::to_string(BatchRefs));
+  }
+}
+
+TEST(BatchKernel, EmptyBatchIsANoOp) {
+  Cache C({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2});
+  std::vector<Ref> Warm = randomStream(500);
+  runBatched(C, Warm, 100);
+  uint64_t Clock = CacheTestPeer::lruClockOf(C);
+  C.onRefs(spanOf(RefColumns()));
+  EXPECT_EQ(CacheTestPeer::lruClockOf(C), Clock);
+}
+
+//===----------------------------------------------------------------------===//
+// Inclusion chains (runChain)
+//===----------------------------------------------------------------------===//
 
 /// Runs \p Stream through \p Chain (ascending sizes) in batches of
 /// \p BatchRefs.
@@ -468,10 +470,8 @@ TEST(BatchKernelChain, LinksLeaveAndRejoinBetweenBatches) {
       }
       if (Batch % 3 == 1) {
         // The path of a chain one of whose links is cross-checked.
-        const RefSpan All{B.Addr.data(), B.Kind.data(), B.PhaseTag.data(),
-                          B.size()};
         for (Cache *C : Chain)
-          C->onRefs(All);
+          C->onRefs(spanOf(B));
       } else if (Batch % 3 == 2) {
         // The path of a cross-checked cache.
         for (size_t Row = 0; Row != B.size(); ++Row)
@@ -575,196 +575,6 @@ TEST(BatchKernelChain, ChainableScreensOutIneligibleCaches) {
              .TrackPerBlockStats = true}),
       Cache({.SizeBytes = 4 << 10, .BlockBytes = 32,
              .TrackPerBlockStats = true})));
-}
-
-//===----------------------------------------------------------------------===//
-// The shared per-batch address index
-//===----------------------------------------------------------------------===//
-
-TEST(BatchIndex, ColumnsMatchScalarDecomposition) {
-  using BC = BatchIndex::BlockColumns;
-  RefColumns B;
-  Rng R;
-  for (int I = 0; I != 1000; ++I)
-    B.push_back(randomRef(R));
-  BatchIndex Idx;
-  Idx.reset(&B);
-  for (uint32_t BlockBytes : {16u, 32u, 64u, 128u, 256u}) {
-    const auto &Cols = Idx.columnsFor(BlockBytes);
-    // Recompute the run decomposition with naive scalar arithmetic and
-    // require the packed columns to agree run for run.
-    size_t Run = 0;   // index of the run currently being checked
-    size_t Start = 0; // first reference of that run
-    for (size_t I = 0; I != B.size(); ++I) {
-      const Address A = B.Addr[I];
-      const uint32_t BI = static_cast<uint32_t>(A / BlockBytes);
-      const uint64_t Bit = 1ull << ((A % BlockBytes) / 4);
-      const bool IsStore = B.Kind[I] == static_cast<uint8_t>(AccessKind::Store);
-      const bool NewRun =
-          I == 0 || BI != static_cast<uint32_t>(B.Addr[I - 1] / BlockBytes);
-      if (NewRun) {
-        if (I != 0) {
-          EXPECT_EQ(Cols.RunPacked[Run] & BC::RunLenMask, I - Start);
-          ++Run;
-        }
-        Start = I;
-        ASSERT_LT(Run, Cols.NumRuns);
-        EXPECT_EQ(Cols.RunBlockIdx[Run], BI);
-        EXPECT_EQ(Cols.FirstWordBit[Run], Bit);
-        EXPECT_EQ((Cols.RunPacked[Run] & BC::RunFirstIsStore) != 0, IsStore);
-        EXPECT_EQ((Cols.RunPacked[Run] & BC::RunFirstCollector) != 0,
-                  B.PhaseTag[I] == static_cast<uint8_t>(Phase::Collector));
-        EXPECT_EQ(Cols.StoreMask[Run], IsStore ? Bit : 0u);
-      } else {
-        // Tail reference: stores accumulate into the mask, loads set the
-        // tail-load flag forcing the kernel's per-reference walk.
-        if (IsStore)
-          EXPECT_NE(Cols.StoreMask[Run] & Bit, 0u);
-        else
-          EXPECT_NE(Cols.RunPacked[Run] & BC::RunHasTailLoad, 0u);
-      }
-    }
-    EXPECT_EQ(Run + 1, Cols.NumRuns);
-    EXPECT_EQ(Cols.RunPacked[Run] & BC::RunLenMask, B.size() - Start);
-    // The meaningful runs (the first NumRuns entries) cover every
-    // reference exactly once.
-    size_t TotalLen = 0;
-    for (size_t Run = 0; Run != Cols.NumRuns; ++Run)
-      TotalLen += Cols.RunPacked[Run] & BC::RunLenMask;
-    EXPECT_EQ(TotalLen, B.size());
-  }
-}
-
-TEST(BatchIndex, ColumnsAreCachedPerBlockSizeAndInvalidatedByReset) {
-  RefColumns B1, B2;
-  Rng R;
-  for (int I = 0; I != 64; ++I)
-    B1.push_back(randomRef(R));
-  B2.push_back({0x1234, AccessKind::Load, Phase::Mutator});
-
-  BatchIndex Idx;
-  Idx.reset(&B1);
-  const uint32_t Want = Idx.columnsFor(64).RunBlockIdx[0];
-  // Scribble on the cached columns: while the batch is current, repeated
-  // columnsFor calls must return the cache, not recompute (recomputing
-  // would erase the scribble).
-  auto Scribble = [&Idx](uint32_t BlockBytes, uint32_t V) {
-    const_cast<BatchIndex::BlockColumns &>(Idx.columnsFor(BlockBytes))
-        .RunBlockIdx[0] = V;
-  };
-  Scribble(64, Want ^ 0xdead);
-  EXPECT_EQ(Idx.columnsFor(64).RunBlockIdx[0], Want ^ 0xdead);
-
-  // reset() invalidates: the columns are recomputed for the new batch.
-  Idx.reset(&B2);
-  const auto &Fresh = Idx.columnsFor(64);
-  ASSERT_EQ(Fresh.NumRuns, 1u);
-  EXPECT_EQ(Fresh.RunBlockIdx[0], 0x1234u / 64);
-  // And re-pointing at the original batch recomputes honestly too.
-  Idx.reset(&B1);
-  EXPECT_EQ(Idx.columnsFor(64).RunBlockIdx[0], Want);
-
-  // Asking for another block size recomputes in place, and asking for the
-  // first size again recomputes it too, erasing the scribble.
-  Scribble(64, Want ^ 0xdead);
-  EXPECT_EQ(Idx.columnsFor(16).BlockBytes, 16u);
-  EXPECT_EQ(Idx.columnsFor(16).RunBlockIdx[0], B1.Addr[0] / 16);
-  EXPECT_EQ(Idx.columnsFor(64).RunBlockIdx[0], Want);
-}
-
-//===----------------------------------------------------------------------===//
-// Untrusted-batch validation and the mutated-batch property
-//===----------------------------------------------------------------------===//
-
-TEST(BatchValidate, AcceptsWellFormedRejectsCorrupt) {
-  RefColumns B;
-  Rng R;
-  for (int I = 0; I != 100; ++I)
-    B.push_back(randomRef(R));
-  EXPECT_TRUE(BatchKernel::validate(B).ok());
-
-  RefColumns Ragged = B;
-  Ragged.Kind.pop_back();
-  EXPECT_EQ(BatchKernel::validate(Ragged).code(),
-            StatusCode::InvalidArgument);
-
-  RefColumns BadKind = B;
-  BadKind.Kind[42] = 7;
-  EXPECT_EQ(BatchKernel::validate(BadKind).code(),
-            StatusCode::InvalidArgument);
-
-  RefColumns BadPhase = B;
-  BadPhase.PhaseTag[13] = 0xff;
-  EXPECT_EQ(BatchKernel::validate(BadPhase).code(),
-            StatusCode::InvalidArgument);
-}
-
-// The fuzz property: mutate batches arbitrarily; every mutant is either
-// rejected by validate() or processes bit-identically to the scalar
-// replay of the same (still well-formed) columns. A silent divergence —
-// validate() passing but the kernel disagreeing with the scalar path —
-// is the one outcome that must never happen.
-TEST(BatchKernelProperty, MutatedBatchesRejectOrProcessIdentically) {
-  CacheConfig Cfg{.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2,
-                  .TrackPerBlockStats = true};
-  Rng R;
-  unsigned Rejected = 0, Processed = 0;
-  for (int Trial = 0; Trial != 300; ++Trial) {
-    RefColumns B;
-    size_t N = 1 + R.next() % 200;
-    for (size_t I = 0; I != N; ++I)
-      B.push_back(randomRef(R));
-
-    // One random mutation per trial, structural or value-level.
-    switch (R.next() % 6) {
-    case 0:
-      B.Kind.pop_back();
-      break;
-    case 1:
-      B.PhaseTag.resize(B.PhaseTag.size() - R.next() % N);
-      break;
-    case 2:
-      B.Addr.push_back(static_cast<Address>(R.next()));
-      break;
-    case 3:
-      // % 4: half the pokes are in-range rewrites, half invalid bytes, so
-      // both the reject path and the process path see value mutations.
-      B.Kind[R.next() % N] = static_cast<uint8_t>(R.next() % 4);
-      break;
-    case 4:
-      B.PhaseTag[R.next() % N] = static_cast<uint8_t>(R.next() % 4);
-      break;
-    case 5:
-      B.Addr[R.next() % N] = static_cast<Address>(R.next());
-      break;
-    }
-
-    // The ground truth the kernel must match.
-    bool WellFormed = B.Kind.size() == B.Addr.size() &&
-                      B.PhaseTag.size() == B.Addr.size();
-    for (size_t I = 0; WellFormed && I != B.size(); ++I)
-      WellFormed = B.Kind[I] <= 1 && B.PhaseTag[I] <= 1;
-
-    Status V = BatchKernel::validate(B);
-    EXPECT_EQ(V.ok(), WellFormed) << "trial " << Trial;
-    if (!V.ok()) {
-      ++Rejected;
-      continue;
-    }
-    ++Processed;
-    Cache Scalar(Cfg), Batch(Cfg);
-    for (size_t I = 0; I != B.size(); ++I)
-      (void)Scalar.access(B.get(I));
-    BatchIndex Idx;
-    Idx.reset(&B);
-    BatchKernel::run(Batch, B, Idx);
-    expectStateIdentical(Scalar, Batch, "trial " + std::to_string(Trial));
-    if (::testing::Test::HasFatalFailure())
-      return;
-  }
-  // The mutation mix must actually exercise both outcomes.
-  EXPECT_GT(Rejected, 50u);
-  EXPECT_GT(Processed, 50u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -932,7 +742,7 @@ TEST(BatchCrossCheck, CorruptedStateStillFiresInsideABatch) {
   // Corrupt a resident line's tag behind the oracle's back, then load a
   // valid word of that line's *original* block: the corrupted cache
   // misses where the oracle hits, so Divergence must be raised from
-  // inside BatchKernel::run, exactly as the scalar path would raise it.
+  // inside Cache::onRefs, exactly as the scalar path would raise it.
   const uint32_t NumSets = Cfg.SizeBytes / Cfg.BlockBytes; // direct-mapped
   size_t Idx = SIZE_MAX;
   for (size_t I = 0; I != CacheTestPeer::numLines(C); ++I)
@@ -953,9 +763,7 @@ TEST(BatchCrossCheck, CorruptedStateStillFiresInsideABatch) {
 
   RefColumns B;
   B.push_back(Poison);
-  BatchIndex BatchIdx;
-  BatchIdx.reset(&B);
-  EXPECT_THROW(BatchKernel::run(C, B, BatchIdx), StatusError);
+  EXPECT_THROW(C.onRefs(spanOf(B)), StatusError);
 }
 
 //===----------------------------------------------------------------------===//
