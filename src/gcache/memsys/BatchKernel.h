@@ -1,30 +1,35 @@
-//===- BatchKernel.h - Columnar batch-mode cache simulation -----*- C++ -*-===//
+//===- BatchKernel.h - Span walker and inclusion chains ---------*- C++ -*-===//
 //
 // Part of the gcache project (Reinhold, PLDI 1994 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The hot path of the cache bank: runChain takes a whole columnar batch
-/// (trace/Event.h RefColumns) through an inclusion chain, the
-/// direct-mapped caches of one block size and write-miss policy, smallest
-/// first, with or without per-block statistics. The smallest link sees
-/// every reference; each larger link sees only the same-block runs the
-/// link before it could not prove to be no-ops. This is the path of the
-/// paper grid and of every size sweep. The bank's other caches
-/// (associative or cross-checked) take the batch through Cache::onRefs.
+/// The one span loop of the cache model. walkRuns takes a span one
+/// same-block run at a time, keeping the open run's line in registers,
+/// and serves two callers:
 ///
-/// Correctness contract: a chain is *bit-identical* to feeding the same
+///  - runChain takes a whole columnar batch through an inclusion chain,
+///    the direct-mapped caches of one block size and write-miss policy,
+///    smallest first, with or without per-block statistics. The smallest
+///    link walks every reference; each larger link (nextLink) sees only
+///    the same-block runs the link before it could not prove to be
+///    no-ops. This is the path of the paper grid and of every size sweep.
+///  - runSolo takes a span through one cache of any associativity, with
+///    no link after it: Cache::onRefs, the path of every cache outside
+///    the bank and of the bank's associative caches.
+///
+/// Correctness contract: both are *bit-identical* to feeding the same
 /// references through Cache::access one at a time — same counters, same
-/// line array (tags, valid masks, store masks), same per-block
-/// statistics. Batch segmentation is unobservable: any way of cutting a
-/// stream into batches produces the same final state, so checkpoint cuts
-/// and cancellation drains at batch boundaries stay bit-exact, and a cache
-/// may move between a chain and Cache::onRefs from one batch to the next.
-/// tests/test_batch_kernel.cpp holds the differential proof against both
-/// Cache::access and OracleCache, over chains at every paper block size
-/// and over the associative span loop of Cache::onRefs across the
-/// write-miss x associativity x block-size matrix.
+/// line array (tags, valid masks, store masks, LRU stamps), same clock,
+/// same per-block statistics. Batch segmentation is unobservable: any way
+/// of cutting a stream into batches produces the same final state, so
+/// checkpoint cuts and cancellation drains at batch boundaries stay
+/// bit-exact, and a cache may move between a chain and Cache::onRefs from
+/// one batch to the next. tests/test_batch_kernel.cpp holds the
+/// differential proof against both Cache::access and OracleCache, over
+/// chains at every paper block size and over Cache::onRefs across the
+/// write-miss x associativity x per-block x block-size matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +66,7 @@ struct ChainRun {
   uint64_t Words;  ///< OR of the word bits of all its references.
 };
 
-/// Stateless entry points of the inclusion-chain simulator.
+/// Stateless entry points of the span walker and the inclusion chains.
 class BatchKernel {
 public:
   /// True when \p C can be a link of a chain: direct-mapped, no shadow
@@ -100,9 +105,15 @@ public:
   /// thus complete at each batch boundary. The fold costs one add into
   /// BlockRefs per set of the chain per batch (130,560 for a 64 B size
   /// sweep), plus halving and zeroing the histogram.
-  static void runChain(std::span<Cache *const> Links, const RefColumns &Batch,
+  static void runChain(std::span<Cache *const> Links, const RefSpan &Batch,
                        std::vector<ChainRun> &Survivors,
                        std::vector<uint64_t> &SetRefs);
+
+  /// Simulates \p S against \p C alone (Cache::onRefs; \p C has no
+  /// shadow oracle): the walker of a chain's first link with no survivor
+  /// output. A cache on its own is its own largest link, so its BlockRefs
+  /// are the walker's per-set histogram and nothing is folded.
+  static void runSolo(Cache &C, const RefSpan &S);
 
 private:
   /// References the first link of a chain consumes per pass. The
@@ -111,31 +122,39 @@ private:
   /// measured fastest (1 K to whole 256 K batches were tried).
   static constexpr size_t ChainChunkRefs = 8 * 1024;
 
-  /// runChain over rows [\p Begin, \p End) of one phase \p P, whose
-  /// write-miss decision is \p FetchOnWrite, a chunk at a time. With
-  /// \p PerBlock the links keep per-block statistics and \p SetRefs is
-  /// the chain's reference histogram.
-  template <bool FetchOnWrite, bool PerBlock>
-  static void runSegment(std::span<Cache *const> Links,
-                         const RefColumns &Batch, size_t Begin, size_t End,
-                         unsigned P, ChainRun *Runs,
-                         std::span<uint64_t> SetRefs);
+  /// Runs \p S through \p Links (a chain, or one cache alone) as its
+  /// maximal single-phase segments, each with the phase's write-miss
+  /// decision fixed. \p Runs is the survivor buffer (unused for one
+  /// link) and \p SetRefs the per-set reference histogram.
+  template <bool DirectMapped>
+  static void runPhases(std::span<Cache *const> Links, const RefSpan &S,
+                        ChainRun *Runs, std::span<uint64_t> SetRefs);
 
-  /// The first link of a chain over rows [\p Begin, \p End) of one
-  /// phase \p P: splits them into runs, simulates each, and (with
-  /// \p Emit) writes the runs it cannot prove to be no-ops to \p Out.
-  /// Returns the number written; adds the rows' stores to \p Stores and
-  /// (with \p PerBlock) each run's length to its set of \p SetRefs.
-  template <bool FetchOnWrite, bool Emit, bool PerBlock>
-  static size_t firstLink(Cache &C, const RefColumns &Batch, size_t Begin,
-                          size_t End, unsigned P, ChainRun *Out,
-                          uint64_t &Stores, std::span<uint64_t> SetRefs);
+  /// runPhases over rows [\p Begin, \p End) of one phase \p P, whose
+  /// write-miss decision is \p FetchOnWrite: one walk when \p Links is
+  /// one cache, else a chunk at a time through every link. With
+  /// \p PerBlock the caches keep per-block statistics.
+  template <bool DirectMapped, bool FetchOnWrite, bool PerBlock>
+  static void runSegment(std::span<Cache *const> Links, const RefSpan &S,
+                         size_t Begin, size_t End, unsigned P,
+                         ChainRun *Runs, std::span<uint64_t> SetRefs);
+
+  /// The walker: rows [\p Begin, \p End) of one phase \p P through \p C,
+  /// one same-block run at a time. With \p Emit (the head of a chain, so
+  /// direct-mapped), writes the runs it cannot prove to be no-ops to
+  /// \p Out. Returns the number written; adds the rows' stores to
+  /// \p Stores and (with \p PerBlock) each run's length to its set of
+  /// \p SetRefs.
+  template <bool DirectMapped, bool FetchOnWrite, bool Emit, bool PerBlock>
+  static size_t walkRuns(Cache &C, const RefSpan &S, size_t Begin,
+                         size_t End, unsigned P, ChainRun *Out,
+                         uint64_t &Stores, std::span<uint64_t> SetRefs);
 
   /// A larger link: simulates the \p NumRuns runs of \p Runs, keeping
   /// (with \p Emit) those it cannot prove to be no-ops at the front of
   /// \p Runs. Returns how many it kept.
   template <bool FetchOnWrite, bool Emit, bool PerBlock>
-  static size_t nextLink(Cache &C, const RefColumns &Batch, ChainRun *Runs,
+  static size_t nextLink(Cache &C, const RefSpan &S, ChainRun *Runs,
                          size_t NumRuns, unsigned P);
 
   /// Adds \p SetRefs, a batch's references per set of the largest link,

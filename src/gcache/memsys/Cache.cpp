@@ -2,6 +2,7 @@
 
 #include "gcache/memsys/Cache.h"
 
+#include "gcache/memsys/BatchKernel.h"
 #include "gcache/memsys/OracleCache.h"
 #include "gcache/support/Snapshot.h"
 
@@ -9,7 +10,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdio>
-#include <cstring>
 
 using namespace gcache;
 
@@ -47,23 +47,6 @@ void Cache::reset() {
   }
   if (Shadow)
     Shadow->reset();
-}
-
-[[gnu::always_inline]] inline Cache::Line *
-Cache::findWay(uint32_t SetIdx, uint32_t Tag, Line *&Victim) {
-  Line *Set = setBase(SetIdx);
-  Victim = Set;
-  for (uint32_t W = 0; W != Config.Ways; ++W) {
-    Line &L = Set[W];
-    if (L.ValidMask != 0 && L.Tag == Tag)
-      return &L;
-    if (L.ValidMask == 0) {
-      Victim = &L; // Prefer an empty way.
-    } else if (Victim->ValidMask != 0 && L.LruStamp < Victim->LruStamp) {
-      Victim = &L;
-    }
-  }
-  return nullptr;
 }
 
 template <bool DirectMapped, bool PerBlock>
@@ -143,150 +126,29 @@ template <bool DirectMapped, bool PerBlock>
   return AccessResult::FetchMiss;
 }
 
-const Cache::SimulateFn Cache::SimulateByShape[4] = {
-    &Cache::simulate<false, false>, &Cache::simulate<true, false>,
-    &Cache::simulate<false, true>, &Cache::simulate<true, true>};
-
-/// An associative shape makes simulate's transitions one same-block run at
-/// a time over rows [\p Begin, \p End) of \p S, all of phase \p P. The
-/// clock, the counters, the open run's line and that line's masks stay in
-/// locals, and a reference to the open run's block skips the set scan: the
-/// block stays resident until the run ends. A reference to another block
-/// writes the open line back, stamped with the clock at the run's last
-/// reference (the only stamp of the run that simulate leaves), and then
-/// scans its set.
-template <bool PerBlock>
-void Cache::simulateRuns(const RefSpan &S, size_t Begin, size_t End,
-                         unsigned P) {
-  // A collector write miss always fetches (memsys/CacheConfig.h).
-  const bool FetchOnWrite =
-      Config.WriteMiss == WriteMissPolicy::FetchOnWrite || P != 0;
-  const uint32_t OffsetMask = Config.BlockBytes - 1;
-  uint64_t Clock = LruClock;
-  uint64_t Stores = 0, Fetch = 0, NoFetch = 0, Wb = 0;
-  // The open run: its block, set and first row, its line and the line's
-  // masks. It starts on a scratch line under block ~0u, which no block
-  // index reaches (blocks are at least 4 bytes), so the first reference
-  // opens a run.
-  Line Scratch;
-  Line *L = &Scratch;
-  uint32_t Open = ~0u, OpenSet = 0;
-  size_t RunStart = Begin;
-  uint64_t VM = 0, SM = 0;
-  auto Close = [&](size_t Next) {
-    L->ValidMask = VM;
-    L->StoreMask = SM;
-    L->LruStamp = Clock;
-    if constexpr (PerBlock)
-      BlockRefs[OpenSet] += Next - RunStart;
-  };
-  auto FetchMiss = [&] {
-    ++Fetch;
-    if constexpr (PerBlock) {
-      ++BlockMisses[OpenSet];
-      ++BlockFetchMisses[OpenSet];
-    }
-  };
-
-  for (size_t I = Begin; I != End; ++I) {
-    const Address A = S.Addr[I];
-    const uint32_t BI = A >> BlockShift;
-    const uint64_t Bit = 1ull << ((A & OffsetMask) >> 2);
-    const bool IsStore = (S.Kind[I] & 1) != 0;
-    const uint64_t StoreBit = IsStore ? Bit : 0;
-    Stores += IsStore;
-    if (BI != Open) {
-      Close(I);
-      Open = BI;
-      OpenSet = BI & SetMask;
-      RunStart = I;
-      const uint32_t Tag = BI >> SetShift;
-      Line *Victim = nullptr;
-      L = findWay(OpenSet, Tag, Victim);
-      if (L) {
-        VM = L->ValidMask;
-        SM = L->StoreMask;
-      } else {
-        // Block miss: evict the victim (writing it back if dirty) and
-        // install; the update below validates a stored word.
-        L = Victim;
-        Wb += L->dirty();
-        L->Tag = Tag;
-        SM = 0;
-        if (IsStore && !FetchOnWrite) {
-          VM = 0;
-          ++NoFetch;
-          if constexpr (PerBlock)
-            ++BlockMisses[OpenSet];
-        } else {
-          VM = FullMask;
-          FetchMiss();
-        }
-      }
-    }
-    ++Clock;
-    VM |= StoreBit;
-    SM |= StoreBit;
-    if (!(VM & Bit)) {
-      VM = FullMask; // sub-block read miss
-      FetchMiss();
-    }
-  }
-  Close(End);
-
-  LruClock = Clock;
-  CacheCounters &C = Counts[P];
-  C.Loads += (End - Begin) - Stores;
-  C.Stores += Stores;
-  C.FetchMisses += Fetch;
-  C.NoFetchMisses += NoFetch;
-  C.Writebacks += Wb;
-}
-
-template <bool DirectMapped, bool PerBlock>
-void Cache::simulateSpan(const RefSpan &S) {
-  if constexpr (DirectMapped) {
-    for (size_t I = 0; I != S.size(); ++I)
-      (void)simulate<true, PerBlock>(S[I]);
-  } else {
-    const size_t N = S.size();
-    for (size_t Begin = 0; Begin != N;) {
-      const unsigned P = S.PhaseTag[Begin] & 1;
-      const void *Switch = std::memchr(S.PhaseTag + Begin, P ^ 1, N - Begin);
-      const size_t End =
-          Switch ? static_cast<const uint8_t *>(Switch) - S.PhaseTag : N;
-      simulateRuns<PerBlock>(S, Begin, End, P);
-      Begin = End;
-    }
-  }
-}
-
-const Cache::SimulateSpanFn Cache::SimulateSpanByShape[4] = {
-    &Cache::simulateSpan<false, false>, &Cache::simulateSpan<true, false>,
-    &Cache::simulateSpan<false, true>, &Cache::simulateSpan<true, true>};
-
 void Cache::onRefs(const RefSpan &S) {
   if (Shadow) {
     for (size_t I = 0; I != S.size(); ++I)
       (void)access(S[I]);
     return;
   }
-  (this->*SimulateSpanByShape[Shape])(S);
+  BatchKernel::runSolo(*this, S);
 }
 
 AccessResult Cache::access(const Ref &R) {
-  // The direct-mapped shapes (the sink-side caches of §7) are called
-  // directly; the associative ones through the table.
   AccessResult Got;
   switch (Shape) {
+  case 0:
+    Got = simulate<false, false>(R);
+    break;
+  case ShapePerBlock:
+    Got = simulate<false, true>(R);
+    break;
   case ShapeDirect:
     Got = simulate<true, false>(R);
     break;
-  case ShapeDirect | ShapePerBlock:
-    Got = simulate<true, true>(R);
-    break;
   default:
-    Got = (this->*SimulateByShape[Shape])(R);
+    Got = simulate<true, true>(R);
   }
   if (Shadow) {
     // The oracle must see every reference to stay coherent; CompareEvery

@@ -30,10 +30,14 @@
 /// change nothing in a larger one (memsys/BatchKernel.h). A skipped
 /// reference is still counted in the larger cache's per-block
 /// statistics: a chain folds the per-set reference counts of each batch
-/// into every link. The bank feeds its other caches (associative or
-/// cross-checked) through onRefs, the path every cache outside the bank
-/// takes too. Only associative caches keep LRU stamps and a clock; no
-/// direct-mapped victim choice reads them.
+/// into every link. A span reaches any other cache through onRefs: every
+/// cache outside the bank, and the bank's associative and cross-checked
+/// caches. onRefs runs the walker of a chain's first link over it, one
+/// same-block run at a time (BatchKernel::runSolo), unless a shadow
+/// oracle is attached; then each reference goes through access, whose
+/// per-reference body, simulate, is also the reference every span path
+/// is tested against. Only associative caches keep LRU stamps and a
+/// clock; no direct-mapped victim choice reads them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,8 +112,8 @@ public:
 
   /// TraceSink entry point: simulate and discard the outcome.
   void onRef(const Ref &R) override { (void)access(R); }
-  /// Simulates a span through the cache's simulateSpan instantiation,
-  /// picked once per span; with a shadow oracle, each reference goes
+  /// Simulates a span one same-block run at a time
+  /// (BatchKernel::runSolo); with a shadow oracle, each reference goes
   /// through access. This is also how the bank runs an associative or
   /// cross-checked cache (memsys/ShardPool.h).
   void onRefs(const RefSpan &S) override;
@@ -185,7 +189,7 @@ public:
 
 private:
   friend class CacheTestPeer; ///< Mutation tests corrupt state on purpose.
-  friend class BatchKernel;   ///< The columnar hot path mirrors simulate().
+  friend class BatchKernel;   ///< The span walker mirrors simulate().
 
   struct Line {
     uint32_t Tag = 0;
@@ -205,26 +209,13 @@ private:
     bool dirty() const { return StoreMask != 0; }
   };
 
-  /// The one simulation body. The policy tests it would otherwise make on
-  /// every reference are template parameters; each cache picks its
-  /// instantiation once, at construction (Shape).
+  /// The per-reference simulation body of access. The policy tests it
+  /// would otherwise make on every reference are template parameters;
+  /// each cache picks its instantiation once, at construction (Shape).
   template <bool DirectMapped, bool PerBlock>
   AccessResult simulate(const Ref &R);
-  using SimulateFn = AccessResult (Cache::*)(const Ref &);
-  /// simulate over a span. A direct-mapped shape calls it per reference;
-  /// an associative shape runs each maximal single-phase segment of the
-  /// span through simulateRuns.
-  template <bool DirectMapped, bool PerBlock>
-  void simulateSpan(const RefSpan &S);
-  /// An associative shape's loop over rows [Begin, End) of a span, all of
-  /// phase \p P, one same-block run at a time.
-  template <bool PerBlock>
-  void simulateRuns(const RefSpan &S, size_t Begin, size_t End, unsigned P);
-  using SimulateSpanFn = void (Cache::*)(const RefSpan &);
   /// Shape bits: which instantiation of simulate a cache takes.
   static constexpr uint8_t ShapeDirect = 1, ShapePerBlock = 2;
-  static const SimulateFn SimulateByShape[4];
-  static const SimulateSpanFn SimulateSpanByShape[4];
 
   Line *setBase(uint32_t SetIdx) { return &Lines[SetIdx * Config.Ways]; }
   const Line *setBase(uint32_t SetIdx) const {
@@ -232,7 +223,8 @@ private:
   }
   /// The way of associative set \p SetIdx holding \p Tag, or null. On a
   /// miss, \p Victim is the way to fill: the last empty way of the set,
-  /// else the one with the least stamp.
+  /// else the one with the least stamp. Defined below, so simulate and
+  /// the walker (BatchKernel) share it.
   Line *findWay(uint32_t SetIdx, uint32_t Tag, Line *&Victim);
   void resyncShadow();
   [[noreturn]] void reportDivergence(const Ref &R, AccessResult Want,
@@ -255,6 +247,23 @@ private:
   uint64_t CompareEvery = 1;
   uint64_t ShadowRefs = 0; ///< References seen since the shadow attached.
 };
+
+[[gnu::always_inline]] inline Cache::Line *
+Cache::findWay(uint32_t SetIdx, uint32_t Tag, Line *&Victim) {
+  Line *Set = setBase(SetIdx);
+  Victim = Set;
+  for (uint32_t W = 0; W != Config.Ways; ++W) {
+    Line &L = Set[W];
+    if (L.ValidMask != 0 && L.Tag == Tag)
+      return &L;
+    if (L.ValidMask == 0) {
+      Victim = &L; // Prefer an empty way.
+    } else if (Victim->ValidMask != 0 && L.LruStamp < Victim->LruStamp) {
+      Victim = &L;
+    }
+  }
+  return nullptr;
+}
 
 } // namespace gcache
 

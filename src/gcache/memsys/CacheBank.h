@@ -24,7 +24,8 @@
 /// references a smaller one proves are no-ops for it (the skipped
 /// references still reach its per-block reference counts); its
 /// associative and cross-checked caches run solo, each taking the whole
-/// batch through Cache::onRefs. Without threads, publishing a batch
+/// batch through Cache::onRefs. A chain's first link and a solo cache run
+/// one walker (memsys/BatchKernel.h). Without threads, publishing a batch
 /// runs every lane inline; setThreads(N) hands the lanes to N workers.
 /// Each lane consumes the batches in order, so every counter is
 /// bit-identical at any thread count and batch size

@@ -15,12 +15,13 @@ void Lane::run(const RefColumns &Batch) {
   for (const std::vector<Cache *> &Chain : Chains) {
     // Rechecked per batch: a link may gain a shadow oracle after
     // buildLanes (through CacheBank::cache). Every link then takes the
-    // scalar path for the batch; it keeps the store masks, so the
-    // inclusion the chain relies on still holds when it rejoins.
+    // batch alone through Cache::onRefs; every path keeps the store
+    // masks, so the inclusion the chain relies on still holds when it
+    // rejoins.
     if (std::all_of(Chain.begin(), Chain.end(), [](const Cache *C) {
           return BatchKernel::chainable(*C);
         })) {
-      BatchKernel::runChain(Chain, Batch, Survivors, SetRefs);
+      BatchKernel::runChain(Chain, All, Survivors, SetRefs);
     } else {
       for (Cache *C : Chain)
         C->onRefs(All);
@@ -69,8 +70,8 @@ gcache::buildLanes(const std::vector<std::unique_ptr<Cache>> &Caches,
                        });
 
   while (Lanes.size() < Threads) {
-    // The longest chain of two links or more, if any.
-    size_t At = Lanes.size(), Chain = 0, Longest = 1;
+    // The longest chain, and the lane with the most solo caches.
+    size_t At = 0, Chain = 0, Longest = 0;
     for (size_t I = 0; I != Lanes.size(); ++I)
       for (size_t K = 0; K != Lanes[I].Chains.size(); ++K)
         if (Lanes[I].Chains[K].size() > Longest) {
@@ -78,8 +79,17 @@ gcache::buildLanes(const std::vector<std::unique_ptr<Cache>> &Caches,
           Chain = K;
           Longest = Lanes[I].Chains[K].size();
         }
+    auto Big = std::max_element(Lanes.begin(), Lanes.end(),
+                                [](const Lane &X, const Lane &Y) {
+                                  return X.Solos.size() < Y.Solos.size();
+                                });
+    const size_t Solos = Big == Lanes.end() ? 0 : Big->Solos.size();
+    if (std::max(Longest, Solos) < 2)
+      break;
+    // Halve whichever holds more caches; the solos on a tie, since each
+    // solo cache walks every reference and a larger link only survivors.
     Lane Tail;
-    if (At != Lanes.size()) {
+    if (Longest > Solos) {
       // Each half of a chain is a chain: inclusion holds between any two
       // of its links.
       std::vector<Cache *> &Links = Lanes[At].Chains[Chain];
@@ -87,12 +97,6 @@ gcache::buildLanes(const std::vector<std::unique_ptr<Cache>> &Caches,
       Tail.Chains.emplace_back(Links.begin() + Half, Links.end());
       Links.resize(Half);
     } else {
-      auto Big = std::max_element(Lanes.begin(), Lanes.end(),
-                                  [](const Lane &X, const Lane &Y) {
-                                    return X.Solos.size() < Y.Solos.size();
-                                  });
-      if (Big == Lanes.end() || Big->Solos.size() < 2)
-        break;
       At = Big - Lanes.begin();
       const size_t Half = Big->Solos.size() / 2;
       Tail.Solos.assign(Big->Solos.begin() + Half, Big->Solos.end());

@@ -13,9 +13,10 @@
 /// per-block reference counts reach it through a histogram the first link
 /// fills. Every other cache of the lane (associative or cross-checked)
 /// runs solo: it takes the whole batch through Cache::onRefs, as a cache
-/// outside the bank takes a span. While a bank has more workers than
-/// lanes, a chain is split at its midpoint, and each half is a chain of
-/// its own in a lane of its own.
+/// outside the bank takes a span. A chain's first link and a solo cache
+/// run the same walker (BatchKernel.h). While a bank has more workers
+/// than lanes, buildLanes halves the longest chain or the biggest group
+/// of solo caches, whichever holds more, into a lane of its own.
 ///
 /// A bank without threads runs its lanes inline. A ShardPool runs them on
 /// N interchangeable workers: each batch is queued on every lane, and a
@@ -71,10 +72,12 @@ struct Lane {
 /// Groups \p Caches into lanes for a bank with \p Threads workers: one lane
 /// per block size, ascending, holding one chain per policy and per-block
 /// statistics flag of its chainable caches and its other caches solo.
-/// Then, while there are fewer lanes than workers, the longest chain is
-/// split at its midpoint into a lane of its own; once no chain has two
-/// links, the lane with the most solo caches gives half of them to a new
-/// lane.
+/// Then, while there are fewer lanes than workers, whichever holds more
+/// caches, the longest chain or the biggest group of solo caches (the
+/// solos on a tie), is halved, and its second half moves to a new lane
+/// after it. abl2's 64 B lane, an 8-link chain beside 16 associative
+/// caches, thus gives 2 workers the chain with 8 solos and the other 8
+/// solos.
 std::vector<Lane>
 buildLanes(const std::vector<std::unique_ptr<Cache>> &Caches, unsigned Threads);
 

@@ -1,11 +1,11 @@
-//===- Stats.h - Running statistics and distributions -----------*- C++ -*-===//
+//===- Stats.h - Log2-bucketed histogram ------------------------*- C++ -*-===//
 //
 // Part of the gcache project (Reinhold, PLDI 1994 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Running summary statistics and a log2-bucketed histogram. The paper's §7
+/// A log2-bucketed histogram. The paper's §7
 /// lifetime graphs are cumulative frequency distributions over a
 /// logarithmic x axis (1k, 32k, 1m, 32m, 1g references); Log2Histogram is
 /// the data structure behind them.
@@ -16,28 +16,9 @@
 #define GCACHE_SUPPORT_STATS_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace gcache {
-
-/// Accumulates count/min/max/mean without storing samples.
-class RunningStats {
-public:
-  void add(double X);
-
-  uint64_t count() const { return N; }
-  double mean() const { return N ? Sum / static_cast<double>(N) : 0.0; }
-  double min() const { return N ? Lo : 0.0; }
-  double max() const { return N ? Hi : 0.0; }
-  double sum() const { return Sum; }
-
-private:
-  uint64_t N = 0;
-  double Sum = 0.0;
-  double Lo = 0.0;
-  double Hi = 0.0;
-};
 
 /// Histogram over power-of-two buckets: bucket B counts samples X with
 /// 2^B <= X < 2^(B+1); bucket 0 also holds X in {0, 1}.
@@ -58,9 +39,6 @@ public:
   double cumulativeFractionAt(uint64_t X) const;
 
   const std::vector<uint64_t> &buckets() const { return Buckets; }
-
-  /// Renders "x<=V: frac" lines for the given probe points.
-  std::string renderCumulative(const std::vector<uint64_t> &Probes) const;
 
 private:
   std::vector<uint64_t> Buckets;

@@ -36,8 +36,6 @@ public:
   /// Renders the table as CSV (no quoting; cells must not contain commas).
   std::string toCsv() const;
 
-  size_t numRows() const { return Rows.size(); }
-
 private:
   std::vector<std::string> Header;
   std::vector<std::vector<std::string>> Rows;

@@ -230,7 +230,6 @@ void VM::enterCall(uint32_t Argc, bool Tail) {
             valueToString(Callee, /*WriteStyle=*/true).c_str());
   uint32_t CodeId = closureCodeId(H, Callee);
   const CodeObject &C = code(CodeId);
-  ++Calls;
   // Interrupt / stack-limit poll against the hot runtime vector.
   (void)H.load(RuntimeVec + 4);
 

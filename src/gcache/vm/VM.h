@@ -148,7 +148,6 @@ public:
   int primitiveId(const std::string &Name) const;
   const Primitive &primitive(uint32_t Id) const { return Prims[Id]; }
   uint32_t addPrimitive(Primitive P);
-  size_t numPrimitives() const { return Prims.size(); }
 
   /// Creates the global closure bindings for every primitive (load mode).
   void bindPrimitiveGlobals();
@@ -171,11 +170,9 @@ public:
   /// ΔI_prog: extra mutator instructions caused by collections
   /// (address-keyed hash-table rehashing + write barriers).
   uint64_t extraInstructions() const { return ExtraInstructions; }
-  uint64_t callCount() const { return Calls; }
 
   /// Program output accumulated by display/write/newline.
   const std::string &output() const { return Output; }
-  void clearOutput() { Output.clear(); }
   void appendOutput(const std::string &S) { Output += S; }
 
   //===--- Stack access (primitives and tests) -----------------------------===//
@@ -322,7 +319,6 @@ private:
 
   uint64_t Instructions = 0;
   uint64_t ExtraInstructions = 0;
-  uint64_t Calls = 0;
   /// Bytecodes completed; the cancellation poll runs at every 16384th.
   uint64_t CancelPollTick = 0;
   /// The call applyOnReturn asked for, if the running primitive is apply.

@@ -1,19 +1,18 @@
 //===- test_batch_kernel.cpp - Batch-kernel differential harness ----------===//
 //
-// The bit-identity proof for the bank's two batch paths: inclusion chains
-// (memsys/BatchKernel.h) and the associative span loop of Cache::onRefs,
-// which takes a span one same-block run at a time. Their contract is that
-// batch-mode simulation is *unobservable*: any stream, cut into batches
-// any way, must leave a cache in exactly the state per-reference
-// Cache::access leaves it in — same counters, same line array (tags,
-// valid masks, store masks, LRU stamps), same clock, same per-block
-// statistics.
+// The bit-identity proof for the span walker (memsys/BatchKernel.h) on
+// both of its paths: inclusion chains, and Cache::onRefs, which runs one
+// cache of any associativity alone. Their contract is that batch-mode
+// simulation is *unobservable*: any stream, cut into batches any way,
+// must leave a cache in exactly the state per-reference Cache::access
+// leaves it in — same counters, same line array (tags, valid masks,
+// store masks, LRU stamps), same clock, same per-block statistics.
 //
 // The harness replays randomized, allocation-like and recorded reference
 // streams through three models simultaneously — scalar Cache::access,
 // the batch path, and OracleCache — and asserts identical counters and
 // LRU state at every flush boundary, across the write-miss x
-// associativity x block-size matrix. On top of that:
+// associativity x per-block x block-size matrix. On top of that:
 //
 //  - batch segmentation invariance (any cut of the same stream agrees);
 //  - inclusion chains: every link of 8-size chains at each paper block
@@ -276,13 +275,25 @@ TEST_P(BatchKernelMatrix, ScalarBatchOracleBitIdentical) {
   }
 }
 
-// The bank runs associative caches through Cache::onRefs (a direct-mapped
-// one is a chain link; BatchKernelChain covers those): both write-miss
-// policies, 2 and 4 ways, with and without per-block statistics, and
-// every paper block size but 128 bytes.
+// Cache::onRefs runs a cache alone, as the bank runs its associative
+// caches and as every cache outside the bank runs: both write-miss
+// policies, direct-mapped, 2 and 4 ways, with and without per-block
+// statistics, and every paper block size. A direct-mapped cache here is
+// no chain link: the walker adds each run's length straight into its own
+// BlockRefs, which BatchKernelChain, whose histogram is folded into the
+// links, does not cover.
 INSTANTIATE_TEST_SUITE_P(
     PolicyMatrix, BatchKernelMatrix,
     ::testing::Values(
+        // Direct-mapped.
+        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 32},
+        CacheConfig{.SizeBytes = 4 << 10, .BlockBytes = 128,
+                    .TrackPerBlockStats = true},
+        CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite},
+        CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 64,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
+                    .TrackPerBlockStats = true},
         // Write-validate.
         CacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 16, .Ways = 2},
         CacheConfig{.SizeBytes = 2 << 10, .BlockBytes = 64, .Ways = 4,
@@ -348,7 +359,7 @@ void runChainBatched(const std::vector<Cache *> &Chain,
     B.clear();
     for (size_t K = 0; K != BatchRefs && I != Stream.size(); ++K, ++I)
       B.push_back(Stream[I]);
-    BatchKernel::runChain(Chain, B, Survivors, SetRefs);
+    BatchKernel::runChain(Chain, spanOf(B), Survivors, SetRefs);
   }
   EXPECT_TRUE(std::all_of(SetRefs.begin(), SetRefs.end(),
                           [](uint64_t N) { return N == 0; }))
@@ -478,7 +489,7 @@ TEST(BatchKernelChain, LinksLeaveAndRejoinBetweenBatches) {
           for (Cache *C : Chain)
             (void)C->access(B.get(Row));
       } else {
-        BatchKernel::runChain(Chain, B, Survivors, SetRefs);
+        BatchKernel::runChain(Chain, spanOf(B), Survivors, SetRefs);
       }
       for (size_t K = 0; K != Links.size(); ++K)
         expectStateIdentical(Scalar[K], Links[K],
@@ -660,8 +671,8 @@ TEST(BatchBank, OneBlockSizeSweepSplitsIntoLanes) {
   }
 }
 
-// More workers than block sizes: the paper grid's five block sizes are
-// split into eight lanes (per-block statistics keep every cache solo).
+// More workers than block sizes: the paper grid's five block sizes, each
+// one 8-link chain with per-block statistics, are split into eight lanes.
 TEST(BatchBank, PaperGridWithBlockStatsOnMoreWorkersThanBlockSizes) {
   std::vector<Ref> Stream = randomStream(30000, /*Seed=*/67);
   CacheBank Bank;

@@ -13,12 +13,14 @@
 
 #include "gcache/core/Experiment.h"
 #include "gcache/memsys/CacheBank.h"
+#include "gcache/memsys/ShardPool.h"
 #include "gcache/support/Random.h"
 #include "gcache/trace/TraceFile.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -181,6 +183,46 @@ TEST(ParallelBank, SplitChainsMatchSerial) {
             << Threads << " threads";
     }
     EXPECT_TRUE(Parallel.auditAll().ok());
+  }
+}
+
+// While a bank has fewer lanes than workers, buildLanes halves whichever
+// holds more caches, the longest chain or the biggest group of solo
+// caches, and the solos on a tie. abl2's bank is one 64 B lane: an 8-link
+// chain beside 16 two- and four-way caches, which must not stay in one
+// lane while the chain is cut up.
+TEST(BuildLanes, HalvesTheLargerOfChainAndSoloGroup) {
+  std::vector<std::unique_ptr<Cache>> Caches;
+  std::vector<Cache *> Direct, Assoc;
+  for (uint32_t Size : paperCacheSizes())
+    for (uint32_t Ways : {1u, 2u, 4u}) {
+      Caches.push_back(std::make_unique<Cache>(
+          CacheConfig{.SizeBytes = Size, .BlockBytes = 64, .Ways = Ways}));
+      (Ways == 1 ? Direct : Assoc).push_back(Caches.back().get());
+    }
+  auto SolosFrom = [&](size_t Begin, size_t End) {
+    return std::vector<Cache *>(Assoc.begin() + Begin, Assoc.begin() + End);
+  };
+
+  // 2 workers: the chain with 8 solos, and the other 8 solos.
+  std::vector<Lane> Two = buildLanes(Caches, 2);
+  ASSERT_EQ(Two.size(), 2u);
+  ASSERT_EQ(Two[0].Chains.size(), 1u);
+  EXPECT_EQ(Two[0].Chains[0], Direct);
+  EXPECT_EQ(Two[0].Solos, SolosFrom(0, 8));
+  EXPECT_TRUE(Two[1].Chains.empty());
+  EXPECT_EQ(Two[1].Solos, SolosFrom(8, 16));
+
+  // 4 workers: the chain stays whole, and each lane holds 4 solos.
+  std::vector<Lane> Four = buildLanes(Caches, 4);
+  ASSERT_EQ(Four.size(), 4u);
+  ASSERT_EQ(Four[0].Chains.size(), 1u);
+  EXPECT_EQ(Four[0].Chains[0], Direct);
+  for (size_t I = 0; I != Four.size(); ++I) {
+    EXPECT_EQ(Four[I].Solos, SolosFrom(4 * I, 4 * I + 4)) << "lane " << I;
+    if (I != 0) {
+      EXPECT_TRUE(Four[I].Chains.empty()) << "lane " << I;
+    }
   }
 }
 

@@ -339,9 +339,9 @@ TEST(SpanSinks, CacheBankMatchesPerReferenceInlineAndThreaded) {
   }
 }
 
-// A cache picks its simulate instantiation once per span; with a shadow
-// oracle it goes through access per reference. All four shapes, under
-// both write-miss policies.
+// A cache walks each span one same-block run at a time
+// (BatchKernel::runSolo); with a shadow oracle it goes through access per
+// reference. All four shapes, under both write-miss policies.
 TEST(SpanSinks, CacheMatchesPerReferenceInEveryShape) {
   Stream St = randomStream(Seeds[1], StepsPerStream);
   for (uint32_t Ways : {1u, 2u})

@@ -99,17 +99,6 @@ TEST(TableFmt, FmtPercent) {
   EXPECT_EQ(fmtPercent(-0.012), "-1.20%");
 }
 
-TEST(RunningStats, Basic) {
-  RunningStats S;
-  S.add(1);
-  S.add(3);
-  S.add(2);
-  EXPECT_EQ(S.count(), 3u);
-  EXPECT_DOUBLE_EQ(S.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(S.min(), 1.0);
-  EXPECT_DOUBLE_EQ(S.max(), 3.0);
-}
-
 TEST(Log2Histogram, BucketsAndCumulative) {
   Log2Histogram H;
   H.add(0);
