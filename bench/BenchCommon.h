@@ -26,12 +26,13 @@
 ///                per-phase invariant checks at the begin boundary and
 ///                every step boundary of every collection cycle
 ///                (heap/GcCertifier.h; still peek-only)
-///   --crosscheck[=N] run a shadow oracle cache in lockstep with every
+///   --crosscheck run a shadow oracle cache in lockstep with every
 ///                simulated cache, the bank's and those a binary feeds
-///                itself, comparing hit classes every N refs (bare flag =
-///                every ref) and deep-comparing contents at GC boundaries
-///                and end of run; divergence fails the unit with a
-///                structured report (memsys/OracleCache.h)
+///                itself, each on the path a plain run takes: counters
+///                are compared after every batch, span and reference the
+///                cache simulates, contents at GC boundaries and end of
+///                run; divergence fails the unit with a structured report
+///                (memsys/OracleCache.h)
 ///   --audit      check conservation laws (refs delivered == refs
 ///                counted everywhere, per-block sums == global counters,
 ///                write-policy laws) at every GC boundary and at end of
@@ -56,14 +57,14 @@
 /// diagnostic and exits with status 2 instead of silently running with
 /// defaults. So are values that would parse into nonsense: a --scale that
 /// is not a positive finite number, a --workload that names none of the
-/// five programs, a boolean (--csv, --audit) other than bare, 1/true or
-/// 0/false, and an empty value (--scale=), which would read as absent.
+/// five programs, a boolean (--csv, --crosscheck, --audit) other than
+/// bare, 1/true or 0/false, and an empty value (--scale=), which would
+/// read as absent.
 /// So is a GCACHE_* environment variable that stands for no flag of the
 /// binary (GCACHE_ON_BUDGET, a misspelt GCACHE_SCAL), and any flag that
 /// takes a value given without one (a bare --scale, --max-refs or
 /// --workload), which would otherwise read as "1". Of the
-/// flags that take a value, only --paranoid and --crosscheck have a bare
-/// meaning.
+/// flags that take a value, only --paranoid has a bare meaning.
 ///
 /// Failure isolation: bench mains run each workload/configuration as a
 /// unit through BenchUnitRunner. A structured failure (injected fault,
@@ -100,7 +101,7 @@ struct BenchArgs {
   size_t BatchRefs = 0; ///< 0 = CacheBank::DefaultBatchRefs.
   bool Paranoid = false;
   bool ParanoidPhase = false;   ///< --paranoid=phase.
-  uint64_t CrossCheckEvery = 0; ///< 0 = off; 1 = every ref.
+  bool CrossCheck = false;
   bool Audit = false;
   std::string Workload;
   BudgetSpec Budget;
@@ -172,12 +173,7 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     std::exit(2);
   }
 
-  // A bare --crosscheck compares every reference; --crosscheck=N samples
-  // the comparison every N refs.
-  A.CrossCheckEvery =
-      A.Opts.isBare("crosscheck")
-          ? 1
-          : flagOrExit(A.Opts.getStrictUnsigned("crosscheck", 0));
+  A.CrossCheck = flagOrExit(A.Opts.getStrictBool("crosscheck", false));
   A.Audit = flagOrExit(A.Opts.getStrictBool("audit", false));
 
   // --fault falls back to GCACHE_FAULT via the Options env convention;
@@ -215,7 +211,7 @@ inline ExperimentOptions baseExperimentOptions(const BenchArgs &A) {
   Opts.BatchRefs = A.BatchRefs;
   Opts.Paranoid = A.Paranoid;
   Opts.ParanoidPhase = A.ParanoidPhase;
-  Opts.CrossCheckEvery = A.CrossCheckEvery;
+  Opts.CrossCheck = A.CrossCheck;
   Opts.Audit = A.Audit;
   return Opts;
 }

@@ -42,8 +42,8 @@ inline int localMissFigureMain(int Argc, char **Argv, const char *Id,
   Cache Sim(Config);
   // This cache rides as an extra sink, outside any bank, so the
   // validation flags are applied to it directly.
-  if (A.CrossCheckEvery)
-    Sim.enableCrossCheck(A.CrossCheckEvery);
+  if (A.CrossCheck)
+    Sim.enableCrossCheck();
 
   ExperimentOptions Opts = baseExperimentOptions(A);
   Opts.Grid = CacheGridKind::None;
@@ -54,7 +54,7 @@ inline int localMissFigureMain(int Argc, char **Argv, const char *Id,
     return Runner.finish();
   ProgramRun Run = R.take();
 
-  if (A.CrossCheckEvery)
+  if (A.CrossCheck)
     if (Status S = Sim.crossCheckNow(); !S.ok()) {
       Runner.recordFailure(Name + " crosscheck", S);
       return Runner.finish();

@@ -39,8 +39,8 @@ int main(int Argc, char **Argv) {
       }
     // The bank rides as an extra sink, outside runProgram's own bank, so
     // the thread count and the validation flags are applied to it directly.
-    if (A.CrossCheckEvery)
-      Bank->enableCrossCheck(A.CrossCheckEvery);
+    if (A.CrossCheck)
+      Bank->enableCrossCheck();
     Bank->setThreads(A.Threads, A.BatchRefs);
 
     ExperimentOptions Opts = baseExperimentOptions(A);

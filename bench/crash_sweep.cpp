@@ -85,7 +85,7 @@ int main(int Argc, char **Argv) {
     O.SemispaceBytes = *HeapBytes;
     O.Threads = A.Threads;
     O.EveryRefs = *EveryRefs;
-    O.CrosscheckEvery = A.CrossCheckEvery;
+    O.CrossCheck = A.CrossCheck;
     O.Audit = A.Audit;
     O.MaxCuts = *MaxCuts;
     Expected<CrashSweepResult> R = runCrashSweep(O);

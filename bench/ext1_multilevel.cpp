@@ -48,11 +48,11 @@ int main(int Argc, char **Argv) {
     Cache Single64kb({.SizeBytes = 64 << 10, .BlockBytes = 32});
     // These ride as extra sinks, outside any bank, so the validation
     // flags are applied directly.
-    if (A.CrossCheckEvery) {
+    if (A.CrossCheck) {
       for (auto &L : Levels)
-        L->enableCrossCheck(A.CrossCheckEvery);
-      Single1mb.enableCrossCheck(A.CrossCheckEvery);
-      Single64kb.enableCrossCheck(A.CrossCheckEvery);
+        L->enableCrossCheck();
+      Single1mb.enableCrossCheck();
+      Single64kb.enableCrossCheck();
     }
 
     ExperimentOptions O = baseExperimentOptions(A);
@@ -67,16 +67,16 @@ int main(int Argc, char **Argv) {
       continue;
     ProgramRun Run = R.take();
 
-    if (A.CrossCheckEvery || A.Audit) {
+    if (A.CrossCheck || A.Audit) {
       Status V;
       for (auto &L : Levels) {
-        if (A.CrossCheckEvery && V.ok())
+        if (A.CrossCheck && V.ok())
           V = L->crossCheckNow();
         if (A.Audit && V.ok())
           V = L->auditState();
       }
       for (const Cache *Single : {&Single1mb, &Single64kb}) {
-        if (A.CrossCheckEvery && V.ok())
+        if (A.CrossCheck && V.ok())
           V = Single->crossCheckNow();
         if (A.Audit && V.ok())
           V = Single->auditState();

@@ -46,8 +46,8 @@ int main(int Argc, char **Argv) {
       Cache Sim({.SizeBytes = 64 << 10, .BlockBytes = 64});
       // The cache rides as an extra sink, outside any bank, so the
       // validation flags are applied to it directly.
-      if (A.CrossCheckEvery)
-        Sim.enableCrossCheck(A.CrossCheckEvery);
+      if (A.CrossCheck)
+        Sim.enableCrossCheck();
       ExperimentOptions O = baseExperimentOptions(A);
       O.Grid = CacheGridKind::None;
       O.LayoutSeed = S == 0 ? 0 : static_cast<uint64_t>(S) * 7919;

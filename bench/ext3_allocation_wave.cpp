@@ -71,8 +71,8 @@ int main(int Argc, char **Argv) {
       Cache Sim({.SizeBytes = 64 << 10, .BlockBytes = 64});
       // The cache rides as an extra sink, outside any bank, so the
       // validation flags are applied to it directly.
-      if (A.CrossCheckEvery)
-        Sim.enableCrossCheck(A.CrossCheckEvery);
+      if (A.CrossCheck)
+        Sim.enableCrossCheck();
       ExperimentOptions O = Ctrl;
       O.Gc = Kind;
       O.SemispaceBytes = Semi; // mark-sweep heap = 2x this: same budget

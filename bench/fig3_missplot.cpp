@@ -32,8 +32,8 @@ int main(int Argc, char **Argv) {
   MissPlot Plot(Config);
   // The plot's cache rides as an extra sink, outside any bank, so the
   // validation flags are applied to it directly.
-  if (A.CrossCheckEvery)
-    Plot.enableCrossCheck(A.CrossCheckEvery);
+  if (A.CrossCheck)
+    Plot.enableCrossCheck();
 
   ExperimentOptions Opts = baseExperimentOptions(A);
   Opts.Grid = CacheGridKind::None;
@@ -44,7 +44,7 @@ int main(int Argc, char **Argv) {
     return Runner.finish();
   ProgramRun Run = R.take();
 
-  if (A.CrossCheckEvery)
+  if (A.CrossCheck)
     if (Status S = Plot.cache().crossCheckNow(); !S.ok()) {
       Runner.recordFailure(Name + " crosscheck", S);
       return Runner.finish();

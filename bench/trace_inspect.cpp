@@ -181,8 +181,8 @@ int main(int Argc, char **Argv) {
 
   CacheBank Bank;
   Bank.addConfig(Cfg);
-  if (A.CrossCheckEvery)
-    Bank.enableCrossCheck(A.CrossCheckEvery);
+  if (A.CrossCheck)
+    Bank.enableCrossCheck();
   Bank.setThreads(A.Threads, A.BatchRefs);
   CountingSink Counts;
 

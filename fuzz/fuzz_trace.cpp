@@ -46,7 +46,7 @@ bool sameCounters(const Cache &A, const Cache &B, Phase P) {
 /// checks the model invariants afterwards.
 void replayChecked(TraceStream &S) {
   Cache C(FuzzCacheConfig);
-  C.enableCrossCheck(1);
+  C.enableCrossCheck();
   TraceRecord Rec;
   uint64_t Seen = 0;
   while (S.next(Rec)) {

@@ -45,9 +45,7 @@ public:
   uint32_t refsPerColumn() const { return RefsPerColumn; }
 
   /// Attaches a shadow oracle to the owned cache (--crosscheck).
-  void enableCrossCheck(uint64_t CompareEvery = 1) {
-    Sim.enableCrossCheck(CompareEvery);
-  }
+  void enableCrossCheck() { Sim.enableCrossCheck(); }
 
   /// Whether any miss hit (column, cache block).
   bool missedAt(uint64_t Column, uint32_t Block) const;

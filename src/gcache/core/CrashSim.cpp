@@ -34,8 +34,8 @@ void buildBank(CacheBank &Bank, const CrashSweepOptions &Opts) {
   Bank.addConfig(A);
   CacheConfig B; // Defaults: 64K / 64B.
   Bank.addConfig(B);
-  if (Opts.CrosscheckEvery)
-    Bank.enableCrossCheck(Opts.CrosscheckEvery);
+  if (Opts.CrossCheck)
+    Bank.enableCrossCheck();
   Bank.setThreads(Opts.Threads);
 }
 

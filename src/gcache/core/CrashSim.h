@@ -52,7 +52,7 @@ struct CrashSweepOptions {
   uint32_t SemispaceBytes = 64 << 10;
   unsigned Threads = 0;         ///< Cache-bank workers (0 = serial).
   uint64_t EveryRefs = 5000;    ///< Periodic checkpoint cadence (records).
-  uint64_t CrosscheckEvery = 0; ///< Shadow-oracle cadence (0 = off).
+  bool CrossCheck = false;      ///< Shadow oracles (--crosscheck).
   bool Audit = true;            ///< Conservation-law auditor on.
   /// Cap on tested crash points: 0 sweeps every mutating operation; a
   /// positive value tests that many points evenly spread over 1..N (CI

@@ -31,8 +31,8 @@ ProgramRun gcache::runProgram(const Workload &W,
     else if (Opts.Grid == CacheGridKind::SizeSweep)
       Bank->addSizeSweep(Prototype, 64);
   }
-  if (Opts.CrossCheckEvery)
-    Bank->enableCrossCheck(Opts.CrossCheckEvery);
+  if (Opts.CrossCheck)
+    Bank->enableCrossCheck();
   Bank->setThreads(Opts.Threads, Opts.BatchRefs);
 
   CountingSink Counts;
@@ -77,7 +77,7 @@ ProgramRun gcache::runProgram(const Workload &W,
     if (Opts.Audit)
       if (Status S = Auditor.finalCheck("cancel-drain"); !S.ok())
         throw StatusError(std::move(S));
-    if (Opts.CrossCheckEvery)
+    if (Opts.CrossCheck)
       if (Status S = Bank->crossCheckNow(); !S.ok())
         throw StatusError(std::move(S));
     Run.Outcome = outcomeForReason(cancelToken().reason());
@@ -93,7 +93,7 @@ ProgramRun gcache::runProgram(const Workload &W,
     if (Opts.Audit)
       if (Status S = Auditor.finalCheck(); !S.ok())
         throw StatusError(std::move(S));
-    if (Opts.CrossCheckEvery)
+    if (Opts.CrossCheck)
       if (Status S = Bank->crossCheckNow(); !S.ok())
         throw StatusError(std::move(S));
     Run.Coverage = 1.0;

@@ -75,12 +75,12 @@ struct ExperimentOptions {
   /// GcCertifier (heap/GcCertifier.h) at the begin boundary and every
   /// step boundary of every collection cycle. Peek-only as well.
   bool ParanoidPhase = false;
-  /// Nonzero enables --crosscheck: every cache runs a shadow OracleCache
-  /// in lockstep, comparing hit classes every N references (1 = every
-  /// reference) and deep-comparing contents at GC boundaries and end of
-  /// run. Divergence raises StatusError(Divergence). The simulated
-  /// counters are unaffected — the oracle only watches.
-  uint64_t CrossCheckEvery = 0;
+  /// --crosscheck: every cache runs a shadow OracleCache in lockstep on
+  /// its own path, comparing counters after every batch and
+  /// deep-comparing contents at GC boundaries and end of run. Divergence
+  /// raises StatusError(Divergence). The simulated counters are
+  /// unaffected — the oracle only watches.
+  bool CrossCheck = false;
   /// --audit: run the conservation-law auditor (core/Audit.h) at every GC
   /// boundary and at end of run; violations raise
   /// StatusError(AuditFailure).

@@ -10,9 +10,7 @@
 
 using namespace gcache;
 
-bool BatchKernel::chainable(const Cache &C) {
-  return C.config().Ways == 1 && !C.crossCheckEnabled();
-}
+bool BatchKernel::chainable(const Cache &C) { return C.config().Ways == 1; }
 
 bool BatchKernel::sameChain(const Cache &A, const Cache &B) {
   const CacheConfig &X = A.config(), &Y = B.config();
@@ -40,6 +38,9 @@ void BatchKernel::runChain(std::span<Cache *const> Links,
   runPhases<true>(Links, Batch, Survivors.data(), Refs);
   if (PerBlock)
     foldSetRefs(Links, Refs);
+  for (Cache *C : Links)
+    if (C->Shadow)
+      C->checkShadow(Batch);
 }
 
 void BatchKernel::runSolo(Cache &C, const RefSpan &S) {
@@ -48,6 +49,8 @@ void BatchKernel::runSolo(Cache &C, const RefSpan &S) {
     runPhases<true>(Self, S, nullptr, C.BlockRefs);
   else
     runPhases<false>(Self, S, nullptr, C.BlockRefs);
+  if (C.Shadow)
+    C.checkShadow(S);
 }
 
 template <bool DirectMapped>

@@ -29,7 +29,9 @@
 /// one batch to the next. tests/test_batch_kernel.cpp holds the
 /// differential proof against both Cache::access and OracleCache, over
 /// chains at every paper block size and over Cache::onRefs across the
-/// write-miss x associativity x per-block x block-size matrix.
+/// write-miss x associativity x per-block x block-size matrix. A
+/// cross-checked cache runs these same paths, and its shadow oracle takes
+/// each batch or span before they return (Cache::enableCrossCheck).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,8 +71,7 @@ struct ChainRun {
 /// Stateless entry points of the span walker and the inclusion chains.
 class BatchKernel {
 public:
-  /// True when \p C can be a link of a chain: direct-mapped, no shadow
-  /// oracle attached.
+  /// True when \p C can be a link of a chain: direct-mapped.
   static bool chainable(const Cache &C);
 
   /// True when chainable caches \p A and \p B may share one chain: the
@@ -80,7 +81,8 @@ public:
   /// Simulates \p Batch against an inclusion chain: \p Links are
   /// chainable caches sharing one chain (sameChain), in ascending size.
   /// Each link ends bit-identical to Cache::access fed the batch alone,
-  /// per-block statistics included.
+  /// per-block statistics included. A link with a shadow oracle then
+  /// feeds it the whole batch, skipped runs included.
   ///
   /// Direct-mapped caches of one block size with bit-selection indexing
   /// nest: a block resident in a smaller cache is resident in every
@@ -109,10 +111,11 @@ public:
                        std::vector<ChainRun> &Survivors,
                        std::vector<uint64_t> &SetRefs);
 
-  /// Simulates \p S against \p C alone (Cache::onRefs; \p C has no
-  /// shadow oracle): the walker of a chain's first link with no survivor
-  /// output. A cache on its own is its own largest link, so its BlockRefs
-  /// are the walker's per-set histogram and nothing is folded.
+  /// Simulates \p S against \p C alone (Cache::onRefs): the walker of a
+  /// chain's first link with no survivor output. A cache on its own is
+  /// its own largest link, so its BlockRefs are the walker's per-set
+  /// histogram and nothing is folded. A shadow oracle is checked as in
+  /// runChain.
   static void runSolo(Cache &C, const RefSpan &S);
 
 private:

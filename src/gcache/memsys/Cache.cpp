@@ -47,6 +47,7 @@ void Cache::reset() {
   }
   if (Shadow)
     Shadow->reset();
+  ShadowRefs = 0;
 }
 
 template <bool DirectMapped, bool PerBlock>
@@ -126,14 +127,7 @@ template <bool DirectMapped, bool PerBlock>
   return AccessResult::FetchMiss;
 }
 
-void Cache::onRefs(const RefSpan &S) {
-  if (Shadow) {
-    for (size_t I = 0; I != S.size(); ++I)
-      (void)access(S[I]);
-    return;
-  }
-  BatchKernel::runSolo(*this, S);
-}
+void Cache::onRefs(const RefSpan &S) { BatchKernel::runSolo(*this, S); }
 
 AccessResult Cache::access(const Ref &R) {
   AccessResult Got;
@@ -151,12 +145,11 @@ AccessResult Cache::access(const Ref &R) {
     Got = simulate<true, true>(R);
   }
   if (Shadow) {
-    // The oracle must see every reference to stay coherent; CompareEvery
-    // only thins how often the two verdicts are compared.
-    AccessResult Want = Shadow->access(R);
+    // Counters that agree after every reference agree on its outcome.
+    (void)Shadow->access(R);
     ++ShadowRefs;
-    if ((CompareEvery <= 1 || ShadowRefs % CompareEvery == 0) && Want != Got)
-      reportDivergence(R, Want, Got);
+    if (Status S = compareWithShadow(/*Contents=*/false); !S.ok())
+      throw StatusError(std::move(S));
   }
   return Got;
 }
@@ -335,9 +328,8 @@ void Cache::loadState(SnapshotCursor &C) {
 // Self-validation: shadow oracle and state audit
 //===----------------------------------------------------------------------===//
 
-void Cache::enableCrossCheck(uint64_t Every) {
+void Cache::enableCrossCheck() {
   Shadow = std::make_unique<OracleCache>(Config);
-  CompareEvery = Every ? Every : 1;
   ShadowRefs = 0;
   resyncShadow();
 }
@@ -385,23 +377,49 @@ std::string Cache::dumpSet(uint32_t SetIdx) const {
   return Out;
 }
 
-void Cache::reportDivergence(const Ref &R, AccessResult Want,
-                             AccessResult Got) const {
-  uint32_t SetIdx = setIndexOf(R.Addr);
-  throwStatus(StatusCode::Divergence,
-              "%s: ref %llu (%s %s of 0x%x): oracle says %s, cache says %s\n"
-              "  cache:  %s\n  oracle: %s",
-              Config.label().c_str(),
-              static_cast<unsigned long long>(ShadowRefs + 1),
-              R.ExecPhase == Phase::Mutator ? "mutator" : "collector",
-              R.Kind == AccessKind::Load ? "load" : "store", R.Addr,
-              accessResultName(Want), accessResultName(Got),
-              dumpSet(SetIdx).c_str(), Shadow->dumpSet(SetIdx).c_str());
+void Cache::checkShadow(const RefSpan &S) {
+  for (size_t I = 0; I != S.size(); ++I)
+    (void)Shadow->access(S[I]);
+  ShadowRefs += S.size();
+  if (Status St = compareWithShadow(/*Contents=*/false); !St.ok())
+    throw StatusError(std::move(St));
 }
 
-Status Cache::crossCheckNow() const {
-  if (!Shadow)
-    return Status();
+uint32_t Cache::firstDivergentSet() const {
+  // Each set must hold the same lines in the same recency order (which
+  // physical way a line occupies is unobservable).
+  for (uint32_t SetIdx = 0; SetIdx != Config.numSets(); ++SetIdx) {
+    const Line *Set = setBase(SetIdx);
+    std::vector<const Line *> Resident;
+    for (uint32_t W = 0; W != Config.Ways; ++W)
+      if (Set[W].ValidMask != 0)
+        Resident.push_back(&Set[W]);
+    std::sort(Resident.begin(), Resident.end(),
+              [](const Line *A, const Line *B) {
+                return A->LruStamp < B->LruStamp;
+              });
+    const std::vector<OracleCache::LineState> &Want = Shadow->set(SetIdx);
+    bool Match = Resident.size() == Want.size();
+    for (size_t I = 0; Match && I != Want.size(); ++I)
+      Match = Want[I] == OracleCache::LineState{Resident[I]->Tag,
+                                                Resident[I]->ValidMask,
+                                                Resident[I]->dirty()};
+    if (!Match)
+      return SetIdx;
+  }
+  return Config.numSets();
+}
+
+Status Cache::compareWithShadow(bool Contents) const {
+  const unsigned long long Refs = ShadowRefs;
+  // Both models' dumps of the first set that differs, if one does.
+  auto Dumps = [&] {
+    const uint32_t SetIdx = firstDivergentSet();
+    if (SetIdx == Config.numSets())
+      return std::string();
+    return "\n  cache:  " + dumpSet(SetIdx) +
+           "\n  oracle: " + Shadow->dumpSet(SetIdx);
+  };
   // Counters first: a divergence in the totals is the report the paper's
   // figures would have inherited.
   for (unsigned P = 0; P != 2; ++P) {
@@ -422,40 +440,23 @@ Status Cache::crossCheckNow() const {
       if (F.Got != F.Want)
         return Status::failf(
             StatusCode::Divergence,
-            "%s: %s %s: cache %llu, oracle %llu (after %llu refs)",
+            "%s: %s %s: cache %llu, oracle %llu (after %llu refs)%s",
             Config.label().c_str(), Name, F.Field,
             static_cast<unsigned long long>(F.Got),
-            static_cast<unsigned long long>(F.Want),
-            static_cast<unsigned long long>(ShadowRefs));
+            static_cast<unsigned long long>(F.Want), Refs, Dumps().c_str());
   }
-  // Then the contents: each set must hold the same lines in the same
-  // recency order (which physical way a line occupies is unobservable).
-  for (uint32_t SetIdx = 0; SetIdx != Config.numSets(); ++SetIdx) {
-    const Line *Set = setBase(SetIdx);
-    std::vector<const Line *> Resident;
-    for (uint32_t W = 0; W != Config.Ways; ++W)
-      if (Set[W].ValidMask != 0)
-        Resident.push_back(&Set[W]);
-    std::sort(Resident.begin(), Resident.end(),
-              [](const Line *A, const Line *B) {
-                return A->LruStamp < B->LruStamp;
-              });
-    const std::vector<OracleCache::LineState> &Want = Shadow->set(SetIdx);
-    bool Match = Resident.size() == Want.size();
-    for (size_t I = 0; Match && I != Want.size(); ++I)
-      Match = Want[I] == OracleCache::LineState{Resident[I]->Tag,
-                                                Resident[I]->ValidMask,
-                                                Resident[I]->dirty()};
-    if (!Match)
-      return Status::failf(StatusCode::Divergence,
-                           "%s: set contents diverge after %llu refs\n"
-                           "  cache:  %s\n  oracle: %s",
-                           Config.label().c_str(),
-                           static_cast<unsigned long long>(ShadowRefs),
-                           dumpSet(SetIdx).c_str(),
-                           Shadow->dumpSet(SetIdx).c_str());
-  }
-  return Status();
+  if (!Contents)
+    return Status();
+  const std::string Sets = Dumps();
+  if (Sets.empty())
+    return Status();
+  return Status::failf(StatusCode::Divergence,
+                       "%s: set contents diverge after %llu refs%s",
+                       Config.label().c_str(), Refs, Sets.c_str());
+}
+
+Status Cache::crossCheckNow() const {
+  return Shadow ? compareWithShadow(/*Contents=*/true) : Status();
 }
 
 Status Cache::auditState() const {

@@ -31,13 +31,15 @@
 /// reference is still counted in the larger cache's per-block
 /// statistics: a chain folds the per-set reference counts of each batch
 /// into every link. A span reaches any other cache through onRefs: every
-/// cache outside the bank, and the bank's associative and cross-checked
-/// caches. onRefs runs the walker of a chain's first link over it, one
-/// same-block run at a time (BatchKernel::runSolo), unless a shadow
-/// oracle is attached; then each reference goes through access, whose
-/// per-reference body, simulate, is also the reference every span path
-/// is tested against. Only associative caches keep LRU stamps and a
-/// clock; no direct-mapped victim choice reads them.
+/// cache outside the bank, and the bank's associative caches. onRefs runs
+/// the walker of a chain's first link over it, one same-block run at a
+/// time (BatchKernel::runSolo). access, whose per-reference body is
+/// simulate, is the reference every span path is tested against. A
+/// cross-checked cache keeps its path: after each chain batch, each span
+/// and each access, its shadow oracle takes the references the cache has
+/// just simulated, and the two models' counters must agree. Only
+/// associative caches keep LRU stamps and a clock; no direct-mapped
+/// victim choice reads them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,18 +106,16 @@ public:
   ~Cache() override;
 
   /// Simulates one reference and returns its outcome. With a shadow oracle
-  /// attached (enableCrossCheck), the reference is also simulated by the
-  /// oracle and a hit-class disagreement raises StatusError(Divergence)
-  /// with a structured report (ref index, address, expected vs. actual
-  /// class, both models' set state).
+  /// attached (enableCrossCheck), the oracle then takes the reference too
+  /// and the two models' counters must agree.
   AccessResult access(const Ref &R);
 
   /// TraceSink entry point: simulate and discard the outcome.
   void onRef(const Ref &R) override { (void)access(R); }
   /// Simulates a span one same-block run at a time
-  /// (BatchKernel::runSolo); with a shadow oracle, each reference goes
-  /// through access. This is also how the bank runs an associative or
-  /// cross-checked cache (memsys/ShardPool.h).
+  /// (BatchKernel::runSolo), then checks it against a shadow oracle as
+  /// access does. This is also how the bank runs an associative cache
+  /// (memsys/ShardPool.h).
   void onRefs(const RefSpan &S) override;
 
   /// Resets contents and statistics to the post-construction state.
@@ -156,19 +156,19 @@ public:
 
   //===--- Self-validation (--crosscheck / --audit) ----------------------===//
 
-  /// Attaches a shadow OracleCache (memsys/OracleCache.h) that re-simulates
-  /// every reference independently. Hit classes are compared every
-  /// \p CompareEvery references (1 = every reference; sampling only thins
-  /// the comparisons — the oracle itself must see every reference to stay
-  /// coherent). The shadow is synchronized to the current contents, so it
-  /// may be attached to a warm cache.
-  void enableCrossCheck(uint64_t CompareEvery = 1);
+  /// Attaches a shadow OracleCache (memsys/OracleCache.h). Wherever this
+  /// cache simulates references (access, onRefs, a chain batch), the
+  /// oracle then takes them too, and every counter of both phases must
+  /// agree, else StatusError(Divergence) (compareWithShadow). The shadow
+  /// is synchronized to the current contents, so it may be attached to a
+  /// warm cache.
+  void enableCrossCheck();
   bool crossCheckEnabled() const { return Shadow != nullptr; }
 
-  /// Deep comparison against the shadow: full set-by-set contents in LRU
-  /// order plus every counter of both phases. Called at flush points and
-  /// GC boundaries (CacheBank::flush) and at end of run. Ok when no shadow
-  /// is attached.
+  /// Deep comparison against the shadow: every counter of both phases,
+  /// then full set-by-set contents in LRU order. Called at flush points
+  /// and GC boundaries (CacheBank::flush) and at end of run. Ok when no
+  /// shadow is attached.
   Status crossCheckNow() const;
 
   /// Internal-consistency audit: LRU stamps unique and bounded by the
@@ -189,7 +189,8 @@ public:
 
 private:
   friend class CacheTestPeer; ///< Mutation tests corrupt state on purpose.
-  friend class BatchKernel;   ///< The span walker mirrors simulate().
+  /// The span walker mirrors simulate() and feeds the shadow oracle.
+  friend class BatchKernel;
 
   struct Line {
     uint32_t Tag = 0;
@@ -227,8 +228,15 @@ private:
   /// the walker (BatchKernel) share it.
   Line *findWay(uint32_t SetIdx, uint32_t Tag, Line *&Victim);
   void resyncShadow();
-  [[noreturn]] void reportDivergence(const Ref &R, AccessResult Want,
-                                     AccessResult Got) const;
+  /// Feeds the shadow \p S, which this cache has just simulated, and
+  /// throws StatusError(Divergence) unless the counters agree.
+  void checkShadow(const RefSpan &S);
+  /// The first disagreement with the shadow, or Ok: a counter, reported
+  /// with both models' dumps of the first set whose contents differ, or
+  /// (with \p Contents) such a set.
+  Status compareWithShadow(bool Contents) const;
+  /// The first set whose contents differ from the shadow's, or numSets().
+  uint32_t firstDivergentSet() const;
   std::string dumpSet(uint32_t SetIdx) const;
 
   CacheConfig Config;
@@ -244,8 +252,8 @@ private:
   std::vector<uint64_t> BlockMisses;
   std::vector<uint64_t> BlockFetchMisses;
   std::unique_ptr<OracleCache> Shadow; ///< Null unless cross-checking.
-  uint64_t CompareEvery = 1;
-  uint64_t ShadowRefs = 0; ///< References seen since the shadow attached.
+  /// References the shadow took since it attached or the cache was reset.
+  uint64_t ShadowRefs = 0;
 };
 
 [[gnu::always_inline]] inline Cache::Line *

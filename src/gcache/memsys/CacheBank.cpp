@@ -19,18 +19,17 @@ CacheBank::~CacheBank() {
 
 size_t CacheBank::addConfig(const CacheConfig &Config) {
   Caches.push_back(std::make_unique<Cache>(Config));
-  if (CrossCheckEvery)
-    Caches.back()->enableCrossCheck(CrossCheckEvery);
+  if (CrossCheck)
+    Caches.back()->enableCrossCheck();
   rebuild(); // Drains what was fed before through the old lanes.
   return Caches.size() - 1;
 }
 
-void CacheBank::enableCrossCheck(uint64_t CompareEvery) {
+void CacheBank::enableCrossCheck() {
   drain();
-  CrossCheckEvery = CompareEvery ? CompareEvery : 1;
+  CrossCheck = true;
   for (auto &C : Caches)
-    C->enableCrossCheck(CrossCheckEvery);
-  rebuild();
+    C->enableCrossCheck();
 }
 
 Status CacheBank::crossCheckNow() const {
@@ -130,9 +129,9 @@ void CacheBank::drain() const {
 
 void CacheBank::flush() {
   drain();
-  // Per-access checks catch hit-class divergence; this deep comparison at
-  // flush points catches silent state or counter drift.
-  if (CrossCheckEvery)
+  // Each batch checks the counters; this deep comparison at flush points
+  // also catches state drift that no counter shows yet.
+  if (CrossCheck)
     if (Status S = crossCheckNow(); !S.ok())
       throw StatusError(std::move(S));
 }

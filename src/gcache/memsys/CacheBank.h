@@ -23,10 +23,11 @@
 /// inclusion chains, smallest first, in which a larger cache skips the
 /// references a smaller one proves are no-ops for it (the skipped
 /// references still reach its per-block reference counts); its
-/// associative and cross-checked caches run solo, each taking the whole
-/// batch through Cache::onRefs. A chain's first link and a solo cache run
-/// one walker (memsys/BatchKernel.h). Without threads, publishing a batch
-/// runs every lane inline; setThreads(N) hands the lanes to N workers.
+/// associative caches run solo, each taking the whole batch through
+/// Cache::onRefs. A chain's first link and a solo cache run one walker
+/// (memsys/BatchKernel.h), with or without a shadow oracle attached
+/// (enableCrossCheck). Without threads, publishing a batch runs every
+/// lane inline; setThreads(N) hands the lanes to N workers.
 /// Each lane consumes the batches in order, so every counter is
 /// bit-identical at any thread count and batch size
 /// (tests/test_parallel_bank.cpp). Reading a cache (cache(), find())
@@ -85,13 +86,13 @@ public:
   unsigned threads() const { return Pool ? Pool->threads() : 0; }
 
   /// Attaches a shadow oracle to every cache in the bank (--crosscheck),
-  /// including ones added by later addConfig calls. Hit classes are
-  /// compared every \p CompareEvery references; flush points additionally
-  /// deep-compare full contents and counters (crossCheckNow), throwing
-  /// StatusError(Divergence) on mismatch. Drains the bank and rebuilds its
-  /// lanes (cross-checked caches run solo); callable at any time.
-  void enableCrossCheck(uint64_t CompareEvery = 1);
-  bool crossCheckEnabled() const { return CrossCheckEvery != 0; }
+  /// including ones added by later addConfig calls. Each cache's counters
+  /// are compared with its oracle's after every batch
+  /// (Cache::enableCrossCheck); flush points additionally deep-compare
+  /// full contents (crossCheckNow), throwing StatusError(Divergence) on
+  /// mismatch. Drains the bank; the lanes stay as they are. Callable at
+  /// any time.
+  void enableCrossCheck();
 
   /// First failing deep comparison across the bank, or Ok. flush() calls
   /// it; other callers should drain first.
@@ -167,7 +168,7 @@ private:
   mutable RefColumns Pending;
   size_t BatchRefs = DefaultBatchRefs;
   unsigned ThreadsWanted = 0;
-  uint64_t CrossCheckEvery = 0; ///< 0 = cross-checking off.
+  bool CrossCheck = false;
 };
 
 } // namespace gcache

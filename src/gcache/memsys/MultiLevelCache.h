@@ -70,9 +70,9 @@ public:
   /// Attaches shadow oracles to both levels (--crosscheck). The oracles
   /// follow each level's own reference stream (L2 sees only L1 fill
   /// loads), so the hierarchy's routing is validated as well.
-  void enableCrossCheck(uint64_t CompareEvery = 1) {
-    L1.enableCrossCheck(CompareEvery);
-    L2.enableCrossCheck(CompareEvery);
+  void enableCrossCheck() {
+    L1.enableCrossCheck();
+    L2.enableCrossCheck();
   }
 
   /// Deep comparison of both levels against their oracles, plus the

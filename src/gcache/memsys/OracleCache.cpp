@@ -7,18 +7,6 @@
 
 using namespace gcache;
 
-const char *gcache::accessResultName(AccessResult R) {
-  switch (R) {
-  case AccessResult::Hit:
-    return "hit";
-  case AccessResult::FetchMiss:
-    return "fetch-miss";
-  case AccessResult::NoFetchWriteMiss:
-    return "no-fetch-write-miss";
-  }
-  return "unknown";
-}
-
 OracleCache::OracleCache(const CacheConfig &Config) : Config(Config) {
   assert(Config.isValid() && "invalid cache geometry");
   NumSets = Config.numSets();

@@ -16,9 +16,12 @@
 ///
 /// The paper's conclusions are pure counter arithmetic over this model
 /// (fetch vs. no-fetch misses per phase), so running the oracle in
-/// lockstep against every optimized path — threaded CacheBank lanes,
-/// checkpoint-restored state, the multi-level hierarchy — turns a silent
-/// counter bug into an immediate, attributable divergence report.
+/// lockstep against every optimized path — inclusion chains and the span
+/// walker (BatchKernel), threaded CacheBank lanes, checkpoint-restored
+/// state, the multi-level hierarchy — turns a silent counter bug into an
+/// immediate, attributable divergence report. A cross-checked cache
+/// keeps its path and feeds its oracle the references that path has just
+/// simulated (Cache::enableCrossCheck).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,10 +34,6 @@
 #include <vector>
 
 namespace gcache {
-
-/// Stable lower-case name of an access outcome ("hit", "fetch-miss",
-/// "no-fetch-write-miss") for divergence reports.
-const char *accessResultName(AccessResult R);
 
 /// The reference model. Not a TraceSink on purpose: it is only ever driven
 /// in lockstep by the model it shadows.

@@ -12,21 +12,8 @@ using namespace gcache;
 void Lane::run(const RefColumns &Batch) {
   const RefSpan All{Batch.Addr.data(), Batch.Kind.data(),
                     Batch.PhaseTag.data(), Batch.size()};
-  for (const std::vector<Cache *> &Chain : Chains) {
-    // Rechecked per batch: a link may gain a shadow oracle after
-    // buildLanes (through CacheBank::cache). Every link then takes the
-    // batch alone through Cache::onRefs; every path keeps the store
-    // masks, so the inclusion the chain relies on still holds when it
-    // rejoins.
-    if (std::all_of(Chain.begin(), Chain.end(), [](const Cache *C) {
-          return BatchKernel::chainable(*C);
-        })) {
-      BatchKernel::runChain(Chain, All, Survivors, SetRefs);
-    } else {
-      for (Cache *C : Chain)
-        C->onRefs(All);
-    }
-  }
+  for (const std::vector<Cache *> &Chain : Chains)
+    BatchKernel::runChain(Chain, All, Survivors, SetRefs);
   for (Cache *C : Solos)
     C->onRefs(All);
 }

@@ -11,12 +11,14 @@
 /// flag, smallest first (BatchKernel::runChain): a larger cache only
 /// simulates the runs a smaller one cannot prove to be no-ops, and
 /// per-block reference counts reach it through a histogram the first link
-/// fills. Every other cache of the lane (associative or cross-checked)
-/// runs solo: it takes the whole batch through Cache::onRefs, as a cache
-/// outside the bank takes a span. A chain's first link and a solo cache
-/// run the same walker (BatchKernel.h). While a bank has more workers
-/// than lanes, buildLanes halves the longest chain or the biggest group
-/// of solo caches, whichever holds more, into a lane of its own.
+/// fills. Every associative cache of the lane runs solo: it takes the
+/// whole batch through Cache::onRefs, as a cache outside the bank takes a
+/// span. A chain's first link and a solo cache run the same walker
+/// (BatchKernel.h). A cross-checked cache keeps its place; its shadow
+/// oracle checks it where runChain or runSolo returns. While a bank has
+/// more workers than lanes, buildLanes halves the longest chain or the
+/// biggest group of solo caches, whichever holds more, into a lane of its
+/// own.
 ///
 /// A bank without threads runs its lanes inline. A ShardPool runs them on
 /// N interchangeable workers: each batch is queued on every lane, and a

@@ -69,8 +69,8 @@ public:
   // batch of one reference or a checkpoint directory named "1". So is an
   // empty value (--scale=), which get() reads as absent. Numeric
   // values must parse in full. A flag whose bare form means something
-  // (--paranoid, --crosscheck) checks isBare() or reads get(); a boolean
-  // reads getStrictBool().
+  // (--paranoid) checks isBare() or reads get(); a boolean reads
+  // getStrictBool().
 
   /// The flag (or env) value; InvalidArgument if the flag is bare.
   Expected<std::string> getStrict(const std::string &Name,

@@ -24,7 +24,8 @@
 //  - CacheBank equivalence with standalone caches fed one reference at
 //    a time, inline and on lane workers (including more workers than
 //    block sizes), with --crosscheck and --audit semantics, and with a
-//    shadow oracle attached to one link of a chain mid-stream;
+//    shadow oracle attached to one link of a chain mid-stream, which
+//    must see the runs its chain skips;
 //  - checkpoint/resume kills at every batch flush boundary, resumed
 //    inline or threaded, finishing bit-identical to a clean replay.
 //
@@ -565,9 +566,11 @@ TEST(BatchKernelChain, ChainableScreensOutIneligibleCaches) {
   EXPECT_FALSE(BatchKernel::chainable(
       Cache({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 4,
              .WriteMiss = WriteMissPolicy::FetchOnWrite})));
+  // A shadow oracle rides the chain: it takes each batch where runChain
+  // returns.
   Cache CrossChecked({.SizeBytes = 1 << 10, .BlockBytes = 32});
-  CrossChecked.enableCrossCheck(1);
-  EXPECT_FALSE(BatchKernel::chainable(CrossChecked));
+  CrossChecked.enableCrossCheck();
+  EXPECT_TRUE(BatchKernel::chainable(CrossChecked));
 
   // One chain per block size, write-miss policy and per-block flag.
   Cache A({.SizeBytes = 1 << 10, .BlockBytes = 32});
@@ -706,7 +709,7 @@ TEST(BatchBank, ThreadedReadWithoutFlushSeesEveryReference) {
 TEST(BatchCrossCheck, CleanStreamPassesWithOraclesAttached) {
   CacheBank Bank;
   addMixedBank(Bank);
-  Bank.enableCrossCheck(1);
+  Bank.enableCrossCheck();
   Bank.setThreads(0, 1024);
   std::vector<Ref> Stream = randomStream(20000, /*Seed=*/31);
   feedWithGcBoundary(Bank, Stream); // flush deep-compares vs the oracles
@@ -719,9 +722,10 @@ TEST(BatchCrossCheck, CleanStreamPassesWithOraclesAttached) {
 }
 
 // CacheBank::cache hands out the cache itself, so a link of a chain can
-// gain a shadow oracle after the bank built its lanes. The lane then feeds
-// every link of that chain through Cache::onRefs, and every cache still
-// ends as standalone caches fed one reference at a time do.
+// gain a shadow oracle after the bank built its lanes. The link stays in
+// its chain, its oracle takes every batch where the chain returns, and
+// every cache still ends as standalone caches fed one reference at a time
+// do.
 TEST(BatchCrossCheck, OracleAttachedToAChainLinkMidStream) {
   std::vector<Ref> Stream =
       chainStream(40000, /*Seed=*/9, PhaseMix::Mixed, 256 << 10);
@@ -734,7 +738,7 @@ TEST(BatchCrossCheck, OracleAttachedToAChainLinkMidStream) {
     const size_t Half = Stream.size() / 2 + 123;
     for (size_t I = 0; I != Half; ++I)
       Bank.onRef(Stream[I]);
-    Bank.cache(2).enableCrossCheck(1);
+    Bank.cache(2).enableCrossCheck();
     for (size_t I = Half; I != Stream.size(); ++I)
       Bank.onRef(Stream[I]);
     Bank.flush(); // deep-compares the shadowed link with its oracle
@@ -746,14 +750,15 @@ TEST(BatchCrossCheck, OracleAttachedToAChainLinkMidStream) {
 TEST(BatchCrossCheck, CorruptedStateStillFiresInsideABatch) {
   const CacheConfig Cfg{.SizeBytes = 1 << 10, .BlockBytes = 32};
   Cache C(Cfg);
-  C.enableCrossCheck(1);
+  C.enableCrossCheck();
   std::vector<Ref> Warm = randomStream(2000, /*Seed=*/41);
-  runBatched(C, Warm, 256); // falls back to the per-ref oracle path
+  runBatched(C, Warm, 256); // the span walker, checked after every span
 
   // Corrupt a resident line's tag behind the oracle's back, then load a
   // valid word of that line's *original* block: the corrupted cache
-  // misses where the oracle hits, so Divergence must be raised from
-  // inside Cache::onRefs, exactly as the scalar path would raise it.
+  // misses where the oracle hits, so the counters differ and Divergence
+  // must be raised from inside Cache::onRefs, as the scalar path would
+  // raise it.
   const uint32_t NumSets = Cfg.SizeBytes / Cfg.BlockBytes; // direct-mapped
   size_t Idx = SIZE_MAX;
   for (size_t I = 0; I != CacheTestPeer::numLines(C); ++I)
@@ -775,6 +780,40 @@ TEST(BatchCrossCheck, CorruptedStateStillFiresInsideABatch) {
   RefColumns B;
   B.push_back(Poison);
   EXPECT_THROW(C.onRefs(spanOf(B)), StatusError);
+}
+
+// A chain's larger links never see the runs a smaller link proves to be
+// no-ops, and a cross-checked link keeps its chain, so its oracle must
+// take those runs too. Link 0 is made to claim block B all valid and all
+// stored, which link 1 does not hold: link 0 then proves a load of a word
+// link 1 never fetched to be a no-op, link 1 skips it, and link 1's
+// oracle counts the sub-block fetch miss link 1 missed.
+TEST(BatchCrossCheck, OracleSeesARunTheChainSkips) {
+  CacheBank Bank;
+  Bank.addSizeSweep(CacheConfig{}, 32);
+  Bank.cache(1).enableCrossCheck();
+  const Address B = 0x40000;
+  Bank.onRef({B, AccessKind::Store, Phase::Mutator}); // word 0 of B
+  Bank.flush();
+  Cache &Link0 = Bank.cache(0);
+  CacheTestPeer::Line &L =
+      CacheTestPeer::line(Link0, Link0.setIndexOf(B));
+  ASSERT_EQ(L.StoreMask, 1u);
+  L.ValidMask = L.StoreMask = 0xff; // all eight words of the 32 B block
+  Bank.onRef({B + 4, AccessKind::Load, Phase::Mutator}); // word 1 of B
+  try {
+    Bank.flush();
+    FAIL() << "link 1's oracle never saw the skipped load";
+  } catch (const StatusError &E) {
+    const std::string &Msg = E.status().message();
+    EXPECT_EQ(E.status().code(), StatusCode::Divergence) << Msg;
+    EXPECT_EQ(Msg.rfind("64kb/32b/direct/wv: mutator fetch-misses: cache 0, "
+                        "oracle 1 (after 2 refs)\n",
+                        0),
+              0u)
+        << Msg;
+    EXPECT_NE(Msg.find("\n  oracle: set "), std::string::npos) << Msg;
+  }
 }
 
 //===----------------------------------------------------------------------===//

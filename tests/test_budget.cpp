@@ -301,7 +301,7 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBadBudgetFlags) {
 // A bare valued flag would parse as "1" — a one-reference batch, one
 // worker, scale 1, a one-reference or one-byte budget, a one-second
 // deadline, a workload named "1" — so it exits 2 naming the flag. A bare
-// --crosscheck keeps its documented meaning: compare every reference.
+// --crosscheck is a boolean switched on.
 // The checkpoint, resume and supervision flags and --on-budget are not
 // shared flags at all: each is an unknown flag (trace_inspect declares
 // the checkpoint ones itself).
@@ -365,8 +365,9 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnUnknownEnvVariables) {
 // A value that would parse into a silent nonsense run exits 2 naming its
 // flag: a workload that is none of the five programs (an empty table), a
 // scale that is not a positive finite number (a table at scale -1), a
-// boolean other than bare, 1/true or 0/false (--csv=maybe read as true),
-// and an empty value.
+// boolean other than bare, 1/true or 0/false (--csv=maybe read as true,
+// --crosscheck=1024 read as a sampling rate the flag does not take), and an
+// empty value.
 TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnNonsenseValues) {
   GovernanceReset Guard;
   testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -380,6 +381,8 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnNonsenseValues) {
               "--csv takes no value, 1/true or 0/false, got 'maybe'");
   EXPECT_EXIT(parseFlags({"--audit=yes"}), testing::ExitedWithCode(2),
               "--audit takes no value");
+  EXPECT_EXIT(parseFlags({"--crosscheck=1024"}), testing::ExitedWithCode(2),
+              "--crosscheck takes no value, 1/true or 0/false, got '1024'");
   EXPECT_EXIT(parseFlags({"--csv="}), testing::ExitedWithCode(2),
               "--csv takes no value");
   // An empty value would read as the flag's absence: the default scale,

@@ -226,6 +226,29 @@ TEST(BuildLanes, HalvesTheLargerOfChainAndSoloGroup) {
   }
 }
 
+// A cross-checked cache keeps its place in the lanes: its shadow oracle
+// checks it where the chain or the walker returns. A cross-checked 64 B
+// size sweep beside a 2-way cache is still one 8-link chain and one solo.
+TEST(BuildLanes, CrossCheckedCachesKeepTheirLanes) {
+  std::vector<std::unique_ptr<Cache>> Caches;
+  std::vector<Cache *> Direct;
+  for (uint32_t Size : paperCacheSizes()) {
+    Caches.push_back(std::make_unique<Cache>(
+        CacheConfig{.SizeBytes = Size, .BlockBytes = 64}));
+    Direct.push_back(Caches.back().get());
+  }
+  Caches.push_back(std::make_unique<Cache>(
+      CacheConfig{.SizeBytes = 64 << 10, .BlockBytes = 64, .Ways = 2}));
+  for (const std::unique_ptr<Cache> &C : Caches)
+    C->enableCrossCheck();
+
+  std::vector<Lane> Lanes = buildLanes(Caches, 0);
+  ASSERT_EQ(Lanes.size(), 1u);
+  ASSERT_EQ(Lanes[0].Chains.size(), 1u);
+  EXPECT_EQ(Lanes[0].Chains[0], Direct);
+  EXPECT_EQ(Lanes[0].Solos, std::vector<Cache *>{Caches.back().get()});
+}
+
 // Feeding the banks directly (no trace file) with flushes at arbitrary
 // offsets — including mid-batch — must also be equivalent: flush() only
 // synchronizes, it never drops or duplicates work.
@@ -336,7 +359,7 @@ TEST(ParallelBank, ConfigsAddedAfterSetThreadsAreSimulated) {
   CacheBank Serial;
   Serial.addConfig(CacheConfig{.SizeBytes = 32 << 10, .BlockBytes = 32});
   Serial.addConfig(CacheConfig{.SizeBytes = 64 << 10});
-  Serial.enableCrossCheck(1);
+  Serial.enableCrossCheck();
   for (const Ref &R : Stream)
     Serial.onRef(R);
 
@@ -344,7 +367,7 @@ TEST(ParallelBank, ConfigsAddedAfterSetThreadsAreSimulated) {
   Late.addConfig(CacheConfig{.SizeBytes = 32 << 10, .BlockBytes = 32});
   Late.setThreads(2, /*BatchRefs=*/256);
   Late.addConfig(CacheConfig{.SizeBytes = 64 << 10});
-  Late.enableCrossCheck(1);
+  Late.enableCrossCheck();
   EXPECT_EQ(Late.threads(), 2u);
   EXPECT_TRUE(Late.cache(1).crossCheckEnabled());
   for (const Ref &R : Stream)

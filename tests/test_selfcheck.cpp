@@ -72,7 +72,7 @@ class SelfCheckMatrix : public ::testing::TestWithParam<CacheConfig> {};
 
 TEST_P(SelfCheckMatrix, OracleAgreesOnRandomStream) {
   Cache C(GetParam());
-  C.enableCrossCheck(1); // compare the hit class of every single ref
+  C.enableCrossCheck(); // compare the counters after every single ref
   Rng R;
   for (int I = 0; I != 60000; ++I)
     C.onRef(randomRef(R)); // a divergence throws StatusError here
@@ -107,13 +107,13 @@ INSTANTIATE_TEST_SUITE_P(
                     .WriteMiss = WriteMissPolicy::FetchOnWrite,
                     .TrackPerBlockStats = true}));
 
-TEST(SelfCheck, SampledCrossCheckOnWarmCache) {
+TEST(SelfCheck, CrossCheckOnWarmCache) {
   Cache C({.SizeBytes = 2 << 10, .BlockBytes = 32, .Ways = 2});
   Rng R;
   for (int I = 0; I != 5000; ++I)
     C.onRef(randomRef(R));
   // Attaching to a warm cache resyncs the oracle to current contents.
-  C.enableCrossCheck(64);
+  C.enableCrossCheck();
   for (int I = 0; I != 20000; ++I)
     C.onRef(randomRef(R));
   EXPECT_TRUE(C.crossCheckNow().ok());
@@ -125,7 +125,7 @@ TEST(SelfCheck, SampledCrossCheckOnWarmCache) {
 
 TEST(SelfCheckMutation, OracleCatchesCorruptedLineTag) {
   Cache C({.SizeBytes = 1 << 10, .BlockBytes = 32});
-  C.enableCrossCheck(1);
+  C.enableCrossCheck();
   Rng R;
   for (int I = 0; I != 2000; ++I)
     C.onRef(randomRef(R));
@@ -145,7 +145,7 @@ TEST(SelfCheckMutation, OracleCatchesCorruptedLineTag) {
 
 TEST(SelfCheckMutation, OracleCatchesCorruptedCounter) {
   Cache C({.SizeBytes = 1 << 10, .BlockBytes = 32});
-  C.enableCrossCheck(1);
+  C.enableCrossCheck();
   Rng R;
   for (int I = 0; I != 2000; ++I)
     C.onRef(randomRef(R));
@@ -274,6 +274,34 @@ TEST(SelfCheckMutation, AuditSinkCatchesDriftedBankCounters) {
   EXPECT_EQ(S.code(), StatusCode::AuditFailure) << S.message();
 }
 
+// Resetting a bank resets every cache with its shadow, so a divergence
+// after the reset reports the references fed since, not since the shadow
+// attached.
+TEST(SelfCheckMutation, DivergenceAfterResetCountsRefsSinceTheReset) {
+  CacheBank Bank;
+  Bank.addConfig({.SizeBytes = 1 << 10, .BlockBytes = 32});
+  Bank.enableCrossCheck();
+  Rng R;
+  for (int I = 0; I != 2000; ++I)
+    Bank.onRef(randomRef(R));
+  Bank.resetAll();
+  for (int I = 0; I != 10; ++I)
+    Bank.onRef(randomRef(R));
+  Bank.flush();
+  // A fetch miss the oracle never counted; the next batch must report it.
+  ++CacheTestPeer::counters(Bank.cache(0), Phase::Mutator).FetchMisses;
+  Bank.onRef(randomRef(R));
+  try {
+    Bank.flush();
+    FAIL() << "the planted fetch miss went unreported";
+  } catch (const StatusError &E) {
+    const std::string &Msg = E.status().message();
+    EXPECT_EQ(E.status().code(), StatusCode::Divergence) << Msg;
+    EXPECT_NE(Msg.find("mutator fetch-misses"), std::string::npos) << Msg;
+    EXPECT_NE(Msg.find("(after 11 refs)"), std::string::npos) << Msg;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // 64-bit LRU stamps across the 2^32 boundary
 //===----------------------------------------------------------------------===//
@@ -282,7 +310,7 @@ TEST(SelfCheck, LruRecencySurvivesThe32BitBoundary) {
   // 1 KB / 32 B / 2-way: 16 sets; addresses 0, 512, 1024 all map to set 0
   // with tags 0, 1, 2.
   Cache C({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2});
-  C.enableCrossCheck(1);
+  C.enableCrossCheck();
   // Park the recency clock just below 2^32, where a 32-bit stamp would
   // wrap to 0 and make the most recently touched line look oldest.
   CacheTestPeer::lruClock(C) = (1ull << 32) - 2;
@@ -334,7 +362,7 @@ TEST(SelfCheck, CacheStateSnapshotRoundTripsAcrossTheBoundary) {
   ASSERT_TRUE(Cur.finish().ok());
   EXPECT_GT(CacheTestPeer::lruClock(C2), 1ull << 32);
   // The restored cache must behave identically, stamps included.
-  C2.enableCrossCheck(1);
+  C2.enableCrossCheck();
   for (int I = 0; I != 500; ++I)
     C2.onRef(randomRef(R));
   EXPECT_TRUE(C2.crossCheckNow().ok());
@@ -435,7 +463,7 @@ TEST(SelfCheck, CacheStateWithOtherPolicyBytesIsRejected) {
 TEST(SelfCheck, ThreadedBankMatchesSerialUnderCrossCheck) {
   auto Run = [](unsigned Threads) {
     CacheBank Bank;
-    Bank.enableCrossCheck(1);
+    Bank.enableCrossCheck();
     Bank.addConfig({.SizeBytes = 1 << 10, .BlockBytes = 32});
     Bank.addConfig({.SizeBytes = 4 << 10, .BlockBytes = 64, .Ways = 2});
     if (Threads)
@@ -471,7 +499,7 @@ TEST(SelfCheck, MultiLevelCrossCheckAndFillConservation) {
   CacheConfig L1{.SizeBytes = 1 << 10, .BlockBytes = 32};
   CacheConfig L2{.SizeBytes = 8 << 10, .BlockBytes = 64};
   MultiLevelCache M(L1, L2);
-  M.enableCrossCheck(1);
+  M.enableCrossCheck();
   Rng R;
   for (int I = 0; I != 30000; ++I)
     M.onRef(randomRef(R));
@@ -510,7 +538,7 @@ std::string writeSyntheticTrace() {
 }
 
 void addSelfCheckBank(CacheBank &Bank, unsigned Threads) {
-  Bank.enableCrossCheck(1);
+  Bank.enableCrossCheck();
   Bank.addConfig({.SizeBytes = 1 << 10, .BlockBytes = 32});
   Bank.addConfig({.SizeBytes = 2 << 10, .BlockBytes = 64, .Ways = 2,
                   .TrackPerBlockStats = true});

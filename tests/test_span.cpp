@@ -340,8 +340,8 @@ TEST(SpanSinks, CacheBankMatchesPerReferenceInlineAndThreaded) {
 }
 
 // A cache walks each span one same-block run at a time
-// (BatchKernel::runSolo); with a shadow oracle it goes through access per
-// reference. All four shapes, under both write-miss policies.
+// (BatchKernel::runSolo), with or without a shadow oracle, which then
+// takes the span. All four shapes, under both write-miss policies.
 TEST(SpanSinks, CacheMatchesPerReferenceInEveryShape) {
   Stream St = randomStream(Seeds[1], StepsPerStream);
   for (uint32_t Ways : {1u, 2u})
@@ -359,8 +359,8 @@ TEST(SpanSinks, CacheMatchesPerReferenceInEveryShape) {
                        (Shadow ? " shadowed" : ""));
           Cache BySpan(C), ByRef(C);
           if (Shadow) {
-            BySpan.enableCrossCheck(1);
-            ByRef.enableCrossCheck(1);
+            BySpan.enableCrossCheck();
+            ByRef.enableCrossCheck();
           }
           feedSpans(BySpan, St);
           feedRefs(ByRef, St);
